@@ -121,8 +121,11 @@ def cmd_classical_bound(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    config = SeesawConfig(dim=args.dim, max_sweeps=args.max_sweeps, tol=args.tol,
-                          seeds=args.seeds, rng_seed=args.seed)
+    try:
+        config = SeesawConfig(dim=args.dim, max_sweeps=args.max_sweeps, tol=args.tol,
+                              seeds=args.seeds, rng_seed=args.seed)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     best, traces = seesaw(config)
     print(f"best value  = {_fmt(best.best_value)}   (seed {best.seed_index}, "
           f"{len(best.values)} sweeps, converged={best.converged})")

@@ -14,6 +14,10 @@ from .errors import NonSquare, NotHermitian, RankDeficient, ShapeMismatch
 #: Default tolerance for structural checks (Hermiticity, unitarity).
 STRUCTURAL_TOL = 1e-10
 
+#: Relative margin by which a computed Frobenius norm must sit below a
+#: tolerance to settle an operator-norm check without an SVD.
+FROBENIUS_SLACK = 1e-12
+
 #: Default eigenvalue cutoff for :func:`inv_sqrt_psd`. The ideal Gram matrix
 #: downstream is the identity, so anything at this scale is genuine
 #: degeneracy, not noise.
@@ -38,14 +42,26 @@ def as_vector(v) -> np.ndarray:
     return a
 
 
+def as_matrices(m) -> np.ndarray:
+    """Coerce input to a complex128 stack of matrices, shape (..., r, c),
+    rejecting non-finite entries. A single matrix is a stack with no leading
+    axes."""
+    a = np.array(m, dtype=complex)
+    if a.ndim < 2:
+        raise ShapeMismatch(f"expected a matrix or a stack of matrices, got ndim {a.ndim}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains NaN or Inf entries")
+    return a
+
+
 def _require_square(a: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise NonSquare(f"matrix is {a.shape[0]}x{a.shape[1]}")
+    if a.shape[-2] != a.shape[-1]:
+        raise NonSquare(f"matrix is {a.shape[-2]}x{a.shape[-1]}")
 
 
 def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack (..., r, c)."""
+    return np.swapaxes(np.conj(m), -1, -2)
 
 
 def hermitize(m) -> np.ndarray:
@@ -53,13 +69,6 @@ def hermitize(m) -> np.ndarray:
     a = as_matrix(m)
     _require_square(a)
     return (a + a.conj().T) / 2
-
-
-def hermiticity_defect(m) -> float:
-    """Operator-norm distance of m from its Hermitian part."""
-    a = as_matrix(m)
-    _require_square(a)
-    return op_norm(a - a.conj().T) / 2
 
 
 def kron(a, b) -> np.ndarray:
@@ -76,6 +85,29 @@ def trace(m) -> complex:
 def op_norm(m) -> float:
     """Largest singular value."""
     return float(np.linalg.norm(as_matrix(m), 2))
+
+
+def op_norm_exceeds(m: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each matrix of a stack (..., r, c) has operator norm above tol.
+
+    The verdict is the one ``op_norm(m) > tol`` gives. Since
+    ||m||_2 <= ||m||_F, a Frobenius norm below tol accepts without an SVD;
+    only the matrices it does not accept get one. The computed norms carry
+    rounding: for rank one, where the two are equal, the SVD value can come
+    out a few ulps above the Frobenius one, so the Frobenius test keeps a
+    relative slack of FROBENIUS_SLACK.
+    """
+    a = m.reshape(-1, *m.shape[-2:])
+    undecided = np.linalg.norm(a, axis=(-2, -1)) > tol / (1 + FROBENIUS_SLACK)
+    over = np.zeros(undecided.shape, dtype=bool)
+    if undecided.any():
+        over[undecided] = np.linalg.norm(a[undecided], 2, axis=(-2, -1)) > tol
+    return over.reshape(m.shape[:-2])
+
+
+def max_op_norm(m: np.ndarray) -> float:
+    """Largest operator norm over a stack (..., r, c); for error messages."""
+    return float(np.max(np.linalg.norm(m, 2, axis=(-2, -1))))
 
 
 def vec_norm(v) -> float:
@@ -95,42 +127,45 @@ def acomm(a, b) -> np.ndarray:
 
 
 def eig_hermitian(m, tol: float = STRUCTURAL_TOL):
-    """Eigendecomposition of a Hermitian matrix with deterministic output.
+    """Eigendecomposition of Hermitian matrices with deterministic output.
 
     Parameters
     ----------
     m : array_like
-        Square matrix, Hermitian within `tol` (operator norm).
+        Square matrix, or a stack of them with shape (..., d, d), each
+        Hermitian within `tol` (operator norm).
     tol : float
         Allowed Hermiticity deviation.
 
     Returns
     -------
-    w : ndarray of float
+    w : ndarray of float, shape (..., d)
         Eigenvalues in descending order.
-    v : ndarray of complex
+    v : ndarray of complex, shape (..., d, d)
         Eigenvectors as columns, matching `w`. Each column's first component
         of magnitude above 1e-12 is rotated to be real nonnegative so that
-        repeated runs give identical output.
+        repeated runs give identical output. Every matrix of a stack gets
+        exactly the result it gets on its own.
     """
-    a = as_matrix(m)
+    a = as_matrices(m)
     _require_square(a)
-    if hermiticity_defect(a) > tol:
+    defect = (a - dagger(a)) / 2
+    if np.any(op_norm_exceeds(defect, tol)):
         raise NotHermitian(
-            f"Hermiticity deviation {hermiticity_defect(a):.3e} exceeds {tol:.1e}"
+            f"Hermiticity deviation {max_op_norm(defect):.3e} exceeds {tol:.1e}"
         )
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    order = np.argsort(-w, kind="stable")
-    w = np.real(w[order])
-    v = v[:, order]
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        i = nz[0] if nz.size else int(np.argmax(np.abs(col)))
-        phase = col[i]
-        if abs(phase) > 0:
-            v[:, k] = col * (phase.conjugate() / abs(phase))
-    return w, v
+    w, v = np.linalg.eigh((a + dagger(a)) / 2)
+    # A stable sort of -w, not a reversal: tied eigenvalues keep eigh's order.
+    order = np.argsort(-w, axis=-1, kind="stable")
+    w = np.take_along_axis(w, order, axis=-1)
+    v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    magnitude = np.abs(v)
+    big = magnitude > 1e-12
+    pivot = np.where(big.any(axis=-2), big.argmax(axis=-2), magnitude.argmax(axis=-2))
+    phase = np.take_along_axis(v, pivot[..., None, :], axis=-2)
+    # hypot rounds like the scalar abs() of a complex number; numpy's array
+    # abs does not always. Unit columns make the pivot nonzero.
+    return w, v * (phase.conj() / np.hypot(phase.real, phase.imag))
 
 
 def inv_sqrt_psd(m, cutoff: float = INV_SQRT_CUTOFF, full_rank: bool = True) -> np.ndarray:

@@ -5,6 +5,10 @@ both half-steps have exact maximizers: the state update takes the top
 eigenvector of the expression's operator form, and each observable update
 takes the eigen-sign of its Hermitian coefficient operator. Every half-step
 is an exact argmax, which makes the per-sweep values monotone.
+
+The algebra is written once, over arrays with leading batch axes: the
+per-scenario functions below pass one scenario's (6, d, d) observables, and
+the multi-start seesaw passes all running seeds as (S, 6, d, d).
 """
 
 from __future__ import annotations
@@ -23,10 +27,18 @@ from .scenario import (
     Scenario,
     random_involution,
     random_pure_state,
+    require_observables,
+    require_unit_norm,
 )
 
 #: Coefficient-operator eigenvalues below this have no preferred sign.
 DEGENERATE_EIGENVALUE = 1e-12
+
+#: Operator form of the temporal expression, term by term in written order:
+#: a triple (x, y, z) is {A_x, {A_y, A_z}} with weight 1/8, a pair
+#: (x, y, sign) is sign * {A_x, A_y} with weight 1/2.
+TRIPLES = ((1, 2, 3), (2, 1, 3), (4, 5, 6), (5, 4, 6))
+PAIRS = ((1, 4, 1), (2, 5, 1), (3, 6, -1))
 
 
 @dataclass
@@ -65,15 +77,79 @@ def _acomm(a, b):
     return a @ b + b @ a
 
 
+def _signed_sum(terms):
+    """Sum of (sign, term) pairs, left to right in the written order."""
+    (sign, total), *rest = terms
+    total = total if sign > 0 else -total
+    for sign, t in rest:
+        total = total + t if sign > 0 else total - t
+    return total
+
+
+def _slots(mats) -> tuple:
+    """1-based views A1..A6 of observables stacked as (..., 6, d, d)."""
+    a = np.asarray(mats)
+    return (None,) + tuple(a[..., k, :, :] for k in range(6))
+
+
 def _bell_from_matrices(mats) -> np.ndarray:
-    a1, a2, a3, a4, a5, a6 = mats
+    """Bell operator of observables stacked as (..., 6, d, d)."""
+    a = _slots(mats)
     b = (
-        _acomm(a1, _acomm(a2, a3))
-        + _acomm(a2, _acomm(a1, a3))
-        + _acomm(a4, _acomm(a5, a6))
-        + _acomm(a5, _acomm(a4, a6))
-    ) / 8 + (_acomm(a1, a4) + _acomm(a2, a5) - _acomm(a3, a6)) / 2
-    return (b + b.conj().T) / 2
+        _signed_sum([(1, _acomm(a[x], _acomm(a[y], a[z]))) for x, y, z in TRIPLES]) / 8
+        + _signed_sum([(sign, _acomm(a[x], a[y])) for x, y, sign in PAIRS]) / 2
+    )
+    return (b + linalg.dagger(b)) / 2
+
+
+def _coefficient_from_matrices(mats, rho, slot: int) -> np.ndarray:
+    """Coefficient operator of `slot` for observables (..., 6, d, d) and
+    states (..., d, d), from the adjoint identities term by term."""
+    a = _slots(mats)
+    triples = []
+    for x, y, z in TRIPLES:
+        if slot == x:    # tr(rho {A, {y, z}}) = tr(A {{y, z}, rho})
+            triples.append((1, _acomm(_acomm(a[y], a[z]), rho)))
+        elif slot == y:  # tr(rho {x, {A, z}}) = tr(A {z, {x, rho}})
+            triples.append((1, _acomm(a[z], _acomm(a[x], rho))))
+        elif slot == z:  # tr(rho {x, {y, A}}) = tr(A {y, {x, rho}})
+            triples.append((1, _acomm(a[y], _acomm(a[x], rho))))
+    for x, y, sign in PAIRS:
+        if slot in (x, y):  # tr(rho {x, A}) = tr(A {x, rho})
+            pair = (sign, _acomm(a[y] if slot == x else a[x], rho) / 2)
+    g = _signed_sum([(1, _signed_sum(triples) / 8), pair])
+    return (g + linalg.dagger(g)) / 2
+
+
+def _values(rho, b) -> np.ndarray:
+    """tr(rho B) for each leading index."""
+    return np.trace(rho @ b, axis1=-2, axis2=-1).real
+
+
+def _densities(psi) -> np.ndarray:
+    """|psi><psi| for state vectors stacked as (..., d)."""
+    return psi[..., :, None] * psi.conj()[..., None, :]
+
+
+def _top_eigenvectors(b) -> np.ndarray:
+    """Exact state half-step for a stack of operator forms, norm-checked."""
+    _, v = linalg.eig_hermitian(b)
+    psi = v[..., :, 0]
+    require_unit_norm(psi)
+    return psi
+
+
+def _sign_half_step(g):
+    """Exact observable half-step for a stack of coefficient operators.
+
+    Returns the eigen-sign involutions and the mask of eigenvalues of
+    magnitude at most DEGENERATE_EIGENVALUE, whose sign is set to +1.
+    """
+    w, v = linalg.eig_hermitian(g)
+    degenerate = np.abs(w) <= DEGENERATE_EIGENVALUE
+    signs = np.where(degenerate, 1.0, np.sign(w))
+    a = (v * signs[..., None, :]) @ linalg.dagger(v)
+    return (a + linalg.dagger(a)) / 2, degenerate
 
 
 def bell_operator(s: Scenario) -> np.ndarray:
@@ -92,7 +168,7 @@ def bell_operator(s: Scenario) -> np.ndarray:
 
 def expression_value(s: Scenario) -> float:
     """tr(rho B); equals the correlator assembly to machine precision."""
-    return float(np.trace(s.density() @ bell_operator(s)).real)
+    return float(_values(s.density(), bell_operator(s)))
 
 
 def optimal_state(observables) -> PureState:
@@ -106,9 +182,7 @@ def optimal_state(observables) -> PureState:
             for o in observables]
     if len(mats) != 6:
         raise ShapeMismatch(f"need 6 observables, got {len(mats)}")
-    b = _bell_from_matrices(mats)
-    _, v = linalg.eig_hermitian(b)
-    return PureState(v[:, 0])
+    return PureState(_top_eigenvectors(_bell_from_matrices(mats)))
 
 
 def coefficient_operator(s: Scenario, slot: int) -> np.ndarray:
@@ -121,28 +195,7 @@ def coefficient_operator(s: Scenario, slot: int) -> np.ndarray:
     """
     if not 1 <= slot <= 6:
         raise ShapeMismatch(f"slot must be in 1..6, got {slot}")
-    a1, a2, a3, a4, a5, a6 = s.matrices()
-    rho = s.density()
-
-    def n(x, y):  # {x, {y, rho}}
-        return _acomm(x, _acomm(y, rho))
-
-    def w(x, y):  # {{x, y}, rho}
-        return _acomm(_acomm(x, y), rho)
-
-    if slot == 1:
-        g = (w(a2, a3) + n(a3, a2)) / 8 + _acomm(a4, rho) / 2
-    elif slot == 2:
-        g = (n(a3, a1) + w(a1, a3)) / 8 + _acomm(a5, rho) / 2
-    elif slot == 3:
-        g = (n(a2, a1) + n(a1, a2)) / 8 - _acomm(a6, rho) / 2
-    elif slot == 4:
-        g = (w(a5, a6) + n(a6, a5)) / 8 + _acomm(a1, rho) / 2
-    elif slot == 5:
-        g = (n(a6, a4) + w(a4, a6)) / 8 + _acomm(a2, rho) / 2
-    else:
-        g = (n(a5, a4) + n(a4, a5)) / 8 - _acomm(a3, rho) / 2
-    return (g + g.conj().T) / 2
+    return _coefficient_from_matrices(s.matrices(), s.density(), slot)
 
 
 def optimal_observable(s: Scenario, slot: int) -> Observable:
@@ -153,62 +206,67 @@ def optimal_observable(s: Scenario, slot: int) -> Observable:
     1e-12 get sign +1 (deterministic tie-break) and raise a
     DegenerateCoefficientWarning.
     """
-    g = coefficient_operator(s, slot)
-    w, v = linalg.eig_hermitian(g)
-    signs = np.sign(w)
-    degenerate = np.abs(w) <= DEGENERATE_EIGENVALUE
+    a, degenerate = _sign_half_step(coefficient_operator(s, slot))
     if np.any(degenerate):
-        signs[degenerate] = 1.0
         warnings.warn(
             f"slot {slot}: {int(degenerate.sum())} coefficient eigenvalue(s) "
             "below 1e-12, sign tie-broken to +1",
             DegenerateCoefficientWarning,
             stacklevel=2,
         )
-    a = (v * signs) @ v.conj().T
-    return Observable(linalg.hermitize(a))
-
-
-def _seesaw_single(dim: int, max_sweeps: int, tol: float, rng: np.random.Generator,
-                   seed_index: int) -> SeesawTrace:
-    state = random_pure_state(dim, rng)
-    observables = [random_involution(dim, rng) for _ in range(6)]
-    s = Scenario(state, observables)
-
-    trace = SeesawTrace(seed_index=seed_index)
-    previous = expression_value(s)
-    for _ in range(max_sweeps):
-        s = s.with_state(optimal_state(s.observables))
-        for slot in range(1, 7):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", DegenerateCoefficientWarning)
-                s = s.with_observable(slot, optimal_observable(s, slot))
-            trace.degenerate_steps += sum(
-                1 for c in caught if issubclass(c.category, DegenerateCoefficientWarning)
-            )
-        value = expression_value(s)
-        trace.values.append(value)
-        if value - previous < tol:
-            trace.converged = True
-            break
-        previous = value
-    trace.scenario = s
-    return trace
+    return Observable(a)
 
 
 def seesaw(config: SeesawConfig):
     """Multi-start seesaw. Returns (best trace, all traces).
 
     Each seed gets its own PCG64 stream derived from config.rng_seed via
-    SeedSequence.spawn, so individual seeds are reproducible and could run
-    concurrently. Best is the highest final value, ties broken by lowest
-    seed index.
+    SeedSequence.spawn and draws its random start from it. All seeds then
+    run as one batch: every half-step is one stacked eigendecomposition over
+    the seeds still running, and a seed leaves the batch when its sweep
+    improvement falls below config.tol. Seeds never mix, so a seed's trace
+    does not depend on which other seeds run. Every iterate passes the
+    Observable and PureState checks; Observable and Scenario objects are
+    built once per seed at the end. Best is the highest final value, ties
+    broken by lowest seed index.
     """
     children = np.random.SeedSequence(config.rng_seed).spawn(config.seeds)
-    traces = []
-    for k, child in enumerate(children):
+    states, observables = [], []
+    for child in children:
         rng = np.random.Generator(np.random.PCG64(child))
-        traces.append(_seesaw_single(config.dim, config.max_sweeps, config.tol, rng, k))
+        states.append(random_pure_state(config.dim, rng).amplitudes)
+        observables.append([random_involution(config.dim, rng).matrix for _ in range(6)])
+    psi = np.array(states)         # (S, d)
+    obs = np.array(observables)    # (S, 6, d, d)
+    traces = [SeesawTrace(seed_index=k) for k in range(config.seeds)]
+
+    previous = _values(_densities(psi), _bell_from_matrices(obs))
+    active = np.arange(config.seeds)
+    for _ in range(config.max_sweeps):
+        o = obs[active]
+        p = _top_eigenvectors(_bell_from_matrices(o))
+        rho = _densities(p)
+        for slot in range(1, 7):
+            a, degenerate = _sign_half_step(_coefficient_from_matrices(o, rho, slot))
+            require_observables(a)
+            o[:, slot - 1] = a
+            for k in active[degenerate.any(axis=-1)]:
+                traces[k].degenerate_steps += 1
+        values = _values(rho, _bell_from_matrices(o))
+        obs[active], psi[active] = o, p
+        for k, value in zip(active, values):
+            traces[k].values.append(float(value))
+        done = values - previous[active] < config.tol
+        for k in active[done]:
+            traces[k].converged = True
+        previous[active] = values
+        active = active[~done]
+        if not active.size:
+            break
+
+    for t in traces:
+        k = t.seed_index
+        t.scenario = Scenario(PureState(psi[k]), [Observable(m) for m in obs[k]])
     best = max(traces, key=lambda t: (t.best_value, -t.seed_index))
     if best.best_value > QUANTUM_BOUND + 1e-9:
         raise AssertionError(

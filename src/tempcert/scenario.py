@@ -34,6 +34,38 @@ INVOLUTION_TOL = 1e-8
 #: Cutoff below which an eigenvalue has no well-defined sign.
 SIGN_CUTOFF = 1e-8
 
+#: Default tolerance for deviation of a state vector's norm from 1.
+NORM_TOL = 1e-12
+
+
+def _require_hermitian(m: np.ndarray, tol: float, what: str) -> None:
+    """Raise NotHermitian unless ||m - m†|| <= tol for every matrix of the
+    stack m; the SVD norm is computed only for the message."""
+    defect = m - linalg.dagger(m)
+    if np.any(linalg.op_norm_exceeds(defect, tol)):
+        raise NotHermitian(f"{what} deviates from Hermitian by {linalg.max_op_norm(defect):.3e}")
+
+
+def require_observables(m: np.ndarray, hermitian_tol: float = linalg.STRUCTURAL_TOL,
+                        involution_tol: float = INVOLUTION_TOL) -> None:
+    """Observable's checks on a stack (..., d, d) of matrices, without
+    building the objects: NotHermitian or NonInvolution is raised exactly
+    when Observable(matrix) would raise it for some matrix of the stack."""
+    _require_hermitian(m, hermitian_tol, "observable")
+    residual = m @ m - np.eye(m.shape[-1])
+    if np.any(linalg.op_norm_exceeds(residual, involution_tol)):
+        raise NonInvolution(
+            f"involution residual {linalg.max_op_norm(residual):.3e} exceeds {involution_tol:.1e}"
+        )
+
+
+def require_unit_norm(psi: np.ndarray, norm_tol: float = NORM_TOL) -> None:
+    """PureState's norm check on a stack (..., d) of state vectors."""
+    deviation = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
+    if np.any(deviation > norm_tol):
+        raise ValueError(f"state norm deviates from 1 by {deviation.max()!r}, "
+                         f"more than {norm_tol:.1e}")
+
 
 class Observable:
     """Hermitian matrix intended as a +-1-outcome projective measurement.
@@ -50,11 +82,7 @@ class Observable:
         m = linalg.as_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"observable must be square, got {m.shape}")
-        defect = linalg.op_norm(m - m.conj().T)
-        if defect > hermitian_tol:
-            raise NotHermitian(
-                f"observable deviates from Hermitian by {defect:.3e}"
-            )
+        _require_hermitian(m, hermitian_tol, "observable")
         residual = linalg.op_norm(m @ m - np.eye(m.shape[0]))
         if residual > involution_tol:
             raise NonInvolution(
@@ -77,7 +105,7 @@ class PureState:
 
     __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes, norm_tol: float = 1e-12):
+    def __init__(self, amplitudes, norm_tol: float = NORM_TOL):
         v = linalg.as_vector(amplitudes)
         n = linalg.vec_norm(v)
         if abs(n - 1.0) > norm_tol:
@@ -106,9 +134,7 @@ class DensityMatrix:
         m = linalg.as_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"density matrix must be square, got {m.shape}")
-        defect = linalg.op_norm(m - m.conj().T)
-        if defect > hermitian_tol:
-            raise NotHermitian(f"density matrix deviates from Hermitian by {defect:.3e}")
+        _require_hermitian(m, hermitian_tol, "density matrix")
         w = np.linalg.eigvalsh((m + m.conj().T) / 2)
         if w.min() < -hermitian_tol:
             raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")

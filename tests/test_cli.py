@@ -77,6 +77,16 @@ class TestOptimize:
         doc = json.loads(trace.read_text())
         assert len(doc["traces"]) == 3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--dim", "1"), ("--seeds", "0"), ("--max-sweeps", "0"), ("--tol", "0"),
+    ])
+    def test_invalid_config_is_usage_error(self, flag, value, capsys):
+        assert main(["optimize", flag, value]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_deterministic_output(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -69,6 +69,78 @@ class TestEigHermitian:
         with pytest.raises(NotHermitian):
             linalg.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_stack_rejects_one_non_hermitian(self):
+        stack = np.array([np.eye(2), [[0, 1], [0, 0]]], dtype=complex)
+        with pytest.raises(NotHermitian):
+            linalg.eig_hermitian(stack)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_stack_matches_per_column_loop(self, d):
+        # every matrix of a stack, and every 2-d call, gives bit for bit the
+        # result of the per-column phase-fix loop
+        mats = stack_inputs(d, rng_from(100 + d))
+        ws, vs = linalg.eig_hermitian(np.array(mats))
+        for k, h in enumerate(mats):
+            w_ref, v_ref = reference_eig_hermitian(h)
+            w, v = linalg.eig_hermitian(h)
+            assert w.tobytes() == w_ref.tobytes() == ws[k].tobytes()
+            assert v.tobytes() == v_ref.tobytes() == vs[k].tobytes()
+
+    def test_stack_with_leading_axes(self):
+        mats = np.array(stack_inputs(3, rng_from(99))[:12]).reshape(3, 4, 3, 3)
+        w, v = linalg.eig_hermitian(mats)
+        assert w.shape == (3, 4, 3) and v.shape == (3, 4, 3, 3)
+        w2, v2 = linalg.eig_hermitian(mats[2, 1])
+        assert w[2, 1].tobytes() == w2.tobytes() and v[2, 1].tobytes() == v2.tobytes()
+
+
+def reference_eig_hermitian(h):
+    """eig_hermitian written as a loop over columns with the scalar abs()."""
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    order = np.argsort(-w, kind="stable")
+    w, v = w[order], v[:, order]
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        phase = col[nz[0] if nz.size else int(np.argmax(np.abs(col)))]
+        v[:, k] = col * (phase.conjugate() / abs(phase))
+    return w, v
+
+
+def stack_inputs(d, rng, n=120):
+    """Hermitian matrices of six kinds: random; diagonal with tied
+    eigenvalues; diagonal with ~1e-17 imaginary off-diagonal entries;
+    involutions in a random basis, whose degenerate eigenspaces give
+    eigenvectors with complex pivots; the same perturbed by 1e-13; and
+    permuted block-diagonal, whose pivot is often not the first component."""
+    from tempcert.scenario import random_unitary
+
+    def involution():
+        u = random_unitary(d, rng)
+        return (u * rng.choice([-1.0, 1.0], size=d)) @ u.conj().T
+
+    def permuted_block():
+        h = np.zeros((d, d), dtype=complex)
+        h[0, 0] = 2.0
+        h[1:, 1:] = random_hermitian(d - 1, rng)
+        p = rng.permutation(d)
+        return h[np.ix_(p, p)]
+
+    kinds = [
+        lambda: random_hermitian(d, rng),
+        lambda: np.diag(rng.choice([-1.0, 0.0, 1.0], size=d)).astype(complex),
+        lambda: np.diag(rng.standard_normal(d)) + 1e-17j * (
+            np.triu(np.ones((d, d)), 1) - np.tril(np.ones((d, d)), -1)),
+        involution,
+        lambda: involution() + 1e-13 * random_hermitian(d, rng),
+        permuted_block,
+    ]
+    mats = []
+    for k in range(n):
+        h = kinds[k % len(kinds)]()
+        mats.append((h + h.conj().T) / 2)
+    return mats
+
 
 class TestInvSqrtPsd:
     def test_identity_fixed_point(self):
@@ -145,6 +217,23 @@ class TestNormsAndProducts:
     def test_vector_shape(self):
         with pytest.raises(ShapeMismatch):
             linalg.as_matrix(np.ones(3))
+
+    def test_op_norm_exceeds_matches_svd_verdict(self):
+        # rank-one matrices have equal Frobenius and operator norms, and the
+        # computed SVD value is often a few ulps above the Frobenius one
+        rng = rng_from(12)
+        mats = [random_hermitian(4, rng) for _ in range(10)]
+        for _ in range(30):
+            u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            mats.append(np.outer(u, u.conj()))
+        stack = np.array(mats)
+        for m in mats:
+            nm = linalg.op_norm(m)
+            for tol in (nm, np.nextafter(nm, 0), np.nextafter(nm, 9), nm * 1.5, nm / 1.5,
+                        np.linalg.norm(m)):
+                assert bool(linalg.op_norm_exceeds(m, tol)) == (nm > tol)
+                assert list(linalg.op_norm_exceeds(stack, tol)) == [
+                    linalg.op_norm(x) > tol for x in mats]
 
 
 class TestExpiHermitian:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -19,6 +21,7 @@ from tempcert.scenario import (
     Observable,
     PureState,
     Scenario,
+    dumps_scenario,
     random_density,
     random_hermitian,
     random_involution,
@@ -30,6 +33,30 @@ from conftest import rng_from
 # best value the d=2 seesaw finds; numerically 3(1 + sqrt(3))/2, recorded as
 # an empirical fixture with no optimality claim
 D2_FIXTURE = 4.098076211353316
+
+# sha256 of the trace JSON and of dumps_scenario(best.scenario), recorded
+# from the per-seed seesaw loop that the batched one replaced (numpy 2.4,
+# OpenBLAS). The batch must reproduce that loop bit for bit.
+GOLDEN = [
+    (dict(dim=4, seeds=20, rng_seed=0),
+     "53c0b270b56f4a2319e328ba34826cda593e2da4461724d9829cd74a6181a307",
+     "5a789e322438b946bcff9ca345f6678492efbaf31243d05c7af446dad3b0d714"),
+    (dict(dim=2, seeds=20, rng_seed=1, max_sweeps=400),
+     "859527765140d23d0aec4611a2a76576602755ec0e38bdba874b321d6e5c6cce",
+     "374e4767a2d559f03eb04cd3110e869ac073ebbd158d0ff453d3e382fab1eb9f"),
+]
+
+
+def trace_json(best, traces) -> str:
+    return json.dumps({
+        "best_seed": best.seed_index,
+        "traces": [{"seed": t.seed_index, "values": t.values, "converged": t.converged,
+                    "degenerate_steps": t.degenerate_steps} for t in traces],
+    }, indent=1)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestBellOperator:
@@ -176,6 +203,33 @@ class TestSeesaw:
         if best.best_value >= 5.0 - 1e-10:
             report = certify(best.scenario)
             assert report.fidelity >= 1 - 1e-4
+
+    @pytest.mark.parametrize("config, trace_sha, best_sha", GOLDEN)
+    def test_golden_fingerprints(self, config, trace_sha, best_sha):
+        best, traces = seesaw(SeesawConfig(**config))
+        assert sha256(trace_json(best, traces)) == trace_sha
+        assert sha256(dumps_scenario(best.scenario)) == best_sha
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_seed_independence(self, dim):
+        # a seed's trace does not depend on which other seeds share the batch
+        _, many = seesaw(SeesawConfig(dim=dim, seeds=20, rng_seed=7, max_sweeps=60))
+        if dim == 3:  # odd dimensions exercise the degenerate tie-break
+            assert sum(t.degenerate_steps for t in many) > 0
+        for k in (1, 6):
+            _, few = seesaw(SeesawConfig(dim=dim, seeds=k, rng_seed=7, max_sweeps=60))
+            for a, b in zip(many[:k], few, strict=True):
+                assert (a.values, a.converged, a.degenerate_steps) == (
+                    b.values, b.converged, b.degenerate_steps)
+                assert dumps_scenario(a.scenario) == dumps_scenario(b.scenario)
+
+    def test_trace_fields(self):
+        _, traces = seesaw(SeesawConfig(dim=4, seeds=4, rng_seed=2, max_sweeps=3))
+        assert [t.seed_index for t in traces] == [0, 1, 2, 3]
+        for t in traces:
+            assert 1 <= len(t.values) <= 3
+            assert t.converged == (len(t.values) < 3 or t.values[-1] - t.values[-2] < 1e-13)
+            assert abs(expression_value(t.scenario) - t.values[-1]) <= 1e-12
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ from tempcert.scenario import (
     random_scenario,
     random_unitary,
     reduced_density,
+    require_observables,
     save_scenario,
     scenario_to_dict,
 )
@@ -79,6 +80,20 @@ class TestTypes:
         m = PAULI_Z + 1e-9 * np.diag([1.0, 0.0])
         o = Observable(m)
         assert 0 < o.involution_residual <= 1e-8
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[0, 1], [0, 0]], dtype=complex), NotHermitian),
+        (np.diag([2.0, -1.0]), NonInvolution),
+        (PAULI_Z + 2e-8 * np.diag([1.0, 0.0]), NonInvolution),
+        (np.array([[1, 2e-10], [0, -1]], dtype=complex), NotHermitian),
+    ])
+    def test_stack_checks_agree_with_observable(self, bad, error):
+        good = np.array([PAULI_X, PAULI_Z + 1e-9 * np.diag([1.0, 0.0])], dtype=complex)
+        require_observables(good)
+        with pytest.raises(error):
+            Observable(bad)
+        with pytest.raises(error):
+            require_observables(np.concatenate([good, [bad]]))
 
     def test_pure_state_norm(self):
         with pytest.raises(ValueError):
