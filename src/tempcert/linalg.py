@@ -15,31 +15,14 @@ from .errors import NonSquare, NotHermitian, RankDeficient, ShapeMismatch
 STRUCTURAL_TOL = 1e-10
 
 #: Relative margin by which a computed Frobenius norm must sit below a
-#: tolerance to settle an operator-norm check without an SVD.
-FROBENIUS_SLACK = 1e-12
+#: tolerance to settle an operator-norm check without an SVD. It covers the
+#: rounding of both norms with room to spare at these dimensions.
+FROBENIUS_SLACK = 1e-9
 
 #: Default eigenvalue cutoff for :func:`inv_sqrt_psd`. The ideal Gram matrix
 #: downstream is the identity, so anything at this scale is genuine
 #: degeneracy, not noise.
 INV_SQRT_CUTOFF = 1e-12
-
-
-def as_matrix(m) -> np.ndarray:
-    """Coerce input to a 2-d complex128 array, rejecting non-finite entries."""
-    a = np.array(m, dtype=complex)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got array of ndim {a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains NaN or Inf entries")
-    return a
-
-
-def as_vector(v) -> np.ndarray:
-    """Coerce input to a 1-d complex128 array, rejecting non-finite entries."""
-    a = np.array(v, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("vector contains NaN or Inf entries")
-    return a
 
 
 def as_matrices(m) -> np.ndarray:
@@ -54,6 +37,22 @@ def as_matrices(m) -> np.ndarray:
     return a
 
 
+def as_matrix(m) -> np.ndarray:
+    """Coerce input to a 2-d complex128 array, rejecting non-finite entries."""
+    a = as_matrices(m)
+    if a.ndim != 2:
+        raise ShapeMismatch(f"expected a matrix, got array of ndim {a.ndim}")
+    return a
+
+
+def as_vector(v) -> np.ndarray:
+    """Coerce input to a 1-d complex128 array, rejecting non-finite entries."""
+    a = np.array(v, dtype=complex).reshape(-1)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("vector contains NaN or Inf entries")
+    return a
+
+
 def _require_square(a: np.ndarray) -> None:
     if a.shape[-2] != a.shape[-1]:
         raise NonSquare(f"matrix is {a.shape[-2]}x{a.shape[-1]}")
@@ -61,7 +60,7 @@ def _require_square(a: np.ndarray) -> None:
 
 def dagger(m) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack (..., r, c)."""
-    return np.swapaxes(np.conj(m), -1, -2)
+    return np.swapaxes(as_matrices(m).conj(), -1, -2)
 
 
 def hermitize(m) -> np.ndarray:
@@ -82,9 +81,15 @@ def trace(m) -> complex:
     return complex(np.trace(a))
 
 
+def _largest_singular_values(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack; the same numbers as
+    ``np.linalg.norm(a, 2, axis=(-2, -1))`` without its axis handling."""
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
 def op_norm(m) -> float:
     """Largest singular value."""
-    return float(np.linalg.norm(as_matrix(m), 2))
+    return float(_largest_singular_values(as_matrix(m)))
 
 
 def op_norm_exceeds(m: np.ndarray, tol: float) -> np.ndarray:
@@ -94,20 +99,29 @@ def op_norm_exceeds(m: np.ndarray, tol: float) -> np.ndarray:
     ||m||_2 <= ||m||_F, a Frobenius norm below tol accepts without an SVD;
     only the matrices it does not accept get one. The computed norms carry
     rounding: for rank one, where the two are equal, the SVD value can come
-    out a few ulps above the Frobenius one, so the Frobenius test keeps a
-    relative slack of FROBENIUS_SLACK.
+    out a few ulps above the Frobenius one, and the summed squares carry up
+    to r*c ulps, so the Frobenius test keeps a relative slack of
+    FROBENIUS_SLACK. A matrix with a NaN or Inf entry, which ``op_norm``
+    rejects, counts as above tol.
     """
-    a = m.reshape(-1, *m.shape[-2:])
-    undecided = np.linalg.norm(a, axis=(-2, -1)) > tol / (1 + FROBENIUS_SLACK)
-    over = np.zeros(undecided.shape, dtype=bool)
-    if undecided.any():
-        over[undecided] = np.linalg.norm(a[undecided], 2, axis=(-2, -1)) > tol
+    a = np.ascontiguousarray(m, dtype=complex).reshape(-1, *m.shape[-2:])
+    parts = a.view(np.float64).reshape(len(a), -1)
+    frobenius = np.sqrt(np.einsum("ki,ki->k", parts, parts))
+    # NaN fails every comparison, so non-finite matrices are undecided too
+    over = ~(frobenius <= tol / (1 + FROBENIUS_SLACK))
+    if over.any():
+        undecided = a[over]
+        norms = np.full(len(undecided), np.inf)
+        finite = np.isfinite(undecided).all(axis=(-2, -1))
+        norms[finite] = _largest_singular_values(undecided[finite])
+        over[over] = norms > tol
     return over.reshape(m.shape[:-2])
 
 
 def max_op_norm(m: np.ndarray) -> float:
-    """Largest operator norm over a stack (..., r, c); for error messages."""
-    return float(np.max(np.linalg.norm(m, 2, axis=(-2, -1))))
+    """Largest operator norm over a stack (..., r, c); for error messages.
+    Like op_norm, it raises ValueError on NaN or Inf entries."""
+    return float(np.max(_largest_singular_values(as_matrices(m))))
 
 
 def vec_norm(v) -> float:
@@ -149,12 +163,13 @@ def eig_hermitian(m, tol: float = STRUCTURAL_TOL):
     """
     a = as_matrices(m)
     _require_square(a)
-    defect = (a - dagger(a)) / 2
+    ah = np.swapaxes(a.conj(), -1, -2)
+    defect = (a - ah) / 2
     if np.any(op_norm_exceeds(defect, tol)):
         raise NotHermitian(
             f"Hermiticity deviation {max_op_norm(defect):.3e} exceeds {tol:.1e}"
         )
-    w, v = np.linalg.eigh((a + dagger(a)) / 2)
+    w, v = np.linalg.eigh((a + ah) / 2)
     # A stable sort of -w, not a reversal: tied eigenvalues keep eigh's order.
     order = np.argsort(-w, axis=-1, kind="stable")
     w = np.take_along_axis(w, order, axis=-1)

@@ -41,30 +41,44 @@ NORM_TOL = 1e-12
 def _require_hermitian(m: np.ndarray, tol: float, what: str) -> None:
     """Raise NotHermitian unless ||m - m†|| <= tol for every matrix of the
     stack m; the SVD norm is computed only for the message."""
-    defect = m - linalg.dagger(m)
+    defect = m - np.swapaxes(m.conj(), -1, -2)
     if np.any(linalg.op_norm_exceeds(defect, tol)):
         raise NotHermitian(f"{what} deviates from Hermitian by {linalg.max_op_norm(defect):.3e}")
 
 
-def require_observables(m: np.ndarray, hermitian_tol: float = linalg.STRUCTURAL_TOL,
-                        involution_tol: float = INVOLUTION_TOL) -> None:
-    """Observable's checks on a stack (..., d, d) of matrices, without
-    building the objects: NotHermitian or NonInvolution is raised exactly
-    when Observable(matrix) would raise it for some matrix of the stack."""
-    _require_hermitian(m, hermitian_tol, "observable")
+def _require_involution(m: np.ndarray, tol: float) -> np.ndarray:
+    """Raise NonInvolution unless ||m m - 1|| <= tol for every matrix of the
+    stack m; returns the residuals m m - 1."""
     residual = m @ m - np.eye(m.shape[-1])
-    if np.any(linalg.op_norm_exceeds(residual, involution_tol)):
+    if np.any(linalg.op_norm_exceeds(residual, tol)):
         raise NonInvolution(
-            f"involution residual {linalg.max_op_norm(residual):.3e} exceeds {involution_tol:.1e}"
+            f"involution residual {linalg.max_op_norm(residual):.3e} exceeds {tol:.1e}"
         )
+    return residual
 
 
-def require_unit_norm(psi: np.ndarray, norm_tol: float = NORM_TOL) -> None:
-    """PureState's norm check on a stack (..., d) of state vectors."""
+def _require_unit_norm(psi: np.ndarray, tol: float) -> None:
+    """Raise ValueError unless | ||psi|| - 1 | <= tol for every vector of the
+    stack psi (..., d); a NaN norm fails."""
     deviation = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
-    if np.any(deviation > norm_tol):
-        raise ValueError(f"state norm deviates from 1 by {deviation.max()!r}, "
-                         f"more than {norm_tol:.1e}")
+    if not np.all(deviation <= tol):
+        raise ValueError(f"state norm deviates from 1 by {np.max(deviation)!r}, "
+                         f"more than {tol:.1e}")
+
+
+def require_observables(m) -> None:
+    """Observable's checks on a stack (..., d, d) of matrices, without
+    building the objects: ValueError, NotHermitian or NonInvolution is raised
+    exactly when Observable(matrix) would raise it for some matrix of the
+    stack."""
+    m = linalg.as_matrices(m)
+    _require_hermitian(m, linalg.STRUCTURAL_TOL, "observable")
+    _require_involution(m, INVOLUTION_TOL)
+
+
+def require_unit_norm(psi: np.ndarray) -> None:
+    """PureState's norm check on a stack (..., d) of state vectors."""
+    _require_unit_norm(psi, NORM_TOL)
 
 
 class Observable:
@@ -83,14 +97,10 @@ class Observable:
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"observable must be square, got {m.shape}")
         _require_hermitian(m, hermitian_tol, "observable")
-        residual = linalg.op_norm(m @ m - np.eye(m.shape[0]))
-        if residual > involution_tol:
-            raise NonInvolution(
-                f"involution residual {residual:.3e} exceeds {involution_tol:.1e}"
-            )
+        residual = _require_involution(m, involution_tol)
         m.setflags(write=False)
         self.matrix = m
-        self.involution_residual = float(residual)
+        self.involution_residual = linalg.op_norm(residual)
 
     @property
     def dim(self) -> int:
@@ -107,9 +117,7 @@ class PureState:
 
     def __init__(self, amplitudes, norm_tol: float = NORM_TOL):
         v = linalg.as_vector(amplitudes)
-        n = linalg.vec_norm(v)
-        if abs(n - 1.0) > norm_tol:
-            raise ValueError(f"state norm {n!r} deviates from 1 by more than {norm_tol:.1e}")
+        _require_unit_norm(v, norm_tol)
         v.setflags(write=False)
         self.amplitudes = v
 

@@ -214,6 +214,14 @@ class TestNormsAndProducts:
         m = np.array([[1, 1j], [0, 2]])
         assert np.array_equal(linalg.dagger(m), m.conj().T)
 
+    def test_dagger_of_stack_is_complex_and_finite(self):
+        stack = np.arange(12).reshape(3, 2, 2)
+        out = linalg.dagger(stack)
+        assert out.dtype == np.complex128
+        assert all(np.array_equal(out[k], stack[k].T) for k in range(3))
+        with pytest.raises(ValueError):
+            linalg.dagger([[np.nan, 0], [0, 1]])
+
     def test_vector_shape(self):
         with pytest.raises(ShapeMismatch):
             linalg.as_matrix(np.ones(3))
@@ -226,14 +234,30 @@ class TestNormsAndProducts:
         for _ in range(30):
             u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             mats.append(np.outer(u, u.conj()))
+        mats += [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(5)]
         stack = np.array(mats)
         for m in mats:
             nm = linalg.op_norm(m)
+            assert nm == np.linalg.norm(m, 2)
             for tol in (nm, np.nextafter(nm, 0), np.nextafter(nm, 9), nm * 1.5, nm / 1.5,
                         np.linalg.norm(m)):
                 assert bool(linalg.op_norm_exceeds(m, tol)) == (nm > tol)
                 assert list(linalg.op_norm_exceeds(stack, tol)) == [
                     linalg.op_norm(x) > tol for x in mats]
+
+    def test_op_norm_exceeds_puts_non_finite_over(self):
+        # op_norm rejects these, so no tolerance may accept them
+        good = np.zeros((2, 2), dtype=complex)
+        for entry in (np.nan, np.inf, complex(0, np.nan)):
+            bad = good.copy()
+            bad[1, 0] = entry
+            with pytest.raises(ValueError):
+                linalg.op_norm(bad)
+            with pytest.raises(ValueError):
+                linalg.max_op_norm(np.array([good, bad]))
+            assert bool(linalg.op_norm_exceeds(bad, 1e300))
+            assert list(linalg.op_norm_exceeds(np.array([good, bad, good]), 1.0)) == [
+                False, True, False]
 
 
 class TestExpiHermitian:

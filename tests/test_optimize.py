@@ -9,6 +9,7 @@ from tempcert.errors import DegenerateCoefficientWarning
 from tempcert.inequality import eval_IT_scenario
 from tempcert.optimize import (
     SeesawConfig,
+    SeesawTrace,
     _bell_from_matrices,
     bell_operator,
     coefficient_operator,
@@ -25,6 +26,7 @@ from tempcert.scenario import (
     random_density,
     random_hermitian,
     random_involution,
+    random_pure_state,
     random_scenario,
 )
 
@@ -36,7 +38,10 @@ D2_FIXTURE = 4.098076211353316
 
 # sha256 of the trace JSON and of dumps_scenario(best.scenario), recorded
 # from the per-seed seesaw loop that the batched one replaced (numpy 2.4,
-# OpenBLAS). The batch must reproduce that loop bit for bit.
+# OpenBLAS). The batch must reproduce that loop bit for bit. The hashes
+# hold the exact bits of the BLAS and LAPACK kernels, which may be picked
+# per CPU: on a new platform, a mismatch here with test_matches_per_seed_loop
+# passing is a platform difference, not a change of semantics.
 GOLDEN = [
     (dict(dim=4, seeds=20, rng_seed=0),
      "53c0b270b56f4a2319e328ba34826cda593e2da4461724d9829cd74a6181a307",
@@ -57,6 +62,33 @@ def trace_json(best, traces) -> str:
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def per_seed_seesaw(config):
+    """The multi-start seesaw one seed at a time through the per-scenario API."""
+    traces = []
+    for k, child in enumerate(np.random.SeedSequence(config.rng_seed).spawn(config.seeds)):
+        rng = np.random.Generator(np.random.PCG64(child))
+        state = random_pure_state(config.dim, rng)
+        s = Scenario(state, [random_involution(config.dim, rng) for _ in range(6)])
+        trace = SeesawTrace(seed_index=k)
+        previous = expression_value(s)
+        for _ in range(config.max_sweeps):
+            s = s.with_state(optimal_state(s.observables))
+            for slot in range(1, 7):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", DegenerateCoefficientWarning)
+                    s = s.with_observable(slot, optimal_observable(s, slot))
+                trace.degenerate_steps += len(caught)
+            value = expression_value(s)
+            trace.values.append(value)
+            if value - previous < config.tol:
+                trace.converged = True
+                break
+            previous = value
+        trace.scenario = s
+        traces.append(trace)
+    return max(traces, key=lambda t: (t.best_value, -t.seed_index)), traces
 
 
 class TestBellOperator:
@@ -209,6 +241,17 @@ class TestSeesaw:
         best, traces = seesaw(SeesawConfig(**config))
         assert sha256(trace_json(best, traces)) == trace_sha
         assert sha256(dumps_scenario(best.scenario)) == best_sha
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_per_seed_loop(self, dim):
+        config = SeesawConfig(dim=dim, seeds=6, rng_seed=2, max_sweeps=60)
+        best, traces = seesaw(config)
+        ref_best, ref_traces = per_seed_seesaw(config)
+        if dim == 3:  # odd dimensions exercise the degenerate tie-break
+            assert sum(t.degenerate_steps for t in ref_traces) > 0
+        assert trace_json(best, traces) == trace_json(ref_best, ref_traces)
+        assert [dumps_scenario(t.scenario) for t in traces] == [
+            dumps_scenario(t.scenario) for t in ref_traces]
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_seed_independence(self, dim):

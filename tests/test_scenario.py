@@ -33,6 +33,7 @@ from tempcert.scenario import (
     random_unitary,
     reduced_density,
     require_observables,
+    require_unit_norm,
     save_scenario,
     scenario_to_dict,
 )
@@ -86,6 +87,8 @@ class TestTypes:
         (np.diag([2.0, -1.0]), NonInvolution),
         (PAULI_Z + 2e-8 * np.diag([1.0, 0.0]), NonInvolution),
         (np.array([[1, 2e-10], [0, -1]], dtype=complex), NotHermitian),
+        (np.array([[np.nan, 0], [0, -1]], dtype=complex), ValueError),
+        (np.array([[1, 0], [0, np.inf]], dtype=complex), ValueError),
     ])
     def test_stack_checks_agree_with_observable(self, bad, error):
         good = np.array([PAULI_X, PAULI_Z + 1e-9 * np.diag([1.0, 0.0])], dtype=complex)
@@ -98,6 +101,15 @@ class TestTypes:
     def test_pure_state_norm(self):
         with pytest.raises(ValueError):
             PureState([1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [[1.0, 1.0], [np.nan, 0.0], [1.0, 1e-5]])
+    def test_stack_norm_check_agrees_with_pure_state(self, bad):
+        good = np.array([[1.0, 0.0], [0.6, 0.8j]])
+        require_unit_norm(good)
+        with pytest.raises(ValueError):
+            PureState(bad)
+        with pytest.raises(ValueError):
+            require_unit_norm(np.concatenate([good, [bad]]))
 
     def test_density_validation(self):
         with pytest.raises(ValueError):
