@@ -33,10 +33,11 @@ from .errors import (
 )
 from .inequality import InequalityValue, eval_IT
 from .scenario import (
-    PAULI_I,
+    CANONICAL_MATRICES,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PHI_PLUS,
     Observable,
     PureState,
     Scenario,
@@ -44,44 +45,27 @@ from .scenario import (
     project_involution,
     purify_scenario,
 )
-from .seqcorr import correlations
+from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXT_PAIRS, CONTEXTS, correlations
 
-#: Reference observables on C^2 (x) C^2, slots 1..6.
-TARGET_MATRICES = (
-    np.kron(PAULI_X, PAULI_I),
-    np.kron(PAULI_I, PAULI_Z),
-    np.kron(PAULI_X, PAULI_Z),
-    np.kron(PAULI_I, PAULI_X),
-    np.kron(PAULI_Z, PAULI_I),
-    np.kron(PAULI_Z, PAULI_X),
-)
-
-#: Reference state (|00> + |11>)/sqrt(2).
-PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-
-#: Commutators that vanish on V at maximal violation.
-COMMUTING_PAIRS = ((1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (1, 4), (2, 5), (3, 6))
-
-#: Anticommutators that vanish on V at maximal violation.
-ANTICOMMUTING_PAIRS = ((1, 5), (1, 6), (2, 4), (2, 6), (3, 4), (3, 5))
+#: Reference observables on C^2 (x) C^2, slots 1..6: the canonical
+#: realization, whose state PHI_PLUS is the reference state.
+TARGET_MATRICES = CANONICAL_MATRICES
 
 #: Stabilizer-style state constraints at maximal violation: for each entry
 #: (slots, sign), the product of the slots applied to psi equals sign * psi.
-STATE_CONSTRAINTS = tuple(
-    [(perm, 1) for perm in itertools.permutations((1, 2, 3))]
-    + [(perm, 1) for perm in itertools.permutations((4, 5, 6))]
-    + [((1, 4), 1), ((4, 1), 1), ((2, 5), 1), ((5, 2), 1), ((3, 6), -1), ((6, 3), -1)]
-)
+#: They are the orderings of each context with the context's sign.
+STATE_CONSTRAINTS = tuple((perm, sign) for context, sign in CONTEXTS.items()
+                          for perm in itertools.permutations(context))
 
 
-def build_subspace(psi, a1, a5, cutoff: float = linalg.INV_SQRT_CUTOFF):
+def build_subspace(psi, a1, a5):
     """Orthonormal basis for V = span{psi, A1 psi, A5 psi, A1 A5 psi}.
 
     The Gram matrix of the generators is inverted through its square root,
     phi_m = sum_n [Gamma^{-1/2}]_{nm} g_n, so the basis depends smoothly on
     the generators (symmetric orthogonalization). A Gram eigenvalue at or
-    below `cutoff` means the generators are linearly dependent and a
-    4-dimensional certification target cannot be extracted.
+    below linalg.INV_SQRT_CUTOFF means the generators are linearly dependent
+    and a 4-dimensional certification target cannot be extracted.
 
     Returns (basis, gram, projector): basis columns are the phi_m, projector
     is the d x d orthogonal projection onto V.
@@ -96,7 +80,7 @@ def build_subspace(psi, a1, a5, cutoff: float = linalg.INV_SQRT_CUTOFF):
     gens = np.column_stack([v, m1 @ v, m5 @ v, m1 @ (m5 @ v)])
     gram = linalg.hermitize(gens.conj().T @ gens)
     try:
-        inv_sqrt = linalg.inv_sqrt_psd(gram, cutoff=cutoff, full_rank=True)
+        inv_sqrt = linalg.inv_sqrt_psd(gram, full_rank=True)
     except RankDeficient as exc:
         raise SubspaceDegenerate(f"subspace generators are linearly dependent: {exc}") from exc
     basis = gens @ inv_sqrt
@@ -107,8 +91,8 @@ def build_subspace(psi, a1, a5, cutoff: float = linalg.INV_SQRT_CUTOFF):
 def algebra_residuals(s: Scenario, basis: np.ndarray):
     """Residuals of the algebraic relations that hold at maximal violation.
 
-    Returns three dicts: operator norms of the nine commutators and six
-    anticommutators compressed to V (basis† [.,.] basis), and the norms
+    Returns three dicts: operator norms of the nine context commutators and
+    six anticommutators compressed to V (basis† [.,.] basis), and the norms
     ||(A_i A_j ... -+ 1) psi|| for every stabilizer-style constraint
     including permutations. The scenario state must be pure (purify first).
     """
@@ -119,7 +103,7 @@ def algebra_residuals(s: Scenario, basis: np.ndarray):
     bd = basis.conj().T
 
     comm = {}
-    for i, j in COMMUTING_PAIRS:
+    for i, j in CONTEXT_PAIRS:
         comm[f"A{i}A{j}"] = linalg.op_norm(bd @ linalg.comm(mats[i - 1], mats[j - 1]) @ basis)
     acomm = {}
     for i, j in ANTICOMMUTING_PAIRS:

@@ -15,20 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (
-    AnticommutatorTooLarge,
-    BadTransformId,
-    FactorizationFailure,
-    NonInvolution,
-    NonSquare,
-    NotAViolation,
-    NotHermitian,
-    ParseError,
-    RankDeficient,
-    ShapeMismatch,
-    SubspaceDegenerate,
-    ZeroEigenvalue,
-)
+from .errors import ParseError, TempcertError
 from .inequality import classical_bound, eval_INC, eval_IT
 from .optimize import SeesawConfig, seesaw
 from .robustness import (
@@ -40,19 +27,13 @@ from .robustness import (
     sweep_report,
 )
 from .scenario import atomic_write_text, canonical_scenario, load_scenario, save_scenario
-from .seqcorr import CORRELATOR_FIELDS, correlations
+from .seqcorr import CORRELATOR_FIELDS, TERMS, correlations
 from .certify import certify
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-_NUMERIC_ERRORS = (
-    NonSquare, NotHermitian, ShapeMismatch, RankDeficient, ZeroEigenvalue,
-    NonInvolution, BadTransformId, SubspaceDegenerate, AnticommutatorTooLarge,
-    FactorizationFailure, NotAViolation,
-)
 
 
 def _fmt(x: float) -> str:
@@ -69,6 +50,8 @@ def _parse_grid(spec: str):
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ParseError(f"grid spec {spec!r}: {exc}") from exc
+        if not np.isfinite([start, stop]).all():
+            raise ParseError(f"grid spec {spec!r}: endpoints must be finite")
         scale = parts[3] if len(parts) == 4 else "log"
         if count < 1:
             raise ParseError(f"grid spec {spec!r}: count must be >= 1")
@@ -80,9 +63,12 @@ def _parse_grid(spec: str):
             return list(np.linspace(start, stop, count))
         raise ParseError(f"grid spec {spec!r}: unknown scale {scale!r}")
     try:
-        return [float(x) for x in spec.split(",") if x.strip()]
+        grid = [float(x) for x in spec.split(",") if x.strip()]
     except ValueError as exc:
         raise ParseError(f"grid spec {spec!r}: {exc}") from exc
+    if not grid or not np.isfinite(grid).all():
+        raise ParseError(f"grid spec {spec!r}: needs one or more finite values")
+    return grid
 
 
 def cmd_evaluate(args) -> int:
@@ -169,6 +155,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.shots < 1:
+        raise ParseError(f"--shots must be >= 1, got {args.shots}")
     s = load_scenario(args.scenario)
     sampled = correlations(s, "sampled", shots=args.shots, rng_seed=args.seed)
     exact = correlations(s, "analytic")
@@ -177,10 +165,8 @@ def cmd_simulate(args) -> int:
         se = sampled.stderr[name]
         print(f"{name:<11} = {_fmt(est)} +- {se:.2e}   (exact {_fmt(getattr(exact, name))})")
     it = eval_IT(sampled)
-    weights = {"triple_123": 0.5, "triple_213": 0.5, "triple_456": 0.5,
-               "triple_546": 0.5, "pair_14": 1.0, "pair_25": 1.0, "pair_36": 1.0}
-    combined = float(np.sqrt(sum((weights[n] * sampled.stderr[n]) ** 2
-                                 for n in CORRELATOR_FIELDS)))
+    combined = float(np.sqrt(sum((abs(weight) * sampled.stderr[name]) ** 2
+                                 for name, _, weight in TERMS)))
     print(f"I_T         = {_fmt(it.value)} +- {combined:.2e}   "
           f"(exact {_fmt(eval_IT(exact).value)})")
     return EXIT_OK
@@ -197,7 +183,11 @@ def cmd_sweep(args) -> int:
         family = lambda strength: UnitaryJitter(strength, rng_seed=args.seed)
     else:
         raise ParseError(f"unknown model {args.model!r}")
-    rows = sweep(base, family, grid)
+    try:
+        models = {param: family(param) for param in grid}
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    rows = sweep(base, models.__getitem__, grid)
     save_sweep_csv(rows, args.out)
     print(f"{len(rows)} rows written to {args.out}")
     failed = [r for r in rows if r.failed]
@@ -273,7 +263,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _NUMERIC_ERRORS as exc:
+    except TempcertError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

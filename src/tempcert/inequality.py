@@ -8,7 +8,9 @@ module checks rather than assumes.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import BadTransformId
 from .scenario import Observable, Scenario
-from .seqcorr import CorrelationSet, correlations
+from .seqcorr import CONTEXT_PAIRS, CONTEXTS, TERMS, CorrelationSet, correlations
 
 #: Maximum of the expression over deterministic +-1 assignments. Stored as a
 #: constant but recomputed by classical_bound(); tests cross-check the two.
@@ -26,13 +28,8 @@ CLASSICAL_BOUND = 3.0
 #: one). Never hard-trusted: the optimizer soundness tests re-derive it.
 QUANTUM_BOUND = 5.0
 
-#: Commutator pairs that would have to vanish for the five contexts
-#: {A1,A4}, {A2,A5}, {A3,A6}, {A1,A2,A3}, {A4,A5,A6} to be compatible.
-CONTEXT_PAIRS = (
-    (1, 4), (2, 5), (3, 6),
-    (1, 2), (1, 3), (2, 3),
-    (4, 5), (4, 6), (5, 6),
-)
+#: Largest context commutator norm at which the contexts count as compatible.
+COMPATIBILITY_TOL = 1e-8
 
 
 @dataclass
@@ -52,11 +49,10 @@ class CompatibilityReport:
     """Operator norms of the nine context commutators."""
 
     commutator_norms: dict
-    tol: float = 1e-8
 
     @property
     def compatible(self) -> bool:
-        return max(self.commutator_norms.values()) <= self.tol
+        return max(self.commutator_norms.values()) <= COMPATIBILITY_TOL
 
     @property
     def max_norm(self) -> float:
@@ -64,15 +60,14 @@ class CompatibilityReport:
 
 
 def eval_IT(c: CorrelationSet) -> InequalityValue:
-    """Temporal expression value from a set of sequential correlators.
+    """Temporal expression value: the weighted sum of the correlators over TERMS.
 
     value = (triple_123 + triple_213 + triple_456 + triple_546)/2
             + pair_14 + pair_25 - pair_36
     """
-    value = (
-        0.5 * (c.triple_123 + c.triple_213 + c.triple_456 + c.triple_546)
-        + c.pair_14 + c.pair_25 - c.pair_36
-    )
+    value = 0.0
+    for name, _, weight in TERMS:
+        value += weight * getattr(c, name)
     return InequalityValue.from_value(float(value))
 
 
@@ -90,14 +85,10 @@ def eval_INC(s: Scenario):
     """
     rho = s.density()
     a = s.matrices()
-
-    def ev(*slots):
-        prod = a[slots[0] - 1]
-        for k in slots[1:]:
-            prod = prod @ a[k - 1]
-        return float(np.trace(rho @ prod).real)
-
-    value = ev(1, 2, 3) + ev(4, 5, 6) + ev(1, 4) + ev(2, 5) - ev(3, 6)
+    value = 0.0
+    for context, sign in CONTEXTS.items():
+        prod = functools.reduce(np.matmul, [a[k - 1] for k in context])
+        value += sign * float(np.trace(rho @ prod).real)
     norms = {
         (i, j): linalg.op_norm(linalg.comm(a[i - 1], a[j - 1]))
         for i, j in CONTEXT_PAIRS
@@ -106,7 +97,8 @@ def eval_INC(s: Scenario):
 
 
 def classical_bound():
-    """Enumerate all 64 deterministic assignments and maximize the expression.
+    """Enumerate all 64 deterministic assignments and maximize the expression,
+    which for them is the signed sum of the CONTEXTS products.
 
     Returns the bound (an integer) and every maximizing assignment
     (a1, ..., a6).
@@ -114,7 +106,8 @@ def classical_bound():
     best = None
     argmax = []
     for a in itertools.product((1, -1), repeat=6):
-        v = a[0] * a[1] * a[2] + a[3] * a[4] * a[5] + a[0] * a[3] + a[1] * a[4] - a[2] * a[5]
+        v = sum(sign * math.prod(a[k - 1] for k in context)
+                for context, sign in CONTEXTS.items())
         if best is None or v > best:
             best = v
             argmax = [a]

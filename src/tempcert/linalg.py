@@ -1,8 +1,8 @@
 """Dense complex matrix kernel for dimensions up to 64.
 
 Every function is pure: inputs are converted to fresh complex128 arrays and
-never modified in place. Structural tolerances default to 1e-10, which is
-comfortable at these dimensions; callers may override them.
+never modified in place. Structural checks use the tolerance 1e-10, which is
+comfortable at these dimensions.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NonSquare, NotHermitian, RankDeficient, ShapeMismatch
 
-#: Default tolerance for structural checks (Hermiticity, unitarity).
+#: Tolerance for structural checks (Hermiticity, unitarity).
 STRUCTURAL_TOL = 1e-10
 
 #: Relative margin by which a computed Frobenius norm must sit below a
@@ -19,7 +19,7 @@ STRUCTURAL_TOL = 1e-10
 #: rounding of both norms with room to spare at these dimensions.
 FROBENIUS_SLACK = 1e-9
 
-#: Default eigenvalue cutoff for :func:`inv_sqrt_psd`. The ideal Gram matrix
+#: Eigenvalue cutoff for :func:`inv_sqrt_psd`. The ideal Gram matrix
 #: downstream is the identity, so anything at this scale is genuine
 #: degeneracy, not noise.
 INV_SQRT_CUTOFF = 1e-12
@@ -140,16 +140,14 @@ def acomm(a, b) -> np.ndarray:
     return a @ b + b @ a
 
 
-def eig_hermitian(m, tol: float = STRUCTURAL_TOL):
+def eig_hermitian(m):
     """Eigendecomposition of Hermitian matrices with deterministic output.
 
     Parameters
     ----------
     m : array_like
         Square matrix, or a stack of them with shape (..., d, d), each
-        Hermitian within `tol` (operator norm).
-    tol : float
-        Allowed Hermiticity deviation.
+        Hermitian within STRUCTURAL_TOL (operator norm).
 
     Returns
     -------
@@ -165,9 +163,9 @@ def eig_hermitian(m, tol: float = STRUCTURAL_TOL):
     _require_square(a)
     ah = np.swapaxes(a.conj(), -1, -2)
     defect = (a - ah) / 2
-    if np.any(op_norm_exceeds(defect, tol)):
+    if np.any(op_norm_exceeds(defect, STRUCTURAL_TOL)):
         raise NotHermitian(
-            f"Hermiticity deviation {max_op_norm(defect):.3e} exceeds {tol:.1e}"
+            f"Hermiticity deviation {max_op_norm(defect):.3e} exceeds {STRUCTURAL_TOL:.1e}"
         )
     w, v = np.linalg.eigh((a + ah) / 2)
     # A stable sort of -w, not a reversal: tied eigenvalues keep eigh's order.
@@ -183,23 +181,24 @@ def eig_hermitian(m, tol: float = STRUCTURAL_TOL):
     return w, v * (phase.conj() / np.hypot(phase.real, phase.imag))
 
 
-def inv_sqrt_psd(m, cutoff: float = INV_SQRT_CUTOFF, full_rank: bool = True) -> np.ndarray:
+def inv_sqrt_psd(m, full_rank: bool = True) -> np.ndarray:
     """Inverse square root of a Hermitian positive-semidefinite matrix.
 
-    Returns sum_k lambda_k^{-1/2} v_k v_k† over eigenvalues above `cutoff`.
-    With ``full_rank=True`` (the default) any eigenvalue at or below the
-    cutoff raises :class:`RankDeficient`; otherwise those modes are dropped
-    and the result is the inverse square root on the retained eigenspace.
+    Returns sum_k lambda_k^{-1/2} v_k v_k† over eigenvalues above
+    INV_SQRT_CUTOFF. With ``full_rank=True`` (the default) any eigenvalue at
+    or below it raises :class:`RankDeficient`; otherwise those modes are
+    dropped and the result is the inverse square root on the retained
+    eigenspace.
     """
     w, v = eig_hermitian(m)
     if w[-1] < -STRUCTURAL_TOL:
         raise ValueError(
             f"matrix is not positive semidefinite (min eigenvalue {w[-1]:.3e})"
         )
-    keep = w > cutoff
+    keep = w > INV_SQRT_CUTOFF
     if full_rank and not np.all(keep):
         raise RankDeficient(
-            f"eigenvalue {w[~keep].max():.3e} at or below cutoff {cutoff:.1e}"
+            f"eigenvalue {w[~keep].max():.3e} at or below cutoff {INV_SQRT_CUTOFF:.1e}"
         )
     vk = v[:, keep]
     return (vk / w[keep] ** 0.5) @ vk.conj().T

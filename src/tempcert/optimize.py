@@ -30,15 +30,23 @@ from .scenario import (
     require_observables,
     require_unit_norm,
 )
+from .seqcorr import TERMS
 
 #: Coefficient-operator eigenvalues below this have no preferred sign.
 DEGENERATE_EIGENVALUE = 1e-12
 
-#: Operator form of the temporal expression, term by term in written order:
-#: a triple (x, y, z) is {A_x, {A_y, A_z}} with weight 1/8, a pair
-#: (x, y, sign) is sign * {A_x, A_y} with weight 1/2.
-TRIPLES = ((1, 2, 3), (2, 1, 3), (4, 5, 6), (5, 4, 6))
-PAIRS = ((1, 4, 1), (2, 5, 1), (3, 6, -1))
+
+def _terms_of_length(n: int):
+    """The n-slot terms of TERMS as (divisor, ((sign, slots), ...)): an n-slot
+    correlator is tr(rho {A_x, {A_y, ...}}) / 2^(n-1), so a term of weight w
+    is sign(w) times its anticommutator over 2^(n-1)/|w|, one divisor per n."""
+    terms = [(slots, w) for _, slots, w in TERMS if len(slots) == n]
+    (divisor,) = {2 ** (n - 1) / abs(w) for _, w in terms}
+    return divisor, tuple((1 if w > 0 else -1, slots) for slots, w in terms)
+
+
+#: Operator form of the temporal expression: each group summed, then divided.
+TRIPLES, PAIRS = _terms_of_length(3), _terms_of_length(2)
 
 
 @dataclass
@@ -95,9 +103,11 @@ def _slots(mats) -> tuple:
 def _bell_from_matrices(mats) -> np.ndarray:
     """Bell operator of observables stacked as (..., 6, d, d)."""
     a = _slots(mats)
+    (t_div, triples), (p_div, pairs) = TRIPLES, PAIRS
     b = (
-        _signed_sum([(1, _acomm(a[x], _acomm(a[y], a[z]))) for x, y, z in TRIPLES]) / 8
-        + _signed_sum([(sign, _acomm(a[x], a[y])) for x, y, sign in PAIRS]) / 2
+        _signed_sum([(sign, _acomm(a[x], _acomm(a[y], a[z]))) for sign, (x, y, z) in triples])
+        / t_div
+        + _signed_sum([(sign, _acomm(a[x], a[y])) for sign, (x, y) in pairs]) / p_div
     )
     return (b + linalg.dagger(b)) / 2
 
@@ -106,18 +116,19 @@ def _coefficient_from_matrices(mats, rho, slot: int) -> np.ndarray:
     """Coefficient operator of `slot` for observables (..., 6, d, d) and
     states (..., d, d), from the adjoint identities term by term."""
     a = _slots(mats)
-    triples = []
-    for x, y, z in TRIPLES:
+    (t_div, triples), (p_div, pairs) = TRIPLES, PAIRS
+    terms = []
+    for sign, (x, y, z) in triples:
         if slot == x:    # tr(rho {A, {y, z}}) = tr(A {{y, z}, rho})
-            triples.append((1, _acomm(_acomm(a[y], a[z]), rho)))
+            terms.append((sign, _acomm(_acomm(a[y], a[z]), rho)))
         elif slot == y:  # tr(rho {x, {A, z}}) = tr(A {z, {x, rho}})
-            triples.append((1, _acomm(a[z], _acomm(a[x], rho))))
+            terms.append((sign, _acomm(a[z], _acomm(a[x], rho))))
         elif slot == z:  # tr(rho {x, {y, A}}) = tr(A {y, {x, rho}})
-            triples.append((1, _acomm(a[y], _acomm(a[x], rho))))
-    for x, y, sign in PAIRS:
+            terms.append((sign, _acomm(a[y], _acomm(a[x], rho))))
+    for sign, (x, y) in pairs:
         if slot in (x, y):  # tr(rho {x, A}) = tr(A {x, rho})
-            pair = (sign, _acomm(a[y] if slot == x else a[x], rho) / 2)
-    g = _signed_sum([(1, _signed_sum(triples) / 8), pair])
+            pair = (sign, _acomm(a[y] if slot == x else a[x], rho) / p_div)
+    g = _signed_sum([(1, _signed_sum(terms) / t_div), pair])
     return (g + linalg.dagger(g)) / 2
 
 

@@ -29,7 +29,7 @@ from .scenario import (
     purify_scenario,
     random_hermitian,
 )
-from .seqcorr import correlations
+from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXTS, TERMS, correlations
 from .certify import certify
 
 #: Deficits beyond this make every bound vacuous; refuse to "check" them.
@@ -131,22 +131,27 @@ class BoundCheck:
 
 
 def _state_norm_checks(mats, psi, eps: float):
-    """The norm-bound families ||(A_i - A_j A_k) psi|| <= 4 sqrt(eps) etc."""
+    """The norm-bound families over CONTEXTS and ANTICOMMUTING_PAIRS:
+    ||(A_i - A_j A_k) psi|| <= 4 sqrt(eps) etc."""
     root = np.sqrt(max(eps, 0.0))
     checks = []
-    for trip in ((1, 2, 3), (4, 5, 6)):
-        for i, j, k in itertools.permutations(trip):
-            lhs = linalg.vec_norm((mats[i - 1] - mats[j - 1] @ mats[k - 1]) @ psi)
+    # CONTEXTS lists the triple contexts first, so their family comes first
+    for context, sign in CONTEXTS.items():
+        if len(context) == 3:
+            for i, j, k in itertools.permutations(context):
+                lhs = linalg.vec_norm((mats[i - 1] - mats[j - 1] @ mats[k - 1]) @ psi)
+                checks.append(BoundCheck(
+                    f"norm(A{i}-A{j}A{k})<=4sqrt(eps)", lhs, 4 * root,
+                    lhs <= 4 * root + CHECK_GUARD,
+                ))
+        else:
+            i, j = context
+            lhs = linalg.vec_norm((mats[i - 1] - sign * mats[j - 1]) @ psi)
             checks.append(BoundCheck(
-                f"norm(A{i}-A{j}A{k})<=4sqrt(eps)", lhs, 4 * root,
-                lhs <= 4 * root + CHECK_GUARD,
+                f"norm(A{i}{'-' if sign > 0 else '+'}A{j})<=2sqrt(eps)", lhs, 2 * root,
+                lhs <= 2 * root + CHECK_GUARD,
             ))
-    for i, j, sign, label in ((1, 4, -1, "A1-A4"), (2, 5, -1, "A2-A5"), (3, 6, +1, "A3+A6")):
-        lhs = linalg.vec_norm((mats[i - 1] + sign * mats[j - 1]) @ psi)
-        checks.append(BoundCheck(
-            f"norm({label})<=2sqrt(eps)", lhs, 2 * root, lhs <= 2 * root + CHECK_GUARD,
-        ))
-    for i, j in ((1, 5), (1, 6), (2, 4), (2, 6), (3, 4), (3, 5)):
+    for i, j in ANTICOMMUTING_PAIRS:
         lhs = linalg.vec_norm(linalg.acomm(mats[i - 1], mats[j - 1]) @ psi)
         checks.append(BoundCheck(
             f"norm({{A{i},A{j}}})<=14sqrt(eps)", lhs, 14 * root,
@@ -159,10 +164,11 @@ def check_robustness_bounds(s: Scenario):
     """Verify every robustness bound at the scenario's achieved deficit.
 
     The scenario is purified if its state is mixed. Returns a list of
-    BoundCheck records: correlator floors (triples >= 1 - 2 eps, pairs
-    >= 1 - eps with the sign on the 3-6 pair), the state-norm families at
-    4 sqrt(eps) and 2 sqrt(eps), and the anticommutator family at
-    14 sqrt(eps). Raises NotAViolation when eps > 2.
+    BoundCheck records: correlator floors sign(w) c >= 1 - eps/|w| for each
+    term of weight w (triples >= 1 - 2 eps, pairs >= 1 - eps with the sign
+    on the 3-6 pair), the state-norm families at 4 sqrt(eps) and
+    2 sqrt(eps), and the anticommutator family at 14 sqrt(eps). Raises
+    NotAViolation when eps > 2.
     """
     s = purify_scenario(s)
     corr = correlations(s, "analytic")
@@ -172,14 +178,14 @@ def check_robustness_bounds(s: Scenario):
     eps = max(eps, 0.0)
 
     checks = []
-    for name in ("triple_123", "triple_213", "triple_456", "triple_546"):
-        v = getattr(corr, name)
-        checks.append(BoundCheck(f"{name}>=1-2eps", v, 1 - 2 * eps,
-                                 v >= 1 - 2 * eps - CHECK_GUARD))
-    for name, sign in (("pair_14", 1), ("pair_25", 1), ("pair_36", -1)):
+    for name, _, weight in TERMS:
+        # eps = sum |w| (1 - sign(w) c) over the terms, each summand >= 0
+        sign = 1 if weight > 0 else -1
         v = sign * getattr(corr, name)
-        label = f"{'-' if sign < 0 else ''}{name}>=1-eps"
-        checks.append(BoundCheck(label, v, 1 - eps, v >= 1 - eps - CHECK_GUARD))
+        floor = 1 - eps / abs(weight)
+        factor = "" if abs(weight) == 1 else f"{1 / abs(weight):g}"
+        label = f"{'-' if sign < 0 else ''}{name}>=1-{factor}eps"
+        checks.append(BoundCheck(label, v, floor, v >= floor - CHECK_GUARD))
 
     checks.extend(_state_norm_checks(s.matrices(), s.state.amplitudes, eps))
     return checks
@@ -205,9 +211,10 @@ def sweep(base: Scenario, family, grid) -> list:
     """Evaluate a one-parameter noise family over a grid.
 
     `family` maps a grid parameter to a NoiseModel. Each row applies the
-    noise, recomputes the deficit from the achieved violation, runs the full
-    certification and the bound suite. Per-row errors mark the row failed
-    and the sweep continues. Rows come back sorted by parameter.
+    noise, purifies the result once, recomputes the deficit from the achieved
+    violation, runs the full certification and the bound suite. Per-row
+    errors mark the row failed and the sweep continues. Rows come back sorted
+    by parameter.
     """
     grid = sorted(grid)
     if not grid:
@@ -216,8 +223,8 @@ def sweep(base: Scenario, family, grid) -> list:
     for param in grid:
         row = SweepRow(param=float(param))
         try:
-            noisy = apply_noise(base, family(param))
-            row.value = eval_IT(correlations(purify_scenario(noisy), "analytic")).value
+            noisy = purify_scenario(apply_noise(base, family(param)))
+            row.value = eval_IT(correlations(noisy, "analytic")).value
             row.epsilon = QUANTUM_BOUND - row.value
             report = certify(noisy)
             row.fidelity = report.fidelity

@@ -27,6 +27,20 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
+#: The maximally violating two-qubit realization, slots 1..6:
+#: A1 = X(x)1, A2 = 1(x)Z, A3 = X(x)Z, A4 = 1(x)X, A5 = Z(x)1, A6 = Z(x)X.
+CANONICAL_MATRICES = (
+    np.kron(PAULI_X, PAULI_I),
+    np.kron(PAULI_I, PAULI_Z),
+    np.kron(PAULI_X, PAULI_Z),
+    np.kron(PAULI_I, PAULI_X),
+    np.kron(PAULI_Z, PAULI_I),
+    np.kron(PAULI_Z, PAULI_X),
+)
+
+#: The maximally entangled state (|00> + |11>)/sqrt(2).
+PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+
 #: Default acceptance tolerance for deviation from A @ A == 1. Noise models
 #: and optimizer iterates are near-involutions; exactness is not demanded.
 INVOLUTION_TOL = 1e-8
@@ -34,15 +48,16 @@ INVOLUTION_TOL = 1e-8
 #: Cutoff below which an eigenvalue has no well-defined sign.
 SIGN_CUTOFF = 1e-8
 
-#: Default tolerance for deviation of a state vector's norm from 1.
+#: Tolerance for deviation of a state vector's norm, or of a density
+#: matrix's trace, from 1.
 NORM_TOL = 1e-12
 
 
-def _require_hermitian(m: np.ndarray, tol: float, what: str) -> None:
-    """Raise NotHermitian unless ||m - m†|| <= tol for every matrix of the
-    stack m; the SVD norm is computed only for the message."""
+def _require_hermitian(m: np.ndarray, what: str) -> None:
+    """Raise NotHermitian unless ||m - m†|| <= STRUCTURAL_TOL for every matrix
+    of the stack m; the SVD norm is computed only for the message."""
     defect = m - np.swapaxes(m.conj(), -1, -2)
-    if np.any(linalg.op_norm_exceeds(defect, tol)):
+    if np.any(linalg.op_norm_exceeds(defect, linalg.STRUCTURAL_TOL)):
         raise NotHermitian(f"{what} deviates from Hermitian by {linalg.max_op_norm(defect):.3e}")
 
 
@@ -57,13 +72,14 @@ def _require_involution(m: np.ndarray, tol: float) -> np.ndarray:
     return residual
 
 
-def _require_unit_norm(psi: np.ndarray, tol: float) -> None:
-    """Raise ValueError unless | ||psi|| - 1 | <= tol for every vector of the
-    stack psi (..., d); a NaN norm fails."""
+def require_unit_norm(psi: np.ndarray) -> None:
+    """PureState's norm check on a stack (..., d) of state vectors: raise
+    ValueError unless | ||psi|| - 1 | <= NORM_TOL for every vector; a NaN
+    norm fails."""
     deviation = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
-    if not np.all(deviation <= tol):
+    if not np.all(deviation <= NORM_TOL):
         raise ValueError(f"state norm deviates from 1 by {np.max(deviation)!r}, "
-                         f"more than {tol:.1e}")
+                         f"more than {NORM_TOL:.1e}")
 
 
 def require_observables(m) -> None:
@@ -72,13 +88,8 @@ def require_observables(m) -> None:
     exactly when Observable(matrix) would raise it for some matrix of the
     stack."""
     m = linalg.as_matrices(m)
-    _require_hermitian(m, linalg.STRUCTURAL_TOL, "observable")
+    _require_hermitian(m, "observable")
     _require_involution(m, INVOLUTION_TOL)
-
-
-def require_unit_norm(psi: np.ndarray) -> None:
-    """PureState's norm check on a stack (..., d) of state vectors."""
-    _require_unit_norm(psi, NORM_TOL)
 
 
 class Observable:
@@ -91,12 +102,11 @@ class Observable:
 
     __slots__ = ("matrix", "involution_residual")
 
-    def __init__(self, matrix, hermitian_tol: float = linalg.STRUCTURAL_TOL,
-                 involution_tol: float = INVOLUTION_TOL):
+    def __init__(self, matrix, involution_tol: float = INVOLUTION_TOL):
         m = linalg.as_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"observable must be square, got {m.shape}")
-        _require_hermitian(m, hermitian_tol, "observable")
+        _require_hermitian(m, "observable")
         residual = _require_involution(m, involution_tol)
         m.setflags(write=False)
         self.matrix = m
@@ -115,9 +125,9 @@ class PureState:
 
     __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes, norm_tol: float = NORM_TOL):
+    def __init__(self, amplitudes):
         v = linalg.as_vector(amplitudes)
-        _require_unit_norm(v, norm_tol)
+        require_unit_norm(v)
         v.setflags(write=False)
         self.amplitudes = v
 
@@ -137,17 +147,16 @@ class DensityMatrix:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, hermitian_tol: float = linalg.STRUCTURAL_TOL,
-                 trace_tol: float = 1e-12):
+    def __init__(self, matrix):
         m = linalg.as_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"density matrix must be square, got {m.shape}")
-        _require_hermitian(m, hermitian_tol, "density matrix")
+        _require_hermitian(m, "density matrix")
         w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if w.min() < -hermitian_tol:
+        if w.min() < -linalg.STRUCTURAL_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
         tr = np.trace(m)
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > NORM_TOL:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1")
         m.setflags(write=False)
         self.matrix = m
@@ -211,34 +220,22 @@ class Scenario:
 
 
 def canonical_scenario() -> Scenario:
-    """The maximally violating two-qubit realization.
-
-    A1 = X(x)1, A2 = 1(x)Z, A3 = X(x)Z, A4 = 1(x)X, A5 = Z(x)1, A6 = Z(x)X
-    on the maximally entangled state (|00> + |11>)/sqrt(2).
-    """
-    mats = (
-        np.kron(PAULI_X, PAULI_I),
-        np.kron(PAULI_I, PAULI_Z),
-        np.kron(PAULI_X, PAULI_Z),
-        np.kron(PAULI_I, PAULI_X),
-        np.kron(PAULI_Z, PAULI_I),
-        np.kron(PAULI_Z, PAULI_X),
-    )
-    phi_plus = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    return Scenario(PureState(phi_plus), tuple(Observable(m) for m in mats))
+    """The maximally violating two-qubit realization: CANONICAL_MATRICES on
+    the maximally entangled state PHI_PLUS."""
+    return Scenario(PureState(PHI_PLUS), tuple(Observable(m) for m in CANONICAL_MATRICES))
 
 
-def project_involution(m, cutoff: float = SIGN_CUTOFF) -> Observable:
+def project_involution(m) -> Observable:
     """Round a Hermitian matrix to the nearest involution.
 
     Returns sum_k sign(lambda_k) v_k v_k†, the closest involution in operator
-    norm among functions of m. Eigenvalues inside (-cutoff, cutoff) have no
-    well-defined sign and raise :class:`ZeroEigenvalue`.
+    norm among functions of m. Eigenvalues of magnitude at most SIGN_CUTOFF
+    have no well-defined sign and raise :class:`ZeroEigenvalue`.
     """
     w, v = linalg.eig_hermitian(m)
-    if np.any(np.abs(w) <= cutoff):
+    if np.any(np.abs(w) <= SIGN_CUTOFF):
         raise ZeroEigenvalue(
-            f"eigenvalue of magnitude {np.abs(w).min():.3e} inside cutoff {cutoff:.1e}"
+            f"eigenvalue of magnitude {np.abs(w).min():.3e} inside cutoff {SIGN_CUTOFF:.1e}"
         )
     a = (v * np.sign(w)) @ v.conj().T
     return Observable(linalg.hermitize(a))

@@ -28,19 +28,36 @@ from .scenario import (
 #: corruption and triggers a NumericalNoiseWarning.
 IMAG_RESIDUE_TOL = 1e-10
 
-#: The seven terms entering the temporal expression, as 1-based slot tuples.
-#: Triples list the first-measured observable first.
-TERM_SLOTS = {
-    "triple_123": (1, 2, 3),
-    "triple_213": (2, 1, 3),
-    "triple_456": (4, 5, 6),
-    "triple_546": (5, 4, 6),
-    "pair_14": (1, 4),
-    "pair_25": (2, 5),
-    "pair_36": (3, 6),
+#: The temporal expression I_T = sum of weight * correlator, one row
+#: (name, 1-based slots, first-measured first; weight) per term in written
+#: order. Every other description of the expression is derived from it.
+TERMS = (
+    ("triple_123", (1, 2, 3), 0.5),
+    ("triple_213", (2, 1, 3), 0.5),
+    ("triple_456", (4, 5, 6), 0.5),
+    ("triple_546", (5, 4, 6), 0.5),
+    ("pair_14", (1, 4), 1.0),
+    ("pair_25", (2, 5), 1.0),
+    ("pair_36", (3, 6), -1.0),
+)
+
+CORRELATOR_FIELDS = tuple(name for name, _, _ in TERMS)
+
+#: The five measurement contexts (sorted slots, table order), each mapped to
+#: its terms' summed weight, its sign: for commuting observables and for
+#: deterministic assignments, I_T = sum of sign * <product of the context>.
+CONTEXTS = {
+    context: int(sum(w for _, slots, w in TERMS if tuple(sorted(slots)) == context))
+    for context in dict.fromkeys(tuple(sorted(slots)) for _, slots, _ in TERMS)
 }
 
-CORRELATOR_FIELDS = tuple(TERM_SLOTS)
+#: The slot pairs within a context; compatible contexts make them commute.
+CONTEXT_PAIRS = tuple(pair for context in CONTEXTS
+                      for pair in itertools.combinations(context, 2))
+
+#: The six slot pairs that share no context; they anticommute at maximal violation.
+ANTICOMMUTING_PAIRS = tuple(pair for pair in itertools.combinations(range(1, 7), 2)
+                            if pair not in CONTEXT_PAIRS)
 
 
 def _density_of(rho) -> np.ndarray:
@@ -276,22 +293,22 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
     values = {}
     stderr = None
     if mode == "analytic":
-        for name, slots in TERM_SLOTS.items():
+        for name, slots, _ in TERMS:
             obs = [s.observable(k) for k in slots]
             if len(slots) == 2:
                 values[name] = pair_corr(rho, *obs)
             else:
                 values[name] = triple_corr(rho, *obs)
     elif mode == "exact-sum":
-        for name, slots in TERM_SLOTS.items():
+        for name, slots, _ in TERMS:
             dist = exact_sequence_distribution(rho, [s.observable(k) for k in slots], slots)
             values[name] = dist.correlator()
     elif mode == "sampled":
         if shots is None or rng_seed is None:
             raise ValueError("sampled mode needs shots and rng_seed")
         stderr = {}
-        children = np.random.SeedSequence(rng_seed).spawn(len(TERM_SLOTS))
-        for child, (name, slots) in zip(children, TERM_SLOTS.items()):
+        children = np.random.SeedSequence(rng_seed).spawn(len(TERMS))
+        for child, (name, slots, _) in zip(children, TERMS):
             _, est, se = sample_sequences(
                 rho, [s.observable(k) for k in slots], shots, child, slots
             )

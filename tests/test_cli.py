@@ -160,6 +160,27 @@ class TestSweep:
 
 
 class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--shots", "0"],
+        ["sweep", "--model", "tilt", "--slot", "9", "--grid", "1e-3"],
+        ["sweep", "--model", "depolarizing", "--grid", "2"],
+        ["sweep", "--model", "depolarizing", "--grid", "nan"],
+        ["sweep", "--model", "depolarizing", "--grid", ","],
+        ["sweep", "--model", "jitter", "--grid", "inf"],
+        ["sweep", "--model", "tilt", "--grid", "1e-3:nan:3"],
+    ])
+    def test_invalid_simulate_and_sweep_input_is_usage_error(
+            self, argv, canonical_file, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        extra = (["--scenario", canonical_file] if argv[0] == "simulate"
+                 else ["--out", str(out)])
+        assert main(argv + extra) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["evaluate"])  # missing --scenario

@@ -180,3 +180,77 @@ class TestSymmetries:
     def test_canonical_residual_zero(self, canonical):
         assert abs(symmetry_residual(canonical, SYMMETRIES[2])) <= 1e-12
         assert abs(symmetry_residual(canonical, SYMMETRIES[3])) <= 1e-12
+
+
+class TestTermTableGuards:
+    """The constants every module derives from the term table, pinned to the
+    expression as the paper writes it."""
+
+    def test_context_pairs(self):
+        from tempcert.inequality import CONTEXT_PAIRS
+        assert set(CONTEXT_PAIRS) == {
+            (1, 4), (2, 5), (3, 6), (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6),
+        }
+        assert len(CONTEXT_PAIRS) == 9
+
+    def test_certify_pair_families(self, canonical):
+        from tempcert.certify import ANTICOMMUTING_PAIRS, STATE_CONSTRAINTS, algebra_residuals
+        assert tuple(ANTICOMMUTING_PAIRS) == ((1, 5), (1, 6), (2, 4), (2, 6), (3, 4), (3, 5))
+        assert tuple(STATE_CONSTRAINTS) == (
+            ((1, 2, 3), 1), ((1, 3, 2), 1), ((2, 1, 3), 1),
+            ((2, 3, 1), 1), ((3, 1, 2), 1), ((3, 2, 1), 1),
+            ((4, 5, 6), 1), ((4, 6, 5), 1), ((5, 4, 6), 1),
+            ((5, 6, 4), 1), ((6, 4, 5), 1), ((6, 5, 4), 1),
+            ((1, 4), 1), ((4, 1), 1), ((2, 5), 1), ((5, 2), 1), ((3, 6), -1), ((6, 3), -1),
+        )
+        comm, _, _ = algebra_residuals(canonical, np.eye(4))
+        assert list(comm) == ["A1A2", "A1A3", "A2A3", "A4A5", "A4A6", "A5A6",
+                              "A1A4", "A2A5", "A3A6"]
+
+    def test_robustness_bound_names(self, canonical):
+        from tempcert.robustness import check_robustness_bounds
+        noisy = apply_noise(canonical, Depolarizing(0.01))
+        assert [c.name for c in check_robustness_bounds(noisy)] == [
+            "triple_123>=1-2eps", "triple_213>=1-2eps", "triple_456>=1-2eps",
+            "triple_546>=1-2eps", "pair_14>=1-eps", "pair_25>=1-eps", "-pair_36>=1-eps",
+            "norm(A1-A2A3)<=4sqrt(eps)", "norm(A1-A3A2)<=4sqrt(eps)",
+            "norm(A2-A1A3)<=4sqrt(eps)", "norm(A2-A3A1)<=4sqrt(eps)",
+            "norm(A3-A1A2)<=4sqrt(eps)", "norm(A3-A2A1)<=4sqrt(eps)",
+            "norm(A4-A5A6)<=4sqrt(eps)", "norm(A4-A6A5)<=4sqrt(eps)",
+            "norm(A5-A4A6)<=4sqrt(eps)", "norm(A5-A6A4)<=4sqrt(eps)",
+            "norm(A6-A4A5)<=4sqrt(eps)", "norm(A6-A5A4)<=4sqrt(eps)",
+            "norm(A1-A4)<=2sqrt(eps)", "norm(A2-A5)<=2sqrt(eps)", "norm(A3+A6)<=2sqrt(eps)",
+            "norm({A1,A5})<=14sqrt(eps)", "norm({A1,A6})<=14sqrt(eps)",
+            "norm({A2,A4})<=14sqrt(eps)", "norm({A2,A6})<=14sqrt(eps)",
+            "norm({A3,A4})<=14sqrt(eps)", "norm({A3,A5})<=14sqrt(eps)",
+        ]
+
+    def test_simulate_combined_stderr(self, canonical, tmp_path, capsys):
+        from tempcert.cli import main
+        from tempcert.scenario import save_scenario
+        noisy = apply_noise(canonical, Depolarizing(0.1))
+        path = tmp_path / "noisy.json"
+        save_scenario(noisy, path)
+        assert main(["simulate", "--scenario", str(path), "--shots", "10000",
+                     "--seed", "9"]) == 0
+        line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("I_T")][0]
+        se = correlations(noisy, "sampled", shots=10000, rng_seed=9).stderr
+        weights = {"triple_123": 0.5, "triple_213": 0.5, "triple_456": 0.5,
+                   "triple_546": 0.5, "pair_14": 1.0, "pair_25": 1.0, "pair_36": 1.0}
+        combined = np.sqrt(sum((w * se[n]) ** 2 for n, w in weights.items()))
+        assert combined > 0
+        assert f"+- {combined:.2e}   " in line
+
+    def test_eval_it_is_the_context_sum_on_assignments(self):
+        import itertools
+        assignments = list(itertools.product((1, -1), repeat=6))
+        values = []
+        for a1, a2, a3, a4, a5, a6 in assignments:
+            c = CorrelationSet(a1 * a2 * a3, a2 * a1 * a3, a4 * a5 * a6, a5 * a4 * a6,
+                               a1 * a4, a2 * a5, a3 * a6)
+            context_sum = a1 * a2 * a3 + a4 * a5 * a6 + a1 * a4 + a2 * a5 - a3 * a6
+            assert eval_IT(c).value == context_sum
+            values.append(context_sum)
+        bound, argmax = classical_bound()
+        assert bound == max(values) and isinstance(bound, int)
+        assert argmax == [a for a, v in zip(assignments, values) if v == bound]
