@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .scenario import (
     PureState,
     Scenario,
     atomic_write_text,
+    complex_pairs,
     project_involution,
     purify_scenario,
 )
@@ -248,36 +249,20 @@ class CertificationReport:
         return max(self.operator_distances)
 
     def to_dict(self) -> dict:
-        def cm(a):  # complex matrix -> nested rows of [re, im]
-            arr = np.asarray(a, dtype=complex)
-            return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
-
-        return {
-            "violation": {
-                "value": self.violation.value,
-                "classical_bound": self.violation.classical_bound,
-                "quantum_bound": self.violation.quantum_bound,
-                "deficit": self.violation.deficit,
-            },
-            "subspace_basis": cm(self.subspace_basis),
-            "gram": cm(self.gram),
-            "projector": cm(self.projector),
-            "projected_observables": [cm(m) for m in self.projected_observables],
-            "leakage": [float(x) for x in self.leakage],
-            "commutator_residuals": dict(self.commutator_residuals),
-            "anticommutator_residuals": dict(self.anticommutator_residuals),
-            "constraint_residuals": dict(self.constraint_residuals),
-            "alignment_unitary": cm(self.alignment_unitary),
-            "aligned_observables": [cm(m) for m in self.aligned_observables],
-            "sign3": self.sign3,
-            "sign6": self.sign6,
-            "extracted_state": [[float(z.real), float(z.imag)]
-                                for z in self.extracted_state.amplitudes],
-            "fidelity": self.fidelity,
-            "operator_distances": [float(x) for x in self.operator_distances],
-            "fidelity_witness": self.fidelity_witness,
-            "fidelity_lower_bound": self.fidelity_lower_bound,
-        }
+        """The fields in order, JSON-ready; complex arrays as [re, im] pairs."""
+        doc = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, InequalityValue):
+                v = asdict(v)
+            elif isinstance(v, PureState):
+                v = complex_pairs(v.amplitudes)
+            elif np.ndim(v) >= 2:  # a matrix or a list of matrices
+                v = complex_pairs(v)
+            elif isinstance(v, (dict, list)):
+                v = v.copy()
+            doc[f.name] = v
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1)

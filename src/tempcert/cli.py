@@ -175,14 +175,11 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     base = load_scenario(args.scenario) if args.scenario else canonical_scenario()
     grid = _parse_grid(args.grid)
-    if args.model == "depolarizing":
-        family = lambda p: Depolarizing(p)
-    elif args.model == "tilt":
-        family = lambda angle: ObservableTilt(args.slot, angle)
-    elif args.model == "jitter":
-        family = lambda strength: UnitaryJitter(strength, rng_seed=args.seed)
-    else:
-        raise ParseError(f"unknown model {args.model!r}")
+    family = {
+        "depolarizing": Depolarizing,
+        "tilt": lambda angle: ObservableTilt(args.slot, angle),
+        "jitter": lambda strength: UnitaryJitter(strength, rng_seed=args.seed),
+    }[args.model]
     try:
         models = {param: family(param) for param in grid}
     except ValueError as exc:

@@ -1,8 +1,10 @@
 """Dense complex matrix kernel for dimensions up to 64.
 
-Every function is pure: inputs are converted to fresh complex128 arrays and
-never modified in place. Structural checks use the tolerance 1e-10, which is
-comfortable at these dimensions.
+Every function is pure and converts array_like input to a fresh complex128
+array, except `comm`, `acomm` and `op_norm_exceeds`, which take arrays their
+caller has checked. `dagger`, `hermitize`, `comm`, `acomm` and
+`eig_hermitian` also take stacks (..., d, d), each matrix as on its own.
+Structural checks use the tolerance 1e-10, comfortable at these dimensions.
 """
 
 from __future__ import annotations
@@ -64,10 +66,10 @@ def dagger(m) -> np.ndarray:
 
 
 def hermitize(m) -> np.ndarray:
-    """Return (m + m†)/2, the Hermitian part of a square matrix."""
-    a = as_matrix(m)
+    """(m + m†)/2, the Hermitian part of a square matrix or of each of a stack."""
+    a = as_matrices(m)
     _require_square(a)
-    return (a + a.conj().T) / 2
+    return (a + np.swapaxes(a.conj(), -1, -2)) / 2
 
 
 def kron(a, b) -> np.ndarray:
@@ -128,15 +130,13 @@ def vec_norm(v) -> float:
     return float(np.linalg.norm(as_vector(v)))
 
 
-def comm(a, b) -> np.ndarray:
-    """Commutator ab - ba."""
-    a, b = as_matrix(a), as_matrix(b)
+def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Commutator ab - ba of checked arrays, matrices or stacks."""
     return a @ b - b @ a
 
 
-def acomm(a, b) -> np.ndarray:
-    """Anticommutator ab + ba."""
-    a, b = as_matrix(a), as_matrix(b)
+def acomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Anticommutator ab + ba of checked arrays, matrices or stacks."""
     return a @ b + b @ a
 
 

@@ -25,10 +25,12 @@ from .scenario import (
     Observable,
     PureState,
     Scenario,
-    random_involution,
+    random_hermitian,
     random_pure_state,
     require_observables,
     require_unit_norm,
+    round_to_involutions,
+    round_to_signs,
 )
 from .seqcorr import TERMS
 
@@ -81,10 +83,6 @@ class SeesawTrace:
         return self.values[-1] if self.values else float("-inf")
 
 
-def _acomm(a, b):
-    return a @ b + b @ a
-
-
 def _signed_sum(terms):
     """Sum of (sign, term) pairs, left to right in the written order."""
     (sign, total), *rest = terms
@@ -105,11 +103,11 @@ def _bell_from_matrices(mats) -> np.ndarray:
     a = _slots(mats)
     (t_div, triples), (p_div, pairs) = TRIPLES, PAIRS
     b = (
-        _signed_sum([(sign, _acomm(a[x], _acomm(a[y], a[z]))) for sign, (x, y, z) in triples])
-        / t_div
-        + _signed_sum([(sign, _acomm(a[x], a[y])) for sign, (x, y) in pairs]) / p_div
+        _signed_sum([(sign, linalg.acomm(a[x], linalg.acomm(a[y], a[z])))
+                     for sign, (x, y, z) in triples]) / t_div
+        + _signed_sum([(sign, linalg.acomm(a[x], a[y])) for sign, (x, y) in pairs]) / p_div
     )
-    return (b + linalg.dagger(b)) / 2
+    return linalg.hermitize(b)
 
 
 def _coefficient_from_matrices(mats, rho, slot: int) -> np.ndarray:
@@ -120,16 +118,16 @@ def _coefficient_from_matrices(mats, rho, slot: int) -> np.ndarray:
     terms = []
     for sign, (x, y, z) in triples:
         if slot == x:    # tr(rho {A, {y, z}}) = tr(A {{y, z}, rho})
-            terms.append((sign, _acomm(_acomm(a[y], a[z]), rho)))
+            terms.append((sign, linalg.acomm(linalg.acomm(a[y], a[z]), rho)))
         elif slot == y:  # tr(rho {x, {A, z}}) = tr(A {z, {x, rho}})
-            terms.append((sign, _acomm(a[z], _acomm(a[x], rho))))
+            terms.append((sign, linalg.acomm(a[z], linalg.acomm(a[x], rho))))
         elif slot == z:  # tr(rho {x, {y, A}}) = tr(A {y, {x, rho}})
-            terms.append((sign, _acomm(a[y], _acomm(a[x], rho))))
+            terms.append((sign, linalg.acomm(a[y], linalg.acomm(a[x], rho))))
     for sign, (x, y) in pairs:
         if slot in (x, y):  # tr(rho {x, A}) = tr(A {x, rho})
-            pair = (sign, _acomm(a[y] if slot == x else a[x], rho) / p_div)
+            pair = (sign, linalg.acomm(a[y] if slot == x else a[x], rho) / p_div)
     g = _signed_sum([(1, _signed_sum(terms) / t_div), pair])
-    return (g + linalg.dagger(g)) / 2
+    return linalg.hermitize(g)
 
 
 def _values(rho, b) -> np.ndarray:
@@ -150,31 +148,13 @@ def _top_eigenvectors(b) -> np.ndarray:
     return psi
 
 
-def _sign_half_step(g):
-    """Exact observable half-step for a stack of coefficient operators.
-
-    Returns the eigen-sign involutions and the mask of eigenvalues of
-    magnitude at most DEGENERATE_EIGENVALUE, whose sign is set to +1.
-    """
-    w, v = linalg.eig_hermitian(g)
-    degenerate = np.abs(w) <= DEGENERATE_EIGENVALUE
-    signs = np.where(degenerate, 1.0, np.sign(w))
-    a = (v * signs[..., None, :]) @ linalg.dagger(v)
-    return (a + linalg.dagger(a)) / 2, degenerate
-
-
 def bell_operator(s: Scenario) -> np.ndarray:
     """Hermitian operator B with tr(rho B) equal to the temporal value.
 
     B = ({A1,{A2,A3}} + {A2,{A1,A3}} + {A4,{A5,A6}} + {A5,{A4,A6}})/8
         + ({A1,A4} + {A2,A5} - {A3,A6})/2
     """
-    mats = s.matrices()
-    d = s.dim
-    for m in mats:
-        if m.shape != (d, d):
-            raise ShapeMismatch(f"observable shape {m.shape} does not match {d}")
-    return _bell_from_matrices(mats)
+    return _bell_from_matrices(s.matrices())
 
 
 def expression_value(s: Scenario) -> float:
@@ -217,7 +197,8 @@ def optimal_observable(s: Scenario, slot: int) -> Observable:
     1e-12 get sign +1 (deterministic tie-break) and raise a
     DegenerateCoefficientWarning.
     """
-    a, degenerate = _sign_half_step(coefficient_operator(s, slot))
+    a, w = round_to_signs(coefficient_operator(s, slot), DEGENERATE_EIGENVALUE)
+    degenerate = np.abs(w) <= DEGENERATE_EIGENVALUE
     if np.any(degenerate):
         warnings.warn(
             f"slot {slot}: {int(degenerate.sum())} coefficient eigenvalue(s) "
@@ -231,24 +212,24 @@ def optimal_observable(s: Scenario, slot: int) -> Observable:
 def seesaw(config: SeesawConfig):
     """Multi-start seesaw. Returns (best trace, all traces).
 
-    Each seed gets its own PCG64 stream derived from config.rng_seed via
-    SeedSequence.spawn and draws its random start from it. All seeds then
-    run as one batch: every half-step is one stacked eigendecomposition over
-    the seeds still running, and a seed leaves the batch when its sweep
-    improvement falls below config.tol. Seeds never mix, so a seed's trace
-    does not depend on which other seeds run. Every iterate passes the
-    Observable and PureState checks; Observable and Scenario objects are
-    built once per seed at the end. Best is the highest final value, ties
-    broken by lowest seed index.
+    Each seed draws its random start from its own PCG64 stream, spawned from
+    config.rng_seed; all starts are sign-rounded in one stacked call. The
+    seeds then run as one batch: each half-step is one stacked eigensolve
+    over the running seeds, and a seed leaves the batch when its sweep gain
+    falls below config.tol. Seeds never mix, so a seed's trace does not
+    depend on the other seeds. Every iterate passes the Observable and
+    PureState checks; Observable and Scenario objects are built once per
+    seed at the end. Best is the highest final value, lowest seed on ties.
     """
     children = np.random.SeedSequence(config.rng_seed).spawn(config.seeds)
-    states, observables = [], []
+    states, draws = [], []
     for child in children:
         rng = np.random.Generator(np.random.PCG64(child))
         states.append(random_pure_state(config.dim, rng).amplitudes)
-        observables.append([random_involution(config.dim, rng).matrix for _ in range(6)])
-    psi = np.array(states)         # (S, d)
-    obs = np.array(observables)    # (S, 6, d, d)
+        draws.append([random_hermitian(config.dim, rng) for _ in range(6)])
+    psi = np.array(states)                          # (S, d)
+    obs = round_to_involutions(np.array(draws))     # (S, 6, d, d)
+    require_observables(obs)
     traces = [SeesawTrace(seed_index=k) for k in range(config.seeds)]
 
     previous = _values(_densities(psi), _bell_from_matrices(obs))
@@ -258,10 +239,10 @@ def seesaw(config: SeesawConfig):
         p = _top_eigenvectors(_bell_from_matrices(o))
         rho = _densities(p)
         for slot in range(1, 7):
-            a, degenerate = _sign_half_step(_coefficient_from_matrices(o, rho, slot))
+            a, w = round_to_signs(_coefficient_from_matrices(o, rho, slot), DEGENERATE_EIGENVALUE)
             require_observables(a)
             o[:, slot - 1] = a
-            for k in active[degenerate.any(axis=-1)]:
+            for k in active[(np.abs(w) <= DEGENERATE_EIGENVALUE).any(axis=-1)]:
                 traces[k].degenerate_steps += 1
         values = _values(rho, _bell_from_matrices(o))
         obs[active], psi[active] = o, p

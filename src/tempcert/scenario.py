@@ -152,7 +152,7 @@ class DensityMatrix:
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"density matrix must be square, got {m.shape}")
         _require_hermitian(m, "density matrix")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        w = np.linalg.eigvalsh(linalg.hermitize(m))
         if w.min() < -linalg.STRUCTURAL_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
         tr = np.trace(m)
@@ -225,6 +225,27 @@ def canonical_scenario() -> Scenario:
     return Scenario(PureState(PHI_PLUS), tuple(Observable(m) for m in CANONICAL_MATRICES))
 
 
+def round_to_signs(m, cutoff: float):
+    """Eigen-sign rounding of Hermitian m, one matrix or a stack (..., d, d):
+    returns sum_k s_k v_k v_k† with s_k = sign(lambda_k), or +1 where
+    |lambda_k| <= cutoff, and the eigenvalues lambda_k, descending."""
+    w, v = linalg.eig_hermitian(m)
+    signs = np.where(w < -cutoff, -1.0, 1.0)  # +1 wherever |w| <= cutoff
+    a = (v * signs[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return linalg.hermitize(a), w
+
+
+def round_to_involutions(m) -> np.ndarray:
+    """project_involution's rounding, ZeroEigenvalue included, of one matrix
+    or a stack (..., d, d), returned as an array: no Observable is built."""
+    a, w = round_to_signs(m, SIGN_CUTOFF)
+    if np.any(np.abs(w) <= SIGN_CUTOFF):
+        raise ZeroEigenvalue(
+            f"eigenvalue of magnitude {np.abs(w).min():.3e} inside cutoff {SIGN_CUTOFF:.1e}"
+        )
+    return a
+
+
 def project_involution(m) -> Observable:
     """Round a Hermitian matrix to the nearest involution.
 
@@ -232,13 +253,7 @@ def project_involution(m) -> Observable:
     norm among functions of m. Eigenvalues of magnitude at most SIGN_CUTOFF
     have no well-defined sign and raise :class:`ZeroEigenvalue`.
     """
-    w, v = linalg.eig_hermitian(m)
-    if np.any(np.abs(w) <= SIGN_CUTOFF):
-        raise ZeroEigenvalue(
-            f"eigenvalue of magnitude {np.abs(w).min():.3e} inside cutoff {SIGN_CUTOFF:.1e}"
-        )
-    a = (v * np.sign(w)) @ v.conj().T
-    return Observable(linalg.hermitize(a))
+    return Observable(round_to_involutions(m))
 
 
 def lift_observable(obs: Observable, env_dim: int) -> Observable:
@@ -341,9 +356,10 @@ def conjugate_scenario(s: Scenario, u: np.ndarray) -> Scenario:
 # save/load cycle reproduces matrices bit-exactly.
 # ---------------------------------------------------------------------------
 
-def _pairs_from_array(a: np.ndarray) -> list:
-    flat = np.asarray(a, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+def complex_pairs(a) -> list:
+    """[re, im] pairs nested in the shape of a complex array (or list of them)."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 def _array_from_pairs(pairs, what: str) -> np.ndarray:
     if not isinstance(pairs, list):
@@ -361,14 +377,14 @@ def _array_from_pairs(pairs, what: str) -> np.ndarray:
 
 def scenario_to_dict(s: Scenario) -> dict:
     if s.is_pure():
-        state = {"vector": _pairs_from_array(s.state.amplitudes)}
+        state = {"vector": complex_pairs(s.state.amplitudes)}
     else:
-        state = {"density": _pairs_from_array(s.state.matrix)}
+        state = {"density": complex_pairs(s.state.matrix.reshape(-1))}
     return {
         "dim": s.dim,
         "state": state,
         "observables": {
-            f"A{k}": _pairs_from_array(o.matrix)
+            f"A{k}": complex_pairs(o.matrix.reshape(-1))
             for k, o in enumerate(s.observables, start=1)
         },
     }

@@ -37,6 +37,47 @@ class TestHermitize:
             linalg.hermitize(np.array([[np.nan, 0], [0, 1]]))
 
 
+def gaussian_stack(shape, rng):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestStackedProducts:
+    """hermitize, comm and acomm on (S, 6, d, d) stacks give every matrix
+    exactly the result of the 2-d formula on it alone."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_hermitize_matches_per_matrix(self, d):
+        m = gaussian_stack((3, 6, d, d), rng_from(40 + d))
+        out = linalg.hermitize(m)
+        assert out.shape == m.shape
+        for idx in np.ndindex(3, 6):
+            assert np.array_equal(out[idx], (m[idx] + m[idx].conj().T) / 2)
+            assert np.array_equal(out[idx], linalg.hermitize(m[idx]))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_comm_and_acomm_match_per_matrix(self, d):
+        rng = rng_from(50 + d)
+        a, b = gaussian_stack((3, 6, d, d), rng), gaussian_stack((3, 6, d, d), rng)
+        commutators, anticommutators = linalg.comm(a, b), linalg.acomm(a, b)
+        for idx in np.ndindex(3, 6):
+            x, y = a[idx], b[idx]
+            assert np.array_equal(commutators[idx], x @ y - y @ x)
+            assert np.array_equal(anticommutators[idx], x @ y + y @ x)
+            assert np.array_equal(commutators[idx], linalg.comm(x, y))
+            assert np.array_equal(anticommutators[idx], linalg.acomm(x, y))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, np.nan)])
+    def test_hermitize_rejects_non_finite_stack(self, entry):
+        stack = np.zeros((3, 6, 4, 4), dtype=complex)
+        stack[2, 5, 0, 1] = entry
+        with pytest.raises(ValueError):
+            linalg.hermitize(stack)
+
+    def test_hermitize_rejects_non_square_stack(self):
+        with pytest.raises(NonSquare):
+            linalg.hermitize(np.zeros((3, 6, 4, 3)))
+
+
 class TestEigHermitian:
     def test_pauli_z(self):
         w, _ = linalg.eig_hermitian(PAULI_Z)

@@ -12,9 +12,11 @@ from tempcert.errors import (
     SubspaceDegenerate,
     ZeroEigenvalue,
 )
+from tempcert.optimize import DEGENERATE_EIGENVALUE
 from tempcert.scenario import (
     PAULI_X,
     PAULI_Z,
+    SIGN_CUTOFF,
     DensityMatrix,
     Observable,
     PureState,
@@ -28,12 +30,15 @@ from tempcert.scenario import (
     purify,
     purify_scenario,
     random_density,
+    random_hermitian,
     random_involution,
     random_scenario,
     random_unitary,
     reduced_density,
     require_observables,
     require_unit_norm,
+    round_to_involutions,
+    round_to_signs,
     save_scenario,
     scenario_to_dict,
 )
@@ -155,6 +160,42 @@ class TestProjectInvolution:
     def test_zero_eigenvalue_raises(self):
         with pytest.raises(ZeroEigenvalue):
             project_involution(np.diag([1.0, 0.0]))
+
+
+class TestRoundToSigns:
+    """The one eigen-sign rounding behind project_involution, the seesaw's
+    random starts and its observable half-step."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_stack_matches_project_involution(self, d):
+        rng = rng_from(60 + d)
+        draws = np.array([[random_hermitian(d, rng) for _ in range(6)] for _ in range(3)])
+        a, w = round_to_signs(draws, SIGN_CUTOFF)
+        assert a.shape == draws.shape and w.shape == (3, 6, d)
+        assert np.array_equal(round_to_involutions(draws), a)
+        for idx in np.ndindex(3, 6):
+            assert np.array_equal(a[idx], project_involution(draws[idx]).matrix)
+            assert np.array_equal(w[idx], linalg.eig_hermitian(draws[idx])[0])
+
+    @pytest.mark.parametrize("cutoff", [SIGN_CUTOFF, DEGENERATE_EIGENVALUE])
+    def test_sign_is_plus_one_at_or_below_the_cutoff(self, cutoff):
+        above = np.nextafter(cutoff, 1.0)
+        eigenvalues = np.array([2.0, cutoff, cutoff / 2, 0.0, -cutoff / 2, -cutoff, -above, -3.0])
+        a, w = round_to_signs(np.diag(eigenvalues), cutoff)
+        assert np.array_equal(w, eigenvalues)
+        assert np.array_equal(a, np.diag([1.0, 1, 1, 1, 1, 1, -1, -1]).astype(complex))
+
+    def test_zero_eigenvalue_at_the_sign_cutoff(self):
+        with pytest.raises(ZeroEigenvalue):
+            project_involution(np.diag([1.0, -SIGN_CUTOFF]))
+        above = np.nextafter(SIGN_CUTOFF, 1.0)
+        o = project_involution(np.diag([1.0, -above]))
+        assert np.array_equal(o.matrix, np.diag([1.0, -1.0]).astype(complex))
+
+    def test_zero_eigenvalue_anywhere_in_a_stack(self):
+        stack = np.array([np.diag([1.0, -1.0])] * 5 + [np.diag([1.0, 0.0])])
+        with pytest.raises(ZeroEigenvalue):
+            round_to_involutions(stack)
 
 
 class TestPurify:

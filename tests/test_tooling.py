@@ -1,0 +1,31 @@
+"""The benchmark tracer wraps tempcert functions by (module, attribute) name.
+A name that no longer resolves would leave its per-layer metric at zero
+without any error, so each one is checked here."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    tracer = load_tracer()
+    names = tracer.SPANNED + tracer.COUNTED
+    assert len(names) >= 20
+    missing = [(module, attribute) for module, attribute in names
+               if not callable(getattr(importlib.import_module(module), attribute, None))]
+    assert missing == []
+
+
+def test_observable_span_names_a_class():
+    tracer = load_tracer()
+    module, attribute = tracer.OBSERVABLE_SPAN.split(".")
+    assert isinstance(getattr(importlib.import_module(f"tempcert.{module}"), attribute), type)
