@@ -43,8 +43,9 @@ from .scenario import (
     Scenario,
     atomic_write_text,
     complex_pairs,
-    project_involution,
     purify_scenario,
+    require_observables,
+    round_to_involutions,
 )
 from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXT_PAIRS, CONTEXTS, correlations
 
@@ -159,11 +160,12 @@ def align(projected_observables, extracted_state_raw, eigenspace_gauge=None) -> 
     psi_v = linalg.as_vector(extracted_state_raw)
 
     try:
-        rounded = [project_involution(linalg.hermitize(m)).matrix for m in raw]
+        rounded = round_to_involutions(linalg.hermitize(raw))
     except ZeroEigenvalue as exc:
         raise AnticommutatorTooLarge(
             f"projected observable cannot be rounded to an involution: {exc}"
         ) from exc
+    require_observables(rounded)
     a1r, a5r = rounded[0], rounded[4]
     ac15 = linalg.op_norm(linalg.acomm(a1r, a5r))
     if ac15 > 0.5:
@@ -194,12 +196,12 @@ def align(projected_observables, extracted_state_raw, eigenspace_gauge=None) -> 
     m_op = linalg.hermitize(_second_factor_block(frame1[1]))
     o_op = linalg.hermitize(_second_factor_block(frame1[3]))
     try:
-        m_r = project_involution(m_op).matrix
-        o_r = project_involution(o_op).matrix
+        m_r, o_r = round_to_involutions([m_op, o_op])
     except ZeroEigenvalue as exc:
         raise FactorizationFailure(
             f"second-factor operator has no involution rounding: {exc}"
         ) from exc
+    require_observables([m_r, o_r])
     if (linalg.op_norm(m_op - m_r) > 0.5 or linalg.op_norm(o_op - o_r) > 0.5
             or linalg.op_norm(linalg.acomm(m_r, o_r)) > 0.5):
         raise FactorizationFailure(

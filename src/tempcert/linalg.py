@@ -2,8 +2,8 @@
 
 Every function is pure and converts array_like input to a fresh complex128
 array, except `comm`, `acomm` and `op_norm_exceeds`, which take arrays their
-caller has checked. `dagger`, `hermitize`, `comm`, `acomm` and
-`eig_hermitian` also take stacks (..., d, d), each matrix as on its own.
+caller has checked. `hermitize`, `comm`, `acomm` and `eig_hermitian`
+also take stacks (..., d, d), each matrix as on its own.
 Structural checks use the tolerance 1e-10, comfortable at these dimensions.
 """
 
@@ -60,27 +60,11 @@ def _require_square(a: np.ndarray) -> None:
         raise NonSquare(f"matrix is {a.shape[-2]}x{a.shape[-1]}")
 
 
-def dagger(m) -> np.ndarray:
-    """Conjugate transpose of a matrix, or of each matrix of a stack (..., r, c)."""
-    return np.swapaxes(as_matrices(m).conj(), -1, -2)
-
-
 def hermitize(m) -> np.ndarray:
     """(m + m†)/2, the Hermitian part of a square matrix or of each of a stack."""
     a = as_matrices(m)
     _require_square(a)
     return (a + np.swapaxes(a.conj(), -1, -2)) / 2
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, first factor leftmost."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def trace(m) -> complex:
-    a = as_matrix(m)
-    _require_square(a)
-    return complex(np.trace(a))
 
 
 def _largest_singular_values(a: np.ndarray) -> np.ndarray:

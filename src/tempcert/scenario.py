@@ -237,12 +237,14 @@ def round_to_signs(m, cutoff: float):
 
 def round_to_involutions(m) -> np.ndarray:
     """project_involution's rounding, ZeroEigenvalue included, of one matrix
-    or a stack (..., d, d), returned as an array: no Observable is built."""
+    or a stack (..., d, d), returned as an array: no Observable is built. The
+    error names the first matrix of the stack that has no rounding."""
     a, w = round_to_signs(m, SIGN_CUTOFF)
-    if np.any(np.abs(w) <= SIGN_CUTOFF):
-        raise ZeroEigenvalue(
-            f"eigenvalue of magnitude {np.abs(w).min():.3e} inside cutoff {SIGN_CUTOFF:.1e}"
-        )
+    magnitudes = np.abs(w).reshape(-1, w.shape[-1])
+    failing = (magnitudes <= SIGN_CUTOFF).any(axis=-1)
+    if failing.any():
+        raise ZeroEigenvalue(f"eigenvalue of magnitude {magnitudes[failing.argmax()].min():.3e} "
+                             f"inside cutoff {SIGN_CUTOFF:.1e}")
     return a
 
 

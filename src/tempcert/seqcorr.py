@@ -9,6 +9,7 @@ machine precision, and sampled estimates converge to both.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,7 +22,8 @@ from .scenario import (
     Observable,
     PureState,
     Scenario,
-    project_involution,
+    require_observables,
+    round_to_involutions,
 )
 
 #: Imaginary residue above this after taking a trace hints at non-Hermitian
@@ -139,7 +141,7 @@ class OutcomeDistribution:
 
     def correlator(self) -> float:
         """Expectation of the product of outcomes."""
-        return float(sum(np.prod(o) * p for o, p in self.probabilities.items()))
+        return float(sum(math.prod(o) * p for o, p in self.probabilities.items()))
 
 
 def pair_corr(rho, a, b) -> float:
@@ -165,23 +167,63 @@ def triple_corr(rho, a, b, c) -> float:
     return _real(np.trace(r @ linalg.acomm(ma, linalg.acomm(mb, mc))) / 4, "triple_corr")
 
 
-def _involution_matrices(seq) -> list:
-    """Exact involutions for projector construction, via sign rounding."""
-    mats = []
-    for obs in seq:
+def _projectors(r: np.ndarray, seq) -> np.ndarray:
+    """Projector pairs (n, 2, d, d), Pi_+ then Pi_- = (1 +- A)/2, of each
+    observable's exact involution. Observables with a zero involution residual
+    are used as they are; all others, and raw matrices, are rounded in one
+    stacked call and checked as Observable would check them."""
+    mats, inexact = [], []
+    for k, obs in enumerate(seq):
         if isinstance(obs, Observable):
             if obs.involution_residual > 1e-8:
                 raise NonInvolution(
                     f"involution residual {obs.involution_residual:.3e} too large "
                     "for projective sampling"
                 )
+            mats.append(obs.matrix)
             if obs.involution_residual == 0.0:
-                mats.append(obs.matrix)
                 continue
-            mats.append(project_involution(obs.matrix).matrix)
         else:
-            mats.append(project_involution(linalg.as_matrix(obs)).matrix)
-    return mats
+            mats.append(linalg.as_matrix(obs))
+        inexact.append(k)
+    _check_dims(r, mats)  # before stacking: mixed shapes raise ShapeMismatch
+    mats = np.array(mats)
+    if inexact:
+        rounded = round_to_involutions(mats[inexact])
+        require_observables(rounded)
+        mats[inexact] = rounded
+    eye = np.eye(r.shape[0])
+    return np.stack([(eye + mats) / 2, (eye - mats) / 2], axis=1)
+
+
+def _sequence_of(rho, seq):
+    seq = list(seq)
+    if len(seq) not in (2, 3):
+        raise ShapeMismatch(f"sequence length must be 2 or 3, got {len(seq)}")
+    r = _density_of(rho)
+    return r, _projectors(r, seq)
+
+
+def _chain_traces(r: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """tr(C rho C†) of every outcome chain C = Pi_{a_n} ... Pi_{a_1} of the
+    projector pairs proj (..., n, 2, d, d), in outcome order: (..., 2^n).
+    The chains grow one step at a time, all outcomes in one stacked product."""
+    lead, d = proj.shape[:-4], r.shape[0]
+    chains = np.eye(d)[None]
+    for j in range(proj.shape[-4]):
+        chains = (proj[..., j, None, :, :, :] @ chains[..., None, :, :]).reshape(*lead, -1, d, d)
+    return np.trace(chains @ r @ np.swapaxes(chains.conj(), -1, -2), axis1=-2, axis2=-1)
+
+
+def _exact_distribution(traces: np.ndarray, n: int, labels) -> OutcomeDistribution:
+    """The distribution of an n-step sequence from its chain traces."""
+    probs = {}
+    for outcomes, z in zip(itertools.product((1, -1), repeat=n), traces):
+        p = _real(z, "exact_sequence_distribution")
+        probs[outcomes] = max(p, 0.0) if p > -1e-12 else p
+    if labels is None:
+        labels = tuple(range(1, n + 1))
+    return OutcomeDistribution(tuple(labels), probs)
 
 
 def exact_sequence_distribution(rho, seq, labels=None) -> OutcomeDistribution:
@@ -191,24 +233,50 @@ def exact_sequence_distribution(rho, seq, labels=None) -> OutcomeDistribution:
     with projectors Pi_{+-} = (1 +- A)/2 built from each observable's
     involution rounding.
     """
-    seq = list(seq)
-    if len(seq) not in (2, 3):
-        raise ShapeMismatch(f"sequence length must be 2 or 3, got {len(seq)}")
-    r = _density_of(rho)
-    mats = _involution_matrices(seq)
-    _check_dims(r, mats)
-    eye = np.eye(r.shape[0])
-    projectors = [((eye + m) / 2, (eye - m) / 2) for m in mats]
-    probs = {}
-    for outcomes in itertools.product((1, -1), repeat=len(seq)):
-        chain = eye
-        for (plus, minus), a in zip(projectors, outcomes):
-            chain = (plus if a == 1 else minus) @ chain
-        p = _real(np.trace(chain @ r @ chain.conj().T), "exact_sequence_distribution")
-        probs[outcomes] = max(p, 0.0) if p > -1e-12 else p
+    r, proj = _sequence_of(rho, seq)
+    return _exact_distribution(_chain_traces(r, proj), len(proj), labels)
+
+
+def _sample(r: np.ndarray, proj: np.ndarray, shots: int, rng_seed, labels):
+    """sample_sequences on a checked density matrix and projector pairs."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    d = r.shape[0]
+    # Conditional-chain branch walk; this is an independent code path from
+    # the direct per-outcome formula in exact_sequence_distribution. Each
+    # step grows every branch by both outcomes in one stacked product.
+    outcome_list, sigmas, weights = [()], r[None], np.ones(1)
+    for pair in proj:
+        post = (pair @ sigmas[:, None] @ pair).reshape(-1, d, d)
+        q = np.array([_real(z, "sample_sequences")
+                      for z in np.trace(post, axis1=-2, axis2=-1)])
+        keep = q > 0.0
+        outcome_list = [o + (a,) for o in outcome_list for a in (1, -1)]
+        outcome_list = list(itertools.compress(outcome_list, keep))
+        sigmas = post[keep] / q[keep, None, None]
+        weights = (np.repeat(weights, 2) * q)[keep]
+
+    p = np.clip(weights, 0.0, None)
+    p /= p.sum()
+
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    counts = rng.multinomial(shots, p)
+
+    values = np.array([math.prod(o) for o in outcome_list], dtype=float)
+    estimate = float(counts @ values) / shots
+    if shots > 1:
+        var = float(counts @ (values - estimate) ** 2) / (shots - 1)
+        stderr = (var / shots) ** 0.5
+    else:
+        stderr = 0.0
+
     if labels is None:
-        labels = tuple(range(1, len(seq) + 1))
-    return OutcomeDistribution(tuple(labels), probs)
+        labels = tuple(range(1, len(proj) + 1))
+    empirical = OutcomeDistribution(
+        tuple(labels),
+        {o: c / shots for o, c in zip(outcome_list, counts)},
+    )
+    return empirical, estimate, stderr
 
 
 def sample_sequences(rho, seq, shots: int, rng_seed, labels=None):
@@ -229,55 +297,7 @@ def sample_sequences(rho, seq, shots: int, rng_seed, labels=None):
         Empirical OutcomeDistribution, the mean of the outcome products, and
         its standard error (sample standard deviation / sqrt(shots)).
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    seq = list(seq)
-    if len(seq) not in (2, 3):
-        raise ShapeMismatch(f"sequence length must be 2 or 3, got {len(seq)}")
-    r = _density_of(rho)
-    mats = _involution_matrices(seq)
-    _check_dims(r, mats)
-    eye = np.eye(r.shape[0])
-
-    # Conditional-chain branch walk; this is an independent code path from
-    # the direct per-outcome formula in exact_sequence_distribution.
-    branches = [((), r, 1.0)]
-    for m in mats:
-        plus, minus = (eye + m) / 2, (eye - m) / 2
-        grown = []
-        for outcomes, sigma, p in branches:
-            for a, proj in ((1, plus), (-1, minus)):
-                post = proj @ sigma @ proj
-                q = _real(np.trace(post), "sample_sequences")
-                q = max(q, 0.0)
-                if q <= 0.0:
-                    continue
-                grown.append((outcomes + (a,), post / q, p * q))
-        branches = grown
-
-    outcome_list = [b[0] for b in branches]
-    p = np.array([b[2] for b in branches])
-    p = np.clip(p, 0.0, None)
-    p /= p.sum()
-
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
-    counts = rng.multinomial(shots, p)
-
-    values = np.array([np.prod(o) for o in outcome_list], dtype=float)
-    estimate = float(counts @ values) / shots
-    if shots > 1:
-        var = float(counts @ (values - estimate) ** 2) / (shots - 1)
-        stderr = (var / shots) ** 0.5
-    else:
-        stderr = 0.0
-
-    if labels is None:
-        labels = tuple(range(1, len(seq) + 1))
-    empirical = OutcomeDistribution(
-        tuple(labels),
-        {o: c / shots for o, c in zip(outcome_list, counts)},
-    )
-    return empirical, estimate, stderr
+    return _sample(*_sequence_of(rho, seq), shots, rng_seed, labels)
 
 
 def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
@@ -300,18 +320,20 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
             else:
                 values[name] = triple_corr(rho, *obs)
     elif mode == "exact-sum":
-        for name, slots, _ in TERMS:
-            dist = exact_sequence_distribution(rho, [s.observable(k) for k in slots], slots)
-            values[name] = dist.correlator()
+        proj = _projectors(rho, s.observables)
+        for n in (3, 2):  # the terms of one length as one stack
+            terms = [(name, slots) for name, slots, _ in TERMS if len(slots) == n]
+            traces = _chain_traces(rho, proj[np.subtract([slots for _, slots in terms], 1)])
+            for (name, slots), t in zip(terms, traces):
+                values[name] = _exact_distribution(t, n, slots).correlator()
     elif mode == "sampled":
         if shots is None or rng_seed is None:
             raise ValueError("sampled mode needs shots and rng_seed")
+        proj = _projectors(rho, s.observables)
         stderr = {}
         children = np.random.SeedSequence(rng_seed).spawn(len(TERMS))
         for child, (name, slots, _) in zip(children, TERMS):
-            _, est, se = sample_sequences(
-                rho, [s.observable(k) for k in slots], shots, child, slots
-            )
+            _, est, se = _sample(rho, proj[np.subtract(slots, 1)], shots, child, slots)
             values[name] = est
             stderr[name] = se
     else:

@@ -12,6 +12,17 @@ from tempcert.scenario import (
     random_unitary,
 )
 
+try:
+    from hypothesis import settings
+except ImportError:  # tests/test_properties.py skips itself without hypothesis
+    pass
+else:
+    # Property tests draw the same examples on every run and keep no example
+    # database, so tier-1 stays deterministic.
+    settings.register_profile("tempcert", derandomize=True, database=None, deadline=None,
+                              max_examples=20)
+    settings.load_profile("tempcert")
+
 
 @pytest.fixture
 def canonical():

@@ -3,7 +3,7 @@ import pytest
 
 from tempcert import linalg
 from tempcert.errors import NonSquare, NotHermitian, RankDeficient, ShapeMismatch
-from tempcert.scenario import PAULI_I, PAULI_X, PAULI_Z
+from tempcert.scenario import PAULI_X, PAULI_Z
 
 from conftest import rng_from
 
@@ -220,11 +220,6 @@ class TestInvSqrtPsd:
 
 
 class TestNormsAndProducts:
-    def test_kron_matches_canonical_a1(self):
-        from tempcert.scenario import canonical_scenario
-        assert np.array_equal(linalg.kron(PAULI_X, PAULI_I),
-                              canonical_scenario().observable(1).matrix)
-
     def test_op_norm_unitary(self):
         rng = rng_from(6)
         from tempcert.scenario import random_unitary
@@ -246,22 +241,6 @@ class TestNormsAndProducts:
             a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             assert linalg.op_norm(a @ b) <= linalg.op_norm(a) * linalg.op_norm(b) + 1e-12
-
-    def test_trace_requires_square(self):
-        with pytest.raises(NonSquare):
-            linalg.trace(np.ones((2, 3)))
-
-    def test_dagger(self):
-        m = np.array([[1, 1j], [0, 2]])
-        assert np.array_equal(linalg.dagger(m), m.conj().T)
-
-    def test_dagger_of_stack_is_complex_and_finite(self):
-        stack = np.arange(12).reshape(3, 2, 2)
-        out = linalg.dagger(stack)
-        assert out.dtype == np.complex128
-        assert all(np.array_equal(out[k], stack[k].T) for k in range(3))
-        with pytest.raises(ValueError):
-            linalg.dagger([[np.nan, 0], [0, 1]])
 
     def test_vector_shape(self):
         with pytest.raises(ShapeMismatch):

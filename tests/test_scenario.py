@@ -197,6 +197,15 @@ class TestRoundToSigns:
         with pytest.raises(ZeroEigenvalue):
             round_to_involutions(stack)
 
+    def test_zero_eigenvalue_names_the_first_failing_matrix(self):
+        # the message a loop over the stack would give: the first failure's
+        # smallest eigenvalue magnitude, not the stack's
+        stack = np.array([np.diag([1.0, -1.0]), np.diag([1.0, 5e-9]), np.diag([1.0, 0.0])])
+        with pytest.raises(ZeroEigenvalue, match="magnitude 5.000e-09 inside"):
+            round_to_involutions(stack)
+        with pytest.raises(ZeroEigenvalue, match="magnitude 5.000e-09 inside"):
+            project_involution(stack[1])
+
 
 class TestPurify:
     def test_pure_input(self, canonical):

@@ -1,18 +1,31 @@
+import hashlib
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
-from tempcert.errors import NonInvolution, NumericalNoiseWarning, ShapeMismatch
+from tempcert import linalg
+from tempcert.errors import (
+    NonInvolution,
+    NumericalNoiseWarning,
+    ShapeMismatch,
+    ZeroEigenvalue,
+)
 from tempcert.scenario import (
+    CANONICAL_MATRICES,
     PAULI_X,
     PAULI_Z,
     DensityMatrix,
     Observable,
     Scenario,
+    project_involution,
     random_density,
     random_involution,
     random_scenario,
 )
 from tempcert.seqcorr import (
+    TERMS,
     CorrelationSet,
     correlations,
     exact_sequence_distribution,
@@ -22,6 +35,91 @@ from tempcert.seqcorr import (
 )
 
 from conftest import rng_from
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-term, per-outcome loops that the stacked chains replaced,
+# built from the public project_involution. The stacked code must reproduce
+# them bit for bit.
+# ---------------------------------------------------------------------------
+
+def reference_matrices(seq):
+    mats = []
+    for obs in seq:
+        if obs.involution_residual > 1e-8:
+            raise NonInvolution("reference: involution residual too large")
+        mats.append(obs.matrix if obs.involution_residual == 0.0
+                    else project_involution(obs.matrix).matrix)
+    return mats
+
+
+def reference_exact(rho, seq):
+    mats = reference_matrices(seq)
+    eye = np.eye(rho.shape[0])
+    projectors = [((eye + m) / 2, (eye - m) / 2) for m in mats]
+    probs = {}
+    for outcomes in itertools.product((1, -1), repeat=len(seq)):
+        chain = eye
+        for (plus, minus), a in zip(projectors, outcomes):
+            chain = (plus if a == 1 else minus) @ chain
+        p = float(np.trace(chain @ rho @ chain.conj().T).real)
+        probs[outcomes] = max(p, 0.0) if p > -1e-12 else p
+    return probs
+
+
+def reference_sampled(rho, seq, shots, rng_seed):
+    mats = reference_matrices(seq)
+    eye = np.eye(rho.shape[0])
+    branches = [((), rho, 1.0)]
+    for m in mats:
+        plus, minus = (eye + m) / 2, (eye - m) / 2
+        grown = []
+        for outcomes, sigma, p in branches:
+            for a, proj in ((1, plus), (-1, minus)):
+                post = proj @ sigma @ proj
+                q = max(float(np.trace(post).real), 0.0)
+                if q <= 0.0:
+                    continue
+                grown.append((outcomes + (a,), post / q, p * q))
+        branches = grown
+    p = np.clip(np.array([b[2] for b in branches]), 0.0, None)
+    p /= p.sum()
+    counts = np.random.Generator(np.random.PCG64(rng_seed)).multinomial(shots, p)
+    values = np.array([np.prod(b[0]) for b in branches], dtype=float)
+    estimate = float(counts @ values) / shots
+    var = float(counts @ (values - estimate) ** 2) / (shots - 1)
+    probs = {b[0]: c / shots for b, c in zip(branches, counts)}
+    return probs, estimate, (var / shots) ** 0.5
+
+
+def reference_correlations(s, mode, shots=None, rng_seed=None):
+    rho = s.density()
+    values, stderr = {}, {}
+    children = np.random.SeedSequence(rng_seed).spawn(len(TERMS))
+    for child, (name, slots, _) in zip(children, TERMS):
+        seq = [s.observable(k) for k in slots]
+        if mode == "exact-sum":
+            probs = reference_exact(rho, seq)
+            values[name] = float(sum(np.prod(o) * p for o, p in probs.items()))
+        else:
+            _, values[name], stderr[name] = reference_sampled(rho, seq, shots, child)
+    return values, stderr or None
+
+
+#: See TestStackedChains.test_golden_fingerprint.
+GOLDEN_MODES_SHA256 = "74a72ac70cd0d1dbf872cbb1bc50fc7c87a30af3c6c207158d0de921ea9fef67"
+
+#: One warning per outcome with an imaginary residue, in outcome order.
+NON_HERMITIAN_STATE_WARNINGS = [
+    f"exact_sequence_distribution: imaginary residue {z} after trace"
+    for z in ("5.000e-02", "5.000e-02", "-5.000e-02", "-5.000e-02")
+]
+
+
+def scenario_of(d, seed, pure):
+    rng = rng_from(seed)
+    s = random_scenario(d, rng)
+    return s if pure else s.with_state(random_density(d, rng))
 
 
 class TestPairCorr:
@@ -223,3 +321,131 @@ class TestCorrelations:
         skew = np.array([[0.0, 1.0], [0.5, 0.0]])  # deliberately non-Hermitian
         with pytest.warns(NumericalNoiseWarning):
             pair_corr(rho, skew, np.array([[0.0, -1j], [1j, 0.0]]))
+
+
+class TestStackedChains:
+    """exact-sum and sampled against the per-outcome reference loops."""
+
+    @pytest.mark.parametrize("pure", [True, False])
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_correlations_match_reference_bit_for_bit(self, d, pure):
+        for k in range(3):
+            s = scenario_of(d, 700 + 10 * d + k, pure)
+            exact = correlations(s, "exact-sum")
+            assert (exact.as_dict(), exact.stderr) == reference_correlations(s, "exact-sum")
+            sampled = correlations(s, "sampled", shots=10**5, rng_seed=k)
+            assert (sampled.as_dict(), sampled.stderr) == reference_correlations(
+                s, "sampled", 10**5, k)
+
+    @pytest.mark.parametrize("pure", [True, False])
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_distributions_match_reference_bit_for_bit(self, d, pure):
+        s = scenario_of(d, 800 + d, pure)
+        rho = s.density()
+        for _, slots, _ in TERMS:
+            seq = [s.observable(k) for k in slots]
+            assert exact_sequence_distribution(rho, seq).probabilities == reference_exact(rho, seq)
+            empirical, est, se = sample_sequences(rho, seq, 1000, 11)
+            assert (empirical.probabilities, est, se) == reference_sampled(rho, seq, 1000, 11)
+
+    def test_zero_probability_branches_are_pruned(self, canonical):
+        # at the canonical point half of the outcome tuples of every term are
+        # impossible; the branch walk drops them before the multinomial draw
+        rho = canonical.density()
+        for _, slots, _ in TERMS:
+            seq = [canonical.observable(k) for k in slots]
+            empirical, est, se = sample_sequences(rho, seq, 1000, 1)
+            assert len(empirical.probabilities) == 2 ** (len(slots) - 1)
+            assert (empirical.probabilities, est, se) == reference_sampled(rho, seq, 1000, 1)
+
+    def test_raw_matrices_are_rounded_like_observables(self):
+        s = scenario_of(4, 900, False)
+        rho = s.density()
+        seq = [s.observable(k) for k in (4, 5, 6)]
+        raw = [o.matrix for o in seq]
+        assert (exact_sequence_distribution(rho, raw).probabilities
+                == exact_sequence_distribution(rho, seq).probabilities)
+        assert sample_sequences(rho, raw, 1000, 3)[1:] == sample_sequences(rho, seq, 1000, 3)[1:]
+
+    def test_golden_fingerprint(self):
+        # sha256 of all three modes on fixed-seed random_scenario(4) inputs,
+        # recorded from the per-term, per-outcome loops before the chains were
+        # stacked (numpy 2.4, OpenBLAS). Like the seesaw fingerprints it holds
+        # the bits of the BLAS and LAPACK kernels, which may differ per CPU;
+        # the reference tests above check the same property in-process.
+        rng = rng_from(2010)
+        out = []
+        for k in range(6):
+            s = random_scenario(4, rng)
+            if k % 2:
+                s = s.with_state(random_density(4, rng))
+            for c in (correlations(s, "analytic"), correlations(s, "exact-sum"),
+                      correlations(s, "sampled", shots=10**6, rng_seed=k)):
+                out.append((c.source, c.as_dict(), c.stderr))
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == GOLDEN_MODES_SHA256
+
+    @pytest.mark.parametrize("mode", ["exact-sum", "sampled"])
+    def test_one_stacked_rounding_per_call(self, monkeypatch, mode):
+        calls = []
+        eig_hermitian = linalg.eig_hermitian
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return eig_hermitian(m)
+
+        s = scenario_of(4, 901, True)
+        # exact involutions (residual 0) pass through unrounded
+        exact = Scenario(s.state, [Observable(m) for m in CANONICAL_MATRICES])
+        monkeypatch.setattr(linalg, "eig_hermitian", counting)
+        correlations(s, mode, shots=100, rng_seed=0)
+        assert calls == [(6, 4, 4)]
+        calls.clear()
+        correlations(exact, mode, shots=100, rng_seed=0)
+        assert calls == []
+
+
+class TestErrorPaths:
+    """Each error the sequential routes raise, pinned before the chains were
+    stacked."""
+
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_mixed_dimensions_raise_shape_mismatch(self, canonical, raw):
+        seq = [canonical.observable(1), Observable(PAULI_Z)]
+        if raw:
+            seq = [o.matrix for o in seq]
+        with pytest.raises(ShapeMismatch):
+            exact_sequence_distribution(canonical.density(), seq)
+        with pytest.raises(ShapeMismatch):
+            sample_sequences(canonical.density(), seq, 100, 0)
+
+    def test_state_dimension_mismatch(self, canonical):
+        seq = [Observable(PAULI_X), Observable(PAULI_Z)]
+        with pytest.raises(ShapeMismatch):
+            exact_sequence_distribution(canonical.density(), seq)
+        with pytest.raises(ShapeMismatch):
+            sample_sequences(canonical.density(), seq, 100, 0)
+
+    @pytest.mark.parametrize("mode", ["exact-sum", "sampled"])
+    def test_non_involution_in_scenario(self, canonical, mode):
+        bad = Observable(1.05 * CANONICAL_MATRICES[2], involution_tol=1.0)
+        assert bad.involution_residual > 1e-8
+        s = canonical.with_observable(3, bad)
+        with pytest.raises(NonInvolution, match="too large for projective sampling"):
+            correlations(s, mode, shots=100, rng_seed=0)
+
+    def test_zero_eigenvalue_in_raw_matrix(self, canonical):
+        seq = [np.diag([1.0, 0.0, -1.0, 1.0]), canonical.observable(4)]
+        with pytest.raises(ZeroEigenvalue):
+            exact_sequence_distribution(canonical.density(), seq)
+        with pytest.raises(ZeroEigenvalue):
+            sample_sequences(canonical.density(), seq, 100, 0)
+
+    def test_non_hermitian_state_warns_per_outcome(self):
+        rho = np.array([[0.5, 0.2j], [0.0, 0.5]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            exact_sequence_distribution(rho, [Observable(PAULI_X), Observable(PAULI_Z)])
+        assert [w.category for w in caught] == [NumericalNoiseWarning] * 4
+        assert [str(w.message) for w in caught] == NON_HERMITIAN_STATE_WARNINGS
+
