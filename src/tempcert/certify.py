@@ -47,7 +47,7 @@ from .scenario import (
     require_observables,
     round_to_involutions,
 )
-from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXT_PAIRS, CONTEXTS, correlations
+from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXT_PAIRS, CONTEXTS, CorrelationSet, correlations
 
 #: Reference observables on C^2 (x) C^2, slots 1..6: the canonical
 #: realization, whose state PHI_PLUS is the reference state.
@@ -58,6 +58,15 @@ TARGET_MATRICES = CANONICAL_MATRICES
 #: They are the orderings of each context with the context's sign.
 STATE_CONSTRAINTS = tuple((perm, sign) for context, sign in CONTEXTS.items()
                           for perm in itertools.permutations(context))
+
+#: The residual name of each state constraint, "A1A2A3-1" for sign +1.
+CONSTRAINT_NAMES = tuple("".join(f"A{k}" for k in slots) + ("-1" if sign == 1 else "+1")
+                         for slots, sign in STATE_CONSTRAINTS)
+
+#: The stabilizer witness terms on C^2 (x) C^2: XX, YY and ZZ.
+WITNESS_XX = np.kron(PAULI_X, PAULI_X)
+WITNESS_YY = np.kron(PAULI_Y, PAULI_Y)
+WITNESS_ZZ = np.kron(PAULI_Z, PAULI_Z)
 
 
 def build_subspace(psi, a1, a5):
@@ -100,24 +109,32 @@ def algebra_residuals(s: Scenario, basis: np.ndarray):
     """
     if not s.is_pure():
         raise ShapeMismatch("algebra_residuals needs a pure state; purify first")
-    mats = s.matrices()
+    mats = np.array(s.matrices())
     psi = s.state.amplitudes
+
+    # the nine commutators and six anticommutators compressed to V, one SVD call
     bd = basis.conj().T
+    i, j = np.subtract(CONTEXT_PAIRS, 1).T
+    p, q = np.subtract(ANTICOMMUTING_PAIRS, 1).T
+    norms = linalg.op_norms(np.concatenate([
+        bd @ linalg.comm(mats[i], mats[j]) @ basis,
+        bd @ linalg.acomm(mats[p], mats[q]) @ basis,
+    ])).tolist()
+    n = len(CONTEXT_PAIRS)
+    comm = {f"A{i}A{j}": v for (i, j), v in zip(CONTEXT_PAIRS, norms[:n])}
+    acomm = {f"A{i}A{j}": v for (i, j), v in zip(ANTICOMMUTING_PAIRS, norms[n:])}
 
-    comm = {}
-    for i, j in CONTEXT_PAIRS:
-        comm[f"A{i}A{j}"] = linalg.op_norm(bd @ linalg.comm(mats[i - 1], mats[j - 1]) @ basis)
-    acomm = {}
-    for i, j in ANTICOMMUTING_PAIRS:
-        acomm[f"A{i}A{j}"] = linalg.op_norm(bd @ linalg.acomm(mats[i - 1], mats[j - 1]) @ basis)
-
-    constraints = {}
-    for slots, sign in STATE_CONSTRAINTS:
-        vec = psi
-        for k in reversed(slots):
-            vec = mats[k - 1] @ vec
-        name = "".join(f"A{k}" for k in slots) + ("-1" if sign == 1 else "+1")
-        constraints[name] = linalg.vec_norm(vec - sign * psi)
+    # the constraints of one length as one stack, the last slot applied first
+    vecs = np.empty((len(STATE_CONSTRAINTS), len(psi)), dtype=complex)
+    for n in (2, 3):
+        rows = [r for r, (slots, _) in enumerate(STATE_CONSTRAINTS) if len(slots) == n]
+        vec = psi[:, None]
+        for step in reversed(range(n)):
+            vec = mats[[STATE_CONSTRAINTS[r][0][step] - 1 for r in rows]] @ vec
+        vecs[rows] = vec[..., 0]
+    signs = np.array([sign for _, sign in STATE_CONSTRAINTS])[:, None]
+    norms = linalg.vec_norms(vecs - signs * psi)
+    constraints = dict(zip(CONSTRAINT_NAMES, norms.tolist()))
     return comm, acomm, constraints
 
 
@@ -157,6 +174,7 @@ def align(projected_observables, extracted_state_raw, eigenspace_gauge=None) -> 
     raw = [linalg.as_matrix(m) for m in projected_observables]
     if len(raw) != 6 or any(m.shape != (4, 4) for m in raw):
         raise ShapeMismatch("align expects six 4x4 projected observables")
+    raw = np.array(raw)
     psi_v = linalg.as_vector(extracted_state_raw)
 
     try:
@@ -191,10 +209,10 @@ def align(projected_observables, extracted_state_raw, eigenspace_gauge=None) -> 
     # only approximately orthonormal.
     w = w0 @ linalg.inv_sqrt_psd(linalg.hermitize(w0.conj().T @ w0))
 
-    frame1 = [w.conj().T @ m @ w for m in rounded]
+    frame2, frame4 = w.conj().T @ rounded[[1, 3]] @ w
 
-    m_op = linalg.hermitize(_second_factor_block(frame1[1]))
-    o_op = linalg.hermitize(_second_factor_block(frame1[3]))
+    m_op = linalg.hermitize(_second_factor_block(frame2))
+    o_op = linalg.hermitize(_second_factor_block(frame4))
     try:
         m_r, o_r = round_to_involutions([m_op, o_op])
     except ZeroEigenvalue as exc:
@@ -202,8 +220,7 @@ def align(projected_observables, extracted_state_raw, eigenspace_gauge=None) -> 
             f"second-factor operator has no involution rounding: {exc}"
         ) from exc
     require_observables([m_r, o_r])
-    if (linalg.op_norm(m_op - m_r) > 0.5 or linalg.op_norm(o_op - o_r) > 0.5
-            or linalg.op_norm(linalg.acomm(m_r, o_r)) > 0.5):
+    if np.any(linalg.op_norms([m_op - m_r, o_op - o_r, linalg.acomm(m_r, o_r)]) > 0.5):
         raise FactorizationFailure(
             "second-factor operators are not close to anticommuting involutions"
         )
@@ -217,12 +234,12 @@ def align(projected_observables, extracted_state_raw, eigenspace_gauge=None) -> 
     u2 = np.column_stack([m_plus, m_minus * (c.conjugate() / abs(c))])
 
     unitary = np.kron(np.eye(2), u2).conj().T @ w.conj().T
-    aligned = [unitary @ m @ unitary.conj().T for m in raw]
+    aligned = unitary @ raw @ unitary.conj().T
 
     sign3 = 1.0 if np.trace(aligned[2] @ TARGET_MATRICES[2]).real >= 0 else -1.0
     sign6 = 1.0 if np.trace(aligned[5] @ TARGET_MATRICES[5]).real >= 0 else -1.0
-    distances = [linalg.op_norm(a - t) for a, t in zip(aligned, TARGET_MATRICES)]
-    return AlignmentResult(unitary, aligned, sign3, sign6, distances)
+    distances = linalg.op_norms(aligned - TARGET_MATRICES).tolist()
+    return AlignmentResult(unitary, list(aligned), sign3, sign6, distances)
 
 
 @dataclass
@@ -276,11 +293,8 @@ class CertificationReport:
 def _witness_value(psi4: np.ndarray) -> float:
     """Overlap with the maximally entangled target, via the stabilizer form
     (1 + <XX> - <YY> + <ZZ>)/4."""
-    xx = np.kron(PAULI_X, PAULI_X)
-    yy = np.kron(PAULI_Y, PAULI_Y)
-    zz = np.kron(PAULI_Z, PAULI_Z)
     ev = lambda op: (psi4.conj() @ (op @ psi4)).real
-    return float((1 + ev(xx) - ev(yy) + ev(zz)) / 4)
+    return float((1 + ev(WITNESS_XX) - ev(WITNESS_YY) + ev(WITNESS_ZZ)) / 4)
 
 
 def _witness_lower_bound(aligned, distances, psi4: np.ndarray) -> float:
@@ -300,24 +314,27 @@ def _witness_lower_bound(aligned, distances, psi4: np.ndarray) -> float:
     return float(max((1 + sum(terms)) / 4, 0.0))
 
 
-def certify(s: Scenario) -> CertificationReport:
+def certify(s: Scenario, *, corr: CorrelationSet | None = None) -> CertificationReport:
     """Run the full extraction pipeline on a scenario.
 
     Mixed states are purified first. The extracted state is the alignment
     image of the normalized projection of psi onto V, with its global phase
     fixed so the overlap with the reference state is real nonnegative.
+    `corr`, when given, must be the analytic CorrelationSet of the purified
+    scenario; `robustness.sweep` passes the one it already computed.
     """
     s = purify_scenario(s)
-    violation = eval_IT(correlations(s, "analytic"))
+    if corr is None:
+        corr = correlations(s, "analytic")
+    violation = eval_IT(corr)
 
     psi = s.state
     basis, gram, projector = build_subspace(psi, s.observable(1), s.observable(5))
     comm, acomm, constraints = algebra_residuals(s, basis)
 
-    eye = np.eye(s.dim)
-    mats = s.matrices()
-    leakage = [linalg.op_norm(projector @ m @ (eye - projector)) for m in mats]
-    projected = [basis.conj().T @ m @ basis for m in mats]
+    mats = np.array(s.matrices())
+    leakage = linalg.op_norms(projector @ mats @ (np.eye(s.dim) - projector)).tolist()
+    projected = list(basis.conj().T @ mats @ basis)
 
     psi_v = basis.conj().T @ psi.amplitudes
     psi_v = psi_v / linalg.vec_norm(psi_v)

@@ -2,8 +2,9 @@
 
 Every function is pure and converts array_like input to a fresh complex128
 array, except `comm`, `acomm` and `op_norm_exceeds`, which take arrays their
-caller has checked. `hermitize`, `comm`, `acomm` and `eig_hermitian`
-also take stacks (..., d, d), each matrix as on its own.
+caller has checked. `hermitize`, `comm`, `acomm`, `eig_hermitian`,
+`expi_hermitian` and `op_norms` also take stacks (..., d, d), and `vec_norms`
+stacks (..., n) of vectors, each matrix or vector as on its own, bit for bit.
 Structural checks use the tolerance 1e-10, comfortable at these dimensions.
 """
 
@@ -78,6 +79,12 @@ def op_norm(m) -> float:
     return float(_largest_singular_values(as_matrix(m)))
 
 
+def op_norms(m) -> np.ndarray:
+    """Largest singular value of each matrix of a stack (..., r, c): one SVD
+    call for the stack, each value the one op_norm gives on its own."""
+    return _largest_singular_values(as_matrices(m))
+
+
 def op_norm_exceeds(m: np.ndarray, tol: float) -> np.ndarray:
     """Whether each matrix of a stack (..., r, c) has operator norm above tol.
 
@@ -107,11 +114,26 @@ def op_norm_exceeds(m: np.ndarray, tol: float) -> np.ndarray:
 def max_op_norm(m: np.ndarray) -> float:
     """Largest operator norm over a stack (..., r, c); for error messages.
     Like op_norm, it raises ValueError on NaN or Inf entries."""
-    return float(np.max(_largest_singular_values(as_matrices(m))))
+    return float(np.max(op_norms(m)))
+
+
+def vec_norms(v) -> np.ndarray:
+    """2-norm of each vector of a stack (..., n), rejecting non-finite entries.
+
+    The squares are summed as ``np.linalg.norm`` sums a single complex vector,
+    with one BLAS dot product for the real parts and one for the imaginary
+    parts, so each value is the one ``np.linalg.norm`` gives on its own.
+    """
+    a = np.array(v, dtype=complex)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("vector contains NaN or Inf entries")
+    re, im = a.real[..., None, :], a.imag[..., None, :]
+    squares = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(squares[..., 0, 0])
 
 
 def vec_norm(v) -> float:
-    return float(np.linalg.norm(as_vector(v)))
+    return float(vec_norms(as_vector(v)))
 
 
 def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -189,6 +211,7 @@ def inv_sqrt_psd(m, full_rank: bool = True) -> np.ndarray:
 
 
 def expi_hermitian(m, scale: float = 1.0) -> np.ndarray:
-    """Unitary exp(-1j * scale * m) for Hermitian m, via eigendecomposition."""
+    """Unitary exp(-1j * scale * m) for Hermitian m, one matrix or a stack
+    (..., d, d), via one eigendecomposition call."""
     w, v = eig_hermitian(m)
-    return (v * np.exp(-1j * scale * w)) @ v.conj().T
+    return (v * np.exp(-1j * scale * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .scenario import (
     purify_scenario,
     random_hermitian,
 )
-from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXTS, TERMS, correlations
+from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXTS, TERMS, CorrelationSet, correlations
 from .certify import certify
 
 #: Deficits beyond this make every bound vacuous; refuse to "check" them.
@@ -73,6 +74,8 @@ class ObservableTilt:
     def __post_init__(self):
         if self.slot not in TILT_GENERATORS:
             raise ValueError(f"tilt slot must be in 1..6, got {self.slot}")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"tilt angle must be finite, got {self.angle}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,10 @@ class UnitaryJitter:
 
     strength: float
     rng_seed: int = 0
+
+    def __post_init__(self):
+        if not math.isfinite(self.strength):
+            raise ValueError(f"jitter strength must be finite, got {self.strength}")
 
 
 NoiseModel = Depolarizing | ObservableTilt | UnitaryJitter
@@ -107,13 +114,11 @@ def apply_noise(s: Scenario, n: NoiseModel) -> Scenario:
         if n.strength == 0.0:
             return s
         rng = np.random.Generator(np.random.PCG64(n.rng_seed))
-        new = []
-        for o in s.observables:
-            h = random_hermitian(s.dim, rng)
-            h = h / linalg.op_norm(h)
-            u = linalg.expi_hermitian(h, n.strength)
-            new.append(Observable(linalg.hermitize(u @ o.matrix @ u.conj().T)))
-        return Scenario(s.state, new)
+        # slot by slot from one stream, then exponentiated as one stack
+        h = np.array([random_hermitian(s.dim, rng) for _ in s.observables])
+        u = linalg.expi_hermitian(h / linalg.op_norms(h)[:, None, None], n.strength)
+        m = linalg.hermitize(u @ np.array(s.matrices()) @ np.swapaxes(u.conj(), -1, -2))
+        return Scenario(s.state, [Observable(x) for x in m])
     raise TypeError(f"unknown noise model {n!r}")
 
 
@@ -130,37 +135,42 @@ class BoundCheck:
         self.holds = bool(self.holds)
 
 
+#: The state-norm families in report order. CONTEXTS lists the triple
+#: contexts first, so ||(A_i - A_j A_k) psi|| over every ordering of each
+#: comes first, then ||(A_i -+ A_j) psi|| over the pair contexts with the
+#: context's sign, then ||{A_i, A_j} psi|| over ANTICOMMUTING_PAIRS.
+_TRIPLE_ORDERINGS = tuple(perm for context in CONTEXTS if len(context) == 3
+                          for perm in itertools.permutations(context))
+_PAIR_CONTEXTS = tuple((context, sign) for context, sign in CONTEXTS.items()
+                       if len(context) == 2)
+#: (label, factor) per check, the bound being factor * sqrt(eps).
+_NORM_CHECKS = (
+    [(f"norm(A{i}-A{j}A{k})<=4sqrt(eps)", 4) for i, j, k in _TRIPLE_ORDERINGS]
+    + [(f"norm(A{i}{'-' if sign > 0 else '+'}A{j})<=2sqrt(eps)", 2)
+       for (i, j), sign in _PAIR_CONTEXTS]
+    + [(f"norm({{A{i},A{j}}})<=14sqrt(eps)", 14) for i, j in ANTICOMMUTING_PAIRS]
+)
+
+
 def _state_norm_checks(mats, psi, eps: float):
-    """The norm-bound families over CONTEXTS and ANTICOMMUTING_PAIRS:
-    ||(A_i - A_j A_k) psi|| <= 4 sqrt(eps) etc."""
+    """The norm-bound families of _NORM_CHECKS at deficit eps: each family's
+    vectors from one stacked product, their norms from one stacked call."""
     root = np.sqrt(max(eps, 0.0))
-    checks = []
-    # CONTEXTS lists the triple contexts first, so their family comes first
-    for context, sign in CONTEXTS.items():
-        if len(context) == 3:
-            for i, j, k in itertools.permutations(context):
-                lhs = linalg.vec_norm((mats[i - 1] - mats[j - 1] @ mats[k - 1]) @ psi)
-                checks.append(BoundCheck(
-                    f"norm(A{i}-A{j}A{k})<=4sqrt(eps)", lhs, 4 * root,
-                    lhs <= 4 * root + CHECK_GUARD,
-                ))
-        else:
-            i, j = context
-            lhs = linalg.vec_norm((mats[i - 1] - sign * mats[j - 1]) @ psi)
-            checks.append(BoundCheck(
-                f"norm(A{i}{'-' if sign > 0 else '+'}A{j})<=2sqrt(eps)", lhs, 2 * root,
-                lhs <= 2 * root + CHECK_GUARD,
-            ))
-    for i, j in ANTICOMMUTING_PAIRS:
-        lhs = linalg.vec_norm(linalg.acomm(mats[i - 1], mats[j - 1]) @ psi)
-        checks.append(BoundCheck(
-            f"norm({{A{i},A{j}}})<=14sqrt(eps)", lhs, 14 * root,
-            lhs <= 14 * root + CHECK_GUARD,
-        ))
-    return checks
+    m = np.array(mats)
+    i, j, k = np.subtract(_TRIPLE_ORDERINGS, 1).T
+    a, b = np.subtract([context for context, _ in _PAIR_CONTEXTS], 1).T
+    signs = np.array([sign for _, sign in _PAIR_CONTEXTS])[:, None, None]
+    p, q = np.subtract(ANTICOMMUTING_PAIRS, 1).T
+    lhs = linalg.vec_norms(np.concatenate([
+        (m[i] - m[j] @ m[k]) @ psi,
+        (m[a] - signs * m[b]) @ psi,
+        linalg.acomm(m[p], m[q]) @ psi,
+    ]))
+    return [BoundCheck(label, v, factor * root, v <= factor * root + CHECK_GUARD)
+            for (label, factor), v in zip(_NORM_CHECKS, lhs)]
 
 
-def check_robustness_bounds(s: Scenario):
+def check_robustness_bounds(s: Scenario, *, corr: CorrelationSet | None = None):
     """Verify every robustness bound at the scenario's achieved deficit.
 
     The scenario is purified if its state is mixed. Returns a list of
@@ -169,9 +179,13 @@ def check_robustness_bounds(s: Scenario):
     on the 3-6 pair), the state-norm families at 4 sqrt(eps) and
     2 sqrt(eps), and the anticommutator family at 14 sqrt(eps). Raises
     NotAViolation when eps > 2.
+
+    `corr`, when given, must be the analytic CorrelationSet of the purified
+    scenario; `sweep` passes the one it already computed for the row.
     """
     s = purify_scenario(s)
-    corr = correlations(s, "analytic")
+    if corr is None:
+        corr = correlations(s, "analytic")
     eps = QUANTUM_BOUND - eval_IT(corr).value
     if eps > EPSILON_CEILING:
         raise NotAViolation(f"deficit {eps:.3f} exceeds {EPSILON_CEILING}; bounds are vacuous")
@@ -211,8 +225,9 @@ def sweep(base: Scenario, family, grid) -> list:
     """Evaluate a one-parameter noise family over a grid.
 
     `family` maps a grid parameter to a NoiseModel. Each row applies the
-    noise, purifies the result once, recomputes the deficit from the achieved
-    violation, runs the full certification and the bound suite. Per-row
+    noise, purifies the result once, computes the analytic correlators once,
+    recomputes the deficit from the achieved violation, and hands the
+    correlators to the full certification and the bound suite. Per-row
     errors mark the row failed and the sweep continues. Rows come back sorted
     by parameter.
     """
@@ -224,12 +239,13 @@ def sweep(base: Scenario, family, grid) -> list:
         row = SweepRow(param=float(param))
         try:
             noisy = purify_scenario(apply_noise(base, family(param)))
-            row.value = eval_IT(correlations(noisy, "analytic")).value
+            corr = correlations(noisy, "analytic")
+            row.value = eval_IT(corr).value
             row.epsilon = QUANTUM_BOUND - row.value
-            report = certify(noisy)
+            report = certify(noisy, corr=corr)
             row.fidelity = report.fidelity
             row.max_operator_distance = report.max_operator_distance
-            row.bound_checks = check_robustness_bounds(noisy)
+            row.bound_checks = check_robustness_bounds(noisy, corr=corr)
         except TempcertError as exc:
             row.failed = True
             row.error = f"{type(exc).__name__}: {exc}"

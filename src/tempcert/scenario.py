@@ -286,14 +286,6 @@ def purify_scenario(s: Scenario) -> Scenario:
     return Scenario(psi, lifted)
 
 
-def reduced_density(psi: PureState, dim_sys: int, dim_env: int) -> np.ndarray:
-    """Partial trace of |psi><psi| over the second (environment) factor."""
-    if psi.dim != dim_sys * dim_env:
-        raise ShapeMismatch(f"state dim {psi.dim} != {dim_sys} * {dim_env}")
-    m = psi.amplitudes.reshape(dim_sys, dim_env)
-    return m @ m.conj().T
-
-
 # ---------------------------------------------------------------------------
 # Seeded random constructions. All randomness in the package flows through
 # numpy Generator objects backed by PCG64 (see README for the policy).

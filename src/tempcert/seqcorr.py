@@ -144,6 +144,16 @@ class OutcomeDistribution:
         return float(sum(math.prod(o) * p for o, p in self.probabilities.items()))
 
 
+def _nested_traces(r: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """tr(rho {A_1, {A_2, ... A_n}}) / 2^(n-1) of each sequence of a stack
+    (..., n, d, d), the first-measured observable outermost; each product is
+    one stacked call over the leading axes."""
+    x = mats[..., -1, :, :]
+    for j in range(mats.shape[-3] - 2, -1, -1):
+        x = linalg.acomm(mats[..., j, :, :], x)
+    return np.trace(r @ x, axis1=-2, axis2=-1) / 2 ** (mats.shape[-3] - 1)
+
+
 def pair_corr(rho, a, b) -> float:
     """Two-step sequential correlator: Re tr(rho {a, b}) / 2.
 
@@ -153,7 +163,7 @@ def pair_corr(rho, a, b) -> float:
     r = _density_of(rho)
     ma, mb = _matrix_of(a), _matrix_of(b)
     _check_dims(r, (ma, mb))
-    return _real(np.trace(r @ linalg.acomm(ma, mb)) / 2, "pair_corr")
+    return _real(_nested_traces(r, np.array([ma, mb])), "pair_corr")
 
 
 def triple_corr(rho, a, b, c) -> float:
@@ -164,7 +174,7 @@ def triple_corr(rho, a, b, c) -> float:
     r = _density_of(rho)
     ma, mb, mc = _matrix_of(a), _matrix_of(b), _matrix_of(c)
     _check_dims(r, (ma, mb, mc))
-    return _real(np.trace(r @ linalg.acomm(ma, linalg.acomm(mb, mc))) / 4, "triple_corr")
+    return _real(_nested_traces(r, np.array([ma, mb, mc])), "triple_corr")
 
 
 def _projectors(r: np.ndarray, seq) -> np.ndarray:
@@ -313,12 +323,13 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
     values = {}
     stderr = None
     if mode == "analytic":
-        for name, slots, _ in TERMS:
-            obs = [s.observable(k) for k in slots]
-            if len(slots) == 2:
-                values[name] = pair_corr(rho, *obs)
-            else:
-                values[name] = triple_corr(rho, *obs)
+        # the scenario's matrices are checked and share rho's dimension
+        mats = np.array(s.matrices())
+        for n, what in ((3, "triple_corr"), (2, "pair_corr")):  # one stack per length
+            terms = [(name, slots) for name, slots, _ in TERMS if len(slots) == n]
+            traces = _nested_traces(rho, mats[np.subtract([slots for _, slots in terms], 1)])
+            for (name, _), z in zip(terms, traces):
+                values[name] = _real(z, what)
     elif mode == "exact-sum":
         proj = _projectors(rho, s.observables)
         for n in (3, 2):  # the terms of one length as one stack

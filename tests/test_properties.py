@@ -8,10 +8,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tempcert.scenario import random_density, random_scenario
+from tempcert import certify
+from tempcert.robustness import UnitaryJitter, apply_noise
+from tempcert.scenario import canonical_scenario, random_density, random_scenario
 from tempcert.seqcorr import correlations
 
-from conftest import rng_from
+from conftest import conjugated_embedding, rng_from
 
 
 @st.composite
@@ -34,3 +36,20 @@ def test_correlator_routes_agree(s, shot_seed):
         assert abs(summed[name] - a) <= 1e-10
         # a correlator of exactly +-1 has stderr 0; its sampled value is exact
         assert abs(getattr(sampled, name) - a) <= 5 * sampled.stderr[name] + 1e-10
+
+
+@given(strength=st.floats(1e-4, 0.05), seed=st.integers(0, 2**32 - 1), dim=st.integers(6, 8))
+def test_certify_survives_embedding(strength, seed, dim):
+    """A jittered d = 4 realization, embedded into d = 6-8 beside a random
+    involution block and Haar-conjugated, certifies to the same fidelity,
+    distances and residuals, and leaks nothing out of V."""
+    s = apply_noise(canonical_scenario(), UnitaryJitter(strength, rng_seed=seed))
+    small = certify(s)
+    big = certify(conjugated_embedding(s, dim, rng_from(seed)))
+    assert abs(big.fidelity - small.fidelity) <= 1e-9
+    assert abs(big.max_operator_distance - small.max_operator_distance) <= 1e-9
+    for field in ("commutator_residuals", "anticommutator_residuals", "constraint_residuals"):
+        a, b = getattr(small, field), getattr(big, field)
+        assert a.keys() == b.keys()
+        assert max(abs(a[k] - b[k]) for k in a) <= 1e-9
+    assert max(big.leakage) <= 1e-9

@@ -15,7 +15,8 @@ from tempcert.robustness import (
     sweep_csv,
     sweep_report,
 )
-from tempcert.scenario import Observable, canonical_scenario
+from tempcert import linalg
+from tempcert.scenario import Observable, canonical_scenario, random_hermitian
 
 from conftest import rng_from
 
@@ -55,6 +56,30 @@ class TestApplyNoise:
             Depolarizing(1.5)
         with pytest.raises(ValueError):
             ObservableTilt(7, 0.1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="tilt angle must be finite"):
+            ObservableTilt(2, bad)
+        with pytest.raises(ValueError, match="jitter strength must be finite"):
+            UnitaryJitter(bad)
+        with pytest.raises(ValueError, match="jitter strength must be finite"):
+            UnitaryJitter(bad, rng_seed=3)
+
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_jitter_matches_per_slot_loop(self, canonical, dim):
+        """One stacked exponentiation gives the per-slot loop's observables."""
+        from conftest import conjugated_embedding
+        s = conjugated_embedding(canonical, dim, rng_from(dim))
+        rng = np.random.Generator(np.random.PCG64(9))
+        expected = []
+        for o in s.observables:
+            h = random_hermitian(dim, rng)
+            u = linalg.expi_hermitian(h / linalg.op_norm(h), 0.05)
+            expected.append(linalg.hermitize(u @ o.matrix @ u.conj().T))
+        noisy = apply_noise(s, UnitaryJitter(0.05, rng_seed=9))
+        for o, m in zip(noisy.observables, expected):
+            assert np.array_equal(o.matrix, m)
 
 
 class TestRobustnessBounds:

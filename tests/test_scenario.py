@@ -34,7 +34,6 @@ from tempcert.scenario import (
     random_involution,
     random_scenario,
     random_unitary,
-    reduced_density,
     require_observables,
     require_unit_norm,
     round_to_involutions,
@@ -207,16 +206,22 @@ class TestRoundToSigns:
             project_involution(stack[1])
 
 
+def system_density(psi, dim_sys: int) -> np.ndarray:
+    """Partial trace of |psi><psi| over the second (environment) factor."""
+    m = psi.amplitudes.reshape(dim_sys, -1)
+    return m @ m.conj().T
+
+
 class TestPurify:
     def test_pure_input(self, canonical):
         rho = DensityMatrix(canonical.density())
         psi = purify(rho)
         assert psi.dim == 16
-        assert linalg.op_norm(reduced_density(psi, 4, 4) - rho.matrix) <= 1e-12
+        assert linalg.op_norm(system_density(psi, 4) - rho.matrix) <= 1e-12
 
     def test_maximally_mixed(self):
         psi = purify(DensityMatrix(np.eye(4) / 4))
-        red = reduced_density(psi, 4, 4)
+        red = system_density(psi, 4)
         assert linalg.op_norm(red - np.eye(4) / 4) <= 1e-12
         # maximally entangled across the 4 (x) 4 cut: all Schmidt weights 1/4
         w = np.linalg.eigvalsh(red)
@@ -227,7 +232,7 @@ class TestPurify:
         for _ in range(10):
             rho = random_density(4, rng, rank=3)
             psi = purify(rho)
-            assert linalg.op_norm(reduced_density(psi, 4, 4) - rho.matrix) <= 1e-10
+            assert linalg.op_norm(system_density(psi, 4) - rho.matrix) <= 1e-10
 
     def test_lifted_observables_act_trivially(self, canonical):
         lifted = lift_observable(canonical.observable(1), 4)

@@ -1,0 +1,304 @@
+"""The sweep path against the per-row reference it replaced.
+
+`sweep` computes each row's analytic correlators once and hands them to
+`certify` and `check_robustness_bounds`, which take their operator and vector
+norms as stacked calls. The reference below is the per-row path written out
+as before: three analytic passes per row, one `op_norm` or `vec_norm` call per
+matrix or vector. The arithmetic is the same, so outputs must be bit-equal.
+"""
+
+import hashlib
+import importlib
+import itertools
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+from tempcert import linalg, robustness, seqcorr
+from tempcert.certify import (
+    STATE_CONSTRAINTS,
+    TARGET_MATRICES,
+    CertificationReport,
+    align,
+    build_subspace,
+)
+from tempcert.errors import NotAViolation, TempcertError
+from tempcert.inequality import QUANTUM_BOUND, InequalityValue, eval_IT
+from tempcert.robustness import (
+    CHECK_GUARD,
+    EPSILON_CEILING,
+    BoundCheck,
+    Depolarizing,
+    ObservableTilt,
+    SweepRow,
+    UnitaryJitter,
+    apply_noise,
+    sweep,
+    sweep_csv,
+)
+from tempcert.scenario import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    PHI_PLUS,
+    PureState,
+    canonical_scenario,
+    purify_scenario,
+)
+from tempcert.seqcorr import ANTICOMMUTING_PAIRS, CONTEXT_PAIRS, CONTEXTS, TERMS, CorrelationSet
+
+from conftest import conjugated_embedding, rng_from
+
+certify_module = importlib.import_module("tempcert.certify")
+
+
+# -- the per-row reference ----------------------------------------------------
+
+def reference_correlations(s) -> CorrelationSet:
+    rho = s.density()
+    values = {}
+    for name, slots, _ in TERMS:
+        m = [s.observable(k).matrix for k in slots]
+        if len(m) == 2:
+            values[name] = float((np.trace(rho @ linalg.acomm(*m)) / 2).real)
+        else:
+            inner = linalg.acomm(m[1], m[2])
+            values[name] = float((np.trace(rho @ linalg.acomm(m[0], inner)) / 4).real)
+    return CorrelationSet(**values)
+
+
+def reference_algebra_residuals(s, basis):
+    mats = s.matrices()
+    psi = s.state.amplitudes
+    bd = basis.conj().T
+    comm = {f"A{i}A{j}": linalg.op_norm(bd @ linalg.comm(mats[i - 1], mats[j - 1]) @ basis)
+            for i, j in CONTEXT_PAIRS}
+    acomm = {f"A{i}A{j}": linalg.op_norm(bd @ linalg.acomm(mats[i - 1], mats[j - 1]) @ basis)
+             for i, j in ANTICOMMUTING_PAIRS}
+    constraints = {}
+    for slots, sign in STATE_CONSTRAINTS:
+        vec = psi
+        for k in reversed(slots):
+            vec = mats[k - 1] @ vec
+        name = "".join(f"A{k}" for k in slots) + ("-1" if sign == 1 else "+1")
+        constraints[name] = linalg.vec_norm(vec - sign * psi)
+    return comm, acomm, constraints
+
+
+def reference_certify(s) -> CertificationReport:
+    s = purify_scenario(s)
+    violation = eval_IT(reference_correlations(s))
+    psi = s.state
+    basis, gram, projector = build_subspace(psi, s.observable(1), s.observable(5))
+    comm, acomm, constraints = reference_algebra_residuals(s, basis)
+    eye = np.eye(s.dim)
+    mats = s.matrices()
+    leakage = [linalg.op_norm(projector @ m @ (eye - projector)) for m in mats]
+    projected = [basis.conj().T @ m @ basis for m in mats]
+    psi_v = basis.conj().T @ psi.amplitudes
+    psi_v = psi_v / linalg.vec_norm(psi_v)
+
+    result = align(projected, psi_v)
+    u = result.unitary
+    aligned = [u @ m @ u.conj().T for m in projected]
+    distances = [linalg.op_norm(a - t) for a, t in zip(aligned, TARGET_MATRICES)]
+
+    extracted = u @ psi_v
+    overlap = complex(PHI_PLUS.conj() @ extracted)
+    if abs(overlap) > 1e-12:
+        extracted = extracted * (overlap.conjugate() / abs(overlap))
+    extracted = extracted / linalg.vec_norm(extracted)
+    ev = lambda op: (extracted.conj() @ (op @ extracted)).real
+    witness = float((1 + ev(np.kron(PAULI_X, PAULI_X)) - ev(np.kron(PAULI_Y, PAULI_Y))
+                     + ev(np.kron(PAULI_Z, PAULI_Z))) / 4)
+    return CertificationReport(
+        violation=violation, subspace_basis=basis, gram=gram, projector=projector,
+        projected_observables=projected, leakage=leakage, commutator_residuals=comm,
+        anticommutator_residuals=acomm, constraint_residuals=constraints,
+        alignment_unitary=u, aligned_observables=aligned, sign3=result.sign3,
+        sign6=result.sign6, extracted_state=PureState(extracted),
+        fidelity=float(abs(PHI_PLUS.conj() @ extracted) ** 2),
+        operator_distances=distances, fidelity_witness=witness,
+        fidelity_lower_bound=certify_module._witness_lower_bound(aligned, distances, extracted),
+    )
+
+
+def reference_bounds(s):
+    s = purify_scenario(s)
+    corr = reference_correlations(s)
+    eps = QUANTUM_BOUND - eval_IT(corr).value
+    if eps > EPSILON_CEILING:
+        raise NotAViolation(f"deficit {eps:.3f} exceeds {EPSILON_CEILING}; bounds are vacuous")
+    eps = max(eps, 0.0)
+    checks = []
+    for name, _, weight in TERMS:
+        sign = 1 if weight > 0 else -1
+        v = sign * getattr(corr, name)
+        floor = 1 - eps / abs(weight)
+        factor = "" if abs(weight) == 1 else f"{1 / abs(weight):g}"
+        label = f"{'-' if sign < 0 else ''}{name}>=1-{factor}eps"
+        checks.append(BoundCheck(label, v, floor, v >= floor - CHECK_GUARD))
+    mats, psi = s.matrices(), s.state.amplitudes
+    root = np.sqrt(eps)
+    for context, sign in CONTEXTS.items():
+        if len(context) == 3:
+            for i, j, k in itertools.permutations(context):
+                lhs = linalg.vec_norm((mats[i - 1] - mats[j - 1] @ mats[k - 1]) @ psi)
+                checks.append(BoundCheck(f"norm(A{i}-A{j}A{k})<=4sqrt(eps)", lhs, 4 * root,
+                                         lhs <= 4 * root + CHECK_GUARD))
+        else:
+            i, j = context
+            lhs = linalg.vec_norm((mats[i - 1] - sign * mats[j - 1]) @ psi)
+            checks.append(BoundCheck(f"norm(A{i}{'-' if sign > 0 else '+'}A{j})<=2sqrt(eps)",
+                                     lhs, 2 * root, lhs <= 2 * root + CHECK_GUARD))
+    for i, j in ANTICOMMUTING_PAIRS:
+        lhs = linalg.vec_norm(linalg.acomm(mats[i - 1], mats[j - 1]) @ psi)
+        checks.append(BoundCheck(f"norm({{A{i},A{j}}})<=14sqrt(eps)", lhs, 14 * root,
+                                 lhs <= 14 * root + CHECK_GUARD))
+    return checks
+
+
+def reference_sweep(base, family, grid):
+    rows = []
+    for param in sorted(grid):
+        row = SweepRow(param=float(param))
+        try:
+            noisy = purify_scenario(apply_noise(base, family(param)))
+            row.value = eval_IT(reference_correlations(noisy)).value
+            row.epsilon = QUANTUM_BOUND - row.value
+            report = reference_certify(noisy)
+            row.fidelity = report.fidelity
+            row.max_operator_distance = report.max_operator_distance
+            row.bound_checks = reference_bounds(noisy)
+        except TempcertError as exc:
+            row.failed = True
+            row.error = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+    return rows
+
+
+# -- fixed rows -----------------------------------------------------------------
+
+def fixed_rows():
+    """(id, base, family, param): depolarizing, tilt and jitter at d = 4, jitter
+    on a conjugated d = 16 embedding, a row certify refuses and a row whose
+    bounds are vacuous."""
+    base = canonical_scenario()
+    big = conjugated_embedding(base, 16, rng_from(71))
+    return [
+        ("depolarizing", base, Depolarizing, 2e-3),
+        ("tilt", base, lambda a: ObservableTilt(2, a), 0.05),
+        ("jitter", base, lambda x: UnitaryJitter(x, rng_seed=7), 0.02),
+        ("jitter-d16", big, lambda x: UnitaryJitter(x, rng_seed=11), 0.01),
+        ("refused", base, lambda x: UnitaryJitter(x, rng_seed=1), 0.3),
+        ("vacuous", base, lambda a: ObservableTilt(3, a), 0.8),
+    ]
+
+
+ROWS = fixed_rows()
+CERTIFIED = [r for r in ROWS if r[0] != "refused"]
+
+#: sha256 of the sweep CSV of every fixed row, then the certify JSON of every
+#: fixed row that certify accepts, recorded with the per-row sweep (the
+#: reference above gives the same bytes).
+GOLDEN_SWEEP_SHA256 = "70c94f9400f7ce4613e7be3d9dd41d22590c794926111fcb14ebc7f96e3c72ec"
+
+
+def bits(v):
+    """A value reduced to something whose equality is bit equality."""
+    if isinstance(v, np.ndarray):
+        return v.shape, v.dtype.str, v.tobytes()
+    if isinstance(v, PureState):
+        return bits(v.amplitudes)
+    if isinstance(v, InequalityValue):
+        return bits(asdict(v))
+    if isinstance(v, dict):
+        return [(k, bits(x)) for k, x in v.items()]
+    if isinstance(v, (list, tuple)):
+        return [bits(x) for x in v]
+    return type(v).__name__, float(v).hex()
+
+
+def ulps(a: float, b: float) -> float:
+    return abs(a - b) / np.spacing(max(abs(a), abs(b)))
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[r[0] for r in ROWS])
+def test_sweep_matches_per_row_reference(row):
+    _, base, family, param = row
+    (new,) = sweep(base, family, [param])
+    (ref,) = reference_sweep(base, family, [param])
+    assert sweep_csv([new]) == sweep_csv([ref])
+    assert new.error == ref.error
+    assert [(c.name, c.rhs, c.holds) for c in new.bound_checks] == \
+        [(c.name, c.rhs, c.holds) for c in ref.bound_checks]
+    for c, r in zip(new.bound_checks, ref.bound_checks):
+        assert ulps(c.lhs, r.lhs) <= 4
+
+
+@pytest.mark.parametrize("row", CERTIFIED, ids=[r[0] for r in CERTIFIED])
+def test_certify_report_matches_per_row_reference(row):
+    _, base, family, param = row
+    noisy = purify_scenario(apply_noise(base, family(param)))
+    new = certify_module.certify(noisy)
+    ref = reference_certify(noisy)
+    for field in CertificationReport.__dataclass_fields__:
+        assert bits(getattr(new, field)) == bits(getattr(ref, field)), field
+
+
+def test_golden_sweep_and_certify_outputs():
+    parts = []
+    for _, base, family, param in ROWS:
+        parts.append(sweep_csv(sweep(base, family, [param])))
+    for _, base, family, param in CERTIFIED:
+        parts.append(certify_module.certify(apply_noise(base, family(param))).to_json())
+    digest = hashlib.sha256("".join(parts).encode()).hexdigest()
+    assert digest == GOLDEN_SWEEP_SHA256
+
+
+# -- call counts ------------------------------------------------------------------
+
+@pytest.fixture
+def analytic_calls(monkeypatch):
+    """Count analytic `correlations` calls made through any tempcert module."""
+    calls = []
+    original = seqcorr.correlations
+
+    def counting(s, mode="analytic", *args, **kwargs):
+        if mode == "analytic":
+            calls.append(s)
+        return original(s, mode, *args, **kwargs)
+
+    for name in ("tempcert.seqcorr", "tempcert.certify", "tempcert.robustness",
+                 "tempcert.inequality"):
+        monkeypatch.setattr(importlib.import_module(name), "correlations", counting)
+    return calls
+
+
+def test_one_analytic_pass_per_sweep_row(analytic_calls):
+    for _, base, family, param in ROWS:
+        before = len(analytic_calls)
+        sweep(base, family, [param, 2 * param])
+        assert len(analytic_calls) - before == 2
+
+
+def test_one_argument_calls_compute_their_own_correlators(analytic_calls):
+    noisy = apply_noise(canonical_scenario(), UnitaryJitter(0.02, rng_seed=7))
+    certify_module.certify(noisy)
+    robustness.check_robustness_bounds(noisy)
+    assert len(analytic_calls) == 2
+
+
+def test_certify_takes_few_singular_value_calls(monkeypatch):
+    noisy = apply_noise(canonical_scenario(), UnitaryJitter(0.02, rng_seed=7))
+    calls = []
+    original = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    certify_module.certify(noisy)
+    assert 1 <= len(calls) <= 8

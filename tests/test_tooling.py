@@ -29,3 +29,23 @@ def test_observable_span_names_a_class():
     tracer = load_tracer()
     module, attribute = tracer.OBSERVABLE_SPAN.split(".")
     assert isinstance(getattr(importlib.import_module(f"tempcert.{module}"), attribute), type)
+
+
+WORKLOADS = TRACER.parent / "workloads.py"
+
+
+def test_certify_sweep_workload_smoke(tmp_path):
+    """Eight certify-sweep ops of the benchmark pass its own check, and their
+    fingerprints repeat on a second run, so a change that breaks the
+    benchmark's check fails here first."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    runs = []
+    for _ in range(2):
+        w = workloads.CertifySweep(1, str(tmp_path))
+        w.setup()
+        outs = [w.op(i) for i in range(8)]
+        assert [w.check(out) for out in outs] == [None] * 8
+        runs.append([w.fingerprint(out) for out in outs])
+    assert runs[0] == runs[1]
