@@ -59,10 +59,6 @@ TARGET_MATRICES = CANONICAL_MATRICES
 STATE_CONSTRAINTS = tuple((perm, sign) for context, sign in CONTEXTS.items()
                           for perm in itertools.permutations(context))
 
-#: The residual name of each state constraint, "A1A2A3-1" for sign +1.
-CONSTRAINT_NAMES = tuple("".join(f"A{k}" for k in slots) + ("-1" if sign == 1 else "+1")
-                         for slots, sign in STATE_CONSTRAINTS)
-
 #: The stabilizer witness terms on C^2 (x) C^2: XX, YY and ZZ.
 WITNESS_XX = np.kron(PAULI_X, PAULI_X)
 WITNESS_YY = np.kron(PAULI_Y, PAULI_Y)
@@ -109,32 +105,27 @@ def algebra_residuals(s: Scenario, basis: np.ndarray):
     """
     if not s.is_pure():
         raise ShapeMismatch("algebra_residuals needs a pure state; purify first")
-    mats = np.array(s.matrices())
+    mats = s.matrices()
     psi = s.state.amplitudes
-
-    # the nine commutators and six anticommutators compressed to V, one SVD call
     bd = basis.conj().T
-    i, j = np.subtract(CONTEXT_PAIRS, 1).T
-    p, q = np.subtract(ANTICOMMUTING_PAIRS, 1).T
-    norms = linalg.op_norms(np.concatenate([
-        bd @ linalg.comm(mats[i], mats[j]) @ basis,
-        bd @ linalg.acomm(mats[p], mats[q]) @ basis,
-    ])).tolist()
+
+    # the products one matrix at a time, their norms in one SVD call
+    norms = linalg.op_norms(
+        [bd @ linalg.comm(mats[i - 1], mats[j - 1]) @ basis for i, j in CONTEXT_PAIRS]
+        + [bd @ linalg.acomm(mats[i - 1], mats[j - 1]) @ basis for i, j in ANTICOMMUTING_PAIRS]
+    ).tolist()
     n = len(CONTEXT_PAIRS)
     comm = {f"A{i}A{j}": v for (i, j), v in zip(CONTEXT_PAIRS, norms[:n])}
     acomm = {f"A{i}A{j}": v for (i, j), v in zip(ANTICOMMUTING_PAIRS, norms[n:])}
 
-    # the constraints of one length as one stack, the last slot applied first
-    vecs = np.empty((len(STATE_CONSTRAINTS), len(psi)), dtype=complex)
-    for n in (2, 3):
-        rows = [r for r, (slots, _) in enumerate(STATE_CONSTRAINTS) if len(slots) == n]
-        vec = psi[:, None]
-        for step in reversed(range(n)):
-            vec = mats[[STATE_CONSTRAINTS[r][0][step] - 1 for r in rows]] @ vec
-        vecs[rows] = vec[..., 0]
-    signs = np.array([sign for _, sign in STATE_CONSTRAINTS])[:, None]
-    norms = linalg.vec_norms(vecs - signs * psi)
-    constraints = dict(zip(CONSTRAINT_NAMES, norms.tolist()))
+    names, residuals = [], []
+    for slots, sign in STATE_CONSTRAINTS:
+        vec = psi
+        for k in reversed(slots):
+            vec = mats[k - 1] @ vec
+        names.append("".join(f"A{k}" for k in slots) + ("-1" if sign == 1 else "+1"))
+        residuals.append(vec - sign * psi)
+    constraints = dict(zip(names, linalg.vec_norms(residuals).tolist()))
     return comm, acomm, constraints
 
 
@@ -332,9 +323,10 @@ def certify(s: Scenario, *, corr: CorrelationSet | None = None) -> Certification
     basis, gram, projector = build_subspace(psi, s.observable(1), s.observable(5))
     comm, acomm, constraints = algebra_residuals(s, basis)
 
-    mats = np.array(s.matrices())
-    leakage = linalg.op_norms(projector @ mats @ (np.eye(s.dim) - projector)).tolist()
-    projected = list(basis.conj().T @ mats @ basis)
+    mats = s.matrices()
+    complement = np.eye(s.dim) - projector
+    leakage = linalg.op_norms([projector @ m @ complement for m in mats]).tolist()
+    projected = [basis.conj().T @ m @ basis for m in mats]
 
     psi_v = basis.conj().T @ psi.amplitudes
     psi_v = psi_v / linalg.vec_norm(psi_v)

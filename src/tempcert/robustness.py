@@ -135,39 +135,29 @@ class BoundCheck:
         self.holds = bool(self.holds)
 
 
-#: The state-norm families in report order. CONTEXTS lists the triple
-#: contexts first, so ||(A_i - A_j A_k) psi|| over every ordering of each
-#: comes first, then ||(A_i -+ A_j) psi|| over the pair contexts with the
-#: context's sign, then ||{A_i, A_j} psi|| over ANTICOMMUTING_PAIRS.
-_TRIPLE_ORDERINGS = tuple(perm for context in CONTEXTS if len(context) == 3
-                          for perm in itertools.permutations(context))
-_PAIR_CONTEXTS = tuple((context, sign) for context, sign in CONTEXTS.items()
-                       if len(context) == 2)
-#: (label, factor) per check, the bound being factor * sqrt(eps).
-_NORM_CHECKS = (
-    [(f"norm(A{i}-A{j}A{k})<=4sqrt(eps)", 4) for i, j, k in _TRIPLE_ORDERINGS]
-    + [(f"norm(A{i}{'-' if sign > 0 else '+'}A{j})<=2sqrt(eps)", 2)
-       for (i, j), sign in _PAIR_CONTEXTS]
-    + [(f"norm({{A{i},A{j}}})<=14sqrt(eps)", 14) for i, j in ANTICOMMUTING_PAIRS]
-)
-
-
 def _state_norm_checks(mats, psi, eps: float):
-    """The norm-bound families of _NORM_CHECKS at deficit eps: each family's
-    vectors from one stacked product, their norms from one stacked call."""
+    """The norm-bound families over CONTEXTS and ANTICOMMUTING_PAIRS:
+    ||(A_i - A_j A_k) psi|| <= 4 sqrt(eps) etc. The vectors are formed one
+    matrix at a time (stacked products would allocate d=64 temporaries that
+    cost more than the loop saves) and their norms taken in one call."""
     root = np.sqrt(max(eps, 0.0))
-    m = np.array(mats)
-    i, j, k = np.subtract(_TRIPLE_ORDERINGS, 1).T
-    a, b = np.subtract([context for context, _ in _PAIR_CONTEXTS], 1).T
-    signs = np.array([sign for _, sign in _PAIR_CONTEXTS])[:, None, None]
-    p, q = np.subtract(ANTICOMMUTING_PAIRS, 1).T
-    lhs = linalg.vec_norms(np.concatenate([
-        (m[i] - m[j] @ m[k]) @ psi,
-        (m[a] - signs * m[b]) @ psi,
-        linalg.acomm(m[p], m[q]) @ psi,
-    ]))
+    checks = []  # (label, factor of sqrt(eps), vector)
+    # CONTEXTS lists the triple contexts first, so their family comes first
+    for context, sign in CONTEXTS.items():
+        if len(context) == 3:
+            for i, j, k in itertools.permutations(context):
+                checks.append((f"norm(A{i}-A{j}A{k})<=4sqrt(eps)", 4,
+                               (mats[i - 1] - mats[j - 1] @ mats[k - 1]) @ psi))
+        else:
+            i, j = context
+            checks.append((f"norm(A{i}{'-' if sign > 0 else '+'}A{j})<=2sqrt(eps)", 2,
+                           (mats[i - 1] - sign * mats[j - 1]) @ psi))
+    for i, j in ANTICOMMUTING_PAIRS:
+        checks.append((f"norm({{A{i},A{j}}})<=14sqrt(eps)", 14,
+                       linalg.acomm(mats[i - 1], mats[j - 1]) @ psi))
+    lhs = linalg.vec_norms([vec for _, _, vec in checks])
     return [BoundCheck(label, v, factor * root, v <= factor * root + CHECK_GUARD)
-            for (label, factor), v in zip(_NORM_CHECKS, lhs)]
+            for (label, factor, _), v in zip(checks, lhs)]
 
 
 def check_robustness_bounds(s: Scenario, *, corr: CorrelationSet | None = None):
