@@ -105,14 +105,16 @@ def algebra_residuals(s: Scenario, basis: np.ndarray):
     """
     if not s.is_pure():
         raise ShapeMismatch("algebra_residuals needs a pure state; purify first")
-    mats = s.matrices()
+    mats, prods = s.matrices(), s.products()
     psi = s.state.amplitudes
     bd = basis.conj().T
 
-    # the products one matrix at a time, their norms in one SVD call
+    # [A_i, A_j] and {A_i, A_j} from the scenario's products, compressed one
+    # matrix at a time, their norms in one SVD call
     norms = linalg.op_norms(
-        [bd @ linalg.comm(mats[i - 1], mats[j - 1]) @ basis for i, j in CONTEXT_PAIRS]
-        + [bd @ linalg.acomm(mats[i - 1], mats[j - 1]) @ basis for i, j in ANTICOMMUTING_PAIRS]
+        [bd @ (prods[i - 1, j - 1] - prods[j - 1, i - 1]) @ basis for i, j in CONTEXT_PAIRS]
+        + [bd @ (prods[i - 1, j - 1] + prods[j - 1, i - 1]) @ basis
+           for i, j in ANTICOMMUTING_PAIRS]
     ).tolist()
     n = len(CONTEXT_PAIRS)
     comm = {f"A{i}A{j}": v for (i, j), v in zip(CONTEXT_PAIRS, norms[:n])}

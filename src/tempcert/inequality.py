@@ -84,16 +84,15 @@ def eval_INC(s: Scenario):
     physically meaningful (some context commutator norm above 1e-8).
     """
     rho = s.density()
-    a = s.matrices()
+    a, p = s.matrices(), s.products()
     value = 0.0
     for context, sign in CONTEXTS.items():
-        prod = functools.reduce(np.matmul, [a[k - 1] for k in context])
+        # A_i A_j from the products, then the remaining factors left to right
+        i, j, *rest = context
+        prod = functools.reduce(np.matmul, [a[k - 1] for k in rest], p[i - 1, j - 1])
         value += sign * float(np.trace(rho @ prod).real)
-    norms = {
-        (i, j): linalg.op_norm(linalg.comm(a[i - 1], a[j - 1]))
-        for i, j in CONTEXT_PAIRS
-    }
-    return value, CompatibilityReport(norms)
+    norms = linalg.op_norms([p[i - 1, j - 1] - p[j - 1, i - 1] for i, j in CONTEXT_PAIRS])
+    return value, CompatibilityReport(dict(zip(CONTEXT_PAIRS, norms.tolist())))
 
 
 def classical_bound():

@@ -174,10 +174,14 @@ def eig_hermitian(m):
             f"Hermiticity deviation {max_op_norm(defect):.3e} exceeds {STRUCTURAL_TOL:.1e}"
         )
     w, v = np.linalg.eigh((a + ah) / 2)
-    # A stable sort of -w, not a reversal: tied eigenvalues keep eigh's order.
-    order = np.argsort(-w, axis=-1, kind="stable")
-    w = np.take_along_axis(w, order, axis=-1)
-    v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    if np.all(w[..., 1:] > w[..., :-1]):
+        # strictly ascending everywhere: the stable sort below is a reversal
+        w, v = w[..., ::-1], v[..., ::-1]
+    else:
+        # A stable sort of -w, not a reversal: tied eigenvalues keep eigh's order.
+        order = np.argsort(-w, axis=-1, kind="stable")
+        w = np.take_along_axis(w, order, axis=-1)
+        v = np.take_along_axis(v, order[..., None, :], axis=-1)
     magnitude = np.abs(v)
     big = magnitude > 1e-12
     pivot = np.where(big.any(axis=-2), big.argmax(axis=-2), magnitude.argmax(axis=-2))

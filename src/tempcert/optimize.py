@@ -232,11 +232,12 @@ def seesaw(config: SeesawConfig):
     require_observables(obs)
     traces = [SeesawTrace(seed_index=k) for k in range(config.seeds)]
 
-    previous = _values(_densities(psi), _bell_from_matrices(obs))
+    b = _bell_from_matrices(obs)  # the running seeds' Bell operators
+    previous = _values(_densities(psi), b)
     active = np.arange(config.seeds)
     for _ in range(config.max_sweeps):
         o = obs[active]
-        p = _top_eigenvectors(_bell_from_matrices(o))
+        p = _top_eigenvectors(b)
         rho = _densities(p)
         for slot in range(1, 7):
             a, w = round_to_signs(_coefficient_from_matrices(o, rho, slot), DEGENERATE_EIGENVALUE)
@@ -244,7 +245,8 @@ def seesaw(config: SeesawConfig):
             o[:, slot - 1] = a
             for k in active[(np.abs(w) <= DEGENERATE_EIGENVALUE).any(axis=-1)]:
                 traces[k].degenerate_steps += 1
-        values = _values(rho, _bell_from_matrices(o))
+        b = _bell_from_matrices(o)  # gives this sweep's values and the next state step
+        values = _values(rho, b)
         obs[active], psi[active] = o, p
         for k, value in zip(active, values):
             traces[k].values.append(float(value))
@@ -252,7 +254,7 @@ def seesaw(config: SeesawConfig):
         for k in active[done]:
             traces[k].converged = True
         previous[active] = values
-        active = active[~done]
+        active, b = active[~done], b[~done]
         if not active.size:
             break
 

@@ -135,11 +135,13 @@ class BoundCheck:
         self.holds = bool(self.holds)
 
 
-def _state_norm_checks(mats, psi, eps: float):
-    """The norm-bound families over CONTEXTS and ANTICOMMUTING_PAIRS:
-    ||(A_i - A_j A_k) psi|| <= 4 sqrt(eps) etc. The vectors are formed one
+def _state_norm_checks(s: Scenario, eps: float):
+    """The norm-bound families over CONTEXTS and ANTICOMMUTING_PAIRS of a
+    pure scenario: ||(A_i - A_j A_k) psi|| <= 4 sqrt(eps) etc. The products
+    A_j A_k come from the scenario's products; the vectors are formed one
     matrix at a time (stacked products would allocate d=64 temporaries that
     cost more than the loop saves) and their norms taken in one call."""
+    mats, prods, psi = s.matrices(), s.products(), s.state.amplitudes
     root = np.sqrt(max(eps, 0.0))
     checks = []  # (label, factor of sqrt(eps), vector)
     # CONTEXTS lists the triple contexts first, so their family comes first
@@ -147,14 +149,14 @@ def _state_norm_checks(mats, psi, eps: float):
         if len(context) == 3:
             for i, j, k in itertools.permutations(context):
                 checks.append((f"norm(A{i}-A{j}A{k})<=4sqrt(eps)", 4,
-                               (mats[i - 1] - mats[j - 1] @ mats[k - 1]) @ psi))
+                               (mats[i - 1] - prods[j - 1, k - 1]) @ psi))
         else:
             i, j = context
             checks.append((f"norm(A{i}{'-' if sign > 0 else '+'}A{j})<=2sqrt(eps)", 2,
                            (mats[i - 1] - sign * mats[j - 1]) @ psi))
     for i, j in ANTICOMMUTING_PAIRS:
         checks.append((f"norm({{A{i},A{j}}})<=14sqrt(eps)", 14,
-                       linalg.acomm(mats[i - 1], mats[j - 1]) @ psi))
+                       (prods[i - 1, j - 1] + prods[j - 1, i - 1]) @ psi))
     lhs = linalg.vec_norms([vec for _, _, vec in checks])
     return [BoundCheck(label, v, factor * root, v <= factor * root + CHECK_GUARD)
             for (label, factor, _), v in zip(checks, lhs)]
@@ -191,7 +193,7 @@ def check_robustness_bounds(s: Scenario, *, corr: CorrelationSet | None = None):
         label = f"{'-' if sign < 0 else ''}{name}>=1-{factor}eps"
         checks.append(BoundCheck(label, v, floor, v >= floor - CHECK_GUARD))
 
-    checks.extend(_state_norm_checks(s.matrices(), s.state.amplitudes, eps))
+    checks.extend(_state_norm_checks(s, eps))
     return checks
 
 

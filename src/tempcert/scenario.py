@@ -95,22 +95,33 @@ def require_observables(m) -> None:
 class Observable:
     """Hermitian matrix intended as a +-1-outcome projective measurement.
 
-    The deviation of ``matrix @ matrix`` from the identity (operator norm) is
-    recorded as ``involution_residual`` and must not exceed
-    ``involution_tol``.
+    Construction checks Hermiticity and that the deviation of
+    ``matrix @ matrix`` from the identity (operator norm) does not exceed
+    ``involution_tol``; a Frobenius bound settles both checks without an SVD
+    whenever it can. The deviation itself, ``involution_residual``, is taken
+    from the residual kept at construction with one SVD on its first read and
+    cached.
     """
 
-    __slots__ = ("matrix", "involution_residual")
+    __slots__ = ("matrix", "_residual", "_residual_norm")
 
     def __init__(self, matrix, involution_tol: float = INVOLUTION_TOL):
         m = linalg.as_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"observable must be square, got {m.shape}")
         _require_hermitian(m, "observable")
-        residual = _require_involution(m, involution_tol)
+        self._residual = _require_involution(m, involution_tol)
+        self._residual_norm = None
         m.setflags(write=False)
         self.matrix = m
-        self.involution_residual = linalg.op_norm(residual)
+
+    @property
+    def involution_residual(self) -> float:
+        """||matrix @ matrix - 1||, operator norm; computed on first read."""
+        if self._residual_norm is None:
+            self._residual_norm = linalg.op_norm(self._residual)
+            self._residual = None
+        return self._residual_norm
 
     @property
     def dim(self) -> int:
@@ -172,10 +183,19 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-class Scenario:
-    """One state plus six observables A1..A6 on a common d-dimensional space."""
+def _require_slot(slot: int) -> None:
+    if not 1 <= slot <= 6:
+        raise ShapeMismatch(f"slot must be in 1..6, got {slot}")
 
-    __slots__ = ("state", "observables", "dim")
+
+class Scenario:
+    """One state plus six observables A1..A6 on a common d-dimensional space.
+
+    The pairwise products A_i A_j are formed on the first call of
+    ``products()`` and kept for the scenario's lifetime.
+    """
+
+    __slots__ = ("state", "observables", "dim", "_products")
 
     def __init__(self, state, observables):
         obs = tuple(observables)
@@ -190,15 +210,26 @@ class Scenario:
         self.state = state
         self.observables = obs
         self.dim = d
+        self._products = None
 
     def observable(self, slot: int) -> Observable:
         """1-based access: slot in 1..6."""
-        if not 1 <= slot <= 6:
-            raise ShapeMismatch(f"slot must be in 1..6, got {slot}")
+        _require_slot(slot)
         return self.observables[slot - 1]
 
     def matrices(self) -> tuple:
         return tuple(o.matrix for o in self.observables)
+
+    def products(self) -> np.ndarray:
+        """Read-only (6, 6, d, d) array whose [i, j] entry is A_{i+1} A_{j+1},
+        formed by one broadcast matmul on the first call, each product the one
+        ``a_i @ a_j`` gives bit for bit, and kept on the scenario."""
+        if self._products is None:
+            m = np.array(self.matrices())
+            p = m[:, None] @ m[None, :]
+            p.setflags(write=False)
+            self._products = p
+        return self._products
 
     def density(self) -> np.ndarray:
         return self.state.density()
@@ -210,6 +241,8 @@ class Scenario:
         return Scenario(state, self.observables)
 
     def with_observable(self, slot: int, obs: Observable) -> "Scenario":
+        """A copy with the observable in `slot` (1..6) replaced."""
+        _require_slot(slot)
         new = list(self.observables)
         new[slot - 1] = obs
         return Scenario(self.state, new)

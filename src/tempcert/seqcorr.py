@@ -144,14 +144,16 @@ class OutcomeDistribution:
         return float(sum(math.prod(o) * p for o, p in self.probabilities.items()))
 
 
-def _nested_traces(r: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """tr(rho {A_1, {A_2, ... A_n}}) / 2^(n-1) of each sequence of a stack
-    (..., n, d, d), the first-measured observable outermost; each product is
-    one stacked call over the leading axes."""
-    x = mats[..., -1, :, :]
-    for j in range(mats.shape[-3] - 2, -1, -1):
-        x = linalg.acomm(mats[..., j, :, :], x)
-    return np.trace(r @ x, axis1=-2, axis2=-1) / 2 ** (mats.shape[-3] - 1)
+def _nested_traces(r: np.ndarray, inner: np.ndarray, *outer: np.ndarray) -> np.ndarray:
+    """tr(rho {A_1, {A_2, ... {A_{n-1}, A_n}}}) / 2^(n-1) of each sequence of
+    a stack, given the innermost anticommutators {A_{n-1}, A_n} (..., d, d)
+    and the outer observables A_1 .. A_{n-2}, each a stack (..., d, d), the
+    first-measured outermost; each product is one stacked call over the
+    leading axes."""
+    x = inner
+    for a in reversed(outer):
+        x = linalg.acomm(a, x)
+    return np.trace(r @ x, axis1=-2, axis2=-1) / 2 ** (len(outer) + 1)
 
 
 def pair_corr(rho, a, b) -> float:
@@ -163,7 +165,7 @@ def pair_corr(rho, a, b) -> float:
     r = _density_of(rho)
     ma, mb = _matrix_of(a), _matrix_of(b)
     _check_dims(r, (ma, mb))
-    return _real(_nested_traces(r, np.array([ma, mb])), "pair_corr")
+    return _real(_nested_traces(r, linalg.acomm(ma, mb)), "pair_corr")
 
 
 def triple_corr(rho, a, b, c) -> float:
@@ -174,7 +176,7 @@ def triple_corr(rho, a, b, c) -> float:
     r = _density_of(rho)
     ma, mb, mc = _matrix_of(a), _matrix_of(b), _matrix_of(c)
     _check_dims(r, (ma, mb, mc))
-    return _real(_nested_traces(r, np.array([ma, mb, mc])), "triple_corr")
+    return _real(_nested_traces(r, linalg.acomm(mb, mc), ma), "triple_corr")
 
 
 def _projectors(r: np.ndarray, seq) -> np.ndarray:
@@ -323,11 +325,13 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
     values = {}
     stderr = None
     if mode == "analytic":
-        # the scenario's matrices are checked and share rho's dimension
-        mats = np.array(s.matrices())
+        # the scenario's checked matrices share rho's dimension; the innermost
+        # anticommutators {A_j, A_k} = A_j A_k + A_k A_j come from its products
+        mats, prods = np.array(s.matrices()), s.products()
         for n, what in ((3, "triple_corr"), (2, "pair_corr")):  # one stack per length
             terms = [(name, slots) for name, slots, _ in TERMS if len(slots) == n]
-            traces = _nested_traces(rho, mats[np.subtract([slots for _, slots in terms], 1)])
+            *outer, j, k = np.subtract([slots for _, slots in terms], 1).T
+            traces = _nested_traces(rho, prods[j, k] + prods[k, j], *(mats[i] for i in outer))
             for (name, _), z in zip(terms, traces):
                 values[name] = _real(z, what)
     elif mode == "exact-sum":

@@ -29,6 +29,20 @@ def canonical():
     return canonical_scenario()
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the np.linalg.svd calls made while the fixture is active."""
+    calls = []
+    original = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
 def rng_from(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 

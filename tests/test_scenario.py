@@ -72,6 +72,30 @@ class TestCanonical:
                            np.array([1, 0, 0, 1]) / np.sqrt(2))
 
 
+class TestProducts:
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64])
+    def test_match_per_pair_matmul(self, d):
+        s = random_scenario(d, rng_from(60 + d))
+        p = s.products()
+        assert p.shape == (6, 6, d, d)
+        a = s.matrices()
+        for i in range(6):
+            for j in range(6):
+                assert p[i, j].tobytes() == (a[i] @ a[j]).tobytes()
+
+    def test_read_only_and_kept(self, canonical):
+        p = canonical.products()
+        with pytest.raises(ValueError):
+            p[0, 1, 0, 0] = 1.0
+        assert canonical.products() is p
+
+    def test_new_scenarios_form_their_own(self, canonical):
+        p = canonical.products()
+        flipped = canonical.with_observable(1, Observable(-canonical.observable(1).matrix))
+        assert flipped.products() is not p
+        assert flipped.products()[0, 0].tobytes() == p[0, 0].tobytes()
+
+
 class TestTypes:
     def test_observable_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
@@ -85,6 +109,31 @@ class TestTypes:
         m = PAULI_Z + 1e-9 * np.diag([1.0, 0.0])
         o = Observable(m)
         assert 0 < o.involution_residual <= 1e-8
+
+    @pytest.mark.parametrize("d", [2, 4, 16, 64])
+    def test_involution_residual_is_the_svd_norm(self, d):
+        rng = rng_from(30 + d)
+        m = linalg.hermitize(random_involution(d, rng).matrix + 1e-10 * random_hermitian(d, rng))
+        o = Observable(m)
+        assert o.involution_residual > 0
+        expected = linalg.op_norm(m @ m - np.eye(d))
+        assert o.involution_residual.hex() == expected.hex()
+        exact = np.kron(PAULI_X, np.eye(d // 2))
+        assert Observable(exact).involution_residual == 0.0
+
+    def test_involution_residual_is_computed_once(self, svd_calls):
+        o = Observable(PAULI_Z + 1e-9 * np.diag([1.0, 0.0]))
+        first = o.involution_residual
+        assert len(svd_calls) == 1
+        assert o.involution_residual == first
+        assert len(svd_calls) == 1
+
+    def test_construction_settled_by_frobenius_takes_no_svd(self, svd_calls):
+        m = random_involution(16, rng_from(9)).matrix
+        svd_calls.clear()
+        Observable(m)
+        Observable(PAULI_Z + 1e-9 * np.diag([1.0, 0.0]))
+        assert svd_calls == []
 
     @pytest.mark.parametrize("bad, error", [
         (np.array([[0, 1], [0, 0]], dtype=complex), NotHermitian),
@@ -120,6 +169,11 @@ class TestTypes:
             DensityMatrix(np.diag([2.0, -1.0]))
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.7, 0.7]))
+
+    @pytest.mark.parametrize("slot", [0, 7, -1])
+    def test_with_observable_rejects_slot_outside_1_to_6(self, canonical, slot):
+        with pytest.raises(ShapeMismatch):
+            canonical.with_observable(slot, canonical.observable(1))
 
     def test_scenario_needs_six(self):
         s = canonical_scenario()

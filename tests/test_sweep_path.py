@@ -43,6 +43,7 @@ from tempcert.scenario import (
     PAULI_Z,
     PHI_PLUS,
     PureState,
+    Scenario,
     canonical_scenario,
     purify_scenario,
 )
@@ -199,6 +200,13 @@ def fixed_rows():
 ROWS = fixed_rows()
 CERTIFIED = [r for r in ROWS if r[0] != "refused"]
 
+#: Jitter on a conjugated d = 64 embedding, compared with the reference like
+#: the fixed rows; it is not part of the golden digest below.
+BIG_ROW = ("jitter-d64", conjugated_embedding(canonical_scenario(), 64, rng_from(73)),
+           lambda x: UnitaryJitter(x, rng_seed=13), 0.01)
+COMPARED = ROWS + [BIG_ROW]
+COMPARED_CERTIFIED = CERTIFIED + [BIG_ROW]
+
 #: sha256 of the sweep CSV of every fixed row, then the certify JSON of every
 #: fixed row that certify accepts, recorded with the per-row sweep (the
 #: reference above gives the same bytes).
@@ -224,7 +232,7 @@ def ulps(a: float, b: float) -> float:
     return abs(a - b) / np.spacing(max(abs(a), abs(b)))
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[r[0] for r in ROWS])
+@pytest.mark.parametrize("row", COMPARED, ids=[r[0] for r in COMPARED])
 def test_sweep_matches_per_row_reference(row):
     _, base, family, param = row
     (new,) = sweep(base, family, [param])
@@ -237,7 +245,7 @@ def test_sweep_matches_per_row_reference(row):
         assert ulps(c.lhs, r.lhs) <= 4
 
 
-@pytest.mark.parametrize("row", CERTIFIED, ids=[r[0] for r in CERTIFIED])
+@pytest.mark.parametrize("row", COMPARED_CERTIFIED, ids=[r[0] for r in COMPARED_CERTIFIED])
 def test_certify_report_matches_per_row_reference(row):
     _, base, family, param = row
     noisy = purify_scenario(apply_noise(base, family(param)))
@@ -290,15 +298,37 @@ def test_one_argument_calls_compute_their_own_correlators(analytic_calls):
     assert len(analytic_calls) == 2
 
 
-def test_certify_takes_few_singular_value_calls(monkeypatch):
+def test_certify_takes_few_singular_value_calls(svd_calls):
     noisy = apply_noise(canonical_scenario(), UnitaryJitter(0.02, rng_seed=7))
-    calls = []
-    original = np.linalg.svd
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    svd_calls.clear()
     certify_module.certify(noisy)
-    assert 1 <= len(calls) <= 8
+    assert 1 <= len(svd_calls) <= 8
+
+
+def test_d64_jitter_row_takes_six_singular_value_calls(svd_calls):
+    # the jitter generators' norms and certify's five norm groups; the six
+    # jittered observables take no SVD, as no one reads their residual norms
+    _, base, family, param = BIG_ROW
+    (row,) = sweep(base, family, [param])
+    assert not row.failed and row.bounds_all_hold
+    assert len(svd_calls) <= 6
+
+
+def test_products_formed_once_per_sweep_row(monkeypatch):
+    """Every read of a row's products returns the one array formed for it:
+    the correlators, certify's residuals and the bound families share it."""
+    returned = []
+    original = Scenario.products
+
+    def recording(self):
+        p = original(self)
+        returned.append(p)
+        return p
+
+    monkeypatch.setattr(Scenario, "products", recording)
+    for name, base, family, param in COMPARED:
+        returned.clear()
+        rows = sweep(base, family, [param, 2 * param])
+        assert len({id(p) for p in returned}) == 2, name
+        if not any(r.failed for r in rows):
+            assert len(returned) == 2 * 3, name

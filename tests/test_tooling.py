@@ -34,8 +34,8 @@ def test_observable_span_names_a_class():
 WORKLOADS = TRACER.parent / "workloads.py"
 
 
-def test_certify_sweep_workload_smoke(tmp_path):
-    """Eight certify-sweep ops of the benchmark pass its own check, and their
+def run_smoke(name, tmp_path):
+    """Eight ops of a benchmark workload pass its own check, and their
     fingerprints repeat on a second run, so a change that breaks the
     benchmark's check fails here first."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
@@ -43,9 +43,19 @@ def test_certify_sweep_workload_smoke(tmp_path):
     spec.loader.exec_module(workloads)
     runs = []
     for _ in range(2):
-        w = workloads.CertifySweep(1, str(tmp_path))
+        w = workloads.WORKLOADS[name](1, str(tmp_path))
         w.setup()
         outs = [w.op(i) for i in range(8)]
         assert [w.check(out) for out in outs] == [None] * 8
         runs.append([w.fingerprint(out) for out in outs])
     assert runs[0] == runs[1]
+
+
+def test_certify_sweep_workload_smoke(tmp_path):
+    run_smoke("certify-sweep", tmp_path)
+
+
+def test_correlators_workload_smoke(tmp_path):
+    # its ops, not its setup, take the scenarios' first involution-residual
+    # reads and form their products
+    run_smoke("correlators-d4", tmp_path)
