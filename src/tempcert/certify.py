@@ -325,12 +325,15 @@ def certify(s: Scenario, *, corr: CorrelationSet | None = None) -> Certification
     basis, gram, projector = build_subspace(psi, s.observable(1), s.observable(5))
     comm, acomm, constraints = algebra_residuals(s, basis)
 
-    mats = s.matrices()
+    # ||P m (1 - P)|| = ||basis† m (1 - P)||, as basis has orthonormal
+    # columns: the leakage norms are taken on 4 x d matrices, not d x d
+    bd = basis.conj().T
+    compressed = [bd @ m for m in s.matrices()]
     complement = np.eye(s.dim) - projector
-    leakage = linalg.op_norms([projector @ m @ complement for m in mats]).tolist()
-    projected = [basis.conj().T @ m @ basis for m in mats]
+    leakage = linalg.op_norms([x @ complement for x in compressed]).tolist()
+    projected = [x @ basis for x in compressed]
 
-    psi_v = basis.conj().T @ psi.amplitudes
+    psi_v = bd @ psi.amplitudes
     psi_v = psi_v / linalg.vec_norm(psi_v)
 
     result = align(projected, psi_v)

@@ -157,6 +157,8 @@ def cmd_certify(args) -> int:
 def cmd_simulate(args) -> int:
     if args.shots < 1:
         raise ParseError(f"--shots must be >= 1, got {args.shots}")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be >= 0, got {args.seed}")
     s = load_scenario(args.scenario)
     sampled = correlations(s, "sampled", shots=args.shots, rng_seed=args.seed)
     exact = correlations(s, "analytic")

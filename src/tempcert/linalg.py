@@ -3,8 +3,9 @@
 Every function is pure and converts array_like input to a fresh complex128
 array, except `comm`, `acomm` and `op_norm_exceeds`, which take arrays their
 caller has checked. `hermitize`, `comm`, `acomm`, `eig_hermitian`,
-`expi_hermitian` and `op_norms` also take stacks (..., d, d), and `vec_norms`
-stacks (..., n) of vectors, each matrix or vector as on its own, bit for bit.
+`expi_eig`, `expi_hermitian` and `op_norms` also take stacks (..., d, d), and
+`vec_norms` stacks (..., n) of vectors, each matrix or vector as on its own,
+bit for bit.
 Structural checks use the tolerance 1e-10, comfortable at these dimensions.
 """
 
@@ -214,8 +215,13 @@ def inv_sqrt_psd(m, full_rank: bool = True) -> np.ndarray:
     return (vk / w[keep] ** 0.5) @ vk.conj().T
 
 
+def expi_eig(w: np.ndarray, v: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Unitary exp(-1j * scale * m) from the eigendecomposition (w, v) of
+    Hermitian m, as `eig_hermitian` returns it, one matrix or a stack."""
+    return (v * np.exp(-1j * scale * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
 def expi_hermitian(m, scale: float = 1.0) -> np.ndarray:
     """Unitary exp(-1j * scale * m) for Hermitian m, one matrix or a stack
     (..., d, d), via one eigendecomposition call."""
-    w, v = eig_hermitian(m)
-    return (v * np.exp(-1j * scale * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return expi_eig(*eig_hermitian(m), scale)

@@ -68,6 +68,8 @@ class SeesawConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.seeds < 1:
             raise ValueError(f"seeds must be >= 1, got {self.seeds}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass

@@ -89,6 +89,8 @@ class UnitaryJitter:
     def __post_init__(self):
         if not math.isfinite(self.strength):
             raise ValueError(f"jitter strength must be finite, got {self.strength}")
+        if self.rng_seed < 0:
+            raise ValueError(f"jitter seed must be >= 0, got {self.rng_seed}")
 
 
 NoiseModel = Depolarizing | ObservableTilt | UnitaryJitter
@@ -114,9 +116,13 @@ def apply_noise(s: Scenario, n: NoiseModel) -> Scenario:
         if n.strength == 0.0:
             return s
         rng = np.random.Generator(np.random.PCG64(n.rng_seed))
-        # slot by slot from one stream, then exponentiated as one stack
+        # slot by slot from one stream, then exponentiated as one stack; for
+        # Hermitian h the operator norm is the largest |eigenvalue|, so the
+        # eigensolve that exponentiates h also normalizes it
         h = np.array([random_hermitian(s.dim, rng) for _ in s.observables])
-        u = linalg.expi_hermitian(h / linalg.op_norms(h)[:, None, None], n.strength)
+        w, v = linalg.eig_hermitian(h)
+        norms = np.maximum(w[:, 0], -w[:, -1])
+        u = linalg.expi_eig(w / norms[:, None], v, n.strength)
         m = linalg.hermitize(u @ np.array(s.matrices()) @ np.swapaxes(u.conj(), -1, -2))
         return Scenario(s.state, [Observable(x) for x in m])
     raise TypeError(f"unknown noise model {n!r}")

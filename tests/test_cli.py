@@ -79,6 +79,7 @@ class TestOptimize:
 
     @pytest.mark.parametrize("flag, value", [
         ("--dim", "1"), ("--seeds", "0"), ("--max-sweeps", "0"), ("--tol", "0"),
+        ("--seed", "-1"),
     ])
     def test_invalid_config_is_usage_error(self, flag, value, capsys):
         assert main(["optimize", flag, value]) == EXIT_PARSE
@@ -168,6 +169,8 @@ class TestParser:
         ["sweep", "--model", "depolarizing", "--grid", ","],
         ["sweep", "--model", "jitter", "--grid", "inf"],
         ["sweep", "--model", "tilt", "--grid", "1e-3:nan:3"],
+        ["simulate", "--shots", "10", "--seed", "-1"],
+        ["sweep", "--model", "jitter", "--grid", "1e-3", "--seed", "-1"],
     ])
     def test_invalid_simulate_and_sweep_input_is_usage_error(
             self, argv, canonical_file, tmp_path, capsys):

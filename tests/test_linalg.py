@@ -308,6 +308,11 @@ class TestExpiHermitian:
         u = linalg.expi_hermitian(h, 0.3)
         assert linalg.op_norm(u @ u.conj().T - np.eye(4)) <= 1e-12
 
+    def test_is_expi_eig_of_the_eigendecomposition(self):
+        h = np.array([random_hermitian(5, rng_from(k)) for k in (12, 13)])
+        u = linalg.expi_hermitian(h, 0.7)
+        assert np.array_equal(u, linalg.expi_eig(*linalg.eig_hermitian(h), 0.7))
+
     def test_zero_scale_is_identity(self):
         h = random_hermitian(3, rng_from(10))
         assert np.allclose(linalg.expi_hermitian(h, 0.0), np.eye(3), atol=1e-14)

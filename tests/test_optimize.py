@@ -281,3 +281,5 @@ class TestSeesaw:
             SeesawConfig(dim=4, max_sweeps=0)
         with pytest.raises(ValueError):
             SeesawConfig(dim=4, tol=0.0)
+        with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+            SeesawConfig(dim=4, rng_seed=-1)

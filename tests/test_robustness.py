@@ -66,20 +66,42 @@ class TestApplyNoise:
         with pytest.raises(ValueError, match="jitter strength must be finite"):
             UnitaryJitter(bad, rng_seed=3)
 
+    def test_negative_jitter_seed_rejected(self):
+        with pytest.raises(ValueError, match="jitter seed must be >= 0"):
+            UnitaryJitter(0.01, rng_seed=-1)
+
     @pytest.mark.parametrize("dim", [4, 16])
     def test_jitter_matches_per_slot_loop(self, canonical, dim):
-        """One stacked exponentiation gives the per-slot loop's observables."""
+        """One stacked eigensolve gives the per-slot loop's observables: each
+        generator normalized by its largest |eigenvalue|, then exponentiated
+        from the same eigendecomposition."""
         from conftest import conjugated_embedding
         s = conjugated_embedding(canonical, dim, rng_from(dim))
         rng = np.random.Generator(np.random.PCG64(9))
         expected = []
         for o in s.observables:
-            h = random_hermitian(dim, rng)
-            u = linalg.expi_hermitian(h / linalg.op_norm(h), 0.05)
+            w, v = linalg.eig_hermitian(random_hermitian(dim, rng))
+            u = linalg.expi_eig(w / max(w[0], -w[-1]), v, 0.05)
             expected.append(linalg.hermitize(u @ o.matrix @ u.conj().T))
         noisy = apply_noise(s, UnitaryJitter(0.05, rng_seed=9))
         for o, m in zip(noisy.observables, expected):
             assert np.array_equal(o.matrix, m)
+
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    @pytest.mark.parametrize("strength", [0.05, 0.3])
+    def test_jitter_matches_operator_norm_normalization(self, canonical, dim, strength):
+        """Oracle for the eigenvalue normalization: the jittered observables
+        agree with generators normalized by their SVD operator norm and
+        exponentiated by their own eigensolve, to 1e-13 entrywise."""
+        from conftest import conjugated_embedding
+        s = conjugated_embedding(canonical, dim, rng_from(dim + 1))
+        rng = np.random.Generator(np.random.PCG64(5))
+        noisy = apply_noise(s, UnitaryJitter(strength, rng_seed=5))
+        for o, n in zip(s.observables, noisy.observables):
+            h = random_hermitian(dim, rng)
+            u = linalg.expi_hermitian(h / linalg.op_norm(h), strength)
+            expected = linalg.hermitize(u @ o.matrix @ u.conj().T)
+            assert np.max(np.abs(n.matrix - expected)) <= 1e-13
 
 
 class TestRobustnessBounds:

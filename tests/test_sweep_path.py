@@ -5,6 +5,8 @@
 norms as stacked calls. The reference below is the per-row path written out
 as before: three analytic passes per row, one `op_norm` or `vec_norm` call per
 matrix or vector. The arithmetic is the same, so outputs must be bit-equal.
+Both take the leakage on the 4 x d compression basis† m (1 - P); an oracle
+test below holds it to the d x d form P m (1 - P).
 """
 
 import hashlib
@@ -95,7 +97,7 @@ def reference_certify(s) -> CertificationReport:
     comm, acomm, constraints = reference_algebra_residuals(s, basis)
     eye = np.eye(s.dim)
     mats = s.matrices()
-    leakage = [linalg.op_norm(projector @ m @ (eye - projector)) for m in mats]
+    leakage = [linalg.op_norm(basis.conj().T @ m @ (eye - projector)) for m in mats]
     projected = [basis.conj().T @ m @ basis for m in mats]
     psi_v = basis.conj().T @ psi.amplitudes
     psi_v = psi_v / linalg.vec_norm(psi_v)
@@ -208,9 +210,10 @@ COMPARED = ROWS + [BIG_ROW]
 COMPARED_CERTIFIED = CERTIFIED + [BIG_ROW]
 
 #: sha256 of the sweep CSV of every fixed row, then the certify JSON of every
-#: fixed row that certify accepts, recorded with the per-row sweep (the
+#: fixed row that certify accepts, recorded with jitter generators normalized
+#: by their eigenvalues and leakage taken on the 4 x d compression (the
 #: reference above gives the same bytes).
-GOLDEN_SWEEP_SHA256 = "70c94f9400f7ce4613e7be3d9dd41d22590c794926111fcb14ebc7f96e3c72ec"
+GOLDEN_SWEEP_SHA256 = "fb79022d5d2706e31a5d08609fd7eccdb69f1de211146f0bd0f5f3e81cd7b224"
 
 
 def bits(v):
@@ -305,13 +308,30 @@ def test_certify_takes_few_singular_value_calls(svd_calls):
     assert 1 <= len(svd_calls) <= 8
 
 
-def test_d64_jitter_row_takes_six_singular_value_calls(svd_calls):
-    # the jitter generators' norms and certify's five norm groups; the six
-    # jittered observables take no SVD, as no one reads their residual norms
-    _, base, family, param = BIG_ROW
-    (row,) = sweep(base, family, [param])
-    assert not row.failed and row.bounds_all_hold
-    assert len(svd_calls) <= 6
+@pytest.mark.parametrize("row", [BIG_ROW, ("depolarizing-d16", canonical_scenario(),
+                                            Depolarizing, 2e-3)], ids=lambda r: r[0])
+def test_no_sweep_row_svd_sees_a_matrix_larger_than_4(row, svd_calls):
+    # jitter generators are normalized by their eigenvalues and leakage is
+    # taken on the 4 x d compression, so every SVD on the path has a side of
+    # at most 4: certify's five norm groups, and no residual SVD of the
+    # jittered or purified observables, as no one reads those norms
+    _, base, family, param = row
+    (result,) = sweep(base, family, [param])
+    assert not result.failed and result.bounds_all_hold
+    assert 1 <= len(svd_calls) <= 5
+    assert all(min(shape[-2:]) <= 4 for shape in svd_calls), svd_calls
+
+
+@pytest.mark.parametrize("dim", [4, 16, 64])
+def test_leakage_matches_full_projector_form(dim):
+    """Oracle for the 4 x d leakage: the operator norms of P m (1 - P),
+    each a d x d SVD, agree to 1e-13."""
+    base = conjugated_embedding(canonical_scenario(), dim, rng_from(dim + 2))
+    noisy = apply_noise(base, UnitaryJitter(0.02, rng_seed=dim))
+    report = certify_module.certify(noisy)
+    p = report.projector
+    full = linalg.op_norms([p @ m @ (np.eye(dim) - p) for m in noisy.matrices()])
+    assert np.max(np.abs(np.array(report.leakage) - full)) <= 1e-13
 
 
 def test_products_formed_once_per_sweep_row(monkeypatch):
