@@ -44,7 +44,6 @@ from .scenario import (
     atomic_write_text,
     complex_pairs,
     purify_scenario,
-    require_observables,
     round_to_involutions,
 )
 from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXT_PAIRS, CONTEXTS, CorrelationSet, correlations
@@ -176,7 +175,6 @@ def align(projected_observables, extracted_state_raw, eigenspace_gauge=None) -> 
         raise AnticommutatorTooLarge(
             f"projected observable cannot be rounded to an involution: {exc}"
         ) from exc
-    require_observables(rounded)
     a1r, a5r = rounded[0], rounded[4]
     ac15 = linalg.op_norm(linalg.acomm(a1r, a5r))
     if ac15 > 0.5:
@@ -212,7 +210,6 @@ def align(projected_observables, extracted_state_raw, eigenspace_gauge=None) -> 
         raise FactorizationFailure(
             f"second-factor operator has no involution rounding: {exc}"
         ) from exc
-    require_observables([m_r, o_r])
     if np.any(linalg.op_norms([m_op - m_r, o_op - o_r, linalg.acomm(m_r, o_r)]) > 0.5):
         raise FactorizationFailure(
             "second-factor operators are not close to anticommuting involutions"

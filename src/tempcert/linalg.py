@@ -1,11 +1,10 @@
 """Dense complex matrix kernel for dimensions up to 64.
 
 Every function is pure and converts array_like input to a fresh complex128
-array, except `comm`, `acomm` and `op_norm_exceeds`, which take arrays their
-caller has checked. `hermitize`, `comm`, `acomm`, `eig_hermitian`,
-`expi_eig`, `expi_hermitian` and `op_norms` also take stacks (..., d, d), and
-`vec_norms` stacks (..., n) of vectors, each matrix or vector as on its own,
-bit for bit.
+array, except `acomm` and `op_norm_exceeds`, which take arrays their caller
+has checked. `hermitize`, `acomm`, `eig_hermitian`, `expi_eig`,
+`expi_hermitian` and `op_norms` also take stacks (..., d, d), and `vec_norms`
+stacks (..., n) of vectors, each matrix or vector as on its own, bit for bit.
 Structural checks use the tolerance 1e-10, comfortable at these dimensions.
 """
 
@@ -135,11 +134,6 @@ def vec_norms(v) -> np.ndarray:
 
 def vec_norm(v) -> float:
     return float(vec_norms(as_vector(v)))
-
-
-def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Commutator ab - ba of checked arrays, matrices or stacks."""
-    return a @ b - b @ a
 
 
 def acomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -27,8 +27,6 @@ from .scenario import (
     Scenario,
     random_hermitian,
     random_pure_state,
-    require_observables,
-    require_unit_norm,
     round_to_involutions,
     round_to_signs,
 )
@@ -143,11 +141,9 @@ def _densities(psi) -> np.ndarray:
 
 
 def _top_eigenvectors(b) -> np.ndarray:
-    """Exact state half-step for a stack of operator forms, norm-checked."""
+    """Exact state half-step for a stack of operator forms."""
     _, v = linalg.eig_hermitian(b)
-    psi = v[..., :, 0]
-    require_unit_norm(psi)
-    return psi
+    return v[..., :, 0]
 
 
 def bell_operator(s: Scenario) -> np.ndarray:
@@ -219,9 +215,11 @@ def seesaw(config: SeesawConfig):
     seeds then run as one batch: each half-step is one stacked eigensolve
     over the running seeds, and a seed leaves the batch when its sweep gain
     falls below config.tol. Seeds never mix, so a seed's trace does not
-    depend on the other seeds. Every iterate passes the Observable and
-    PureState checks; Observable and Scenario objects are built once per
-    seed at the end. Best is the highest final value, lowest seed on ties.
+    depend on the other seeds. The iterates are eigen-sign roundings and
+    eigenvectors, exact to rounding error, and are not checked in the loop:
+    each seed's final iterate is checked when its Observable and PureState
+    are built at the end, so a bad iterate raises there, not mid-loop. Best
+    is the highest final value, lowest seed on ties.
     """
     children = np.random.SeedSequence(config.rng_seed).spawn(config.seeds)
     states, draws = [], []
@@ -231,7 +229,6 @@ def seesaw(config: SeesawConfig):
         draws.append([random_hermitian(config.dim, rng) for _ in range(6)])
     psi = np.array(states)                          # (S, d)
     obs = round_to_involutions(np.array(draws))     # (S, 6, d, d)
-    require_observables(obs)
     traces = [SeesawTrace(seed_index=k) for k in range(config.seeds)]
 
     b = _bell_from_matrices(obs)  # the running seeds' Bell operators
@@ -243,7 +240,6 @@ def seesaw(config: SeesawConfig):
         rho = _densities(p)
         for slot in range(1, 7):
             a, w = round_to_signs(_coefficient_from_matrices(o, rho, slot), DEGENERATE_EIGENVALUE)
-            require_observables(a)
             o[:, slot - 1] = a
             for k in active[(np.abs(w) <= DEGENERATE_EIGENVALUE).any(axis=-1)]:
                 traces[k].degenerate_steps += 1

@@ -54,50 +54,19 @@ NORM_TOL = 1e-12
 
 
 def _require_hermitian(m: np.ndarray, what: str) -> None:
-    """Raise NotHermitian unless ||m - m†|| <= STRUCTURAL_TOL for every matrix
-    of the stack m; the SVD norm is computed only for the message."""
-    defect = m - np.swapaxes(m.conj(), -1, -2)
-    if np.any(linalg.op_norm_exceeds(defect, linalg.STRUCTURAL_TOL)):
-        raise NotHermitian(f"{what} deviates from Hermitian by {linalg.max_op_norm(defect):.3e}")
-
-
-def _require_involution(m: np.ndarray, tol: float) -> np.ndarray:
-    """Raise NonInvolution unless ||m m - 1|| <= tol for every matrix of the
-    stack m; returns the residuals m m - 1."""
-    residual = m @ m - np.eye(m.shape[-1])
-    if np.any(linalg.op_norm_exceeds(residual, tol)):
-        raise NonInvolution(
-            f"involution residual {linalg.max_op_norm(residual):.3e} exceeds {tol:.1e}"
-        )
-    return residual
-
-
-def require_unit_norm(psi: np.ndarray) -> None:
-    """PureState's norm check on a stack (..., d) of state vectors: raise
-    ValueError unless | ||psi|| - 1 | <= NORM_TOL for every vector; a NaN
-    norm fails."""
-    deviation = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
-    if not np.all(deviation <= NORM_TOL):
-        raise ValueError(f"state norm deviates from 1 by {np.max(deviation)!r}, "
-                         f"more than {NORM_TOL:.1e}")
-
-
-def require_observables(m) -> None:
-    """Observable's checks on a stack (..., d, d) of matrices, without
-    building the objects: ValueError, NotHermitian or NonInvolution is raised
-    exactly when Observable(matrix) would raise it for some matrix of the
-    stack."""
-    m = linalg.as_matrices(m)
-    _require_hermitian(m, "observable")
-    _require_involution(m, INVOLUTION_TOL)
+    """Raise NotHermitian unless ||m - m†|| <= STRUCTURAL_TOL; the SVD norm is
+    computed only for the message."""
+    defect = m - m.conj().T
+    if linalg.op_norm_exceeds(defect, linalg.STRUCTURAL_TOL):
+        raise NotHermitian(f"{what} deviates from Hermitian by {linalg.op_norm(defect):.3e}")
 
 
 class Observable:
     """Hermitian matrix intended as a +-1-outcome projective measurement.
 
     Construction checks Hermiticity and that the deviation of
-    ``matrix @ matrix`` from the identity (operator norm) does not exceed
-    ``involution_tol``; a Frobenius bound settles both checks without an SVD
+    ``matrix @ matrix`` from the identity (operator norm) does not exceed the
+    fixed INVOLUTION_TOL; a Frobenius bound settles both checks without an SVD
     whenever it can. The deviation itself, ``involution_residual``, is taken
     from the residual kept at construction with one SVD on its first read and
     cached.
@@ -105,12 +74,16 @@ class Observable:
 
     __slots__ = ("matrix", "_residual", "_residual_norm")
 
-    def __init__(self, matrix, involution_tol: float = INVOLUTION_TOL):
+    def __init__(self, matrix):
         m = linalg.as_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ShapeMismatch(f"observable must be square, got {m.shape}")
         _require_hermitian(m, "observable")
-        self._residual = _require_involution(m, involution_tol)
+        residual = m @ m - np.eye(m.shape[0])
+        if linalg.op_norm_exceeds(residual, INVOLUTION_TOL):
+            raise NonInvolution(f"involution residual {linalg.op_norm(residual):.3e} "
+                                f"exceeds {INVOLUTION_TOL:.1e}")
+        self._residual = residual
         self._residual_norm = None
         m.setflags(write=False)
         self.matrix = m
@@ -138,7 +111,10 @@ class PureState:
 
     def __init__(self, amplitudes):
         v = linalg.as_vector(amplitudes)
-        require_unit_norm(v)
+        deviation = np.abs(np.linalg.norm(v, axis=-1) - 1.0)
+        if not deviation <= NORM_TOL:
+            raise ValueError(f"state norm deviates from 1 by {deviation!r}, "
+                             f"more than {NORM_TOL:.1e}")
         v.setflags(write=False)
         self.amplitudes = v
 
@@ -420,10 +396,9 @@ def scenario_to_dict(s: Scenario) -> dict:
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
-    try:
-        dim = int(doc["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("field 'dim': missing or not an integer") from None
+    dim = doc.get("dim")
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ParseError("field 'dim': missing or not an integer")
     if dim < 2:
         raise ParseError(f"field 'dim': must be >= 2, got {dim}")
 
@@ -459,7 +434,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ParseError(f"observables.{key}: length {m.shape[0]} != dim^2")
         try:
             obs.append(Observable(m.reshape(dim, dim)))
-        except (NotHermitian, NonInvolution, ShapeMismatch) as exc:
+        except (ValueError, NotHermitian, NonInvolution, ShapeMismatch) as exc:
             raise ParseError(f"observables.{key}: {exc}") from exc
     return Scenario(state, obs)
 

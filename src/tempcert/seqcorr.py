@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import NonInvolution, NumericalNoiseWarning, ShapeMismatch
+from .errors import NumericalNoiseWarning, ShapeMismatch
 from .scenario import (
     DensityMatrix,
     Observable,
     PureState,
     Scenario,
-    require_observables,
     round_to_involutions,
 )
 
@@ -183,15 +182,11 @@ def _projectors(r: np.ndarray, seq) -> np.ndarray:
     """Projector pairs (n, 2, d, d), Pi_+ then Pi_- = (1 +- A)/2, of each
     observable's exact involution. Observables with a zero involution residual
     are used as they are; all others, and raw matrices, are rounded in one
-    stacked call and checked as Observable would check them."""
+    stacked call. The rounding is exactly Hermitian and an involution to
+    rounding error, so it is not checked again."""
     mats, inexact = [], []
     for k, obs in enumerate(seq):
         if isinstance(obs, Observable):
-            if obs.involution_residual > 1e-8:
-                raise NonInvolution(
-                    f"involution residual {obs.involution_residual:.3e} too large "
-                    "for projective sampling"
-                )
             mats.append(obs.matrix)
             if obs.involution_residual == 0.0:
                 continue
@@ -201,9 +196,7 @@ def _projectors(r: np.ndarray, seq) -> np.ndarray:
     _check_dims(r, mats)  # before stacking: mixed shapes raise ShapeMismatch
     mats = np.array(mats)
     if inexact:
-        rounded = round_to_involutions(mats[inexact])
-        require_observables(rounded)
-        mats[inexact] = rounded
+        mats[inexact] = round_to_involutions(mats[inexact])
     eye = np.eye(r.shape[0])
     return np.stack([(eye + mats) / 2, (eye - mats) / 2], axis=1)
 

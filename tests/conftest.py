@@ -14,7 +14,7 @@ from tempcert.scenario import (
 
 try:
     from hypothesis import settings
-except ImportError:  # tests/test_properties.py skips itself without hypothesis
+except ImportError:  # the property tests skip themselves without hypothesis
     pass
 else:
     # Property tests draw the same examples on every run and keep no example

@@ -43,6 +43,15 @@ class TestEvaluate:
         path.write_text(json.dumps(doc))
         assert main(["evaluate", "--scenario", str(path)]) == EXIT_PARSE
 
+    def test_non_finite_observable_parse_error(self, tmp_path, capsys):
+        doc = scenario_to_dict(canonical_scenario())
+        doc["observables"]["A1"][0] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["evaluate", "--scenario", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file_io_error(self, tmp_path):
         assert main(["evaluate", "--scenario", str(tmp_path / "nope.json")]) == EXIT_IO
 

@@ -1,6 +1,7 @@
-"""Properties of the engine over generated scenarios (hypothesis, with the
-derandomized profile registered in conftest.py)."""
+"""Properties of the engine over generated scenarios and matrices
+(hypothesis, with the derandomized profile registered in conftest.py)."""
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -9,8 +10,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tempcert import certify
+from tempcert.linalg import eig_hermitian, hermitize
+from tempcert.optimize import DEGENERATE_EIGENVALUE
 from tempcert.robustness import UnitaryJitter, apply_noise
-from tempcert.scenario import canonical_scenario, random_density, random_scenario
+from tempcert.scenario import (
+    Observable,
+    PureState,
+    canonical_scenario,
+    random_density,
+    random_scenario,
+    random_unitary,
+    round_to_involutions,
+    round_to_signs,
+)
 from tempcert.seqcorr import correlations
 
 from conftest import conjugated_embedding, rng_from
@@ -53,3 +65,36 @@ def test_certify_survives_embedding(strength, seed, dim):
         assert a.keys() == b.keys()
         assert max(abs(a[k] - b[k]) for k in a) <= 1e-9
     assert max(big.leakage) <= 1e-9
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """(3, d, d) Hermitian stacks, d = 2-64, scaled by 1e-6, 1 or 1e6, each
+    matrix with a Haar eigenbasis and eigenvalues of random sign: magnitudes
+    spread over 0.1-3, or, for a near-degenerate spectrum, within about 1e-12
+    of 1."""
+    d = draw(st.integers(2, 64))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    near_degenerate = draw(st.booleans())
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for _ in range(3):
+        signs = rng.choice([-1.0, 1.0], size=d)
+        if near_degenerate:
+            w = signs * (1 + 1e-12 * rng.standard_normal(d))
+        else:
+            w = signs * rng.uniform(0.1, 3.0, size=d)
+        u = random_unitary(d, rng)
+        stack.append((u * (scale * w)) @ u.conj().T)
+    return hermitize(np.array(stack))
+
+
+@given(m=hermitian_stacks())
+def test_rounding_and_top_eigenvector_pass_the_constructors(m):
+    """The seesaw, certify.align and the sequential correlators use eigen-sign
+    roundings and top eigenvectors without checking them again: Observable
+    accepts every rounding and PureState every top eigenvector."""
+    for a in (*round_to_involutions(m), *round_to_signs(m, DEGENERATE_EIGENVALUE)[0]):
+        Observable(a)
+    for v in eig_hermitian(m)[1][..., :, 0]:
+        PureState(v)

@@ -34,8 +34,6 @@ from tempcert.scenario import (
     random_involution,
     random_scenario,
     random_unitary,
-    require_observables,
-    require_unit_norm,
     round_to_involutions,
     round_to_signs,
     save_scenario,
@@ -65,7 +63,7 @@ class TestCanonical:
         a = canonical.matrices()
         pairs = [(1, 4), (2, 5), (3, 6), (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
         for i, j in pairs:
-            assert linalg.op_norm(linalg.comm(a[i - 1], a[j - 1])) <= 1e-14
+            assert linalg.op_norm(a[i - 1] @ a[j - 1] - a[j - 1] @ a[i - 1]) <= 1e-14
 
     def test_state_is_phi_plus(self, canonical):
         assert np.allclose(canonical.state.amplitudes,
@@ -144,12 +142,8 @@ class TestTypes:
         (np.array([[1, 0], [0, np.inf]], dtype=complex), ValueError),
     ])
     def test_stack_checks_agree_with_observable(self, bad, error):
-        good = np.array([PAULI_X, PAULI_Z + 1e-9 * np.diag([1.0, 0.0])], dtype=complex)
-        require_observables(good)
         with pytest.raises(error):
             Observable(bad)
-        with pytest.raises(error):
-            require_observables(np.concatenate([good, [bad]]))
 
     def test_pure_state_norm(self):
         with pytest.raises(ValueError):
@@ -157,12 +151,8 @@ class TestTypes:
 
     @pytest.mark.parametrize("bad", [[1.0, 1.0], [np.nan, 0.0], [1.0, 1e-5]])
     def test_stack_norm_check_agrees_with_pure_state(self, bad):
-        good = np.array([[1.0, 0.0], [0.6, 0.8j]])
-        require_unit_norm(good)
         with pytest.raises(ValueError):
             PureState(bad)
-        with pytest.raises(ValueError):
-            require_unit_norm(np.concatenate([good, [bad]]))
 
     def test_density_validation(self):
         with pytest.raises(ValueError):
@@ -200,7 +190,8 @@ class TestProjectInvolution:
         w = np.linalg.eigvalsh(o.matrix)
         assert np.allclose(sorted(w), [-1.0, 1.0], atol=1e-12)
         # shares the eigenbasis of the input
-        assert linalg.op_norm(linalg.comm(o.matrix, PAULI_Z + 0.01 * PAULI_X)) <= 1e-12
+        h = PAULI_Z + 0.01 * PAULI_X
+        assert linalg.op_norm(o.matrix @ h - h @ o.matrix) <= 1e-12
 
     def test_idempotent(self):
         rng = rng_from(12)
@@ -374,6 +365,19 @@ class TestFileFormat:
         doc["observables"]["A1"] = [[2.0, 0.0] if i % 5 == 0 else [0.0, 0.0]
                                     for i in range(16)]
         with pytest.raises(ParseError, match="A1"):
+            loads_scenario(json.dumps(doc))
+
+    def test_non_finite_observable_rejected(self, canonical):
+        doc = scenario_to_dict(canonical)
+        doc["observables"]["A1"][0] = [float("nan"), 0.0]
+        with pytest.raises(ParseError, match="observables.A1: .*NaN or Inf"):
+            loads_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("dim", [4.9, 4.5, "4", True])
+    def test_dim_must_be_a_json_integer(self, canonical, dim):
+        doc = scenario_to_dict(canonical)
+        doc["dim"] = dim
+        with pytest.raises(ParseError, match="field 'dim': missing or not an integer"):
             loads_scenario(json.dumps(doc))
 
     def test_purify_then_certify_canonical(self, canonical):

@@ -199,11 +199,6 @@ class TestExactDistribution:
         with pytest.raises(ShapeMismatch):
             exact_sequence_distribution(canonical.density(), [canonical.observable(1)])
 
-    def test_non_involution_rejected(self):
-        bad = Observable(np.diag([1.1, -1.0]), involution_tol=1.0)
-        with pytest.raises(NonInvolution):
-            exact_sequence_distribution(np.eye(2) / 2, [bad, bad])
-
 
 class TestFormulaOperationalEquivalence:
     def test_pairs_and_triples_match_exact_sums(self):
@@ -425,14 +420,6 @@ class TestErrorPaths:
             exact_sequence_distribution(canonical.density(), seq)
         with pytest.raises(ShapeMismatch):
             sample_sequences(canonical.density(), seq, 100, 0)
-
-    @pytest.mark.parametrize("mode", ["exact-sum", "sampled"])
-    def test_non_involution_in_scenario(self, canonical, mode):
-        bad = Observable(1.05 * CANONICAL_MATRICES[2], involution_tol=1.0)
-        assert bad.involution_residual > 1e-8
-        s = canonical.with_observable(3, bad)
-        with pytest.raises(NonInvolution, match="too large for projective sampling"):
-            correlations(s, mode, shots=100, rng_seed=0)
 
     def test_zero_eigenvalue_in_raw_matrix(self, canonical):
         seq = [np.diag([1.0, 0.0, -1.0, 1.0]), canonical.observable(4)]

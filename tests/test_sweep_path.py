@@ -75,7 +75,8 @@ def reference_algebra_residuals(s, basis):
     mats = s.matrices()
     psi = s.state.amplitudes
     bd = basis.conj().T
-    comm = {f"A{i}A{j}": linalg.op_norm(bd @ linalg.comm(mats[i - 1], mats[j - 1]) @ basis)
+    comm = {f"A{i}A{j}": linalg.op_norm(
+                bd @ (mats[i - 1] @ mats[j - 1] - mats[j - 1] @ mats[i - 1]) @ basis)
             for i, j in CONTEXT_PAIRS}
     acomm = {f"A{i}A{j}": linalg.op_norm(bd @ linalg.acomm(mats[i - 1], mats[j - 1]) @ basis)
              for i, j in ANTICOMMUTING_PAIRS}

@@ -4,9 +4,15 @@ without any error, so each one is checked here."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -59,3 +65,14 @@ def test_correlators_workload_smoke(tmp_path):
     # its ops, not its setup, take the scenarios' first involution-residual
     # reads and form their products
     run_smoke("correlators-d4", tmp_path)
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("0*.py")))
+def test_demo_runs_cleanly(demo, tmp_path):
+    """Each demo, run as a script from an empty directory, exits 0 and writes
+    nothing to stderr: the demos call the public API and no other test runs
+    them."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
