@@ -86,7 +86,7 @@ def build_subspace(psi, a1, a5):
     gens = np.column_stack([v, m1 @ v, m5 @ v, m1 @ (m5 @ v)])
     gram = linalg.hermitize(gens.conj().T @ gens)
     try:
-        inv_sqrt = linalg.inv_sqrt_psd(gram, full_rank=True)
+        inv_sqrt = linalg.inv_sqrt_psd(gram)
     except RankDeficient as exc:
         raise SubspaceDegenerate(f"subspace generators are linearly dependent: {exc}") from exc
     basis = gens @ inv_sqrt

@@ -5,16 +5,16 @@ class TempcertError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonSquare(TempcertError):
-    """A square matrix was required."""
-
-
 class NotHermitian(TempcertError):
     """Hermiticity deviation exceeded the allowed tolerance."""
 
 
 class ShapeMismatch(TempcertError):
     """Operands have incompatible shapes or dimensions."""
+
+
+class NonSquare(ShapeMismatch):
+    """A square matrix was required."""
 
 
 class RankDeficient(TempcertError):

@@ -1,11 +1,13 @@
 """Dense complex matrix kernel for dimensions up to 64.
 
 Every function is pure and converts array_like input to a fresh complex128
-array, except `acomm` and `op_norm_exceeds`, which take arrays their caller
-has checked. `hermitize`, `acomm`, `eig_hermitian`, `expi_eig`,
-`expi_hermitian` and `op_norms` also take stacks (..., d, d), and `vec_norms`
-stacks (..., n) of vectors, each matrix or vector as on its own, bit for bit.
-Structural checks use the tolerance 1e-10, comfortable at these dimensions.
+array, except `acomm`, `op_norm_exceeds` and the checks `require_square` and
+`require_hermitian`, which take arrays their caller has coerced. `hermitize`,
+`acomm`, `eig_hermitian`, `expi_eig`, `expi_hermitian` and `op_norms` also
+take stacks (..., d, d), and `vec_norms` stacks (..., n) of vectors, each
+matrix or vector as on its own, bit for bit. Hermitian means
+||m - m†|| <= STRUCTURAL_TOL = 1e-10 in operator norm, comfortable at these
+dimensions, wherever it is checked: `require_hermitian` is the one test.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ def as_vector(v) -> np.ndarray:
     return a
 
 
-def _require_square(a: np.ndarray) -> None:
+def require_square(a: np.ndarray) -> None:
+    """Raise NonSquare unless a matrix, or each of a stack (..., r, c), is square."""
     if a.shape[-2] != a.shape[-1]:
         raise NonSquare(f"matrix is {a.shape[-2]}x{a.shape[-1]}")
 
@@ -64,7 +67,7 @@ def _require_square(a: np.ndarray) -> None:
 def hermitize(m) -> np.ndarray:
     """(m + m†)/2, the Hermitian part of a square matrix or of each of a stack."""
     a = as_matrices(m)
-    _require_square(a)
+    require_square(a)
     return (a + np.swapaxes(a.conj(), -1, -2)) / 2
 
 
@@ -111,10 +114,12 @@ def op_norm_exceeds(m: np.ndarray, tol: float) -> np.ndarray:
     return over.reshape(m.shape[:-2])
 
 
-def max_op_norm(m: np.ndarray) -> float:
-    """Largest operator norm over a stack (..., r, c); for error messages.
-    Like op_norm, it raises ValueError on NaN or Inf entries."""
-    return float(np.max(op_norms(m)))
+def require_hermitian(defect: np.ndarray, what: str) -> None:
+    """Raise NotHermitian unless each m - m† of a stack, given as `defect`
+    (..., d, d), has operator norm at most STRUCTURAL_TOL, as `op_norm_exceeds`
+    decides it; the SVD norm is taken only for the message."""
+    if op_norm_exceeds(defect, STRUCTURAL_TOL).any():
+        raise NotHermitian(f"{what} deviates from Hermitian by {op_norms(defect).max():.3e}")
 
 
 def vec_norms(v) -> np.ndarray:
@@ -148,7 +153,8 @@ def eig_hermitian(m):
     ----------
     m : array_like
         Square matrix, or a stack of them with shape (..., d, d), each
-        Hermitian within STRUCTURAL_TOL (operator norm).
+        Hermitian as `require_hermitian` means it: ||m - m†|| at most
+        STRUCTURAL_TOL. Its Hermitian part (m + m†)/2 is decomposed.
 
     Returns
     -------
@@ -156,18 +162,15 @@ def eig_hermitian(m):
         Eigenvalues in descending order.
     v : ndarray of complex, shape (..., d, d)
         Eigenvectors as columns, matching `w`. Each column's first component
-        of magnitude above 1e-12 is rotated to be real nonnegative so that
-        repeated runs give identical output. Every matrix of a stack gets
-        exactly the result it gets on its own.
+        of magnitude above 1e-12 is rotated to be real positive so that
+        repeated runs give identical output; a unit column of length d has
+        an entry of magnitude at least 1/sqrt(d), so every column has one.
+        Every matrix of a stack gets exactly the result it gets on its own.
     """
     a = as_matrices(m)
-    _require_square(a)
+    require_square(a)
     ah = np.swapaxes(a.conj(), -1, -2)
-    defect = (a - ah) / 2
-    if np.any(op_norm_exceeds(defect, STRUCTURAL_TOL)):
-        raise NotHermitian(
-            f"Hermiticity deviation {max_op_norm(defect):.3e} exceeds {STRUCTURAL_TOL:.1e}"
-        )
+    require_hermitian(a - ah, "matrix")
     w, v = np.linalg.eigh((a + ah) / 2)
     if np.all(w[..., 1:] > w[..., :-1]):
         # strictly ascending everywhere: the stable sort below is a reversal
@@ -177,36 +180,29 @@ def eig_hermitian(m):
         order = np.argsort(-w, axis=-1, kind="stable")
         w = np.take_along_axis(w, order, axis=-1)
         v = np.take_along_axis(v, order[..., None, :], axis=-1)
-    magnitude = np.abs(v)
-    big = magnitude > 1e-12
-    pivot = np.where(big.any(axis=-2), big.argmax(axis=-2), magnitude.argmax(axis=-2))
+    pivot = (np.abs(v) > 1e-12).argmax(axis=-2)
     phase = np.take_along_axis(v, pivot[..., None, :], axis=-2)
     # hypot rounds like the scalar abs() of a complex number; numpy's array
-    # abs does not always. Unit columns make the pivot nonzero.
+    # abs does not always.
     return w, v * (phase.conj() / np.hypot(phase.real, phase.imag))
 
 
-def inv_sqrt_psd(m, full_rank: bool = True) -> np.ndarray:
-    """Inverse square root of a Hermitian positive-semidefinite matrix.
+def inv_sqrt_psd(m) -> np.ndarray:
+    """Inverse square root sum_k lambda_k^{-1/2} v_k v_k† of a Hermitian
+    positive-definite matrix.
 
-    Returns sum_k lambda_k^{-1/2} v_k v_k† over eigenvalues above
-    INV_SQRT_CUTOFF. With ``full_rank=True`` (the default) any eigenvalue at
-    or below it raises :class:`RankDeficient`; otherwise those modes are
-    dropped and the result is the inverse square root on the retained
-    eigenspace.
+    An eigenvalue below -STRUCTURAL_TOL raises ValueError; one at or below
+    INV_SQRT_CUTOFF raises :class:`RankDeficient`.
     """
     w, v = eig_hermitian(m)
     if w[-1] < -STRUCTURAL_TOL:
         raise ValueError(
             f"matrix is not positive semidefinite (min eigenvalue {w[-1]:.3e})"
         )
-    keep = w > INV_SQRT_CUTOFF
-    if full_rank and not np.all(keep):
-        raise RankDeficient(
-            f"eigenvalue {w[~keep].max():.3e} at or below cutoff {INV_SQRT_CUTOFF:.1e}"
-        )
-    vk = v[:, keep]
-    return (vk / w[keep] ** 0.5) @ vk.conj().T
+    low = w[w <= INV_SQRT_CUTOFF]  # descending, so low[0] is the largest
+    if low.size:
+        raise RankDeficient(f"eigenvalue {low[0]:.3e} at or below cutoff {INV_SQRT_CUTOFF:.1e}")
+    return (v / w ** 0.5) @ v.conj().T
 
 
 def expi_eig(w: np.ndarray, v: np.ndarray, scale: float = 1.0) -> np.ndarray:

@@ -53,48 +53,34 @@ SIGN_CUTOFF = 1e-8
 NORM_TOL = 1e-12
 
 
-def _require_hermitian(m: np.ndarray, what: str) -> None:
-    """Raise NotHermitian unless ||m - m†|| <= STRUCTURAL_TOL; the SVD norm is
-    computed only for the message."""
-    defect = m - m.conj().T
-    if linalg.op_norm_exceeds(defect, linalg.STRUCTURAL_TOL):
-        raise NotHermitian(f"{what} deviates from Hermitian by {linalg.op_norm(defect):.3e}")
-
-
 class Observable:
     """Hermitian matrix intended as a +-1-outcome projective measurement.
 
-    Construction checks Hermiticity and that the deviation of
+    Construction checks squareness, Hermiticity and that the deviation of
     ``matrix @ matrix`` from the identity (operator norm) does not exceed the
-    fixed INVOLUTION_TOL; a Frobenius bound settles both checks without an SVD
-    whenever it can. The deviation itself, ``involution_residual``, is taken
-    from the residual kept at construction with one SVD on its first read and
-    cached.
+    fixed INVOLUTION_TOL; a Frobenius bound settles each check without an SVD
+    whenever it can. ``exact`` records whether that residual is exactly zero;
+    ``involution_residual`` takes one matmul and one SVD on each read.
     """
 
-    __slots__ = ("matrix", "_residual", "_residual_norm")
+    __slots__ = ("matrix", "exact")
 
     def __init__(self, matrix):
         m = linalg.as_matrix(matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ShapeMismatch(f"observable must be square, got {m.shape}")
-        _require_hermitian(m, "observable")
+        linalg.require_square(m)
+        linalg.require_hermitian(m - m.conj().T, "observable")
         residual = m @ m - np.eye(m.shape[0])
         if linalg.op_norm_exceeds(residual, INVOLUTION_TOL):
             raise NonInvolution(f"involution residual {linalg.op_norm(residual):.3e} "
                                 f"exceeds {INVOLUTION_TOL:.1e}")
-        self._residual = residual
-        self._residual_norm = None
         m.setflags(write=False)
         self.matrix = m
+        self.exact = not residual.any()
 
     @property
     def involution_residual(self) -> float:
-        """||matrix @ matrix - 1||, operator norm; computed on first read."""
-        if self._residual_norm is None:
-            self._residual_norm = linalg.op_norm(self._residual)
-            self._residual = None
-        return self._residual_norm
+        """||matrix @ matrix - 1||, operator norm, taken on each read."""
+        return linalg.op_norm(self.matrix @ self.matrix - np.eye(self.dim))
 
     @property
     def dim(self) -> int:
@@ -136,9 +122,8 @@ class DensityMatrix:
 
     def __init__(self, matrix):
         m = linalg.as_matrix(matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ShapeMismatch(f"density matrix must be square, got {m.shape}")
-        _require_hermitian(m, "density matrix")
+        linalg.require_square(m)
+        linalg.require_hermitian(m - m.conj().T, "density matrix")
         w = np.linalg.eigvalsh(linalg.hermitize(m))
         if w.min() < -linalg.STRUCTURAL_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
@@ -365,16 +350,19 @@ def complex_pairs(a) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 def _array_from_pairs(pairs, what: str) -> np.ndarray:
+    """A list of [re, im] pairs of JSON numbers (int or float, not bool) as a vector."""
     if not isinstance(pairs, list):
         raise ParseError(f"{what}: expected a list of [re, im] pairs")
     out = np.empty(len(pairs), dtype=complex)
     for i, p in enumerate(pairs):
         if (not isinstance(p, list)) or len(p) != 2:
             raise ParseError(f"{what}[{i}]: expected an [re, im] pair")
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in p):
+            raise ParseError(f"{what}[{i}]: entries must be JSON numbers")
         try:
             out[i] = complex(float(p[0]), float(p[1]))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{what}[{i}]: non-numeric entry") from exc
+        except OverflowError as exc:
+            raise ParseError(f"{what}[{i}]: number too large for a float") from exc
     return out
 
 

@@ -61,27 +61,19 @@ ANTICOMMUTING_PAIRS = tuple(pair for pair in itertools.combinations(range(1, 7),
                             if pair not in CONTEXT_PAIRS)
 
 
-def _density_of(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.density()
-    if isinstance(rho, PureState):
-        return rho.density()
-    return linalg.as_matrix(rho)
-
-
-def _matrix_of(obs) -> np.ndarray:
-    if isinstance(obs, Observable):
-        return obs.matrix
-    return linalg.as_matrix(obs)
-
-
-def _check_dims(rho: np.ndarray, mats) -> None:
-    d = rho.shape[0]
-    if rho.shape != (d, d):
-        raise ShapeMismatch(f"density matrix has shape {rho.shape}")
-    for m in mats:
+def _operands(rho, seq):
+    """The density matrix of rho (a state or a raw matrix) and the matrices of
+    seq (Observables or raw matrices) stacked (n, d, d), checked to share one
+    dimension d. Only raw input is coerced, with `linalg.as_matrix`."""
+    r = rho.density() if isinstance(rho, (PureState, DensityMatrix)) else linalg.as_matrix(rho)
+    mats = [o.matrix if isinstance(o, Observable) else linalg.as_matrix(o) for o in seq]
+    d = r.shape[0]
+    if r.shape != (d, d):
+        raise ShapeMismatch(f"density matrix has shape {r.shape}")
+    for m in mats:  # before stacking: mixed shapes raise ShapeMismatch
         if m.shape != (d, d):
             raise ShapeMismatch(f"observable shape {m.shape} does not match dimension {d}")
+    return r, np.array(mats)
 
 
 def _real(z: complex, what: str) -> float:
@@ -161,9 +153,7 @@ def pair_corr(rho, a, b) -> float:
     The first argument of the anticommutator is the first-measured
     observable; the expression is symmetric, so order does not matter here.
     """
-    r = _density_of(rho)
-    ma, mb = _matrix_of(a), _matrix_of(b)
-    _check_dims(r, (ma, mb))
+    r, (ma, mb) = _operands(rho, (a, b))
     return _real(_nested_traces(r, linalg.acomm(ma, mb)), "pair_corr")
 
 
@@ -172,41 +162,29 @@ def triple_corr(rho, a, b, c) -> float:
 
     Order-sensitive: `a` is the outermost, first-measured observable.
     """
-    r = _density_of(rho)
-    ma, mb, mc = _matrix_of(a), _matrix_of(b), _matrix_of(c)
-    _check_dims(r, (ma, mb, mc))
+    r, (ma, mb, mc) = _operands(rho, (a, b, c))
     return _real(_nested_traces(r, linalg.acomm(mb, mc), ma), "triple_corr")
 
 
-def _projectors(r: np.ndarray, seq) -> np.ndarray:
-    """Projector pairs (n, 2, d, d), Pi_+ then Pi_- = (1 +- A)/2, of each
-    observable's exact involution. Observables with a zero involution residual
-    are used as they are; all others, and raw matrices, are rounded in one
-    stacked call. The rounding is exactly Hermitian and an involution to
-    rounding error, so it is not checked again."""
-    mats, inexact = [], []
-    for k, obs in enumerate(seq):
-        if isinstance(obs, Observable):
-            mats.append(obs.matrix)
-            if obs.involution_residual == 0.0:
-                continue
-        else:
-            mats.append(linalg.as_matrix(obs))
-        inexact.append(k)
-    _check_dims(r, mats)  # before stacking: mixed shapes raise ShapeMismatch
-    mats = np.array(mats)
+def _projectors(rho, seq):
+    """`_operands`' density matrix and the projector pairs (n, 2, d, d), Pi_+
+    then Pi_- = (1 +- A)/2, of each observable's exact involution. Observables
+    flagged ``exact`` are used as they are; all others, and raw matrices, are
+    rounded in one stacked call. The rounding is exactly Hermitian and an
+    involution to rounding error, so it is not checked again."""
+    r, mats = _operands(rho, seq)
+    inexact = [k for k, obs in enumerate(seq) if not (isinstance(obs, Observable) and obs.exact)]
     if inexact:
         mats[inexact] = round_to_involutions(mats[inexact])
     eye = np.eye(r.shape[0])
-    return np.stack([(eye + mats) / 2, (eye - mats) / 2], axis=1)
+    return r, np.stack([(eye + mats) / 2, (eye - mats) / 2], axis=1)
 
 
 def _sequence_of(rho, seq):
     seq = list(seq)
     if len(seq) not in (2, 3):
         raise ShapeMismatch(f"sequence length must be 2 or 3, got {len(seq)}")
-    r = _density_of(rho)
-    return r, _projectors(r, seq)
+    return _projectors(rho, seq)
 
 
 def _chain_traces(r: np.ndarray, proj: np.ndarray) -> np.ndarray:
@@ -314,13 +292,12 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
     `rng_seed` with SeedSequence.spawn, so results are reproducible and
     independent of evaluation order.
     """
-    rho = s.density()
     values = {}
     stderr = None
     if mode == "analytic":
         # the scenario's checked matrices share rho's dimension; the innermost
         # anticommutators {A_j, A_k} = A_j A_k + A_k A_j come from its products
-        mats, prods = np.array(s.matrices()), s.products()
+        rho, mats, prods = s.density(), np.array(s.matrices()), s.products()
         for n, what in ((3, "triple_corr"), (2, "pair_corr")):  # one stack per length
             terms = [(name, slots) for name, slots, _ in TERMS if len(slots) == n]
             *outer, j, k = np.subtract([slots for _, slots in terms], 1).T
@@ -328,7 +305,7 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
             for (name, _), z in zip(terms, traces):
                 values[name] = _real(z, what)
     elif mode == "exact-sum":
-        proj = _projectors(rho, s.observables)
+        rho, proj = _projectors(s.state, s.observables)
         for n in (3, 2):  # the terms of one length as one stack
             terms = [(name, slots) for name, slots, _ in TERMS if len(slots) == n]
             traces = _chain_traces(rho, proj[np.subtract([slots for _, slots in terms], 1)])
@@ -337,7 +314,7 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
     elif mode == "sampled":
         if shots is None or rng_seed is None:
             raise ValueError("sampled mode needs shots and rng_seed")
-        proj = _projectors(rho, s.observables)
+        rho, proj = _projectors(s.state, s.observables)
         stderr = {}
         children = np.random.SeedSequence(rng_seed).spawn(len(TERMS))
         for child, (name, slots, _) in zip(children, TERMS):

@@ -52,6 +52,16 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_huge_integer_entry_parse_error(self, tmp_path, capsys):
+        # float() of a 400-digit integer overflows; that must be a parse error
+        doc = scenario_to_dict(canonical_scenario())
+        doc["observables"]["A1"][0] = [10**400, 0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["evaluate", "--scenario", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file_io_error(self, tmp_path):
         assert main(["evaluate", "--scenario", str(tmp_path / "nope.json")]) == EXIT_IO
 

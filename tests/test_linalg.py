@@ -222,17 +222,6 @@ class TestInvSqrtPsd:
         with pytest.raises(RankDeficient):
             linalg.inv_sqrt_psd(np.diag([1.0, 0.0]))
 
-    def test_dropped_modes_give_projector(self):
-        # sandwich equals the projector onto the retained eigenspace
-        rng = rng_from(5)
-        g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        gram = np.zeros((4, 4), dtype=complex)
-        gram[:3, :3] = g.conj().T @ g
-        s = linalg.inv_sqrt_psd(gram, full_rank=False)
-        sandwich = s @ gram @ s
-        assert linalg.op_norm(sandwich @ sandwich - sandwich) <= 1e-9
-        assert abs(np.trace(sandwich).real - 3) <= 1e-9
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             linalg.inv_sqrt_psd(np.diag([1.0, -1.0]))
@@ -292,8 +281,6 @@ class TestNormsAndProducts:
             bad[1, 0] = entry
             with pytest.raises(ValueError):
                 linalg.op_norm(bad)
-            with pytest.raises(ValueError):
-                linalg.max_op_norm(np.array([good, bad]))
             assert bool(linalg.op_norm_exceeds(bad, 1e300))
             assert list(linalg.op_norm_exceeds(np.array([good, bad, good]), 1.0)) == [
                 False, True, False]

@@ -14,9 +14,14 @@ from tempcert.linalg import eig_hermitian, hermitize
 from tempcert.optimize import DEGENERATE_EIGENVALUE
 from tempcert.robustness import UnitaryJitter, apply_noise
 from tempcert.scenario import (
+    DensityMatrix,
     Observable,
     PureState,
+    Scenario,
     canonical_scenario,
+    conjugate_scenario,
+    dumps_scenario,
+    loads_scenario,
     random_density,
     random_scenario,
     random_unitary,
@@ -98,3 +103,39 @@ def test_rounding_and_top_eigenvector_pass_the_constructors(m):
         Observable(a)
     for v in eig_hermitian(m)[1][..., :, 0]:
         PureState(v)
+
+
+@st.composite
+def file_scenarios(draw):
+    """Pure or mixed scenarios, d = 2-8, some Haar-conjugated, some with -0.0
+    in every off-diagonal entry, real and imaginary part, of the observables
+    and the state."""
+    d, pure = draw(st.integers(2, 8)), draw(st.booleans())
+    signed_zeros, conjugated = draw(st.booleans()), draw(st.booleans())
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    if signed_zeros:
+        obs = [Observable(-np.diag(rng.choice([-1.0, 1.0], size=d)).astype(complex))
+               for _ in range(6)]
+        p = rng.dirichlet(np.ones(d))
+        state = (PureState(-np.eye(d, dtype=complex)[0]) if pure
+                 else DensityMatrix(-np.diag(-p).astype(complex)))
+        s = Scenario(state, obs)
+    else:
+        s = random_scenario(d, rng)
+        if not pure:
+            s = s.with_state(random_density(d, rng))
+    return conjugate_scenario(s, random_unitary(d, rng)) if conjugated else s
+
+
+@given(s=file_scenarios())
+def test_save_load_is_bit_exact(s):
+    """loads_scenario(dumps_scenario(s)) gives back every matrix and the state
+    bit for bit, -0.0 included, and dumps again to the same text."""
+    text = dumps_scenario(s)
+    t = loads_scenario(text)
+    assert t.is_pure() == s.is_pure()
+    key = "amplitudes" if s.is_pure() else "matrix"
+    assert getattr(t.state, key).tobytes() == getattr(s.state, key).tobytes()
+    for a, b in zip(s.matrices(), t.matrices()):
+        assert a.tobytes() == b.tobytes()
+    assert dumps_scenario(t) == text

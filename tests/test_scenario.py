@@ -119,12 +119,27 @@ class TestTypes:
         exact = np.kron(PAULI_X, np.eye(d // 2))
         assert Observable(exact).involution_residual == 0.0
 
-    def test_involution_residual_is_computed_once(self, svd_calls):
-        o = Observable(PAULI_Z + 1e-9 * np.diag([1.0, 0.0]))
-        first = o.involution_residual
-        assert len(svd_calls) == 1
-        assert o.involution_residual == first
-        assert len(svd_calls) == 1
+    def test_exact_is_a_zero_involution_residual(self, canonical):
+        rng = rng_from(31)
+        obs = [*canonical.observables, Observable(PAULI_Z + 1e-9 * np.diag([1.0, 0.0]))]
+        obs += [random_involution(d, rng) for d in (2, 3, 4, 8, 16, 64) for _ in range(5)]
+        assert [o.exact for o in obs] == [o.involution_residual == 0.0 for o in obs]
+        assert {o.exact for o in obs} == {True, False}
+
+    @pytest.mark.parametrize("size, hermitian", [(0.9e-10, True), (1.5e-10, False)])
+    def test_one_hermiticity_meaning(self, size, hermitian):
+        # ||m - m†|| = size for every matrix; the halved defect (m - m†)/2
+        # would pass at 1.5e-10, so each check must test m - m† itself
+        skew = np.array([[0, size], [0, 0]], dtype=complex)
+        checks = [(Observable, PAULI_Z + skew), (DensityMatrix, np.eye(2) / 2 + skew),
+                  (linalg.eig_hermitian, PAULI_Z + skew)]
+        for check, m in checks:
+            assert linalg.op_norm(m - m.conj().T) == size
+            if hermitian:
+                check(m)
+            else:
+                with pytest.raises(NotHermitian, match="deviates from Hermitian by 1.500e-10"):
+                    check(m)
 
     def test_construction_settled_by_frobenius_takes_no_svd(self, svd_calls):
         m = random_involution(16, rng_from(9)).matrix
@@ -372,6 +387,18 @@ class TestFileFormat:
         doc["observables"]["A1"][0] = [float("nan"), 0.0]
         with pytest.raises(ParseError, match="observables.A1: .*NaN or Inf"):
             loads_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("entry", ["0.5", True, False, None, 10**400],
+                             ids=["string", "true", "false", "null", "400-digit"])
+    def test_entries_must_be_json_numbers(self, canonical, entry):
+        # float() accepts strings and booleans, and overflows on a 400-digit
+        # integer, so each entry's type is checked before it converts
+        for field in ("state", "observables"):
+            doc = scenario_to_dict(canonical)
+            pairs = doc["state"]["vector"] if field == "state" else doc["observables"]["A1"]
+            pairs[0][0] = entry
+            with pytest.raises(ParseError, match=f"{field}.*\\[0\\]: "):
+                loads_scenario(json.dumps(doc))
 
     @pytest.mark.parametrize("dim", [4.9, 4.5, "4", True])
     def test_dim_must_be_a_json_integer(self, canonical, dim):

@@ -399,6 +399,15 @@ class TestStackedChains:
         correlations(exact, mode, shots=100, rng_seed=0)
         assert calls == []
 
+    @pytest.mark.parametrize("mode", ["exact-sum", "sampled"])
+    def test_fresh_scenario_takes_no_svd(self, svd_calls, mode):
+        # which observables need rounding is read off their exact flags, not
+        # off the SVD norms of their involution residuals
+        s = random_scenario(4, rng_from(902))
+        svd_calls.clear()
+        correlations(s, mode, shots=100, rng_seed=0)
+        assert svd_calls == []
+
 
 class TestErrorPaths:
     """Each error the sequential routes raise, pinned before the chains were

@@ -2,6 +2,7 @@
 A name that no longer resolves would leave its per-layer metric at zero
 without any error, so each one is checked here."""
 
+import hashlib
 import importlib
 import importlib.util
 import os
@@ -62,17 +63,35 @@ def test_certify_sweep_workload_smoke(tmp_path):
 
 
 def test_correlators_workload_smoke(tmp_path):
-    # its ops, not its setup, take the scenarios' first involution-residual
-    # reads and form their products
+    # its ops, not its setup, form the scenarios' products
     run_smoke("correlators-d4", tmp_path)
+
+
+#: SHA-256 of each demo's stdout. Every number a demo prints is fixed-seed,
+#: so a change that moves one bit of what the demos show fails here. Like the
+#: other golden hashes they hold the bits of the BLAS and LAPACK kernels
+#: (numpy 2.4, OpenBLAS, one thread).
+DEMO_STDOUT_SHA256 = {
+    "01_canonical_violation.py":
+        "61d6c86debf38171f511a234570e98a41c31f7ebf78ec576584a4a7f221b3854",
+    "02_sequential_measurements.py":
+        "95fbcd528974da940c267056024fa2957ef64504ddb07cdefe0578716793c35c",
+    "03_seesaw_optimization.py":
+        "1c69403721f2327a3f1f60991056b8e8c72144e2d1ffd3352d5fa619057db40d",
+    "04_self_testing.py":
+        "31acb3f0fd1e62d1269ff352a42506980278c7cab611b2201b80381ca300b79a",
+    "05_noise_robustness.py":
+        "2d93eb0206366f0d88749b0f1ee8ea61cdd75cab30dc67bc683c98fcf534ac54",
+}
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("0*.py")))
 def test_demo_runs_cleanly(demo, tmp_path):
-    """Each demo, run as a script from an empty directory, exits 0 and writes
-    nothing to stderr: the demos call the public API and no other test runs
-    them."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    """Each demo, run as a script from an empty directory with one BLAS
+    thread, exits 0, writes nothing to stderr and prints its recorded stdout:
+    the demos call the public API and no other test runs them."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
     done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256[demo]
