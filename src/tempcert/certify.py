@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import linalg
+from . import linalg, seqcorr
 from .errors import (
     AnticommutatorTooLarge,
     FactorizationFailure,
@@ -104,29 +104,26 @@ def algebra_residuals(s: Scenario, basis: np.ndarray):
     """
     if not s.is_pure():
         raise ShapeMismatch("algebra_residuals needs a pure state; purify first")
-    mats, prods = s.matrices(), s.products()
-    psi = s.state.amplitudes
-    bd = basis.conj().T
-
-    # [A_i, A_j] and {A_i, A_j} from the scenario's products, compressed one
-    # matrix at a time, their norms in one SVD call
+    mats = np.array(s.matrices())
+    # basis† A_i A_j basis = (A_i basis)† (A_j basis); the norms in one SVD call
+    blocks = mats @ basis
+    g = np.swapaxes(blocks.conj(), -1, -2)[:, None] @ blocks[None]
     norms = linalg.op_norms(
-        [bd @ (prods[i - 1, j - 1] - prods[j - 1, i - 1]) @ basis for i, j in CONTEXT_PAIRS]
-        + [bd @ (prods[i - 1, j - 1] + prods[j - 1, i - 1]) @ basis
-           for i, j in ANTICOMMUTING_PAIRS]
+        [g[i - 1, j - 1] - g[j - 1, i - 1] for i, j in CONTEXT_PAIRS]
+        + [g[i - 1, j - 1] + g[j - 1, i - 1] for i, j in ANTICOMMUTING_PAIRS]
     ).tolist()
     n = len(CONTEXT_PAIRS)
     comm = {f"A{i}A{j}": v for (i, j), v in zip(CONTEXT_PAIRS, norms[:n])}
     acomm = {f"A{i}A{j}": v for (i, j), v in zip(ANTICOMMUTING_PAIRS, norms[n:])}
 
+    r = s.state.factor()
+    _, double = seqcorr.state_images(mats, r)
     names, residuals = [], []
     for slots, sign in STATE_CONSTRAINTS:
-        vec = psi
-        for k in reversed(slots):
-            vec = mats[k - 1] @ vec
+        *i, j, k = (x - 1 for x in slots)  # A_i A_j A_k psi = A_i (A_j A_k psi)
         names.append("".join(f"A{k}" for k in slots) + ("-1" if sign == 1 else "+1"))
-        residuals.append(vec - sign * psi)
-    constraints = dict(zip(names, linalg.vec_norms(residuals).tolist()))
+        residuals.append((mats[i[0]] @ double[j, k] if i else double[j, k]) - sign * r)
+    constraints = dict(zip(names, linalg.vec_norms(np.array(residuals)[..., 0]).tolist()))
     return comm, acomm, constraints
 
 
@@ -224,6 +221,9 @@ def align(projected_observables, extracted_state_raw, eigenspace_gauge=None) -> 
     u2 = np.column_stack([m_plus, m_minus * (c.conjugate() / abs(c))])
 
     unitary = np.kron(np.eye(2), u2).conj().T @ w.conj().T
+    # global phase: U's first entry above 1e-12 in magnitude, row-major, real positive
+    pivot = complex(unitary.flat[np.argmax(np.abs(unitary) > 1e-12)])
+    unitary = unitary * (pivot.conjugate() / abs(pivot))
     aligned = unitary @ raw @ unitary.conj().T
 
     sign3 = 1.0 if np.trace(aligned[2] @ TARGET_MATRICES[2]).real >= 0 else -1.0
@@ -322,13 +322,12 @@ def certify(s: Scenario, *, corr: CorrelationSet | None = None) -> Certification
     basis, gram, projector = build_subspace(psi, s.observable(1), s.observable(5))
     comm, acomm, constraints = algebra_residuals(s, basis)
 
-    # ||P m (1 - P)|| = ||basis† m (1 - P)||, as basis has orthonormal
-    # columns: the leakage norms are taken on 4 x d matrices, not d x d
+    # ||P A_k (1 - P)|| = ||basis† A_k (1 - P)|| = ||(A_k basis)† - projected_k basis†||,
+    # as basis has orthonormal columns: all from the six d x 4 blocks A_k basis
+    blocks = np.array(s.matrices()) @ basis
     bd = basis.conj().T
-    compressed = [bd @ m for m in s.matrices()]
-    complement = np.eye(s.dim) - projector
-    leakage = linalg.op_norms([x @ complement for x in compressed]).tolist()
-    projected = [x @ basis for x in compressed]
+    projected = bd @ blocks
+    leakage = linalg.op_norms(np.swapaxes(blocks.conj(), -1, -2) - projected @ bd).tolist()
 
     psi_v = bd @ psi.amplitudes
     psi_v = psi_v / linalg.vec_norm(psi_v)
@@ -346,7 +345,7 @@ def certify(s: Scenario, *, corr: CorrelationSet | None = None) -> Certification
         subspace_basis=basis,
         gram=gram,
         projector=projector,
-        projected_observables=projected,
+        projected_observables=list(projected),
         leakage=leakage,
         commutator_residuals=comm,
         anticommutator_residuals=acomm,

@@ -8,14 +8,13 @@ module checks rather than assumes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, seqcorr
 from .errors import BadTransformId
 from .scenario import Observable, Scenario
 from .seqcorr import CONTEXT_PAIRS, CONTEXTS, TERMS, CorrelationSet, correlations
@@ -79,19 +78,18 @@ def eval_INC(s: Scenario):
     """Compatibility-assuming expression plus a commutator report.
 
     value = <A1A2A3> + <A4A5A6> + <A1A4> + <A2A5> - <A3A6> with plain
-    operator products under Re tr(rho .). Always evaluated, even for
-    incompatible observables; the report flags when the result is not
-    physically meaningful (some context commutator norm above 1e-8).
+    operator products under Re tr(rho .), as inner products of the state
+    factor's images. Always evaluated, even for incompatible observables; the
+    report flags when the result is not physically meaningful (some context
+    commutator norm above 1e-8), and does not depend on the state.
     """
-    rho = s.density()
-    a, p = s.matrices(), s.products()
+    a = np.array(s.matrices())
+    single, double = seqcorr.state_images(a, s.state.factor())
     value = 0.0
     for context, sign in CONTEXTS.items():
-        # A_i A_j from the products, then the remaining factors left to right
-        i, j, *rest = context
-        prod = functools.reduce(np.matmul, [a[k - 1] for k in rest], p[i - 1, j - 1])
-        value += sign * float(np.trace(rho @ prod).real)
-    norms = linalg.op_norms([p[i - 1, j - 1] - p[j - 1, i - 1] for i, j in CONTEXT_PAIRS])
+        i, j, *k = (x - 1 for x in context)  # Re tr(rho A_i A_j ...) = Re<A_i R, A_j ... R>
+        value += sign * float(np.vdot(single[i], double[j, k[0]] if k else single[j]).real)
+    norms = linalg.op_norms([a[i - 1] @ a[j - 1] - a[j - 1] @ a[i - 1] for i, j in CONTEXT_PAIRS])
     return value, CompatibilityReport(dict(zip(CONTEXT_PAIRS, norms.tolist())))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import linalg, seqcorr
 from .errors import NotAViolation, ShapeMismatch, TempcertError
 from .inequality import QUANTUM_BOUND, eval_IT
 from .scenario import (
@@ -142,12 +142,10 @@ class BoundCheck:
 
 
 def _state_norm_checks(s: Scenario, eps: float):
-    """The norm-bound families over CONTEXTS and ANTICOMMUTING_PAIRS of a
-    pure scenario: ||(A_i - A_j A_k) psi|| <= 4 sqrt(eps) etc. The products
-    A_j A_k come from the scenario's products; the vectors are formed one
-    matrix at a time (stacked products would allocate d=64 temporaries that
-    cost more than the loop saves) and their norms taken in one call."""
-    mats, prods, psi = s.matrices(), s.products(), s.state.amplitudes
+    """The norm-bound families over CONTEXTS and ANTICOMMUTING_PAIRS of a pure
+    scenario, ||(A_i - A_j A_k) psi|| <= 4 sqrt(eps) etc., each vector a sum or
+    difference of the images A_k psi and A_j A_k psi, the norms in one call."""
+    single, double = seqcorr.state_images(np.array(s.matrices()), s.state.factor())
     root = np.sqrt(max(eps, 0.0))
     checks = []  # (label, factor of sqrt(eps), vector)
     # CONTEXTS lists the triple contexts first, so their family comes first
@@ -155,15 +153,15 @@ def _state_norm_checks(s: Scenario, eps: float):
         if len(context) == 3:
             for i, j, k in itertools.permutations(context):
                 checks.append((f"norm(A{i}-A{j}A{k})<=4sqrt(eps)", 4,
-                               (mats[i - 1] - prods[j - 1, k - 1]) @ psi))
+                               single[i - 1] - double[j - 1, k - 1]))
         else:
             i, j = context
             checks.append((f"norm(A{i}{'-' if sign > 0 else '+'}A{j})<=2sqrt(eps)", 2,
-                           (mats[i - 1] - sign * mats[j - 1]) @ psi))
+                           single[i - 1] - sign * single[j - 1]))
     for i, j in ANTICOMMUTING_PAIRS:
         checks.append((f"norm({{A{i},A{j}}})<=14sqrt(eps)", 14,
-                       (prods[i - 1, j - 1] + prods[j - 1, i - 1]) @ psi))
-    lhs = linalg.vec_norms([vec for _, _, vec in checks])
+                       double[i - 1, j - 1] + double[j - 1, i - 1]))
+    lhs = linalg.vec_norms([vec[:, 0] for _, _, vec in checks])
     return [BoundCheck(label, v, factor * root, v <= factor * root + CHECK_GUARD)
             for (label, factor, _), v in zip(checks, lhs)]
 

@@ -111,6 +111,9 @@ class PureState:
     def density(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
+    def factor(self) -> np.ndarray:
+        return self.amplitudes[:, None]  # (d, 1), density() = R R†
+
     def __repr__(self):
         return f"PureState(dim={self.dim})"
 
@@ -140,6 +143,11 @@ class DensityMatrix:
     def density(self) -> np.ndarray:
         return np.array(self.matrix)
 
+    def factor(self) -> np.ndarray:
+        """R = v sqrt(max(w, 0)), R R† = matrix, from `eig_hermitian`'s (w, v)."""
+        w, v = linalg.eig_hermitian(self.matrix)
+        return v * np.sqrt(np.clip(w, 0.0, None))
+
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
 
@@ -150,15 +158,15 @@ def _require_slot(slot: int) -> None:
 
 
 class Scenario:
-    """One state plus six observables A1..A6 on a common d-dimensional space.
+    """One state (PureState or DensityMatrix) plus six observables A1..A6 on a
+    common d-dimensional space. Nothing derived from them is kept: each
+    consumer forms the images A_k R and A_j A_k R of the state's factor R."""
 
-    The pairwise products A_i A_j are formed on the first call of
-    ``products()`` and kept for the scenario's lifetime.
-    """
-
-    __slots__ = ("state", "observables", "dim", "_products")
+    __slots__ = ("state", "observables", "dim")
 
     def __init__(self, state, observables):
+        if not isinstance(state, (PureState, DensityMatrix)):
+            raise TypeError("state must be a PureState or DensityMatrix instance")
         obs = tuple(observables)
         if len(obs) != 6:
             raise ShapeMismatch(f"a scenario needs exactly 6 observables, got {len(obs)}")
@@ -171,7 +179,6 @@ class Scenario:
         self.state = state
         self.observables = obs
         self.dim = d
-        self._products = None
 
     def observable(self, slot: int) -> Observable:
         """1-based access: slot in 1..6."""
@@ -180,17 +187,6 @@ class Scenario:
 
     def matrices(self) -> tuple:
         return tuple(o.matrix for o in self.observables)
-
-    def products(self) -> np.ndarray:
-        """Read-only (6, 6, d, d) array whose [i, j] entry is A_{i+1} A_{j+1},
-        formed by one broadcast matmul on the first call, each product the one
-        ``a_i @ a_j`` gives bit for bit, and kept on the scenario."""
-        if self._products is None:
-            m = np.array(self.matrices())
-            p = m[:, None] @ m[None, :]
-            p.setflags(write=False)
-            self._products = p
-        return self._products
 
     def density(self) -> np.ndarray:
         return self.state.density()
@@ -263,11 +259,8 @@ def purify(rho: DensityMatrix) -> PureState:
     The output's reduced state on the first factor equals rho; the purifying
     factor is the second one, so observables lift as A (x) 1_d.
     """
-    w, v = linalg.eig_hermitian(rho.matrix)
-    w = np.clip(w, 0.0, None)
-    # Psi[i*d + k] = sqrt(w_k) v_k[i]: system index first, ancilla second.
-    mat = v * np.sqrt(w)
-    vec = mat.reshape(-1)
+    # rho's factor row-major, Psi[i*d + k] = sqrt(w_k) v_k[i]: system first
+    vec = rho.factor().reshape(-1)
     return PureState(vec / linalg.vec_norm(vec))
 
 

@@ -1,9 +1,10 @@
 """Sequential correlators, computed three independent ways.
 
-Closed-form anticommutator expressions, exact outcome-probability sums over
-the Lüders update chain, and seeded Monte-Carlo sampling. The routes serve
-as oracles for one another: for exact involutions the first two agree to
-machine precision, and sampled estimates converge to both.
+Closed-form anticommutator expressions as inner products of the images of a
+state factor, exact outcome-probability sums over the Lüders update chain,
+and seeded Monte-Carlo sampling. The routes serve as oracles for one another:
+for exact involutions the first two agree to machine precision, and sampled
+estimates converge to both.
 """
 
 from __future__ import annotations
@@ -76,6 +77,22 @@ def _operands(rho, seq):
     return r, np.array(mats)
 
 
+def state_images(mats: np.ndarray, r: np.ndarray):
+    """The images A_k R (n, d, c) and A_j A_k R (n, n, d, c), [j, k] entry A_j
+    applied to A_k R, of a state factor R (d, c), rho = R R†, under matrices
+    (n, d, d). For Hermitian A_k, tr(rho A_j A_k) = <A_j R, A_k R>."""
+    single = mats @ r
+    return single, mats[:, None] @ single[None]
+
+
+def _correlator(single: np.ndarray, double: np.ndarray, slots) -> float:
+    """Re<A_x R, A_y R> for 1-based slots (x, y), and
+    Re<A_x R, (A_y A_z + A_z A_y) R>/2 for (x, y, z), from `state_images`."""
+    x, y, *z = slots
+    image = (double[y - 1, z[0] - 1] + double[z[0] - 1, y - 1]) / 2 if z else single[y - 1]
+    return float(np.vdot(single[x - 1], image).real)
+
+
 def _real(z: complex, what: str) -> float:
     if abs(z.imag) > IMAG_RESIDUE_TOL:
         warnings.warn(
@@ -135,16 +152,13 @@ class OutcomeDistribution:
         return float(sum(math.prod(o) * p for o, p in self.probabilities.items()))
 
 
-def _nested_traces(r: np.ndarray, inner: np.ndarray, *outer: np.ndarray) -> np.ndarray:
-    """tr(rho {A_1, {A_2, ... {A_{n-1}, A_n}}}) / 2^(n-1) of each sequence of
-    a stack, given the innermost anticommutators {A_{n-1}, A_n} (..., d, d)
-    and the outer observables A_1 .. A_{n-2}, each a stack (..., d, d), the
-    first-measured outermost; each product is one stacked call over the
-    leading axes."""
-    x = inner
-    for a in reversed(outer):
-        x = linalg.acomm(a, x)
-    return np.trace(r @ x, axis1=-2, axis2=-1) / 2 ** (len(outer) + 1)
+def _checked_correlator(rho, seq) -> float:
+    """`_correlator` of raw input checked at this edge: rho through
+    DensityMatrix, seq as Hermitian, for which alone the vector form is exact."""
+    state = rho if isinstance(rho, (PureState, DensityMatrix)) else DensityMatrix(rho)
+    _, mats = _operands(state, seq)
+    linalg.require_hermitian(mats - np.swapaxes(mats.conj(), -1, -2), "observable")
+    return _correlator(*state_images(mats, state.factor()), range(1, len(seq) + 1))
 
 
 def pair_corr(rho, a, b) -> float:
@@ -153,8 +167,7 @@ def pair_corr(rho, a, b) -> float:
     The first argument of the anticommutator is the first-measured
     observable; the expression is symmetric, so order does not matter here.
     """
-    r, (ma, mb) = _operands(rho, (a, b))
-    return _real(_nested_traces(r, linalg.acomm(ma, mb)), "pair_corr")
+    return _checked_correlator(rho, (a, b))
 
 
 def triple_corr(rho, a, b, c) -> float:
@@ -162,8 +175,7 @@ def triple_corr(rho, a, b, c) -> float:
 
     Order-sensitive: `a` is the outermost, first-measured observable.
     """
-    r, (ma, mb, mc) = _operands(rho, (a, b, c))
-    return _real(_nested_traces(r, linalg.acomm(mb, mc), ma), "triple_corr")
+    return _checked_correlator(rho, (a, b, c))
 
 
 def _projectors(rho, seq):
@@ -224,6 +236,8 @@ def _sample(r: np.ndarray, proj: np.ndarray, shots: int, rng_seed, labels):
     """sample_sequences on a checked density matrix and projector pairs."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots > np.iinfo(np.int64).max:
+        raise ValueError(f"shots must be at most {np.iinfo(np.int64).max}, got {shots}")
     d = r.shape[0]
     # Conditional-chain branch walk; this is an independent code path from
     # the direct per-outcome formula in exact_sequence_distribution. Each
@@ -295,15 +309,10 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
     values = {}
     stderr = None
     if mode == "analytic":
-        # the scenario's checked matrices share rho's dimension; the innermost
-        # anticommutators {A_j, A_k} = A_j A_k + A_k A_j come from its products
-        rho, mats, prods = s.density(), np.array(s.matrices()), s.products()
-        for n, what in ((3, "triple_corr"), (2, "pair_corr")):  # one stack per length
-            terms = [(name, slots) for name, slots, _ in TERMS if len(slots) == n]
-            *outer, j, k = np.subtract([slots for _, slots in terms], 1).T
-            traces = _nested_traces(rho, prods[j, k] + prods[k, j], *(mats[i] for i in outer))
-            for (name, _), z in zip(terms, traces):
-                values[name] = _real(z, what)
+        # the scenario's checked matrices share its state's dimension
+        single, double = state_images(np.array(s.matrices()), s.state.factor())
+        for name, slots, _ in TERMS:
+            values[name] = _correlator(single, double, slots)
     elif mode == "exact-sum":
         rho, proj = _projectors(s.state, s.observables)
         for n in (3, 2):  # the terms of one length as one stack

@@ -28,6 +28,7 @@ from tempcert.scenario import (
     canonical_scenario,
     conjugate_scenario,
     purify_scenario,
+    random_hermitian,
     random_unitary,
 )
 
@@ -134,6 +135,21 @@ class TestAlign:
             f1 = abs(PHI_PLUS.conj() @ (alt.unitary @ psi_v)) ** 2
             assert abs(f0 - f1) <= 1e-10
             assert max(abs(a - b) for a, b in zip(base.distances, alt.distances)) <= 1e-9
+
+    def test_unitary_phase_is_fixed(self):
+        # the eigenspace bases inside align leave U's global phase free; U's
+        # first entry above 1e-12 in magnitude, row-major, is made real
+        # positive, so a 1e-15 Hermitian nudge of the inputs moves U by
+        # rounding only (by up to 2e-2 without the convention)
+        rng = rng_from(53)
+        for k in range(20):
+            s = apply_noise(canonical_scenario(), UnitaryJitter(0.05, rng_seed=k))
+            projected, psi_v = self._projected(s)
+            u = align(projected, psi_v).unitary
+            nudged = [m + 1e-15 * random_hermitian(4, rng) for m in projected]
+            assert np.max(np.abs(align(nudged, psi_v).unitary - u)) <= 1e-12
+            pivot = u.flat[np.argmax(np.abs(u) > 1e-12)]
+            assert pivot.real > 0 and abs(pivot.imag) <= 1e-15
 
     def test_commuting_pair_rejected(self):
         # slots 1 and 5 both Z (x) 1: anticommutator norm 2

@@ -190,6 +190,7 @@ class TestParser:
         ["sweep", "--model", "tilt", "--grid", "1e-3:nan:3"],
         ["simulate", "--shots", "10", "--seed", "-1"],
         ["sweep", "--model", "jitter", "--grid", "1e-3", "--seed", "-1"],
+        ["simulate", "--shots", "100000000000000000000"],
     ])
     def test_invalid_simulate_and_sweep_input_is_usage_error(
             self, argv, canonical_file, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Properties of the engine over generated scenarios and matrices
 (hypothesis, with the derandomized profile registered in conftest.py)."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tempcert import certify
-from tempcert.linalg import eig_hermitian, hermitize
+from tempcert.inequality import eval_INC
+from tempcert.linalg import acomm, eig_hermitian, hermitize
 from tempcert.optimize import DEGENERATE_EIGENVALUE
 from tempcert.robustness import UnitaryJitter, apply_noise
 from tempcert.scenario import (
@@ -28,13 +31,13 @@ from tempcert.scenario import (
     round_to_involutions,
     round_to_signs,
 )
-from tempcert.seqcorr import correlations
+from tempcert.seqcorr import CONTEXTS, TERMS, correlations
 
 from conftest import conjugated_embedding, rng_from
 
 
 @st.composite
-def scenarios(draw, dims=st.integers(2, 6)):
+def scenarios(draw, dims=st.integers(2, 8)):
     """random_scenario(d) from a drawn seed: near-involution observables on a
     pure state, or on a random full-rank mixed state."""
     d, seed, pure = draw(dims), draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
@@ -53,6 +56,25 @@ def test_correlator_routes_agree(s, shot_seed):
         assert abs(summed[name] - a) <= 1e-10
         # a correlator of exactly +-1 has stderr 0; its sampled value is exact
         assert abs(getattr(sampled, name) - a) <= 5 * sampled.stderr[name] + 1e-10
+
+
+@given(s=scenarios())
+def test_vector_path_matches_matrix_form(s):
+    """The analytic correlators, inner products of the state factor's images,
+    match the matrix form tr(rho {A_x, {A_y, A_z}}) / 2^(n-1), and eval_INC's
+    value the signed sum of Re tr(rho A_i A_j ...), to 1e-13."""
+    rho, a = s.density(), s.matrices()
+    analytic = correlations(s, "analytic")
+    for name, slots, _ in TERMS:
+        m = [a[k - 1] for k in slots]
+        x = m[-1]
+        for outer in reversed(m[:-1]):
+            x = acomm(outer, x)
+        oracle = np.trace(rho @ x).real / 2 ** (len(m) - 1)
+        assert abs(getattr(analytic, name) - oracle) <= 1e-13
+    oracle = sum(sign * np.trace(rho @ functools.reduce(np.matmul, [a[k - 1] for k in c])).real
+                 for c, sign in CONTEXTS.items())
+    assert abs(eval_INC(s)[0] - oracle) <= 1e-13
 
 
 @given(strength=st.floats(1e-4, 0.05), seed=st.integers(0, 2**32 - 1), dim=st.integers(6, 8))

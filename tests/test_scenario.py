@@ -32,6 +32,7 @@ from tempcert.scenario import (
     random_density,
     random_hermitian,
     random_involution,
+    random_pure_state,
     random_scenario,
     random_unitary,
     round_to_involutions,
@@ -39,6 +40,7 @@ from tempcert.scenario import (
     save_scenario,
     scenario_to_dict,
 )
+from tempcert.seqcorr import state_images
 
 from conftest import rng_from
 
@@ -71,27 +73,31 @@ class TestCanonical:
 
 
 class TestProducts:
+    """The products A_j A_k R of a scenario's matrices and its state's factor,
+    which every per-scenario quantity reads from `seqcorr.state_images`."""
+
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64])
     def test_match_per_pair_matmul(self, d):
-        s = random_scenario(d, rng_from(60 + d))
-        p = s.products()
-        assert p.shape == (6, 6, d, d)
-        a = s.matrices()
-        for i in range(6):
-            for j in range(6):
-                assert p[i, j].tobytes() == (a[i] @ a[j]).tobytes()
+        rng = rng_from(60 + d)
+        s = random_scenario(d, rng)
+        for state in (s.state, random_density(d, rng)):
+            r = state.factor()
+            single, double = state_images(np.array(s.matrices()), r)
+            assert single.shape == (6, d, r.shape[1])
+            assert double.shape == (6, 6, d, r.shape[1])
+            a = s.matrices()
+            for i in range(6):
+                assert single[i].tobytes() == (a[i] @ r).tobytes()
+                for j in range(6):
+                    assert double[i, j].tobytes() == (a[i] @ (a[j] @ r)).tobytes()
 
-    def test_read_only_and_kept(self, canonical):
-        p = canonical.products()
-        with pytest.raises(ValueError):
-            p[0, 1, 0, 0] = 1.0
-        assert canonical.products() is p
-
-    def test_new_scenarios_form_their_own(self, canonical):
-        p = canonical.products()
-        flipped = canonical.with_observable(1, Observable(-canonical.observable(1).matrix))
-        assert flipped.products() is not p
-        assert flipped.products()[0, 0].tobytes() == p[0, 0].tobytes()
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_factor_reproduces_density(self, pure):
+        rng = rng_from(59)
+        state = random_pure_state(5, rng) if pure else random_density(5, rng, rank=3)
+        r = state.factor()
+        assert r.shape == ((5, 1) if pure else (5, 5))
+        assert linalg.op_norm(r @ r.conj().T - state.density()) <= 1e-14
 
 
 class TestTypes:
@@ -184,6 +190,15 @@ class TestTypes:
         s = canonical_scenario()
         with pytest.raises(ShapeMismatch):
             Scenario(s.state, s.observables[:5])
+
+    def test_scenario_rejects_a_state_of_another_type(self, canonical):
+        class Stub:
+            dim = 4
+
+        with pytest.raises(TypeError):
+            Scenario(Stub(), canonical.observables)
+        with pytest.raises(TypeError):
+            Scenario(canonical.density(), canonical.observables)
 
     def test_scenario_dim_match(self):
         s = canonical_scenario()
@@ -286,6 +301,11 @@ class TestPurify:
         # maximally entangled across the 4 (x) 4 cut: all Schmidt weights 1/4
         w = np.linalg.eigvalsh(red)
         assert np.allclose(w, 0.25, atol=1e-12)
+
+    def test_is_the_factor_reshaped(self):
+        rho = random_density(4, rng_from(12), rank=3)
+        vec = rho.factor().reshape(-1)
+        assert purify(rho).amplitudes.tobytes() == (vec / linalg.vec_norm(vec)).tobytes()
 
     def test_partial_trace_oracle(self):
         rng = rng_from(13)

@@ -8,6 +8,7 @@ import pytest
 from tempcert import linalg
 from tempcert.errors import (
     NonInvolution,
+    NotHermitian,
     NumericalNoiseWarning,
     ShapeMismatch,
     ZeroEigenvalue,
@@ -107,7 +108,7 @@ def reference_correlations(s, mode, shots=None, rng_seed=None):
 
 
 #: See TestStackedChains.test_golden_fingerprint.
-GOLDEN_MODES_SHA256 = "74a72ac70cd0d1dbf872cbb1bc50fc7c87a30af3c6c207158d0de921ea9fef67"
+GOLDEN_MODES_SHA256 = "1269d2e30a54b9eef07014ad74e28beefcea9dbf8452ddf89f39346f1bc083b0"
 
 #: One warning per outcome with an imaginary residue, in outcome order.
 NON_HERMITIAN_STATE_WARNINGS = [
@@ -275,6 +276,15 @@ class TestSampling:
             sample_sequences(canonical.density(),
                              [canonical.observable(1), canonical.observable(4)], 0, 1)
 
+    @pytest.mark.parametrize("shots", [np.iinfo(np.int64).max + 1, 10**20])
+    def test_shots_beyond_int64_are_rejected(self, canonical, shots):
+        # the multinomial draw takes int64 counts; larger shots would overflow there
+        with pytest.raises(ValueError, match="shots must be at most"):
+            sample_sequences(canonical.density(),
+                             [canonical.observable(1), canonical.observable(4)], shots, 1)
+        with pytest.raises(ValueError, match="shots must be at most"):
+            correlations(canonical, "sampled", shots=shots, rng_seed=0)
+
 
 class TestCorrelations:
     def test_canonical_analytic(self, canonical):
@@ -311,11 +321,18 @@ class TestCorrelations:
         with pytest.raises(ValueError):
             CorrelationSet(1.1, 0, 0, 0, 0, 0, 0)
 
-    def test_imaginary_residue_warns(self):
+    def test_non_hermitian_operands_raise(self):
+        # the vector form is exact for Hermitian operands only, so raw input
+        # is checked at the edge: observables as Hermitian, rho as a density
         rho = np.eye(2) / 2
         skew = np.array([[0.0, 1.0], [0.5, 0.0]])  # deliberately non-Hermitian
-        with pytest.warns(NumericalNoiseWarning):
-            pair_corr(rho, skew, np.array([[0.0, -1j], [1j, 0.0]]))
+        y = np.array([[0.0, -1j], [1j, 0.0]])
+        with pytest.raises(NotHermitian):
+            pair_corr(rho, skew, y)
+        with pytest.raises(NotHermitian):
+            triple_corr(rho, y, y, skew)
+        with pytest.raises(NotHermitian):
+            pair_corr(np.array([[0.5, 0.2j], [0.0, 0.5]]), y, y)
 
 
 class TestStackedChains:
@@ -363,9 +380,10 @@ class TestStackedChains:
         assert sample_sequences(rho, raw, 1000, 3)[1:] == sample_sequences(rho, seq, 1000, 3)[1:]
 
     def test_golden_fingerprint(self):
-        # sha256 of all three modes on fixed-seed random_scenario(4) inputs,
-        # recorded from the per-term, per-outcome loops before the chains were
-        # stacked (numpy 2.4, OpenBLAS). Like the seesaw fingerprints it holds
+        # sha256 of all three modes on fixed-seed random_scenario(4) inputs:
+        # exact-sum and sampled as recorded from the per-term, per-outcome
+        # loops before the chains were stacked, analytic as recorded from its
+        # vector form (numpy 2.4, OpenBLAS). Like the seesaw fingerprints it holds
         # the bits of the BLAS and LAPACK kernels, which may differ per CPU;
         # the reference tests above check the same property in-process.
         rng = rng_from(2010)

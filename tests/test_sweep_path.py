@@ -1,12 +1,17 @@
 """The sweep path against the per-row reference it replaced.
 
 `sweep` computes each row's analytic correlators once and hands them to
-`certify` and `check_robustness_bounds`, which take their operator and vector
-norms as stacked calls. The reference below is the per-row path written out
-as before: three analytic passes per row, one `op_norm` or `vec_norm` call per
-matrix or vector. The arithmetic is the same, so outputs must be bit-equal.
-Both take the leakage on the 4 x d compression basis† m (1 - P); an oracle
-test below holds it to the d x d form P m (1 - P).
+`certify` and `check_robustness_bounds`, which form their vectors as stacked
+products and take their operator and vector norms as stacked calls. The
+reference below is the per-row path written out: three analytic passes per
+row, each vector formed one matrix-vector product at a time, one `op_norm` or
+`vec_norm` call per matrix or vector. Both use the vector forms: inner
+products and norms of A_k R and A_j A_k R for a state factor R, compressions
+(A_i basis)† (A_j basis), and the leakage basis† A_k (1 - P) as
+(A_k basis)† - projected_k basis†. The arithmetic is the same, so outputs
+must be bit-equal. Oracle tests below hold the leakage to the d x d form
+P A_k (1 - P), and tests/test_properties.py holds the correlators to the
+matrix form tr(rho {A_x, {A_y, A_z}}) / 4.
 """
 
 import hashlib
@@ -45,7 +50,6 @@ from tempcert.scenario import (
     PAULI_Z,
     PHI_PLUS,
     PureState,
-    Scenario,
     canonical_scenario,
     purify_scenario,
 )
@@ -59,34 +63,37 @@ certify_module = importlib.import_module("tempcert.certify")
 # -- the per-row reference ----------------------------------------------------
 
 def reference_correlations(s) -> CorrelationSet:
-    rho = s.density()
+    r = s.state.factor()
     values = {}
     for name, slots, _ in TERMS:
         m = [s.observable(k).matrix for k in slots]
-        if len(m) == 2:
-            values[name] = float((np.trace(rho @ linalg.acomm(*m)) / 2).real)
-        else:
-            inner = linalg.acomm(m[1], m[2])
-            values[name] = float((np.trace(rho @ linalg.acomm(m[0], inner)) / 4).real)
+        if len(m) == 2:  # Re<A_x R, A_y R>
+            values[name] = float(np.vdot(m[0] @ r, m[1] @ r).real)
+        else:  # Re<A_x R, (A_y A_z + A_z A_y) R> / 2
+            inner = m[1] @ (m[2] @ r) + m[2] @ (m[1] @ r)
+            values[name] = float(np.vdot(m[0] @ r, inner / 2).real)
     return CorrelationSet(**values)
 
 
 def reference_algebra_residuals(s, basis):
     mats = s.matrices()
-    psi = s.state.amplitudes
-    bd = basis.conj().T
-    comm = {f"A{i}A{j}": linalg.op_norm(
-                bd @ (mats[i - 1] @ mats[j - 1] - mats[j - 1] @ mats[i - 1]) @ basis)
+    r = s.state.factor()
+    blocks = [m @ basis for m in mats]
+
+    def compressed(i, j):  # basis† A_i A_j basis
+        return blocks[i - 1].conj().T @ blocks[j - 1]
+
+    comm = {f"A{i}A{j}": linalg.op_norm(compressed(i, j) - compressed(j, i))
             for i, j in CONTEXT_PAIRS}
-    acomm = {f"A{i}A{j}": linalg.op_norm(bd @ linalg.acomm(mats[i - 1], mats[j - 1]) @ basis)
+    acomm = {f"A{i}A{j}": linalg.op_norm(compressed(i, j) + compressed(j, i))
              for i, j in ANTICOMMUTING_PAIRS}
     constraints = {}
     for slots, sign in STATE_CONSTRAINTS:
-        vec = psi
+        vec = r
         for k in reversed(slots):
             vec = mats[k - 1] @ vec
         name = "".join(f"A{k}" for k in slots) + ("-1" if sign == 1 else "+1")
-        constraints[name] = linalg.vec_norm(vec - sign * psi)
+        constraints[name] = linalg.vec_norm(vec - sign * r)
     return comm, acomm, constraints
 
 
@@ -96,10 +103,10 @@ def reference_certify(s) -> CertificationReport:
     psi = s.state
     basis, gram, projector = build_subspace(psi, s.observable(1), s.observable(5))
     comm, acomm, constraints = reference_algebra_residuals(s, basis)
-    eye = np.eye(s.dim)
-    mats = s.matrices()
-    leakage = [linalg.op_norm(basis.conj().T @ m @ (eye - projector)) for m in mats]
-    projected = [basis.conj().T @ m @ basis for m in mats]
+    bd = basis.conj().T
+    blocks = [m @ basis for m in s.matrices()]
+    projected = [bd @ b for b in blocks]
+    leakage = [linalg.op_norm(b.conj().T - p @ bd) for b, p in zip(blocks, projected)]
     psi_v = basis.conj().T @ psi.amplitudes
     psi_v = psi_v / linalg.vec_norm(psi_v)
 
@@ -143,21 +150,21 @@ def reference_bounds(s):
         factor = "" if abs(weight) == 1 else f"{1 / abs(weight):g}"
         label = f"{'-' if sign < 0 else ''}{name}>=1-{factor}eps"
         checks.append(BoundCheck(label, v, floor, v >= floor - CHECK_GUARD))
-    mats, psi = s.matrices(), s.state.amplitudes
+    mats, r = s.matrices(), s.state.factor()
     root = np.sqrt(eps)
     for context, sign in CONTEXTS.items():
         if len(context) == 3:
             for i, j, k in itertools.permutations(context):
-                lhs = linalg.vec_norm((mats[i - 1] - mats[j - 1] @ mats[k - 1]) @ psi)
+                lhs = linalg.vec_norm(mats[i - 1] @ r - mats[j - 1] @ (mats[k - 1] @ r))
                 checks.append(BoundCheck(f"norm(A{i}-A{j}A{k})<=4sqrt(eps)", lhs, 4 * root,
                                          lhs <= 4 * root + CHECK_GUARD))
         else:
             i, j = context
-            lhs = linalg.vec_norm((mats[i - 1] - sign * mats[j - 1]) @ psi)
+            lhs = linalg.vec_norm(mats[i - 1] @ r - sign * (mats[j - 1] @ r))
             checks.append(BoundCheck(f"norm(A{i}{'-' if sign > 0 else '+'}A{j})<=2sqrt(eps)",
                                      lhs, 2 * root, lhs <= 2 * root + CHECK_GUARD))
     for i, j in ANTICOMMUTING_PAIRS:
-        lhs = linalg.vec_norm(linalg.acomm(mats[i - 1], mats[j - 1]) @ psi)
+        lhs = linalg.vec_norm(mats[i - 1] @ (mats[j - 1] @ r) + mats[j - 1] @ (mats[i - 1] @ r))
         checks.append(BoundCheck(f"norm({{A{i},A{j}}})<=14sqrt(eps)", lhs, 14 * root,
                                  lhs <= 14 * root + CHECK_GUARD))
     return checks
@@ -212,9 +219,10 @@ COMPARED_CERTIFIED = CERTIFIED + [BIG_ROW]
 
 #: sha256 of the sweep CSV of every fixed row, then the certify JSON of every
 #: fixed row that certify accepts, recorded with jitter generators normalized
-#: by their eigenvalues and leakage taken on the 4 x d compression (the
-#: reference above gives the same bytes).
-GOLDEN_SWEEP_SHA256 = "fb79022d5d2706e31a5d08609fd7eccdb69f1de211146f0bd0f5f3e81cd7b224"
+#: by their eigenvalues, every per-scenario quantity in its vector form and
+#: the alignment unitary's global phase fixed (the reference above gives the
+#: same bytes).
+GOLDEN_SWEEP_SHA256 = "d1588e19bc97f77f5fb9b8f69d7603c816e12b3cb47d494e39a06ef147885824"
 
 
 def bits(v):
@@ -333,23 +341,3 @@ def test_leakage_matches_full_projector_form(dim):
     p = report.projector
     full = linalg.op_norms([p @ m @ (np.eye(dim) - p) for m in noisy.matrices()])
     assert np.max(np.abs(np.array(report.leakage) - full)) <= 1e-13
-
-
-def test_products_formed_once_per_sweep_row(monkeypatch):
-    """Every read of a row's products returns the one array formed for it:
-    the correlators, certify's residuals and the bound families share it."""
-    returned = []
-    original = Scenario.products
-
-    def recording(self):
-        p = original(self)
-        returned.append(p)
-        return p
-
-    monkeypatch.setattr(Scenario, "products", recording)
-    for name, base, family, param in COMPARED:
-        returned.clear()
-        rows = sweep(base, family, [param, 2 * param])
-        assert len({id(p) for p in returned}) == 2, name
-        if not any(r.failed for r in rows):
-            assert len(returned) == 2 * 3, name

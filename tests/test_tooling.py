@@ -63,7 +63,7 @@ def test_certify_sweep_workload_smoke(tmp_path):
 
 
 def test_correlators_workload_smoke(tmp_path):
-    # its ops, not its setup, form the scenarios' products
+    # its ops, not its setup, form each scenario's state images A_k psi, A_j A_k psi
     run_smoke("correlators-d4", tmp_path)
 
 
@@ -79,9 +79,9 @@ DEMO_STDOUT_SHA256 = {
     "03_seesaw_optimization.py":
         "1c69403721f2327a3f1f60991056b8e8c72144e2d1ffd3352d5fa619057db40d",
     "04_self_testing.py":
-        "31acb3f0fd1e62d1269ff352a42506980278c7cab611b2201b80381ca300b79a",
+        "59c3fac3de9f295fb38cd67ee1ccffa7ad555ec755e6a158e90eab51d3dc528f",
     "05_noise_robustness.py":
-        "2d93eb0206366f0d88749b0f1ee8ea61cdd75cab30dc67bc683c98fcf534ac54",
+        "32185a557abc5610b66d575f2a8b19f82a7b2e5292359e1d65858a13c5ca7407",
 }
 
 
