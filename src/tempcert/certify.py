@@ -118,12 +118,15 @@ def algebra_residuals(s: Scenario, basis: np.ndarray):
 
     r = s.state.factor()
     _, double = seqcorr.state_images(mats, r)
-    names, residuals = [], []
-    for slots, sign in STATE_CONSTRAINTS:
-        *i, j, k = (x - 1 for x in slots)  # A_i A_j A_k psi = A_i (A_j A_k psi)
-        names.append("".join(f"A{k}" for k in slots) + ("-1" if sign == 1 else "+1"))
-        residuals.append((mats[i[0]] @ double[j, k] if i else double[j, k]) - sign * r)
-    constraints = dict(zip(names, linalg.vec_norms(np.array(residuals)[..., 0]).tolist()))
+    # each A_j A_k psi is an image; STATE_CONSTRAINTS lists the twelve triples first, two
+    # per first slot in slot order, so A_i (A_j A_k psi) is one broadcast product
+    j, k = np.array([slots[-2:] for slots, _ in STATE_CONSTRAINTS]).T - 1
+    images = double[j, k]
+    images[:12] = (mats[:, None] @ images[:12].reshape(6, 2, *r.shape)).reshape(12, *r.shape)
+    residuals = images - np.array([sign for _, sign in STATE_CONSTRAINTS])[:, None, None] * r
+    names = ["".join(f"A{x}" for x in slots) + ("-1" if sign == 1 else "+1")
+             for slots, sign in STATE_CONSTRAINTS]
+    constraints = dict(zip(names, linalg.vec_norms(residuals[..., 0]).tolist()))
     return comm, acomm, constraints
 
 

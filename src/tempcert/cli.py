@@ -37,7 +37,8 @@ EXIT_IO = 4
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.12f}"
+    """x to 12 decimals; a value that rounds to zero prints unsigned."""
+    return f"{round(x, 12) + 0.0:.12f}"
 
 
 def _parse_grid(spec: str):

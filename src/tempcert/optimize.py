@@ -6,13 +6,16 @@ eigenvector of the expression's operator form, and each observable update
 takes the eigen-sign of its Hermitian coefficient operator. Every half-step
 is an exact argmax, which makes the per-sweep values monotone.
 
-The algebra is written once, over arrays with leading batch axes: the
-per-scenario functions below pass one scenario's (6, d, d) observables, and
-the multi-start seesaw passes all running seeds as (S, 6, d, d).
+Both operators come from one table, WORDS, and act on state factors R,
+rho = R R†, pure or mixed. The algebra is written once, over arrays with
+leading batch axes: the per-scenario functions pass one scenario's (6, d, d)
+observables and (d, c) factor, and the multi-start seesaw passes all running
+seeds as (S, 6, d, d) and (S, d, 1).
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,23 +33,16 @@ from .scenario import (
     round_to_involutions,
     round_to_signs,
 )
-from .seqcorr import TERMS
+from .seqcorr import TERMS, state_images
 
 #: Coefficient-operator eigenvalues below this have no preferred sign.
 DEGENERATE_EIGENVALUE = 1e-12
 
-
-def _terms_of_length(n: int):
-    """The n-slot terms of TERMS as (divisor, ((sign, slots), ...)): an n-slot
-    correlator is tr(rho {A_x, {A_y, ...}}) / 2^(n-1), so a term of weight w
-    is sign(w) times its anticommutator over 2^(n-1)/|w|, one divisor per n."""
-    terms = [(slots, w) for _, slots, w in TERMS if len(slots) == n]
-    (divisor,) = {2 ** (n - 1) / abs(w) for _, w in terms}
-    return divisor, tuple((1 if w > 0 else -1, slots) for slots, w in terms)
-
-
-#: Operator form of the temporal expression: each group summed, then divided.
-TRIPLES, PAIRS = _terms_of_length(3), _terms_of_length(2)
+#: I_T = sum of w * Re<R, A_w1 A_w2 ... R> over (word, w): a pair (x, y) is one word, a triple
+#: (x, y, z) the words (x, y, z) and (x, z, y) at w/2, as `seqcorr`'s correlators split it.
+WORDS = tuple(word for _, (x, *rest), w in TERMS
+              for word in ([((x, *rest), w)] if len(rest) == 1
+                           else [((x, *rest), w / 2), ((x, *rest[::-1]), w / 2)]))
 
 
 @dataclass
@@ -83,67 +79,39 @@ class SeesawTrace:
         return self.values[-1] if self.values else float("-inf")
 
 
-def _signed_sum(terms):
-    """Sum of (sign, term) pairs, left to right in the written order."""
-    (sign, total), *rest = terms
-    total = total if sign > 0 else -total
-    for sign, t in rest:
-        total = total + t if sign > 0 else total - t
-    return total
-
-
-def _slots(mats) -> tuple:
-    """1-based views A1..A6 of observables stacked as (..., 6, d, d)."""
-    a = np.asarray(mats)
-    return (None,) + tuple(a[..., k, :, :] for k in range(6))
-
-
 def _bell_from_matrices(mats) -> np.ndarray:
-    """Bell operator of observables stacked as (..., 6, d, d)."""
-    a = _slots(mats)
-    (t_div, triples), (p_div, pairs) = TRIPLES, PAIRS
-    b = (
-        _signed_sum([(sign, linalg.acomm(a[x], linalg.acomm(a[y], a[z])))
-                     for sign, (x, y, z) in triples]) / t_div
-        + _signed_sum([(sign, linalg.acomm(a[x], a[y])) for sign, (x, y) in pairs]) / p_div
-    )
-    return linalg.hermitize(b)
+    """Bell operator of observables (..., 6, d, d): the Hermitian part of the
+    sum of w * A_w1 A_w2 ... over WORDS."""
+    a = np.asarray(mats)
+    return linalg.hermitize(sum(w * functools.reduce(np.matmul, [a[..., k - 1, :, :] for k in word])
+                                for word, w in WORDS))
 
 
-def _coefficient_from_matrices(mats, rho, slot: int) -> np.ndarray:
-    """Coefficient operator of `slot` for observables (..., 6, d, d) and
-    states (..., d, d), from the adjoint identities term by term."""
-    a = _slots(mats)
-    (t_div, triples), (p_div, pairs) = TRIPLES, PAIRS
-    terms = []
-    for sign, (x, y, z) in triples:
-        if slot == x:    # tr(rho {A, {y, z}}) = tr(A {{y, z}, rho})
-            terms.append((sign, linalg.acomm(linalg.acomm(a[y], a[z]), rho)))
-        elif slot == y:  # tr(rho {x, {A, z}}) = tr(A {z, {x, rho}})
-            terms.append((sign, linalg.acomm(a[z], linalg.acomm(a[x], rho))))
-        elif slot == z:  # tr(rho {x, {y, A}}) = tr(A {y, {x, rho}})
-            terms.append((sign, linalg.acomm(a[y], linalg.acomm(a[x], rho))))
-    for sign, (x, y) in pairs:
-        if slot in (x, y):  # tr(rho {x, A}) = tr(A {x, rho})
-            pair = (sign, linalg.acomm(a[y] if slot == x else a[x], rho) / p_div)
-    g = _signed_sum([(1, _signed_sum(terms) / t_div), pair])
-    return linalg.hermitize(g)
+def _image(images, word) -> np.ndarray:
+    """A_w1 ... A_wn R, n <= 2, from the images (R, A_k R, A_j A_k R)."""
+    return images[len(word)][(..., *(k - 1 for k in word), slice(None), slice(None))]
 
 
-def _values(rho, b) -> np.ndarray:
-    """tr(rho B) for each leading index."""
-    return np.trace(rho @ b, axis1=-2, axis2=-1).real
+def _coefficient(mats, r, slot: int) -> np.ndarray:
+    """Coefficient operator of `slot` for observables (..., 6, d, d) and state
+    factors (..., d, c), as one product of the images set side by side."""
+    images = (r, *state_images(mats, r))
+    splits = [(w, word[:i][::-1], word[i + 1:])  # L reversed: L† for Hermitian A
+              for word, w in WORDS for i, k in enumerate(word) if k == slot]
+    right = np.concatenate([_image(images, m) for _, _, m in splits], axis=-1)
+    left = np.concatenate([w * _image(images, l) for w, l, _ in splits], axis=-1)
+    return linalg.hermitize(right @ np.swapaxes(left.conj(), -1, -2))
 
 
-def _densities(psi) -> np.ndarray:
-    """|psi><psi| for state vectors stacked as (..., d)."""
-    return psi[..., :, None] * psi.conj()[..., None, :]
+def _values(r, b) -> np.ndarray:
+    """Re tr(R† B R) = tr(rho B) for each leading index."""
+    return np.sum(r.conj() * (b @ r), axis=(-2, -1)).real
 
 
-def _top_eigenvectors(b) -> np.ndarray:
-    """Exact state half-step for a stack of operator forms."""
+def _top_factors(b) -> np.ndarray:
+    """Exact state half-step for a stack of operator forms, as factors (..., d, 1)."""
     _, v = linalg.eig_hermitian(b)
-    return v[..., :, 0]
+    return v[..., :, :1]
 
 
 def bell_operator(s: Scenario) -> np.ndarray:
@@ -156,8 +124,9 @@ def bell_operator(s: Scenario) -> np.ndarray:
 
 
 def expression_value(s: Scenario) -> float:
-    """tr(rho B); equals the correlator assembly to machine precision."""
-    return float(_values(s.density(), bell_operator(s)))
+    """Re tr(R† B R) for the state factor R, pure or mixed; equals the
+    correlator assembly to machine precision."""
+    return float(_values(s.state.factor(), bell_operator(s)))
 
 
 def optimal_state(observables) -> PureState:
@@ -165,26 +134,29 @@ def optimal_state(observables) -> PureState:
 
     The expression is linear in rho, so the maximum over all states is
     attained at the top eigenvector; the achieved value is the top
-    eigenvalue.
+    eigenvalue. The operator form needs Hermitian observables: a raw matrix
+    that is not raises NotHermitian.
     """
     mats = [o.matrix if isinstance(o, Observable) else linalg.as_matrix(o)
             for o in observables]
     if len(mats) != 6:
         raise ShapeMismatch(f"need 6 observables, got {len(mats)}")
-    return PureState(_top_eigenvectors(_bell_from_matrices(mats)))
+    mats = np.array(mats)
+    linalg.require_hermitian(mats - np.swapaxes(mats.conj(), -1, -2), "observable")
+    return PureState(_top_factors(_bell_from_matrices(mats)))
 
 
 def coefficient_operator(s: Scenario, slot: int) -> np.ndarray:
     """Hermitian G with value = Re tr(A_slot G) + const, other slots fixed.
 
-    Each of the seven terms contains a given slot at most once, so the
-    expression is linear in that slot's observable. The adjoint identities
-    tr(rho {A, K}) = tr(A {K, rho}) and
-    tr(rho {K, {A, L}}) = tr(A {L, {K, rho}}) give G directly.
+    Each word of WORDS contains a slot at most once, so the expression is
+    linear in its observable A: a word L A M adds w * Re<L† R, A M R> =
+    w * Re tr(A (M R)(L† R)†), where R is the state factor, pure or mixed,
+    and M R and L† R are among its images R, A_k R and A_j A_k R.
     """
     if not 1 <= slot <= 6:
         raise ShapeMismatch(f"slot must be in 1..6, got {slot}")
-    return _coefficient_from_matrices(s.matrices(), s.density(), slot)
+    return _coefficient(np.array(s.matrices()), s.state.factor(), slot)
 
 
 def optimal_observable(s: Scenario, slot: int) -> Observable:
@@ -227,25 +199,24 @@ def seesaw(config: SeesawConfig):
         rng = np.random.Generator(np.random.PCG64(child))
         states.append(random_pure_state(config.dim, rng).amplitudes)
         draws.append([random_hermitian(config.dim, rng) for _ in range(6)])
-    psi = np.array(states)                          # (S, d)
+    r = np.array(states)[..., None]                 # (S, d, 1) state factors
     obs = round_to_involutions(np.array(draws))     # (S, 6, d, d)
     traces = [SeesawTrace(seed_index=k) for k in range(config.seeds)]
 
     b = _bell_from_matrices(obs)  # the running seeds' Bell operators
-    previous = _values(_densities(psi), b)
+    previous = _values(r, b)
     active = np.arange(config.seeds)
     for _ in range(config.max_sweeps):
         o = obs[active]
-        p = _top_eigenvectors(b)
-        rho = _densities(p)
+        p = _top_factors(b)
         for slot in range(1, 7):
-            a, w = round_to_signs(_coefficient_from_matrices(o, rho, slot), DEGENERATE_EIGENVALUE)
+            a, w = round_to_signs(_coefficient(o, p, slot), DEGENERATE_EIGENVALUE)
             o[:, slot - 1] = a
             for k in active[(np.abs(w) <= DEGENERATE_EIGENVALUE).any(axis=-1)]:
                 traces[k].degenerate_steps += 1
         b = _bell_from_matrices(o)  # gives this sweep's values and the next state step
-        values = _values(rho, b)
-        obs[active], psi[active] = o, p
+        values = _values(p, b)
+        obs[active], r[active] = o, p
         for k, value in zip(active, values):
             traces[k].values.append(float(value))
         done = values - previous[active] < config.tol
@@ -258,7 +229,7 @@ def seesaw(config: SeesawConfig):
 
     for t in traces:
         k = t.seed_index
-        t.scenario = Scenario(PureState(psi[k]), [Observable(m) for m in obs[k]])
+        t.scenario = Scenario(PureState(r[k]), [Observable(m) for m in obs[k]])
     best = max(traces, key=lambda t: (t.best_value, -t.seed_index))
     if best.best_value > QUANTUM_BOUND + 1e-9:
         raise AssertionError(

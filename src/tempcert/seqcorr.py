@@ -78,11 +78,11 @@ def _operands(rho, seq):
 
 
 def state_images(mats: np.ndarray, r: np.ndarray):
-    """The images A_k R (n, d, c) and A_j A_k R (n, n, d, c), [j, k] entry A_j
-    applied to A_k R, of a state factor R (d, c), rho = R R†, under matrices
-    (n, d, d). For Hermitian A_k, tr(rho A_j A_k) = <A_j R, A_k R>."""
-    single = mats @ r
-    return single, mats[:, None] @ single[None]
+    """The images A_k R (..., n, d, c) and A_j A_k R (..., n, n, d, c), [j, k]
+    entry A_j applied to A_k R, of state factors R (..., d, c), rho = R R†,
+    under matrices (..., n, d, d). For Hermitian A_k, tr(rho A_j A_k) = <A_j R, A_k R>."""
+    single = mats @ r[..., None, :, :]
+    return single, mats[..., :, None, :, :] @ single[..., None, :, :, :]
 
 
 def _correlator(single: np.ndarray, double: np.ndarray, slots) -> float:

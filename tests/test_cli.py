@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tempcert.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, main
+from tempcert.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, _fmt, main
 from tempcert.scenario import (
     PureState,
     canonical_scenario,
@@ -19,6 +19,12 @@ def canonical_file(tmp_path):
     path = tmp_path / "canonical.json"
     save_scenario(canonical_scenario(), path)
     return str(path)
+
+
+def test_fmt_prints_a_rounded_zero_unsigned():
+    # a deficit negative only by rounding must not read as a negative deficit
+    assert _fmt(-1e-16) == _fmt(-0.0) == "0.000000000000"
+    assert _fmt(-1.5e-12) == "-0.000000000002"
 
 
 class TestEvaluate:

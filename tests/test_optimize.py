@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from tempcert.errors import DegenerateCoefficientWarning
+from tempcert.errors import DegenerateCoefficientWarning, NotHermitian
 from tempcert.inequality import eval_IT_scenario
+from tempcert.linalg import acomm, hermitize
 from tempcert.optimize import (
     SeesawConfig,
     SeesawTrace,
@@ -29,6 +30,7 @@ from tempcert.scenario import (
     random_pure_state,
     random_scenario,
 )
+from tempcert.seqcorr import TERMS
 
 from conftest import rng_from
 
@@ -36,19 +38,19 @@ from conftest import rng_from
 # an empirical fixture with no optimality claim
 D2_FIXTURE = 4.098076211353316
 
-# sha256 of the trace JSON and of dumps_scenario(best.scenario), recorded
-# from the per-seed seesaw loop that the batched one replaced (numpy 2.4,
-# OpenBLAS). The batch must reproduce that loop bit for bit. The hashes
+# sha256 of the trace JSON and of dumps_scenario(best.scenario) (numpy 2.4,
+# OpenBLAS). The batch reproduces the per-seed loop through the per-scenario
+# API bit for bit (test_matches_per_seed_loop). The hashes
 # hold the exact bits of the BLAS and LAPACK kernels, which may be picked
 # per CPU: on a new platform, a mismatch here with test_matches_per_seed_loop
 # passing is a platform difference, not a change of semantics.
 GOLDEN = [
     (dict(dim=4, seeds=20, rng_seed=0),
-     "53c0b270b56f4a2319e328ba34826cda593e2da4461724d9829cd74a6181a307",
-     "5a789e322438b946bcff9ca345f6678492efbaf31243d05c7af446dad3b0d714"),
+     "dbe405b186c00d38e6a350c7e8f1ddb5659fa9ebe299a7f1c4de37fb38a984cf",
+     "77b18ca6469babafd990d2950b619845a182589ecae9d0af22ca4f0121f1e236"),
     (dict(dim=2, seeds=20, rng_seed=1, max_sweeps=400),
-     "859527765140d23d0aec4611a2a76576602755ec0e38bdba874b321d6e5c6cce",
-     "374e4767a2d559f03eb04cd3110e869ac073ebbd158d0ff453d3e382fab1eb9f"),
+     "e77d798bfa76bd8bc45d46fffb080dc1bde04f93c4f2f4f614389d76c1faebee",
+     "5fcd17fb8dd2eba089d94e1a6e3515e01f970b922b15d9443be4d5ff1ef018f1"),
 ]
 
 
@@ -62,6 +64,32 @@ def trace_json(best, traces) -> str:
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def anticommutator_bell(mats) -> np.ndarray:
+    """Oracle: the Bell operator as nested anticommutators, an n-slot term of
+    TERMS being w tr(rho {A_x, {A_y, ...}}) / 2^(n-1)."""
+    a = (None, *mats)
+    b = 0
+    for _, (x, y, *z), w in TERMS:
+        b = b + w * acomm(a[x], acomm(a[y], a[z[0]]) if z else a[y]) / 2 ** (1 + len(z))
+    return hermitize(b)
+
+
+def adjoint_coefficient(mats, rho, slot: int) -> np.ndarray:
+    """Oracle: the coefficient operator of `slot` from the adjoint identities
+    tr(rho {A, K}) = tr(A {K, rho}) and tr(rho {K, {A, L}}) = tr(A {L, {K, rho}}),
+    term by term over TERMS."""
+    a = (None, *mats)
+    g = 0
+    for _, (x, y, *z), w in TERMS:
+        if slot == x:    # tr(rho {A, K}) with K = A_y or {A_y, A_z}
+            g = g + w * acomm(acomm(a[y], a[z[0]]) if z else a[y], rho) / 2 ** (1 + len(z))
+        elif slot == y:  # tr(rho {x, A}) or tr(rho {x, {A, z}}) = tr(A {z, {x, rho}})
+            g = g + w * (acomm(a[z[0]], acomm(a[x], rho)) / 4 if z else acomm(a[x], rho) / 2)
+        elif z and slot == z[0]:  # tr(rho {x, {y, A}}) = tr(A {y, {x, rho}})
+            g = g + w * acomm(a[y], acomm(a[x], rho)) / 4
+    return hermitize(g)
 
 
 def per_seed_seesaw(config):
@@ -134,6 +162,12 @@ class TestOptimalState:
             rho = random_density(4, rng).matrix
             assert achieved >= float(np.trace(rho @ b).real) - 1e-10
 
+    def test_non_hermitian_raw_matrices_raise(self):
+        # the operator form holds only for Hermitian observables
+        rng = rng_from(48)
+        with pytest.raises(NotHermitian):
+            optimal_state([rng.standard_normal((4, 4)) for _ in range(6)])
+
     def test_diagonal_case_gives_basis_state(self):
         rng = rng_from(43)
         obs = [Observable(np.diag(rng.choice([-1.0, 1.0], size=4))) for _ in range(6)]
@@ -144,10 +178,13 @@ class TestOptimalState:
 
 class TestCoefficientOperator:
     def test_linearity_identity(self):
-        # value(A_slot = M) - value(A_slot = 0) == Re tr(M G) for random M
+        # value(A_slot = M) - value(A_slot = 0) == Re tr(M G) for random M,
+        # on pure and on mixed states
         rng = rng_from(44)
-        for _ in range(10):
+        for k in range(20):
             s = random_scenario(4, rng)
+            if k % 2:
+                s = s.with_state(random_density(4, rng))
             rho = s.density()
             for slot in range(1, 7):
                 g = coefficient_operator(s, slot)
@@ -248,7 +285,7 @@ class TestSeesaw:
             report = certify(best.scenario)
             assert report.fidelity >= 1 - 1e-4
 
-    @pytest.mark.parametrize("config, trace_sha, best_sha", GOLDEN)
+    @pytest.mark.parametrize("config, trace_sha, best_sha", GOLDEN, ids=["dim4", "dim2"])
     def test_golden_fingerprints(self, config, trace_sha, best_sha):
         best, traces = seesaw(SeesawConfig(**config))
         assert sha256(trace_json(best, traces)) == trace_sha

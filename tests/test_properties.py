@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from tempcert import certify
 from tempcert.inequality import eval_INC
 from tempcert.linalg import acomm, eig_hermitian, hermitize
-from tempcert.optimize import DEGENERATE_EIGENVALUE
+from tempcert.optimize import DEGENERATE_EIGENVALUE, bell_operator, coefficient_operator
 from tempcert.robustness import UnitaryJitter, apply_noise
 from tempcert.scenario import (
     DensityMatrix,
@@ -34,6 +34,7 @@ from tempcert.scenario import (
 from tempcert.seqcorr import CONTEXTS, TERMS, correlations
 
 from conftest import conjugated_embedding, rng_from
+from test_optimize import adjoint_coefficient, anticommutator_bell
 
 
 @st.composite
@@ -92,6 +93,16 @@ def test_certify_survives_embedding(strength, seed, dim):
         assert a.keys() == b.keys()
         assert max(abs(a[k] - b[k]) for k in a) <= 1e-9
     assert max(big.leakage) <= 1e-9
+
+
+@given(s=scenarios())
+def test_operators_match_anticommutator_oracles(s):
+    """The Bell and coefficient operators from the word table match the
+    nested-anticommutator and adjoint-identity forms to 1e-13 per entry."""
+    a, rho = s.matrices(), s.density()
+    assert np.abs(bell_operator(s) - anticommutator_bell(a)).max() <= 1e-13
+    for slot in range(1, 7):
+        assert np.abs(coefficient_operator(s, slot) - adjoint_coefficient(a, rho, slot)).max() <= 1e-13
 
 
 @st.composite

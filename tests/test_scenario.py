@@ -92,6 +92,21 @@ class TestProducts:
                     assert double[i, j].tobytes() == (a[i] @ (a[j] @ r)).tobytes()
 
     @pytest.mark.parametrize("pure", [True, False])
+    def test_batch_matches_per_scenario(self, pure):
+        # leading batch axes, as the seesaw passes them, change no bit
+        rng = rng_from(61)
+        scenarios = [random_scenario(4, rng) for _ in range(5)]
+        if not pure:
+            scenarios = [s.with_state(random_density(4, rng)) for s in scenarios]
+        mats = np.array([s.matrices() for s in scenarios])
+        factors = np.array([s.state.factor() for s in scenarios])
+        single, double = state_images(mats, factors)
+        for k, s in enumerate(scenarios):
+            one_single, one_double = state_images(np.array(s.matrices()), s.state.factor())
+            assert single[k].tobytes() == one_single.tobytes()
+            assert double[k].tobytes() == one_double.tobytes()
+
+    @pytest.mark.parametrize("pure", [True, False])
     def test_factor_reproduces_density(self, pure):
         rng = rng_from(59)
         state = random_pure_state(5, rng) if pure else random_density(5, rng, rank=3)

@@ -77,7 +77,7 @@ DEMO_STDOUT_SHA256 = {
     "02_sequential_measurements.py":
         "95fbcd528974da940c267056024fa2957ef64504ddb07cdefe0578716793c35c",
     "03_seesaw_optimization.py":
-        "1c69403721f2327a3f1f60991056b8e8c72144e2d1ffd3352d5fa619057db40d",
+        "1bda86b42a3be9b1d1ecf6b57d1e6a70b750a48f8c4d700abeb6ae41e2109660",
     "04_self_testing.py":
         "59c3fac3de9f295fb38cd67ee1ccffa7ad555ec755e6a158e90eab51d3dc528f",
     "05_noise_robustness.py":
