@@ -33,7 +33,7 @@ from .scenario import (
     round_to_involutions,
     round_to_signs,
 )
-from .seqcorr import TERMS, state_images
+from .seqcorr import TERMS
 
 #: Coefficient-operator eigenvalues below this have no preferred sign.
 DEGENERATE_EIGENVALUE = 1e-12
@@ -87,19 +87,29 @@ def _bell_from_matrices(mats) -> np.ndarray:
                                 for word, w in WORDS))
 
 
-def _image(images, word) -> np.ndarray:
-    """A_w1 ... A_wn R, n <= 2, from the images (R, A_k R, A_j A_k R)."""
-    return images[len(word)][(..., *(k - 1 for k in word), slice(None), slice(None))]
+def _slot_images(slot: int):
+    """Each word L A_slot M as (w, key of L† R, key of M R), keyed (length, index) into the
+    images (R, A_k R, the slot's two A_j A_k R), and the index arrays (j, k) of those two."""
+    splits = [(w, word[:i][::-1], word[i + 1:])  # L reversed: L† for Hermitian A
+              for word, w in WORDS for i, k in enumerate(word) if k == slot]
+    doubles = list(dict.fromkeys(p for _, l, m in splits for p in (l, m) if len(p) == 2))
+    key = {(): (0, 0), **{(k,): (1, k - 1) for k in range(1, 7)},
+           **{p: (2, i) for i, p in enumerate(doubles)}}
+    return [(w, key[l], key[m]) for w, l, m in splits], np.subtract(doubles, 1).T
+
+
+#: `_slot_images` of each slot 1..6, by slot - 1.
+SLOT_IMAGES = tuple(_slot_images(slot) for slot in range(1, 7))
 
 
 def _coefficient(mats, r, slot: int) -> np.ndarray:
     """Coefficient operator of `slot` for observables (..., 6, d, d) and state
-    factors (..., d, c), as one product of the images set side by side."""
-    images = (r, *state_images(mats, r))
-    splits = [(w, word[:i][::-1], word[i + 1:])  # L reversed: L† for Hermitian A
-              for word, w in WORDS for i, k in enumerate(word) if k == slot]
-    right = np.concatenate([_image(images, m) for _, _, m in splits], axis=-1)
-    left = np.concatenate([w * _image(images, l) for w, l, _ in splits], axis=-1)
+    factors (..., d, c), as one product of the slot's images set side by side."""
+    splits, (j, k) = SLOT_IMAGES[slot - 1]
+    single = mats @ r[..., None, :, :]
+    images = (r[..., None, :, :], single, mats[..., j, :, :] @ single[..., k, :, :])
+    right = np.concatenate([images[n][..., i, :, :] for _, _, (n, i) in splits], axis=-1)
+    left = np.concatenate([w * images[n][..., i, :, :] for w, (n, i), _ in splits], axis=-1)
     return linalg.hermitize(right @ np.swapaxes(left.conj(), -1, -2))
 
 
@@ -141,7 +151,10 @@ def optimal_state(observables) -> PureState:
             for o in observables]
     if len(mats) != 6:
         raise ShapeMismatch(f"need 6 observables, got {len(mats)}")
+    if len({m.shape for m in mats}) > 1:  # before stacking, which would raise ValueError
+        raise ShapeMismatch(f"observable shapes differ: {[m.shape for m in mats]}")
     mats = np.array(mats)
+    linalg.require_square(mats)
     linalg.require_hermitian(mats - np.swapaxes(mats.conj(), -1, -2), "observable")
     return PureState(_top_factors(_bell_from_matrices(mats)))
 

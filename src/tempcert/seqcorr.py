@@ -93,14 +93,16 @@ def _correlator(single: np.ndarray, double: np.ndarray, slots) -> float:
     return float(np.vdot(single[x - 1], image).real)
 
 
-def _real(z: complex, what: str) -> float:
-    if abs(z.imag) > IMAG_RESIDUE_TOL:
+def _real(z: np.ndarray, what: str) -> np.ndarray:
+    """The real part of traces z, with one NumericalNoiseWarning per entry
+    whose imaginary residue exceeds IMAG_RESIDUE_TOL, in C order."""
+    for residue in z.imag[np.abs(z.imag) > IMAG_RESIDUE_TOL]:
         warnings.warn(
-            f"{what}: imaginary residue {z.imag:.3e} after trace",
+            f"{what}: imaginary residue {residue:.3e} after trace",
             NumericalNoiseWarning,
             stacklevel=3,
         )
-    return float(z.real)
+    return z.real
 
 
 @dataclass
@@ -212,13 +214,10 @@ def _chain_traces(r: np.ndarray, proj: np.ndarray) -> np.ndarray:
 
 def _exact_distribution(traces: np.ndarray, n: int, labels) -> OutcomeDistribution:
     """The distribution of an n-step sequence from its chain traces."""
-    probs = {}
-    for outcomes, z in zip(itertools.product((1, -1), repeat=n), traces):
-        p = _real(z, "exact_sequence_distribution")
-        probs[outcomes] = max(p, 0.0) if p > -1e-12 else p
-    if labels is None:
-        labels = tuple(range(1, n + 1))
-    return OutcomeDistribution(tuple(labels), probs)
+    probs = {outcomes: max(p, 0.0) if p > -1e-12 else p
+             for outcomes, p in zip(itertools.product((1, -1), repeat=n),
+                                    _real(traces, "exact_sequence_distribution").tolist())}
+    return OutcomeDistribution(tuple(range(1, n + 1) if labels is None else labels), probs)
 
 
 def exact_sequence_distribution(rho, seq, labels=None) -> OutcomeDistribution:
@@ -232,48 +231,48 @@ def exact_sequence_distribution(rho, seq, labels=None) -> OutcomeDistribution:
     return _exact_distribution(_chain_traces(r, proj), len(proj), labels)
 
 
-def _sample(r: np.ndarray, proj: np.ndarray, shots: int, rng_seed, labels):
-    """sample_sequences on a checked density matrix and projector pairs."""
+def _walk(r: np.ndarray, proj: np.ndarray):
+    """Lüders branch walk of the m sequences proj (m, n, 2, d, d) on r, a code
+    path independent of `_chain_traces`: each step grows every branch by both
+    outcomes in one product, normalized by its conditional probability q. A
+    branch with q <= 0 is not reached and carries a zero state, so its
+    children are not reached either. Returns the reached mask and the branch
+    weights, (m, 2^n) in outcome order."""
+    m, n, _, d, _ = proj.shape
+    sigmas, weights = r[None, None], np.ones((m, 1))
+    for j in range(n):
+        pair = proj[:, j, None]
+        post = (pair @ sigmas[:, :, None] @ pair).reshape(m, -1, d, d)
+        q = _real(np.trace(post, axis1=-2, axis2=-1), "sample_sequences")
+        reached = q > 0.0  # dividing an unreached branch by inf gives its zero state
+        sigmas = post / np.where(reached, q, np.inf)[..., None, None]
+        weights = np.repeat(weights, 2, axis=-1) * q
+    return reached, weights
+
+
+def _draw(n: int, reached: np.ndarray, weights: np.ndarray, shots: int, rng_seed):
+    """One multinomial draw of `shots` over an n-step sequence's reached branches: their
+    outcome tuples and counts, the mean of the outcome products and its standard error."""
+    outcomes = list(itertools.compress(itertools.product((1, -1), repeat=n), reached))
+    p = np.clip(weights[reached], 0.0, None)
+    p /= p.sum()
+    counts = np.random.Generator(np.random.PCG64(rng_seed)).multinomial(shots, p)
+    values = np.array([math.prod(o) for o in outcomes], dtype=float)
+    estimate = float(counts @ values) / shots
+    var = float(counts @ (values - estimate) ** 2) / (shots - 1) if shots > 1 else 0.0
+    return outcomes, counts, estimate, (var / shots) ** 0.5
+
+
+def _sampled(r: np.ndarray, proj: np.ndarray, shots: int, seeds):
+    """`_draw` of each of the m sequences proj (m, n, 2, d, d) from its own
+    seed, after one `_walk` of all of them."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > np.iinfo(np.int64).max:
         raise ValueError(f"shots must be at most {np.iinfo(np.int64).max}, got {shots}")
-    d = r.shape[0]
-    # Conditional-chain branch walk; this is an independent code path from
-    # the direct per-outcome formula in exact_sequence_distribution. Each
-    # step grows every branch by both outcomes in one stacked product.
-    outcome_list, sigmas, weights = [()], r[None], np.ones(1)
-    for pair in proj:
-        post = (pair @ sigmas[:, None] @ pair).reshape(-1, d, d)
-        q = np.array([_real(z, "sample_sequences")
-                      for z in np.trace(post, axis1=-2, axis2=-1)])
-        keep = q > 0.0
-        outcome_list = [o + (a,) for o in outcome_list for a in (1, -1)]
-        outcome_list = list(itertools.compress(outcome_list, keep))
-        sigmas = post[keep] / q[keep, None, None]
-        weights = (np.repeat(weights, 2) * q)[keep]
-
-    p = np.clip(weights, 0.0, None)
-    p /= p.sum()
-
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
-    counts = rng.multinomial(shots, p)
-
-    values = np.array([math.prod(o) for o in outcome_list], dtype=float)
-    estimate = float(counts @ values) / shots
-    if shots > 1:
-        var = float(counts @ (values - estimate) ** 2) / (shots - 1)
-        stderr = (var / shots) ** 0.5
-    else:
-        stderr = 0.0
-
-    if labels is None:
-        labels = tuple(range(1, len(proj) + 1))
-    empirical = OutcomeDistribution(
-        tuple(labels),
-        {o: c / shots for o, c in zip(outcome_list, counts)},
-    )
-    return empirical, estimate, stderr
+    n = proj.shape[1]
+    return [_draw(n, reached, weights, shots, seed)
+            for reached, weights, seed in zip(*_walk(r, proj), seeds)]
 
 
 def sample_sequences(rho, seq, shots: int, rng_seed, labels=None):
@@ -294,7 +293,10 @@ def sample_sequences(rho, seq, shots: int, rng_seed, labels=None):
         Empirical OutcomeDistribution, the mean of the outcome products, and
         its standard error (sample standard deviation / sqrt(shots)).
     """
-    return _sample(*_sequence_of(rho, seq), shots, rng_seed, labels)
+    r, proj = _sequence_of(rho, seq)
+    ((outcomes, counts, estimate, stderr),) = _sampled(r, proj[None], shots, [rng_seed])
+    labels = tuple(range(1, len(proj) + 1) if labels is None else labels)
+    return OutcomeDistribution(labels, dict(zip(outcomes, counts / shots))), estimate, stderr
 
 
 def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
@@ -313,23 +315,23 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
         single, double = state_images(np.array(s.matrices()), s.state.factor())
         for name, slots, _ in TERMS:
             values[name] = _correlator(single, double, slots)
-    elif mode == "exact-sum":
-        rho, proj = _projectors(s.state, s.observables)
-        for n in (3, 2):  # the terms of one length as one stack
-            terms = [(name, slots) for name, slots, _ in TERMS if len(slots) == n]
-            traces = _chain_traces(rho, proj[np.subtract([slots for _, slots in terms], 1)])
-            for (name, slots), t in zip(terms, traces):
-                values[name] = _exact_distribution(t, n, slots).correlator()
-    elif mode == "sampled":
-        if shots is None or rng_seed is None:
+    elif mode in ("exact-sum", "sampled"):
+        if mode == "sampled" and (shots is None or rng_seed is None):
             raise ValueError("sampled mode needs shots and rng_seed")
         rho, proj = _projectors(s.state, s.observables)
-        stderr = {}
-        children = np.random.SeedSequence(rng_seed).spawn(len(TERMS))
-        for child, (name, slots, _) in zip(children, TERMS):
-            _, est, se = _sample(rho, proj[np.subtract(slots, 1)], shots, child, slots)
-            values[name] = est
-            stderr[name] = se
+        if mode == "sampled":
+            stderr, seeds = {}, dict(zip(CORRELATOR_FIELDS,
+                                         np.random.SeedSequence(rng_seed).spawn(len(TERMS))))
+        for n in (3, 2):  # the terms of one length as one stack
+            terms = [(name, slots) for name, slots, _ in TERMS if len(slots) == n]
+            stack = proj[np.subtract([slots for _, slots in terms], 1)]
+            if mode == "exact-sum":
+                for (name, slots), t in zip(terms, _chain_traces(rho, stack)):
+                    values[name] = _exact_distribution(t, n, slots).correlator()
+            else:
+                draws = _sampled(rho, stack, shots, [seeds[name] for name, _ in terms])
+                for (name, _), (*_, estimate, se) in zip(terms, draws):
+                    values[name], stderr[name] = estimate, se
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return CorrelationSet(source=mode, stderr=stderr, **values)

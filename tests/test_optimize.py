@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tempcert.errors import DegenerateCoefficientWarning, NotHermitian
+from tempcert.errors import DegenerateCoefficientWarning, NonSquare, NotHermitian, ShapeMismatch
 from tempcert.inequality import eval_IT_scenario
 from tempcert.linalg import acomm, hermitize
 from tempcert.optimize import (
@@ -167,6 +167,15 @@ class TestOptimalState:
         rng = rng_from(48)
         with pytest.raises(NotHermitian):
             optimal_state([rng.standard_normal((4, 4)) for _ in range(6)])
+
+    def test_mixed_dimensions_raise_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch) as caught:
+            optimal_state([np.eye(4)] * 5 + [np.eye(2)])
+        assert not isinstance(caught.value, NonSquare)
+
+    def test_non_square_matrices_raise(self):
+        with pytest.raises(NonSquare):
+            optimal_state([np.ones((4, 3))] * 6)
 
     def test_diagonal_case_gives_basis_state(self):
         rng = rng_from(43)

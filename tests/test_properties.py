@@ -15,7 +15,7 @@ from tempcert import certify
 from tempcert.inequality import eval_INC
 from tempcert.linalg import acomm, eig_hermitian, hermitize
 from tempcert.optimize import DEGENERATE_EIGENVALUE, bell_operator, coefficient_operator
-from tempcert.robustness import UnitaryJitter, apply_noise
+from tempcert.robustness import ObservableTilt, UnitaryJitter, apply_noise
 from tempcert.scenario import (
     DensityMatrix,
     Observable,
@@ -35,6 +35,7 @@ from tempcert.seqcorr import CONTEXTS, TERMS, correlations
 
 from conftest import conjugated_embedding, rng_from
 from test_optimize import adjoint_coefficient, anticommutator_bell
+from test_seqcorr import reference_correlations
 
 
 @st.composite
@@ -57,6 +58,26 @@ def test_correlator_routes_agree(s, shot_seed):
         assert abs(summed[name] - a) <= 1e-10
         # a correlator of exactly +-1 has stderr 0; its sampled value is exact
         assert abs(getattr(sampled, name) - a) <= 5 * sampled.stderr[name] + 1e-10
+
+
+@st.composite
+def tilted_canonicals(draw):
+    """The canonical scenario with one observable tilted by a drawn angle
+    (0 included): the tilt changes which branches of which terms are
+    impossible, so the terms stacked in one walk prune different branches."""
+    slot, angle = draw(st.integers(1, 6)), draw(st.floats(-0.5, 0.5))
+    return apply_noise(canonical_scenario(), ObservableTilt(slot, angle))
+
+
+@given(s=st.one_of(scenarios(), tilted_canonicals()), shot_seed=st.integers(0, 2**32 - 1))
+def test_stacked_walks_match_per_term_reference(s, shot_seed):
+    """exact-sum and sampled, each walking all terms of one length at once,
+    equal the per-term, per-outcome reference loops bit for bit."""
+    exact = correlations(s, "exact-sum")
+    assert (exact.as_dict(), exact.stderr) == reference_correlations(s, "exact-sum")
+    sampled = correlations(s, "sampled", shots=10**5, rng_seed=shot_seed)
+    assert (sampled.as_dict(), sampled.stderr) == reference_correlations(
+        s, "sampled", 10**5, shot_seed)
 
 
 @given(s=scenarios())

@@ -116,6 +116,14 @@ NON_HERMITIAN_STATE_WARNINGS = [
     for z in ("5.000e-02", "5.000e-02", "-5.000e-02", "-5.000e-02")
 ]
 
+#: The branch walk's warnings on the same state: one per branch with an
+#: imaginary residue, step by step, in branch order within a step.
+NON_HERMITIAN_SAMPLE_WARNINGS = [
+    f"sample_sequences: imaginary residue {z} after trace"
+    for z in ("1.000e-01", "-1.000e-01",
+              "1.000e-01", "1.000e-01", "-1.000e-01", "-1.000e-01")
+]
+
 
 def scenario_of(d, seed, pure):
     rng = rng_from(seed)
@@ -462,4 +470,9 @@ class TestErrorPaths:
             exact_sequence_distribution(rho, [Observable(PAULI_X), Observable(PAULI_Z)])
         assert [w.category for w in caught] == [NumericalNoiseWarning] * 4
         assert [str(w.message) for w in caught] == NON_HERMITIAN_STATE_WARNINGS
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sample_sequences(rho, [Observable(PAULI_X), Observable(PAULI_Z)], 1000, 0)
+        assert [w.category for w in caught] == [NumericalNoiseWarning] * 6
+        assert [str(w.message) for w in caught] == NON_HERMITIAN_SAMPLE_WARNINGS
 

@@ -41,10 +41,21 @@ def test_observable_span_names_a_class():
 WORKLOADS = TRACER.parent / "workloads.py"
 
 
+#: SHA-256 of the repr of the eight fingerprints `run_smoke` computes at seed 1.
+#: A change that moves one bit of a benchmarked output fails here. Like the
+#: other golden hashes they hold the bits of the BLAS and LAPACK kernels
+#: (numpy 2.4, OpenBLAS, one thread), which may differ per CPU.
+WORKLOAD_FINGERPRINT_SHA256 = {
+    "correlators-d4": "e6b190cbff73e802846eaf4de2314f80bed5416056b7ec400619e516cdfcce30",
+    "certify-sweep": "46af89f61dd2bd96deb04502b2dca0027f8d0d5c0b4dc9c0ebbde70917012a40",
+}
+
+
 def run_smoke(name, tmp_path):
     """Eight ops of a benchmark workload pass its own check, and their
-    fingerprints repeat on a second run, so a change that breaks the
-    benchmark's check fails here first."""
+    fingerprints repeat on a second run and match the recorded hash, so a
+    change that breaks the benchmark's check or moves its outputs fails here
+    first."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -56,6 +67,7 @@ def run_smoke(name, tmp_path):
         assert [w.check(out) for out in outs] == [None] * 8
         runs.append([w.fingerprint(out) for out in outs])
     assert runs[0] == runs[1]
+    assert hashlib.sha256(repr(runs[0]).encode()).hexdigest() == WORKLOAD_FINGERPRINT_SHA256[name]
 
 
 def test_certify_sweep_workload_smoke(tmp_path):
