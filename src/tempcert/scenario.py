@@ -59,11 +59,10 @@ class Observable:
     Construction checks squareness, Hermiticity and that the deviation of
     ``matrix @ matrix`` from the identity (operator norm) does not exceed the
     fixed INVOLUTION_TOL; a Frobenius bound settles each check without an SVD
-    whenever it can. ``exact`` records whether that residual is exactly zero;
-    ``involution_residual`` takes one matmul and one SVD on each read.
+    whenever it can. ``involution_residual`` takes one matmul and one SVD.
     """
 
-    __slots__ = ("matrix", "exact")
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix):
         m = linalg.as_matrix(matrix)
@@ -75,7 +74,6 @@ class Observable:
                                 f"exceeds {INVOLUTION_TOL:.1e}")
         m.setflags(write=False)
         self.matrix = m
-        self.exact = not residual.any()
 
     @property
     def involution_residual(self) -> float:

@@ -1,10 +1,10 @@
 """Sequential correlators, computed three independent ways.
 
-Closed-form anticommutator expressions as inner products of the images of a
-state factor, exact outcome-probability sums over the Lüders update chain,
-and seeded Monte-Carlo sampling. The routes serve as oracles for one another:
-for exact involutions the first two agree to machine precision, and sampled
-estimates converge to both.
+Closed-form anticommutator expressions on the images of a state factor,
+exact outcome sums over the Lüders chain of each observable's exact
+involution (one Newton–Schulz step), and seeded Monte-Carlo sampling of it.
+The routes are oracles for one another: for exact involutions the first two
+agree to machine precision, and sampled estimates converge to both.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 from . import linalg
 from .errors import NumericalNoiseWarning, ShapeMismatch
 from .scenario import (
+    INVOLUTION_TOL,
     DensityMatrix,
     Observable,
     PureState,
@@ -97,21 +98,16 @@ def _real(z: np.ndarray, what: str) -> np.ndarray:
     """The real part of traces z, with one NumericalNoiseWarning per entry
     whose imaginary residue exceeds IMAG_RESIDUE_TOL, in C order."""
     for residue in z.imag[np.abs(z.imag) > IMAG_RESIDUE_TOL]:
-        warnings.warn(
-            f"{what}: imaginary residue {residue:.3e} after trace",
-            NumericalNoiseWarning,
-            stacklevel=3,
-        )
+        warnings.warn(f"{what}: imaginary residue {residue:.3e} after trace",
+                      NumericalNoiseWarning, stacklevel=3)
     return z.real
 
 
 @dataclass
 class CorrelationSet:
-    """The seven sequential correlators entering the temporal expression.
-
-    `source` records how the numbers were produced; `stderr` carries one
-    standard error per entry for sampled sets.
-    """
+    """The seven sequential correlators entering the temporal expression. `source`
+    records how they were produced; `stderr` has one standard error per entry
+    for sampled sets."""
 
     triple_123: float
     triple_213: float
@@ -180,25 +176,36 @@ def triple_corr(rho, a, b, c) -> float:
     return _checked_correlator(rho, (a, b, c))
 
 
+def newton_schulz_step(mats: np.ndarray) -> np.ndarray:
+    """hermitize(A(3 - A²)/2) of each A of a stack (..., d, d): one Newton–Schulz
+    step for the matrix sign function (Higham, Functions of Matrices, §5.3). It
+    gives sign(A) to rounding error once ||A² - 1|| <= INVOLUTION_TOL, and A if A² = 1."""
+    return linalg.hermitize(mats @ (3 * np.eye(mats.shape[-1]) - mats @ mats) / 2)
+
+
 def _projectors(rho, seq):
-    """`_operands`' density matrix and the projector pairs (n, 2, d, d), Pi_+
-    then Pi_- = (1 +- A)/2, of each observable's exact involution. Observables
-    flagged ``exact`` are used as they are; all others, and raw matrices, are
-    rounded in one stacked call. The rounding is exactly Hermitian and an
-    involution to rounding error, so it is not checked again."""
+    """`_operands`' density matrix and the projector pairs (n, 2, d, d), Pi_+ then Pi_-
+    = (1 +- A)/2, of each observable's exact involution, one `newton_schulz_step` away.
+    Raw matrices get `Observable`'s checks; non-involutions are eigen-sign rounded first."""
     r, mats = _operands(rho, seq)
-    inexact = [k for k, obs in enumerate(seq) if not (isinstance(obs, Observable) and obs.exact)]
-    if inexact:
-        mats[inexact] = round_to_involutions(mats[inexact])
     eye = np.eye(r.shape[0])
+    raw = [k for k, obs in enumerate(seq) if not isinstance(obs, Observable)]
+    if raw:
+        linalg.require_hermitian(mats[raw] - np.swapaxes(mats[raw].conj(), -1, -2), "observable")
+        far = np.array(raw)[linalg.op_norm_exceeds(mats[raw] @ mats[raw] - eye, INVOLUTION_TOL)]
+        if far.size:
+            mats[far] = round_to_involutions(mats[far])
+    mats = newton_schulz_step(mats)
     return r, np.stack([(eye + mats) / 2, (eye - mats) / 2], axis=1)
 
 
-def _sequence_of(rho, seq):
+def _sequence_of(rho, seq, labels):
+    """`_projectors` of 2 or 3 observables, and one label per step: 1..n unless given."""
     seq = list(seq)
-    if len(seq) not in (2, 3):
-        raise ShapeMismatch(f"sequence length must be 2 or 3, got {len(seq)}")
-    return _projectors(rho, seq)
+    labels = tuple(range(1, len(seq) + 1) if labels is None else labels)
+    if len(seq) not in (2, 3) or len(labels) != len(seq):
+        raise ShapeMismatch(f"need 2 or 3 steps, one label each; got {len(seq)}, {len(labels)} labels")
+    return (*_projectors(rho, seq), labels)
 
 
 def _chain_traces(r: np.ndarray, proj: np.ndarray) -> np.ndarray:
@@ -212,23 +219,23 @@ def _chain_traces(r: np.ndarray, proj: np.ndarray) -> np.ndarray:
     return np.trace(chains @ r @ np.swapaxes(chains.conj(), -1, -2), axis1=-2, axis2=-1)
 
 
-def _exact_distribution(traces: np.ndarray, n: int, labels) -> OutcomeDistribution:
-    """The distribution of an n-step sequence from its chain traces."""
+def _exact_distribution(traces: np.ndarray, labels: tuple) -> OutcomeDistribution:
+    """The distribution of a sequence with one label per step from its chain traces."""
     probs = {outcomes: max(p, 0.0) if p > -1e-12 else p
-             for outcomes, p in zip(itertools.product((1, -1), repeat=n),
+             for outcomes, p in zip(itertools.product((1, -1), repeat=len(labels)),
                                     _real(traces, "exact_sequence_distribution").tolist())}
-    return OutcomeDistribution(tuple(range(1, n + 1) if labels is None else labels), probs)
+    return OutcomeDistribution(labels, probs)
 
 
 def exact_sequence_distribution(rho, seq, labels=None) -> OutcomeDistribution:
     """Exact Lüders outcome distribution for a sequence of 2 or 3 observables.
 
     P(a_1, ..., a_n) = tr(Pi_{a_n} ... Pi_{a_1} rho Pi_{a_1} ... Pi_{a_n})
-    with projectors Pi_{+-} = (1 +- A)/2 built from each observable's
-    involution rounding.
+    with projectors Pi_{+-} = (1 +- A)/2 of each observable's exact
+    involution (see `_projectors`). `labels`, one per step, default to 1..n.
     """
-    r, proj = _sequence_of(rho, seq)
-    return _exact_distribution(_chain_traces(r, proj), len(proj), labels)
+    r, proj, labels = _sequence_of(rho, seq, labels)
+    return _exact_distribution(_chain_traces(r, proj), labels)
 
 
 def _walk(r: np.ndarray, proj: np.ndarray):
@@ -241,8 +248,7 @@ def _walk(r: np.ndarray, proj: np.ndarray):
     m, n, _, d, _ = proj.shape
     sigmas, weights = r[None, None], np.ones((m, 1))
     for j in range(n):
-        pair = proj[:, j, None]
-        post = (pair @ sigmas[:, :, None] @ pair).reshape(m, -1, d, d)
+        post = (proj[:, j, None] @ sigmas[:, :, None] @ proj[:, j, None]).reshape(m, -1, d, d)
         q = _real(np.trace(post, axis1=-2, axis2=-1), "sample_sequences")
         reached = q > 0.0  # dividing an unreached branch by inf gives its zero state
         sigmas = post / np.where(reached, q, np.inf)[..., None, None]
@@ -270,8 +276,7 @@ def _sampled(r: np.ndarray, proj: np.ndarray, shots: int, seeds):
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > np.iinfo(np.int64).max:
         raise ValueError(f"shots must be at most {np.iinfo(np.int64).max}, got {shots}")
-    n = proj.shape[1]
-    return [_draw(n, reached, weights, shots, seed)
+    return [_draw(proj.shape[1], reached, weights, shots, seed)
             for reached, weights, seed in zip(*_walk(r, proj), seeds)]
 
 
@@ -282,10 +287,9 @@ def sample_sequences(rho, seq, shots: int, rng_seed, labels=None):
     the conditional probability tr(Pi sigma)/tr(sigma) and updates the branch
     state sigma -> Pi sigma Pi. Shots are then distributed over the branch
     tree with a single multinomial draw, which reproduces the per-shot
-    process exactly and is deterministic given `rng_seed`.
-
-    The random stream is numpy's PCG64; `rng_seed` may be an integer or a
-    numpy SeedSequence.
+    process exactly and is deterministic given `rng_seed`, an integer or a
+    numpy SeedSequence seeding numpy's PCG64. `labels` are as for
+    `exact_sequence_distribution`.
 
     Returns
     -------
@@ -293,9 +297,8 @@ def sample_sequences(rho, seq, shots: int, rng_seed, labels=None):
         Empirical OutcomeDistribution, the mean of the outcome products, and
         its standard error (sample standard deviation / sqrt(shots)).
     """
-    r, proj = _sequence_of(rho, seq)
+    r, proj, labels = _sequence_of(rho, seq, labels)
     ((outcomes, counts, estimate, stderr),) = _sampled(r, proj[None], shots, [rng_seed])
-    labels = tuple(range(1, len(proj) + 1) if labels is None else labels)
     return OutcomeDistribution(labels, dict(zip(outcomes, counts / shots))), estimate, stderr
 
 
@@ -308,8 +311,7 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
     `rng_seed` with SeedSequence.spawn, so results are reproducible and
     independent of evaluation order.
     """
-    values = {}
-    stderr = None
+    values, stderr = {}, None
     if mode == "analytic":
         # the scenario's checked matrices share its state's dimension
         single, double = state_images(np.array(s.matrices()), s.state.factor())
@@ -327,7 +329,7 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
             stack = proj[np.subtract([slots for _, slots in terms], 1)]
             if mode == "exact-sum":
                 for (name, slots), t in zip(terms, _chain_traces(rho, stack)):
-                    values[name] = _exact_distribution(t, n, slots).correlator()
+                    values[name] = _exact_distribution(t, slots).correlator()
             else:
                 draws = _sampled(rho, stack, shots, [seeds[name] for name, _ in terms])
                 for (name, _), (*_, estimate, se) in zip(terms, draws):

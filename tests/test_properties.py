@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from tempcert import certify
 from tempcert.inequality import eval_INC
-from tempcert.linalg import acomm, eig_hermitian, hermitize
+from tempcert.linalg import acomm, eig_hermitian, hermitize, op_norm, op_norms
 from tempcert.optimize import DEGENERATE_EIGENVALUE, bell_operator, coefficient_operator
 from tempcert.robustness import ObservableTilt, UnitaryJitter, apply_noise
 from tempcert.scenario import (
+    INVOLUTION_TOL,
     DensityMatrix,
     Observable,
     PureState,
@@ -26,12 +27,13 @@ from tempcert.scenario import (
     dumps_scenario,
     loads_scenario,
     random_density,
+    random_hermitian,
     random_scenario,
     random_unitary,
     round_to_involutions,
     round_to_signs,
 )
-from tempcert.seqcorr import CONTEXTS, TERMS, correlations
+from tempcert.seqcorr import CONTEXTS, TERMS, correlations, newton_schulz_step
 
 from conftest import conjugated_embedding, rng_from
 from test_optimize import adjoint_coefficient, anticommutator_bell
@@ -157,6 +159,34 @@ def test_rounding_and_top_eigenvector_pass_the_constructors(m):
         Observable(a)
     for v in eig_hermitian(m)[1][..., :, 0]:
         PureState(v)
+
+
+@st.composite
+def near_involution_stacks(draw):
+    """(4, d, d) stacks of Observables, d = 2-16: U diag(s_k sqrt(1 + eps u_k)) U†
+    with a Haar eigenbasis U, random signs s_k and u_k uniform in [-1, 1], so
+    ||A² - 1|| <= eps for a drawn eps up to (nearly) INVOLUTION_TOL, each
+    with or without a skew-Hermitian defect of norm 8e-11, which Observable
+    accepts."""
+    d, eps = draw(st.integers(2, 16)), draw(st.floats(0.0, 0.98 * INVOLUTION_TOL))
+    skew = draw(st.sampled_from([0.0, 4e-11]))
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for _ in range(4):
+        w = rng.choice([-1.0, 1.0], size=d) * np.sqrt(1 + eps * rng.uniform(-1, 1, size=d))
+        u, k = random_unitary(d, rng), random_hermitian(d, rng)
+        stack.append(Observable((u * w) @ u.conj().T + 1j * skew * k / op_norm(k)).matrix)
+    return np.array(stack)
+
+
+@given(m=near_involution_stacks())
+def test_newton_schulz_step_matches_eigen_sign_rounding(m):
+    """One Newton–Schulz step, the sequential correlators' rounding of an
+    Observable, agrees with project_involution's eigen-sign rounding to 1e-14
+    per entry, and its involution residual is at most 1e-14."""
+    step = newton_schulz_step(m)
+    assert np.abs(step - round_to_involutions(m)).max() <= 1e-14
+    assert op_norms(step @ step - np.eye(m.shape[-1])).max() <= 1e-14
 
 
 @st.composite

@@ -14,7 +14,9 @@ from tempcert.errors import (
 )
 from tempcert.optimize import DEGENERATE_EIGENVALUE
 from tempcert.scenario import (
+    CANONICAL_MATRICES,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     SIGN_CUTOFF,
     DensityMatrix,
@@ -40,7 +42,7 @@ from tempcert.scenario import (
     save_scenario,
     scenario_to_dict,
 )
-from tempcert.seqcorr import state_images
+from tempcert.seqcorr import newton_schulz_step, state_images
 
 from conftest import rng_from
 
@@ -140,12 +142,17 @@ class TestTypes:
         exact = np.kron(PAULI_X, np.eye(d // 2))
         assert Observable(exact).involution_residual == 0.0
 
-    def test_exact_is_a_zero_involution_residual(self, canonical):
-        rng = rng_from(31)
-        obs = [*canonical.observables, Observable(PAULI_Z + 1e-9 * np.diag([1.0, 0.0]))]
-        obs += [random_involution(d, rng) for d in (2, 3, 4, 8, 16, 64) for _ in range(5)]
-        assert [o.exact for o in obs] == [o.involution_residual == 0.0 for o in obs]
-        assert {o.exact for o in obs} == {True, False}
+    def test_newton_schulz_step_keeps_exact_involutions(self):
+        # A @ A == 1 exactly makes the step A(3 - 1)/2 = A: the sequential
+        # correlators take an exact involution as it is. Equal entry for
+        # entry; only the sign of a zero may change, which the projectors
+        # (1 +- A)/2 do not see.
+        paulis = (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)
+        for mats in (CANONICAL_MATRICES, paulis,
+                     [np.kron(np.kron(a, b), c) for a in paulis for b in paulis for c in paulis]):
+            mats = np.array([Observable(m).matrix for m in mats])
+            assert np.array_equal(mats @ mats, np.broadcast_to(np.eye(mats.shape[-1]), mats.shape))
+            assert np.array_equal(newton_schulz_step(mats), mats)
 
     @pytest.mark.parametrize("size, hermitian", [(0.9e-10, True), (1.5e-10, False)])
     def test_one_hermiticity_meaning(self, size, hermitian):

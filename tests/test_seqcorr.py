@@ -20,8 +20,8 @@ from tempcert.scenario import (
     DensityMatrix,
     Observable,
     Scenario,
-    project_involution,
     random_density,
+    random_hermitian,
     random_involution,
     random_scenario,
 )
@@ -40,8 +40,9 @@ from conftest import rng_from
 
 # ---------------------------------------------------------------------------
 # Reference: the per-term, per-outcome loops that the stacked chains replaced,
-# built from the public project_involution. The stacked code must reproduce
-# them bit for bit.
+# each observable made an exact involution by one Newton–Schulz step taken on
+# its own. The stacked code must reproduce them bit for bit; the step itself is
+# held to project_involution's rounding in test_properties.py.
 # ---------------------------------------------------------------------------
 
 def reference_matrices(seq):
@@ -49,8 +50,8 @@ def reference_matrices(seq):
     for obs in seq:
         if obs.involution_residual > 1e-8:
             raise NonInvolution("reference: involution residual too large")
-        mats.append(obs.matrix if obs.involution_residual == 0.0
-                    else project_involution(obs.matrix).matrix)
+        m = obs.matrix
+        mats.append(linalg.hermitize(m @ (3 * np.eye(len(m)) - m @ m) / 2))
     return mats
 
 
@@ -108,7 +109,7 @@ def reference_correlations(s, mode, shots=None, rng_seed=None):
 
 
 #: See TestStackedChains.test_golden_fingerprint.
-GOLDEN_MODES_SHA256 = "1269d2e30a54b9eef07014ad74e28beefcea9dbf8452ddf89f39346f1bc083b0"
+GOLDEN_MODES_SHA256 = "73dc888e3e87e7200ba3af7a78869aabbcaad5934fc6d8b8ed0a6069c9097d7f"
 
 #: One warning per outcome with an imaginary residue, in outcome order.
 NON_HERMITIAN_STATE_WARNINGS = [
@@ -389,8 +390,10 @@ class TestStackedChains:
 
     def test_golden_fingerprint(self):
         # sha256 of all three modes on fixed-seed random_scenario(4) inputs:
-        # exact-sum and sampled as recorded from the per-term, per-outcome
-        # loops before the chains were stacked, analytic as recorded from its
+        # sampled as recorded from the per-term, per-outcome loops before the
+        # chains were stacked, exact-sum as recorded once the Newton–Schulz
+        # step replaced the eigen-sign rounding of Observables (it moved by at
+        # most 6.7e-16; sampled kept every bit), analytic as recorded from its
         # vector form (numpy 2.4, OpenBLAS). Like the seesaw fingerprints it holds
         # the bits of the BLAS and LAPACK kernels, which may differ per CPU;
         # the reference tests above check the same property in-process.
@@ -408,6 +411,9 @@ class TestStackedChains:
 
     @pytest.mark.parametrize("mode", ["exact-sum", "sampled"])
     def test_one_stacked_rounding_per_call(self, monkeypatch, mode):
+        # Observables, near or exact involutions, are made exact by the
+        # Newton–Schulz step without an eigensolve; only raw matrices that are
+        # not near-involutions are eigen-sign rounded, in one stacked call
         calls = []
         eig_hermitian = linalg.eig_hermitian
 
@@ -416,19 +422,23 @@ class TestStackedChains:
             return eig_hermitian(m)
 
         s = scenario_of(4, 901, True)
-        # exact involutions (residual 0) pass through unrounded
         exact = Scenario(s.state, [Observable(m) for m in CANONICAL_MATRICES])
+        rng = rng_from(903)
+        raw = [random_hermitian(4, rng), s.observable(2).matrix, random_hermitian(4, rng)]
         monkeypatch.setattr(linalg, "eig_hermitian", counting)
         correlations(s, mode, shots=100, rng_seed=0)
-        assert calls == [(6, 4, 4)]
-        calls.clear()
         correlations(exact, mode, shots=100, rng_seed=0)
         assert calls == []
+        if mode == "exact-sum":
+            exact_sequence_distribution(s.density(), raw)
+        else:
+            sample_sequences(s.density(), raw, 100, 0)
+        assert calls == [(2, 4, 4)]
 
     @pytest.mark.parametrize("mode", ["exact-sum", "sampled"])
     def test_fresh_scenario_takes_no_svd(self, svd_calls, mode):
-        # which observables need rounding is read off their exact flags, not
-        # off the SVD norms of their involution residuals
+        # Observables are not checked again: the Newton–Schulz step takes
+        # matrix products only
         s = random_scenario(4, rng_from(902))
         svd_calls.clear()
         correlations(s, mode, shots=100, rng_seed=0)
@@ -462,6 +472,27 @@ class TestErrorPaths:
             exact_sequence_distribution(canonical.density(), seq)
         with pytest.raises(ZeroEigenvalue):
             sample_sequences(canonical.density(), seq, 100, 0)
+
+    def test_label_count_must_match_sequence_length(self, canonical):
+        rho, seq = canonical.density(), [canonical.observable(1), canonical.observable(4)]
+        for labels in ((1, 2, 3, 4, 5), (1,)):
+            with pytest.raises(ShapeMismatch, match="got 2, [15] labels"):
+                exact_sequence_distribution(rho, seq, labels=labels)
+            with pytest.raises(ShapeMismatch, match="got 2, [15] labels"):
+                sample_sequences(rho, seq, 100, 0, labels=labels)
+        assert exact_sequence_distribution(rho, seq, labels=(1, 4)).sequence == (1, 4)
+        assert sample_sequences(rho, seq, 100, 0, labels=(1, 4))[0].sequence == (1, 4)
+
+    def test_raw_non_hermitian_matrix_raises(self, canonical):
+        # checked as Observable checks it: an exact involution (A @ A == 1)
+        # that is not Hermitian, and twice it, which is no near-involution
+        skew = np.kron(PAULI_Z, np.eye(2)).astype(complex)
+        skew[0, 2] = 1e-6
+        for m in (skew, 2 * skew):
+            with pytest.raises(NotHermitian):
+                exact_sequence_distribution(canonical.density(), [m, canonical.observable(4)])
+            with pytest.raises(NotHermitian):
+                sample_sequences(canonical.density(), [m, canonical.observable(4)], 100, 0)
 
     def test_non_hermitian_state_warns_per_outcome(self):
         rho = np.array([[0.5, 0.2j], [0.0, 0.5]])

@@ -46,7 +46,7 @@ WORKLOADS = TRACER.parent / "workloads.py"
 #: other golden hashes they hold the bits of the BLAS and LAPACK kernels
 #: (numpy 2.4, OpenBLAS, one thread), which may differ per CPU.
 WORKLOAD_FINGERPRINT_SHA256 = {
-    "correlators-d4": "e6b190cbff73e802846eaf4de2314f80bed5416056b7ec400619e516cdfcce30",
+    "correlators-d4": "cea17eae1c01230fc76263d6790150616a036c2eee6016ce3748f17343be9581",
     "certify-sweep": "46af89f61dd2bd96deb04502b2dca0027f8d0d5c0b4dc9c0ebbde70917012a40",
 }
 
