@@ -34,9 +34,6 @@ from .errors import (
 from .inequality import InequalityValue, eval_IT
 from .scenario import (
     CANONICAL_MATRICES,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     PHI_PLUS,
     Observable,
     PureState,
@@ -58,10 +55,10 @@ TARGET_MATRICES = CANONICAL_MATRICES
 STATE_CONSTRAINTS = tuple((perm, sign) for context, sign in CONTEXTS.items()
                           for perm in itertools.permutations(context))
 
-#: The stabilizer witness terms on C^2 (x) C^2: XX, YY and ZZ.
-WITNESS_XX = np.kron(PAULI_X, PAULI_X)
-WITNESS_YY = np.kron(PAULI_Y, PAULI_Y)
-WITNESS_ZZ = np.kron(PAULI_Z, PAULI_Z)
+#: The pair contexts (i, j, sign): (1, 4, +1), (2, 5, +1) and (3, 6, -1). On
+#: the targets, sign * T_i T_j is XX, ZZ and -YY, the stabilizers of PHI_PLUS.
+PAIR_CONTEXTS = tuple((*context, sign) for context, sign in CONTEXTS.items()
+                      if len(context) == 2)
 
 
 def build_subspace(psi, a1, a5):
@@ -139,12 +136,7 @@ class AlignmentResult:
     distances: list
 
 
-def _second_factor_block(m: np.ndarray) -> np.ndarray:
-    """Second-factor operator M from a 4x4 matrix close to 1 (x) M."""
-    return (m[:2, :2] + m[2:, 2:]) / 2
-
-
-def align(projected_observables, extracted_state_raw, eigenspace_gauge=None) -> AlignmentResult:
+def align(projected_observables) -> AlignmentResult:
     """Construct the alignment unitary from the projected observables.
 
     The six 4x4 inputs are rounded to exact involutions, which are then used
@@ -157,20 +149,20 @@ def align(projected_observables, extracted_state_raw, eigenspace_gauge=None) -> 
     slots 2 and 4 and rotate them to Z and X; (iii) record the residual signs
     of slots 3 and 6 against the +-X(x)Z and +-Z(x)X forms. Distances are
     always measured against the +1-sign targets, which is the sign choice the
-    stabilizer constraints enforce at maximal violation.
+    stabilizer constraints enforce at maximal violation. The bases of (i) and
+    (ii) are the eigenvectors the two roundings take.
 
-    `eigenspace_gauge` (a 2x2 unitary mixing e1, e2) exists to demonstrate
-    that reported fidelities and distances do not depend on eigenbasis
-    tie-breaking; leave it None in normal use.
+    No basis of the eigenspace is preferred: mixing e1, e2 by a 2x2 unitary
+    G gives w -> w (1(x)G) and u2 -> G† u2 times a phase, so U -> phase * U,
+    and the pivot convention below removes that phase.
     """
     raw = [linalg.as_matrix(m) for m in projected_observables]
     if len(raw) != 6 or any(m.shape != (4, 4) for m in raw):
         raise ShapeMismatch("align expects six 4x4 projected observables")
     raw = np.array(raw)
-    psi_v = linalg.as_vector(extracted_state_raw)
 
     try:
-        rounded = round_to_involutions(linalg.hermitize(raw))
+        rounded, w6, v6 = round_to_involutions(linalg.hermitize(raw))
     except ZeroEigenvalue as exc:
         raise AnticommutatorTooLarge(
             f"projected observable cannot be rounded to an involution: {exc}"
@@ -182,30 +174,23 @@ def align(projected_observables, extracted_state_raw, eigenspace_gauge=None) -> 
             f"||{{A1, A5}}|| = {ac15:.3f} after rounding exceeds 0.5"
         )
 
-    w5, v5 = linalg.eig_hermitian(a5r)
-    plus = v5[:, w5 > 0]
+    e = v6[4][:, w6[4] > 0]
     # ||{A1, A5}|| <= 0.5 forces a balanced 2-2 spectrum split.
-    if plus.shape[1] != 2:
+    if e.shape[1] != 2:
         raise AnticommutatorTooLarge(
-            f"slot-5 +1 eigenspace has dimension {plus.shape[1]}, expected 2"
+            f"slot-5 +1 eigenspace has dimension {e.shape[1]}, expected 2"
         )
-    overlaps = np.abs(plus.conj().T @ psi_v)
-    order = np.argsort(-overlaps, kind="stable")
-    e = plus[:, order]
-    if eigenspace_gauge is not None:
-        e = e @ linalg.as_matrix(eigenspace_gauge)
     f = a1r @ e
     w0 = np.column_stack([e, f])
     # Loewdin correction: with finite anticommutator residue the columns are
     # only approximately orthonormal.
     w = w0 @ linalg.inv_sqrt_psd(linalg.hermitize(w0.conj().T @ w0))
 
-    frame2, frame4 = w.conj().T @ rounded[[1, 3]] @ w
-
-    m_op = linalg.hermitize(_second_factor_block(frame2))
-    o_op = linalg.hermitize(_second_factor_block(frame4))
+    # slots 2 and 4 in the frame w are close to 1 (x) M and 1 (x) O
+    frames = w.conj().T @ rounded[[1, 3]] @ w
+    m_op, o_op = linalg.hermitize((frames[:, :2, :2] + frames[:, 2:, 2:]) / 2)
     try:
-        m_r, o_r = round_to_involutions([m_op, o_op])
+        (m_r, o_r), _, (vm, _) = round_to_involutions([m_op, o_op])
     except ZeroEigenvalue as exc:
         raise FactorizationFailure(
             f"second-factor operator has no involution rounding: {exc}"
@@ -214,7 +199,7 @@ def align(projected_observables, extracted_state_raw, eigenspace_gauge=None) -> 
         raise FactorizationFailure(
             "second-factor operators are not close to anticommuting involutions"
         )
-    wm, vm = linalg.eig_hermitian(m_r)
+    # M's eigenvectors, descending: the checks above leave M one +1 and one -1
     m_plus, m_minus = vm[:, 0], vm[:, 1]
     c = complex(m_plus.conj() @ (o_r @ m_minus))
     if abs(c) < 0.5:
@@ -285,26 +270,24 @@ class CertificationReport:
 
 def _witness_value(psi4: np.ndarray) -> float:
     """Overlap with the maximally entangled target, via the stabilizer form
-    (1 + <XX> - <YY> + <ZZ>)/4."""
-    ev = lambda op: (psi4.conj() @ (op @ psi4)).real
-    return float((1 + ev(WITNESS_XX) - ev(WITNESS_YY) + ev(WITNESS_ZZ)) / 4)
+    (1 + sum of <s T_i T_j> over the pair contexts (i, j, s))/4, which is
+    (1 + <XX> + <ZZ> - <YY>)/4."""
+    t = TARGET_MATRICES
+    return float(sum((s * (psi4.conj() @ (t[i - 1] @ t[j - 1] @ psi4)).real
+                      for i, j, s in PAIR_CONTEXTS), 1) / 4)
 
 
 def _witness_lower_bound(aligned, distances, psi4: np.ndarray) -> float:
     """Certified witness lower bound assembled from operator distances.
 
-    Each stabilizer expectation obeys <PQ> = 1 - ||(P(x)1 - 1(x)Q) psi||^2/2
-    for the relevant factor pair, and the triangle chain through the aligned
-    observables bounds that norm by d_i + ||(A_i -+ A_j) psi|| + d_j.
+    Each stabilizer expectation of a pair context (i, j, s) obeys
+    <s T_i T_j> = 1 - ||(T_i - s T_j) psi||^2/2, and the triangle chain
+    through the aligned observables bounds that norm by
+    d_i + ||(A_i - s A_j) psi|| + d_j.
     """
-    def diff_norm(i, j, sign):
-        return linalg.vec_norm((aligned[i - 1] + sign * aligned[j - 1]) @ psi4)
-
-    t_xx = distances[0] + diff_norm(1, 4, -1) + distances[3]
-    t_zz = distances[4] + diff_norm(5, 2, -1) + distances[1]
-    t_yy = distances[2] + diff_norm(3, 6, +1) + distances[5]
-    terms = [max(1 - t * t / 2, -1.0) for t in (t_xx, t_yy, t_zz)]
-    return float(max((1 + sum(terms)) / 4, 0.0))
+    chains = [distances[i - 1] + linalg.vec_norm((aligned[i - 1] - s * aligned[j - 1]) @ psi4)
+              + distances[j - 1] for i, j, s in PAIR_CONTEXTS]
+    return float(max(sum((max(1 - t * t / 2, -1.0) for t in chains), 1) / 4, 0.0))
 
 
 def certify(s: Scenario, *, corr: CorrelationSet | None = None) -> CertificationReport:
@@ -335,7 +318,7 @@ def certify(s: Scenario, *, corr: CorrelationSet | None = None) -> Certification
     psi_v = bd @ psi.amplitudes
     psi_v = psi_v / linalg.vec_norm(psi_v)
 
-    result = align(projected, psi_v)
+    result = align(projected)
     extracted = result.unitary @ psi_v
     overlap = complex(PHI_PLUS.conj() @ extracted)
     if abs(overlap) > 1e-12:

@@ -180,7 +180,7 @@ def optimal_observable(s: Scenario, slot: int) -> Observable:
     1e-12 get sign +1 (deterministic tie-break) and raise a
     DegenerateCoefficientWarning.
     """
-    a, w = round_to_signs(coefficient_operator(s, slot), DEGENERATE_EIGENVALUE)
+    a, w, _ = round_to_signs(coefficient_operator(s, slot), DEGENERATE_EIGENVALUE)
     degenerate = np.abs(w) <= DEGENERATE_EIGENVALUE
     if np.any(degenerate):
         warnings.warn(
@@ -213,7 +213,7 @@ def seesaw(config: SeesawConfig):
         states.append(random_pure_state(config.dim, rng).amplitudes)
         draws.append([random_hermitian(config.dim, rng) for _ in range(6)])
     r = np.array(states)[..., None]                 # (S, d, 1) state factors
-    obs = round_to_involutions(np.array(draws))     # (S, 6, d, d)
+    obs = round_to_involutions(np.array(draws))[0]  # (S, 6, d, d)
     traces = [SeesawTrace(seed_index=k) for k in range(config.seeds)]
 
     b = _bell_from_matrices(obs)  # the running seeds' Bell operators
@@ -223,7 +223,7 @@ def seesaw(config: SeesawConfig):
         o = obs[active]
         p = _top_factors(b)
         for slot in range(1, 7):
-            a, w = round_to_signs(_coefficient(o, p, slot), DEGENERATE_EIGENVALUE)
+            a, w, _ = round_to_signs(_coefficient(o, p, slot), DEGENERATE_EIGENVALUE)
             o[:, slot - 1] = a
             for k in active[(np.abs(w) <= DEGENERATE_EIGENVALUE).any(axis=-1)]:
                 traces[k].degenerate_steps += 1

@@ -270,16 +270,21 @@ def save_sweep_csv(rows, path) -> None:
     atomic_write_text(path, sweep_csv(rows))
 
 
+def _json_number(x: float):
+    """x, or None (JSON null) for NaN and infinities, which JSON has no number for."""
+    return x if math.isfinite(x) else None
+
+
 def sweep_report(rows) -> dict:
-    """Sidecar document with full bound detail per row."""
+    """Sidecar document with full bound detail per row; a refused row's NaNs are null."""
     return {
         "rows": [
             {
-                "param": r.param,
-                "epsilon": r.epsilon,
-                "I_T": r.value,
-                "fidelity": r.fidelity,
-                "max_op_distance": r.max_operator_distance,
+                "param": _json_number(r.param),
+                "epsilon": _json_number(r.epsilon),
+                "I_T": _json_number(r.value),
+                "fidelity": _json_number(r.fidelity),
+                "max_op_distance": _json_number(r.max_operator_distance),
                 "failed": r.failed,
                 "error": r.error,
                 "bounds": [

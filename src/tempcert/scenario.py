@@ -117,22 +117,25 @@ class PureState:
 
 
 class DensityMatrix:
-    """Trace-one positive-semidefinite Hermitian matrix."""
+    """Trace-one positive-semidefinite Hermitian matrix. Construction takes
+    one `eig_hermitian`, which serves the PSD check and the factor."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_factor")
 
     def __init__(self, matrix):
         m = linalg.as_matrix(matrix)
         linalg.require_square(m)
         linalg.require_hermitian(m - m.conj().T, "density matrix")
-        w = np.linalg.eigvalsh(linalg.hermitize(m))
-        if w.min() < -linalg.STRUCTURAL_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
+        w, v = linalg.eig_hermitian(m)
+        if w[-1] < -linalg.STRUCTURAL_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {w[-1]:.3e}")
         tr = np.trace(m)
         if abs(tr - 1.0) > NORM_TOL:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1")
         m.setflags(write=False)
         self.matrix = m
+        self._factor = v * np.sqrt(np.clip(w, 0.0, None))
+        self._factor.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -143,8 +146,7 @@ class DensityMatrix:
 
     def factor(self) -> np.ndarray:
         """R = v sqrt(max(w, 0)), R R† = matrix, from `eig_hermitian`'s (w, v)."""
-        w, v = linalg.eig_hermitian(self.matrix)
-        return v * np.sqrt(np.clip(w, 0.0, None))
+        return self._factor
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
@@ -216,24 +218,26 @@ def canonical_scenario() -> Scenario:
 def round_to_signs(m, cutoff: float):
     """Eigen-sign rounding of Hermitian m, one matrix or a stack (..., d, d):
     returns sum_k s_k v_k v_k† with s_k = sign(lambda_k), or +1 where
-    |lambda_k| <= cutoff, and the eigenvalues lambda_k, descending."""
+    |lambda_k| <= cutoff, and the eigenvalues lambda_k, descending, and the
+    eigenvectors v_k it rounds with, as `eig_hermitian` returns them."""
     w, v = linalg.eig_hermitian(m)
     signs = np.where(w < -cutoff, -1.0, 1.0)  # +1 wherever |w| <= cutoff
     a = (v * signs[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    return linalg.hermitize(a), w
+    return linalg.hermitize(a), w, v
 
 
-def round_to_involutions(m) -> np.ndarray:
+def round_to_involutions(m):
     """project_involution's rounding, ZeroEigenvalue included, of one matrix
-    or a stack (..., d, d), returned as an array: no Observable is built. The
-    error names the first matrix of the stack that has no rounding."""
-    a, w = round_to_signs(m, SIGN_CUTOFF)
+    or a stack (..., d, d), returned with its eigenvalues and eigenvectors as
+    `round_to_signs` returns them: no Observable is built. The error names
+    the first matrix of the stack that has no rounding."""
+    a, w, v = round_to_signs(m, SIGN_CUTOFF)
     magnitudes = np.abs(w).reshape(-1, w.shape[-1])
     failing = (magnitudes <= SIGN_CUTOFF).any(axis=-1)
     if failing.any():
         raise ZeroEigenvalue(f"eigenvalue of magnitude {magnitudes[failing.argmax()].min():.3e} "
                              f"inside cutoff {SIGN_CUTOFF:.1e}")
-    return a
+    return a, w, v
 
 
 def project_involution(m) -> Observable:
@@ -243,7 +247,7 @@ def project_involution(m) -> Observable:
     norm among functions of m. Eigenvalues of magnitude at most SIGN_CUTOFF
     have no well-defined sign and raise :class:`ZeroEigenvalue`.
     """
-    return Observable(round_to_involutions(m))
+    return Observable(round_to_involutions(m)[0])
 
 
 def lift_observable(obs: Observable, env_dim: int) -> Observable:
@@ -450,4 +454,8 @@ def save_scenario(s: Scenario, path) -> None:
 
 def load_scenario(path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
-        return loads_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"scenario file is not UTF-8 text: {exc}") from exc
+    return loads_scenario(text)

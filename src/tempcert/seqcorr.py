@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,7 +134,7 @@ class OutcomeDistribution:
     """Joint distribution over +-1 outcome tuples of a measurement sequence."""
 
     sequence: tuple
-    probabilities: dict = field(default_factory=dict)
+    probabilities: dict
 
     def __post_init__(self):
         total = 0.0
@@ -194,7 +194,7 @@ def _projectors(rho, seq):
         linalg.require_hermitian(mats[raw] - np.swapaxes(mats[raw].conj(), -1, -2), "observable")
         far = np.array(raw)[linalg.op_norm_exceeds(mats[raw] @ mats[raw] - eye, INVOLUTION_TOL)]
         if far.size:
-            mats[far] = round_to_involutions(mats[far])
+            mats[far] = round_to_involutions(mats[far])[0]
     mats = newton_schulz_step(mats)
     return r, np.stack([(eye + mats) / 2, (eye - mats) / 2], axis=1)
 

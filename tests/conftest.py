@@ -43,6 +43,20 @@ def svd_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the np.linalg.eigh calls made while the fixture is active."""
+    calls = []
+    original = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
 def rng_from(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -15,7 +16,10 @@ from tempcert.certify import (
 from tempcert.errors import (
     AnticommutatorTooLarge,
     FactorizationFailure,
+    ShapeMismatch,
     SubspaceDegenerate,
+    TempcertError,
+    ZeroEigenvalue,
 )
 from tempcert.robustness import Depolarizing, ObservableTilt, UnitaryJitter, apply_noise
 from tempcert.scenario import (
@@ -30,6 +34,7 @@ from tempcert.scenario import (
     purify_scenario,
     random_hermitian,
     random_unitary,
+    round_to_involutions,
 )
 
 from conftest import conjugated_embedding, rng_from
@@ -97,17 +102,88 @@ class TestAlgebraResiduals:
             algebra_residuals(mixed, basis)
 
 
-class TestAlign:
-    @staticmethod
-    def _projected(s):
-        basis, _, _ = build_subspace(s.state, s.observable(1), s.observable(5))
-        projected = [basis.conj().T @ m @ basis for m in s.matrices()]
-        psi_v = basis.conj().T @ s.state.amplitudes
-        return projected, psi_v / linalg.vec_norm(psi_v)
+def reference_align(projected_observables, psi_v):
+    """The five-eigensolve alignment `align` replaced: the slot-5 +1 eigenspace
+    and M's eigenvectors from fresh eigensolves of the rounded operators, and
+    the eigenspace basis ordered by its overlaps with the extracted state."""
+    raw = [linalg.as_matrix(m) for m in projected_observables]
+    if len(raw) != 6 or any(m.shape != (4, 4) for m in raw):
+        raise ShapeMismatch("align expects six 4x4 projected observables")
+    raw = np.array(raw)
+    try:
+        rounded = round_to_involutions(linalg.hermitize(raw))[0]
+    except ZeroEigenvalue as exc:
+        raise AnticommutatorTooLarge(
+            f"projected observable cannot be rounded to an involution: {exc}") from exc
+    a1r, a5r = rounded[0], rounded[4]
+    ac15 = linalg.op_norm(linalg.acomm(a1r, a5r))
+    if ac15 > 0.5:
+        raise AnticommutatorTooLarge(f"||{{A1, A5}}|| = {ac15:.3f} after rounding exceeds 0.5")
+    w5, v5 = linalg.eig_hermitian(a5r)
+    plus = v5[:, w5 > 0]
+    if plus.shape[1] != 2:
+        raise AnticommutatorTooLarge(
+            f"slot-5 +1 eigenspace has dimension {plus.shape[1]}, expected 2")
+    e = plus[:, np.argsort(-np.abs(plus.conj().T @ psi_v), kind="stable")]
+    w0 = np.column_stack([e, a1r @ e])
+    w = w0 @ linalg.inv_sqrt_psd(linalg.hermitize(w0.conj().T @ w0))
+    frame2, frame4 = w.conj().T @ rounded[[1, 3]] @ w
+    m_op = linalg.hermitize((frame2[:2, :2] + frame2[2:, 2:]) / 2)
+    o_op = linalg.hermitize((frame4[:2, :2] + frame4[2:, 2:]) / 2)
+    try:
+        m_r, o_r = round_to_involutions([m_op, o_op])[0]
+    except ZeroEigenvalue as exc:
+        raise FactorizationFailure(
+            f"second-factor operator has no involution rounding: {exc}") from exc
+    if np.any(linalg.op_norms([m_op - m_r, o_op - o_r, linalg.acomm(m_r, o_r)]) > 0.5):
+        raise FactorizationFailure(
+            "second-factor operators are not close to anticommuting involutions")
+    _, vm = linalg.eig_hermitian(m_r)
+    m_plus, m_minus = vm[:, 0], vm[:, 1]
+    c = complex(m_plus.conj() @ (o_r @ m_minus))
+    if abs(c) < 0.5:
+        raise FactorizationFailure(
+            f"slot-4 second-factor off-diagonal element {abs(c):.3f} too small")
+    u2 = np.column_stack([m_plus, m_minus * (c.conjugate() / abs(c))])
+    unitary = np.kron(np.eye(2), u2).conj().T @ w.conj().T
+    pivot = complex(unitary.flat[np.argmax(np.abs(unitary) > 1e-12)])
+    unitary = unitary * (pivot.conjugate() / abs(pivot))
+    aligned = unitary @ raw @ unitary.conj().T
+    return unitary, aligned, linalg.op_norms(aligned - TARGET_MATRICES)
 
+
+def _projected(s):
+    basis, _, _ = build_subspace(s.state, s.observable(1), s.observable(5))
+    projected = [basis.conj().T @ m @ basis for m in s.matrices()]
+    psi_v = basis.conj().T @ s.state.amplitudes
+    return projected, psi_v / linalg.vec_norm(psi_v)
+
+
+def _noise_rows():
+    """Jitter, tilt and depolarizing rows at d = 4 from near the canonical point
+    to past where certify refuses, jitter on a conjugated d = 16 embedding, and
+    large tilts of slots 2 and 4, which the second-factor checks refuse at 0.5."""
+    base = canonical_scenario()
+    big = conjugated_embedding(base, 16, rng_from(57))
+    rows = []
+    for k, x in enumerate(np.geomspace(1e-4, 0.6, 12)):
+        rows.append(apply_noise(base, UnitaryJitter(x, rng_seed=k)))
+        rows.append(apply_noise(base, ObservableTilt(k % 6 + 1, x)))
+        rows.append(apply_noise(big, UnitaryJitter(x / 2, rng_seed=100 + k)))
+    for p in np.geomspace(1e-6, 0.3, 6):
+        rows.append(apply_noise(base, Depolarizing(p)))
+    for slot, angle in itertools.product((2, 4), (0.5, 1.5)):
+        rows.append(apply_noise(base, ObservableTilt(slot, angle)))
+    return [purify_scenario(s) for s in rows]
+
+
+NOISE_ROWS = _noise_rows()
+
+
+class TestAlign:
     def test_canonical(self, canonical):
-        projected, psi_v = self._projected(canonical)
-        res = align(projected, psi_v)
+        projected, psi_v = _projected(canonical)
+        res = align(projected)
         assert max(res.distances) <= 1e-12
         assert res.sign3 == 1.0 and res.sign6 == 1.0
         assert linalg.op_norm(res.unitary @ res.unitary.conj().T - np.eye(4)) <= 1e-12
@@ -116,25 +192,57 @@ class TestAlign:
         rng = rng_from(51)
         for _ in range(5):
             s = conjugate_scenario(canonical, random_unitary(4, rng))
-            projected, psi_v = self._projected(s)
-            res = align(projected, psi_v)
+            projected, psi_v = _projected(s)
+            res = align(projected)
             assert max(res.distances) <= 1e-9
             extracted = res.unitary @ psi_v
             assert abs(abs(PHI_PLUS.conj() @ extracted) ** 2 - 1.0) <= 1e-10
 
-    def test_gauge_robustness(self, canonical):
-        # eigenbasis tie-breaking inside align must not move the physics
+    def test_covariance_under_a_frame_change(self):
+        # conjugating the inputs by W gives U' with U' W = U up to one global
+        # phase: no basis choice inside align reaches the result
         rng = rng_from(52)
-        s = conjugate_scenario(canonical, random_unitary(4, rng))
-        projected, psi_v = self._projected(s)
-        base = align(projected, psi_v)
-        for _ in range(5):
-            gauge = random_unitary(2, rng)
-            alt = align(projected, psi_v, eigenspace_gauge=gauge)
+        for k in range(10):
+            s = apply_noise(canonical_scenario(), UnitaryJitter(0.05, rng_seed=k))
+            projected, psi_v = _projected(s)
+            w = random_unitary(4, rng)
+            base = align(projected)
+            alt = align([w @ m @ w.conj().T for m in projected])
+            moved = alt.unitary @ w
+            phase = np.vdot(moved, base.unitary)
+            phase /= abs(phase)
+            assert np.max(np.abs(moved * phase - base.unitary)) <= 1e-12
+            assert np.max(np.abs(np.subtract(alt.distances, base.distances))) <= 1e-12
             f0 = abs(PHI_PLUS.conj() @ (base.unitary @ psi_v)) ** 2
-            f1 = abs(PHI_PLUS.conj() @ (alt.unitary @ psi_v)) ** 2
-            assert abs(f0 - f1) <= 1e-10
-            assert max(abs(a - b) for a, b in zip(base.distances, alt.distances)) <= 1e-9
+            f1 = abs(PHI_PLUS.conj() @ (alt.unitary @ (w @ psi_v))) ** 2
+            assert abs(f0 - f1) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(len(NOISE_ROWS)))
+    def test_matches_the_five_eigensolve_reference(self, k):
+        projected, psi_v = _projected(NOISE_ROWS[k])
+        try:
+            u, aligned, distances = reference_align(projected, psi_v)
+        except TempcertError as exc:
+            with pytest.raises(type(exc)) as raised:
+                align(projected)
+            assert str(raised.value) == str(exc)
+            return
+        res = align(projected)
+        phase = np.vdot(res.unitary, u)
+        phase /= abs(phase)
+        assert np.max(np.abs(res.unitary * phase - u)) <= 1e-13
+        assert np.max(np.abs(np.array(res.aligned_observables) - aligned)) <= 1e-13
+        assert np.max(np.abs(np.subtract(res.distances, distances))) <= 1e-13
+
+    def test_reference_rows_include_both_refusals(self):
+        refusals = []
+        for s in NOISE_ROWS:
+            try:
+                reference_align(*_projected(s))
+            except TempcertError as exc:
+                refusals.append(type(exc))
+        assert {AnticommutatorTooLarge, FactorizationFailure} <= set(refusals)
+        assert len(refusals) < len(NOISE_ROWS) / 2
 
     def test_unitary_phase_is_fixed(self):
         # the eigenspace bases inside align leave U's global phase free; U's
@@ -144,10 +252,10 @@ class TestAlign:
         rng = rng_from(53)
         for k in range(20):
             s = apply_noise(canonical_scenario(), UnitaryJitter(0.05, rng_seed=k))
-            projected, psi_v = self._projected(s)
-            u = align(projected, psi_v).unitary
+            projected, _ = _projected(s)
+            u = align(projected).unitary
             nudged = [m + 1e-15 * random_hermitian(4, rng) for m in projected]
-            assert np.max(np.abs(align(nudged, psi_v).unitary - u)) <= 1e-12
+            assert np.max(np.abs(align(nudged).unitary - u)) <= 1e-12
             pivot = u.flat[np.argmax(np.abs(u) > 1e-12)]
             assert pivot.real > 0 and abs(pivot.imag) <= 1e-15
 
@@ -155,7 +263,7 @@ class TestAlign:
         # slots 1 and 5 both Z (x) 1: anticommutator norm 2
         mats = [np.kron(PAULI_Z, PAULI_I)] * 6
         with pytest.raises(AnticommutatorTooLarge):
-            align(mats, PHI_PLUS)
+            align(mats)
 
     def test_factorization_failure(self):
         # slots 2 and 4 share the second-factor operator Z: {M, O} = 2
@@ -168,7 +276,7 @@ class TestAlign:
             np.kron(PAULI_Z, PAULI_X),
         ]
         with pytest.raises(FactorizationFailure):
-            align(mats, PHI_PLUS)
+            align(mats)
 
 
 class TestCertify:
@@ -244,6 +352,15 @@ class TestCertify:
     def test_signs_recorded(self, canonical):
         report = certify(canonical)
         assert report.sign3 == 1.0 and report.sign6 == 1.0
+
+    def test_four_eigensolves_on_a_pure_scenario(self, eigh_calls):
+        # the Gram inverse square root, the six-observable rounding, the
+        # Loewdin correction and the second-factor rounding; align reads its
+        # bases from the two roundings
+        noisy = apply_noise(canonical_scenario(), UnitaryJitter(0.02, rng_seed=7))
+        eigh_calls.clear()
+        certify(noisy)
+        assert eigh_calls == [(4, 4), (6, 4, 4), (4, 4), (2, 2, 2)]
 
 
 class TestReportSerialization:

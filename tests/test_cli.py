@@ -68,6 +68,14 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_non_utf8_file_parse_error(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark is not UTF-8: one error line, no traceback
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(scenario_to_dict(canonical_scenario())).encode())
+        assert main(["evaluate", "--scenario", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file_io_error(self, tmp_path):
         assert main(["evaluate", "--scenario", str(tmp_path / "nope.json")]) == EXIT_IO
 

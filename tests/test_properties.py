@@ -155,7 +155,7 @@ def test_rounding_and_top_eigenvector_pass_the_constructors(m):
     """The seesaw, certify.align and the sequential correlators use eigen-sign
     roundings and top eigenvectors without checking them again: Observable
     accepts every rounding and PureState every top eigenvector."""
-    for a in (*round_to_involutions(m), *round_to_signs(m, DEGENERATE_EIGENVALUE)[0]):
+    for a in (*round_to_involutions(m)[0], *round_to_signs(m, DEGENERATE_EIGENVALUE)[0]):
         Observable(a)
     for v in eig_hermitian(m)[1][..., :, 0]:
         PureState(v)
@@ -185,7 +185,7 @@ def test_newton_schulz_step_matches_eigen_sign_rounding(m):
     Observable, agrees with project_involution's eigen-sign rounding to 1e-14
     per entry, and its involution residual is at most 1e-14."""
     step = newton_schulz_step(m)
-    assert np.abs(step - round_to_involutions(m)).max() <= 1e-14
+    assert np.abs(step - round_to_involutions(m)[0]).max() <= 1e-14
     assert op_norms(step @ step - np.eye(m.shape[-1])).max() <= 1e-14
 
 

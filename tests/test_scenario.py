@@ -203,6 +203,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.7, 0.7]))
 
+    def test_density_eigendecomposes_once(self, eigh_calls):
+        # the one eigensolve at construction serves the PSD check and the
+        # factor, which is v sqrt(max(w, 0)) of eig_hermitian bit for bit
+        m = random_density(6, rng_from(14), rank=4).matrix
+        w, v = linalg.eig_hermitian(m)
+        eigh_calls.clear()
+        rho = DensityMatrix(m)
+        for _ in range(3):
+            assert np.array_equal(rho.factor(), v * np.sqrt(np.clip(w, 0.0, None)))
+        assert eigh_calls == [(6, 6)] and not rho.factor().flags.writeable
+
     @pytest.mark.parametrize("slot", [0, 7, -1])
     def test_with_observable_rejects_slot_outside_1_to_6(self, canonical, slot):
         with pytest.raises(ShapeMismatch):
@@ -266,18 +277,20 @@ class TestRoundToSigns:
     def test_stack_matches_project_involution(self, d):
         rng = rng_from(60 + d)
         draws = np.array([[random_hermitian(d, rng) for _ in range(6)] for _ in range(3)])
-        a, w = round_to_signs(draws, SIGN_CUTOFF)
-        assert a.shape == draws.shape and w.shape == (3, 6, d)
-        assert np.array_equal(round_to_involutions(draws), a)
+        a, w, v = round_to_signs(draws, SIGN_CUTOFF)
+        assert a.shape == v.shape == draws.shape and w.shape == (3, 6, d)
+        for x, y in zip(round_to_involutions(draws), (a, w, v)):
+            assert np.array_equal(x, y)
         for idx in np.ndindex(3, 6):
             assert np.array_equal(a[idx], project_involution(draws[idx]).matrix)
-            assert np.array_equal(w[idx], linalg.eig_hermitian(draws[idx])[0])
+            one_w, one_v = linalg.eig_hermitian(draws[idx])
+            assert np.array_equal(w[idx], one_w) and np.array_equal(v[idx], one_v)
 
     @pytest.mark.parametrize("cutoff", [SIGN_CUTOFF, DEGENERATE_EIGENVALUE])
     def test_sign_is_plus_one_at_or_below_the_cutoff(self, cutoff):
         above = np.nextafter(cutoff, 1.0)
         eigenvalues = np.array([2.0, cutoff, cutoff / 2, 0.0, -cutoff / 2, -cutoff, -above, -3.0])
-        a, w = round_to_signs(np.diag(eigenvalues), cutoff)
+        a, w, _ = round_to_signs(np.diag(eigenvalues), cutoff)
         assert np.array_equal(w, eigenvalues)
         assert np.array_equal(a, np.diag([1.0, 1, 1, 1, 1, 1, -1, -1]).astype(complex))
 

@@ -28,6 +28,7 @@ from tempcert.scenario import (
 from tempcert.seqcorr import (
     TERMS,
     CorrelationSet,
+    OutcomeDistribution,
     correlations,
     exact_sequence_distribution,
     pair_corr,
@@ -208,6 +209,12 @@ class TestExactDistribution:
     def test_sequence_length_validation(self, canonical):
         with pytest.raises(ShapeMismatch):
             exact_sequence_distribution(canonical.density(), [canonical.observable(1)])
+
+    def test_probabilities_are_required(self):
+        with pytest.raises(TypeError):
+            OutcomeDistribution((1, 2))
+        dist = OutcomeDistribution((1, 2), {(1, 1): 0.75, (-1, 1): 0.25})
+        assert dist.correlator() == 0.5
 
 
 class TestFormulaOperationalEquivalence:

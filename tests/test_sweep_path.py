@@ -110,7 +110,7 @@ def reference_certify(s) -> CertificationReport:
     psi_v = basis.conj().T @ psi.amplitudes
     psi_v = psi_v / linalg.vec_norm(psi_v)
 
-    result = align(projected, psi_v)
+    result = align(projected)
     u = result.unitary
     aligned = [u @ m @ u.conj().T for m in projected]
     distances = [linalg.op_norm(a - t) for a, t in zip(aligned, TARGET_MATRICES)]
@@ -121,8 +121,8 @@ def reference_certify(s) -> CertificationReport:
         extracted = extracted * (overlap.conjugate() / abs(overlap))
     extracted = extracted / linalg.vec_norm(extracted)
     ev = lambda op: (extracted.conj() @ (op @ extracted)).real
-    witness = float((1 + ev(np.kron(PAULI_X, PAULI_X)) - ev(np.kron(PAULI_Y, PAULI_Y))
-                     + ev(np.kron(PAULI_Z, PAULI_Z))) / 4)
+    witness = float((1 + ev(np.kron(PAULI_X, PAULI_X)) + ev(np.kron(PAULI_Z, PAULI_Z))
+                     - ev(np.kron(PAULI_Y, PAULI_Y))) / 4)
     return CertificationReport(
         violation=violation, subspace_basis=basis, gram=gram, projector=projector,
         projected_observables=projected, leakage=leakage, commutator_residuals=comm,
@@ -219,10 +219,11 @@ COMPARED_CERTIFIED = CERTIFIED + [BIG_ROW]
 
 #: sha256 of the sweep CSV of every fixed row, then the certify JSON of every
 #: fixed row that certify accepts, recorded with jitter generators normalized
-#: by their eigenvalues, every per-scenario quantity in its vector form and
-#: the alignment unitary's global phase fixed (the reference above gives the
-#: same bytes).
-GOLDEN_SWEEP_SHA256 = "d1588e19bc97f77f5fb9b8f69d7603c816e12b3cb47d494e39a06ef147885824"
+#: by their eigenvalues, every per-scenario quantity in its vector form, the
+#: alignment unitary's global phase fixed, its bases read from the roundings
+#: and the witness summed over the pair contexts (the reference above gives
+#: the same bytes).
+GOLDEN_SWEEP_SHA256 = "78b011bf49d2422b1e6e2044163396b4379cc0b2b2356f66f96c542de1c2f2bb"
 
 
 def bits(v):

@@ -5,6 +5,7 @@ without any error, so each one is checked here."""
 import hashlib
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -47,7 +48,7 @@ WORKLOADS = TRACER.parent / "workloads.py"
 #: (numpy 2.4, OpenBLAS, one thread), which may differ per CPU.
 WORKLOAD_FINGERPRINT_SHA256 = {
     "correlators-d4": "cea17eae1c01230fc76263d6790150616a036c2eee6016ce3748f17343be9581",
-    "certify-sweep": "46af89f61dd2bd96deb04502b2dca0027f8d0d5c0b4dc9c0ebbde70917012a40",
+    "certify-sweep": "dafdce790f53cd20b3570816d71694594d60438ffe85922704b9243524a039f5",
 }
 
 
@@ -91,9 +92,9 @@ DEMO_STDOUT_SHA256 = {
     "03_seesaw_optimization.py":
         "1bda86b42a3be9b1d1ecf6b57d1e6a70b750a48f8c4d700abeb6ae41e2109660",
     "04_self_testing.py":
-        "59c3fac3de9f295fb38cd67ee1ccffa7ad555ec755e6a158e90eab51d3dc528f",
+        "c75f7ff414abb51c3a86ce7ebc466ababd5cb7f535ef30c3e4a2c054621fbf15",
     "05_noise_robustness.py":
-        "32185a557abc5610b66d575f2a8b19f82a7b2e5292359e1d65858a13c5ca7407",
+        "7d41e4089bc2e738fce43a8726d4bb5e77d211ffeb6cfe4fbec222b2b67f98ab",
 }
 
 
@@ -107,3 +108,36 @@ def test_demo_runs_cleanly(demo, tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256[demo]
+
+
+def strict_json(text: str):
+    """json.loads refusing NaN and Infinity, which RFC 8259 JSON has no
+    number for and which Python's json module writes and reads by default."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_json_file_the_cli_writes_is_strict_json(tmp_path, capsys):
+    from tempcert.cli import EXIT_OK, main
+    from tempcert.scenario import canonical_scenario, save_scenario
+
+    scenario = tmp_path / "canonical.json"
+    save_scenario(canonical_scenario(), scenario)
+    written = {name: tmp_path / f"{name}.json" for name in ("evaluate", "trace", "certify", "sweep")}
+    for argv in (
+        ["evaluate", "--scenario", str(scenario), "--out", str(written["evaluate"])],
+        ["optimize", "--dim", "4", "--seeds", "2", "--max-sweeps", "5",
+         "--trace", str(written["trace"])],
+        ["certify", "--scenario", str(scenario), "--out", str(written["certify"])],
+        # jitter 0.3 at seed 1 is a row certify refuses: no fidelity, no distance
+        ["sweep", "--model", "jitter", "--grid", "1e-3,0.3", "--seed", "1",
+         "--out", str(tmp_path / "sweep.csv"), "--report", str(written["sweep"])],
+    ):
+        assert main(argv) == EXIT_OK
+    for path in written.values():
+        strict_json(path.read_text())
+    rows = strict_json(written["sweep"].read_text())["rows"]
+    assert [r["failed"] for r in rows] == [False, True]
+    assert rows[1]["fidelity"] is None and rows[1]["max_op_distance"] is None
+    assert "nan" in (tmp_path / "sweep.csv").read_text().splitlines()[2]
