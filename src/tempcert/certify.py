@@ -1,10 +1,14 @@
 """Self-testing extraction: subspace, algebra residuals, alignment, fidelity.
 
-Pipeline: from a (purified) scenario build the four-generator subspace V,
-orthonormalize it with the Gram-matrix inverse square root, project the six
-observables onto V, construct the alignment unitary from the projected
-operator algebra, and read off the extracted state and its overlap with the
-maximally entangled target.
+Pipeline: from a scenario's unit-norm state factor R (d x c, rho = R R†; c = 1
+for a pure state) build the four-generator subspace V, orthonormalize it with
+the Gram-matrix inverse square root, project the six observables onto V,
+construct the alignment unitary from the projected operator algebra, and read
+off the extracted state and its overlap with the maximally entangled target.
+V's basis is laid out as `purify`'s vector, where A (x) 1 acts as A on R. So a
+mixed state's V lies in system (x) purifier, and `fidelity`, that vector's
+overlap, reads 1 for the depolarized canonical scenario at every p: it does
+not bound what an isometry on the device alone extracts.
 
 Convention note: the alignment unitary U maps V-coordinates to the reference
 frame, acting as A -> U A U† on operators and psi -> U psi on the state.
@@ -35,12 +39,12 @@ from .inequality import InequalityValue, eval_IT
 from .scenario import (
     CANONICAL_MATRICES,
     PHI_PLUS,
+    DensityMatrix,
     Observable,
     PureState,
     Scenario,
     atomic_write_text,
     complex_pairs,
-    purify_scenario,
     round_to_involutions,
 )
 from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXT_PAIRS, CONTEXTS, CorrelationSet, correlations
@@ -61,26 +65,29 @@ PAIR_CONTEXTS = tuple((*context, sign) for context, sign in CONTEXTS.items()
                       if len(context) == 2)
 
 
-def build_subspace(psi, a1, a5):
-    """Orthonormal basis for V = span{psi, A1 psi, A5 psi, A1 A5 psi}.
+def build_subspace(state, a1, a5):
+    """Orthonormal basis for V = span{R, A1 R, A5 R, A1 A5 R}, R the unit-norm
+    factor (d x c) of a PureState or DensityMatrix, or a raw vector (c = 1).
 
-    The Gram matrix of the generators is inverted through its square root,
-    phi_m = sum_n [Gamma^{-1/2}]_{nm} g_n, so the basis depends smoothly on
-    the generators (symmetric orthogonalization). A Gram eigenvalue at or
-    below linalg.INV_SQRT_CUTOFF means the generators are linearly dependent
-    and a 4-dimensional certification target cannot be extracted.
+    Each generator is a d x c block flattened row-major as `purify` lays out
+    R, (A (x) 1) vec(R) = vec(A R). Their Gram matrix is inverted through its
+    square root, phi_m = sum_n [Gamma^{-1/2}]_{nm} g_n, so the basis depends
+    smoothly on the generators (symmetric orthogonalization). A Gram eigenvalue
+    at or below linalg.INV_SQRT_CUTOFF means the generators are linearly
+    dependent and a 4-dimensional certification target cannot be extracted.
 
-    Returns (basis, gram, projector): basis columns are the phi_m, projector
-    is the d x d orthogonal projection onto V.
+    Returns (basis, gram, projector): basis columns are the phi_m, (d c) x 4;
+    projector is the (d c) x (d c) orthogonal projection onto V.
     """
-    v = psi.amplitudes if isinstance(psi, PureState) else linalg.as_vector(psi)
+    raw = not isinstance(state, (PureState, DensityMatrix))
+    r = linalg.as_vector(state)[:, None] if raw else state.factor()
     m1 = a1.matrix if isinstance(a1, Observable) else linalg.as_matrix(a1)
     m5 = a5.matrix if isinstance(a5, Observable) else linalg.as_matrix(a5)
-    if m1.shape[0] != v.shape[0] or m5.shape[0] != v.shape[0]:
+    if m1.shape[0] != r.shape[0] or m5.shape[0] != r.shape[0]:
         raise ShapeMismatch("state and observables must share a dimension")
-    if v.shape[0] < 4:
-        raise ShapeMismatch(f"dimension {v.shape[0]} < 4 cannot hold the subspace")
-    gens = np.column_stack([v, m1 @ v, m5 @ v, m1 @ (m5 @ v)])
+    if r.size < 4:
+        raise ShapeMismatch(f"dimension {r.size} < 4 cannot hold the subspace")
+    gens = np.column_stack([g.reshape(-1) for g in (r, m1 @ r, m5 @ r, m1 @ (m5 @ r))])
     gram = linalg.hermitize(gens.conj().T @ gens)
     try:
         inv_sqrt = linalg.inv_sqrt_psd(gram)
@@ -96,14 +103,17 @@ def algebra_residuals(s: Scenario, basis: np.ndarray):
 
     Returns three dicts: operator norms of the nine context commutators and
     six anticommutators compressed to V (basis† [.,.] basis), and the norms
-    ||(A_i A_j ... -+ 1) psi|| for every stabilizer-style constraint
-    including permutations. The scenario state must be pure (purify first).
+    ||(A_i A_j ... -+ 1) R||_F on the state's unit-norm factor R (d x c) for
+    every stabilizer-style constraint including permutations. The basis is
+    `build_subspace`'s, (d c) x 4; any other shape raises ShapeMismatch.
     """
-    if not s.is_pure():
-        raise ShapeMismatch("algebra_residuals needs a pure state; purify first")
+    r = s.state.factor()
+    if np.shape(basis) != (r.size, 4):
+        raise ShapeMismatch(f"basis shape {np.shape(basis)} is not ({r.size}, 4)")
     mats = np.array(s.matrices())
-    # basis† A_i A_j basis = (A_i basis)† (A_j basis); the norms in one SVD call
-    blocks = mats @ basis
+    # basis† A_i A_j basis = (A_i basis)† (A_j basis), the norms in one SVD call; as
+    # (d, 4 c) the basis is its four d x c blocks interleaved, and A_i (x) 1 acts as A_i
+    blocks = (mats @ basis.reshape(s.dim, -1)).reshape(6, -1, 4)
     g = np.swapaxes(blocks.conj(), -1, -2)[:, None] @ blocks[None]
     norms = linalg.op_norms(
         [g[i - 1, j - 1] - g[j - 1, i - 1] for i, j in CONTEXT_PAIRS]
@@ -113,17 +123,16 @@ def algebra_residuals(s: Scenario, basis: np.ndarray):
     comm = {f"A{i}A{j}": v for (i, j), v in zip(CONTEXT_PAIRS, norms[:n])}
     acomm = {f"A{i}A{j}": v for (i, j), v in zip(ANTICOMMUTING_PAIRS, norms[n:])}
 
-    r = s.state.factor()
     _, double = seqcorr.state_images(mats, r)
-    # each A_j A_k psi is an image; STATE_CONSTRAINTS lists the twelve triples first, two
-    # per first slot in slot order, so A_i (A_j A_k psi) is one broadcast product
+    # each A_j A_k R is an image; STATE_CONSTRAINTS lists the twelve triples first, two
+    # per first slot in slot order, so A_i (A_j A_k R) is one broadcast product
     j, k = np.array([slots[-2:] for slots, _ in STATE_CONSTRAINTS]).T - 1
     images = double[j, k]
     images[:12] = (mats[:, None] @ images[:12].reshape(6, 2, *r.shape)).reshape(12, *r.shape)
     residuals = images - np.array([sign for _, sign in STATE_CONSTRAINTS])[:, None, None] * r
     names = ["".join(f"A{x}" for x in slots) + ("-1" if sign == 1 else "+1")
              for slots, sign in STATE_CONSTRAINTS]
-    constraints = dict(zip(names, linalg.vec_norms(residuals[..., 0]).tolist()))
+    constraints = dict(zip(names, linalg.vec_norms(residuals.reshape(len(names), -1)).tolist()))
     return comm, acomm, constraints
 
 
@@ -293,29 +302,27 @@ def _witness_lower_bound(aligned, distances, psi4: np.ndarray) -> float:
 def certify(s: Scenario, *, corr: CorrelationSet | None = None) -> CertificationReport:
     """Run the full extraction pipeline on a scenario.
 
-    Mixed states are purified first. The extracted state is the alignment
-    image of the normalized projection of psi onto V, with its global phase
-    fixed so the overlap with the reference state is real nonnegative.
-    `corr`, when given, must be the analytic CorrelationSet of the purified
-    scenario; `robustness.sweep` passes the one it already computed.
+    Pure and mixed states share one path on the unit-norm factor R (for what
+    `fidelity` means for a mixed state, see the module docstring). The extracted
+    state is the alignment image of vec(R) projected onto V and normalized, its
+    global phase fixed so its overlap with the reference state is real nonnegative.
+    `corr`, when given, must be s's analytic CorrelationSet, as `sweep` passes it.
     """
-    s = purify_scenario(s)
     if corr is None:
         corr = correlations(s, "analytic")
     violation = eval_IT(corr)
 
-    psi = s.state
-    basis, gram, projector = build_subspace(psi, s.observable(1), s.observable(5))
+    basis, gram, projector = build_subspace(s.state, s.observable(1), s.observable(5))
     comm, acomm, constraints = algebra_residuals(s, basis)
 
     # ||P A_k (1 - P)|| = ||basis† A_k (1 - P)|| = ||(A_k basis)† - projected_k basis†||,
-    # as basis has orthonormal columns: all from the six d x 4 blocks A_k basis
-    blocks = np.array(s.matrices()) @ basis
+    # as basis has orthonormal columns: all from the six (d c) x 4 blocks A_k basis
+    blocks = (np.array(s.matrices()) @ basis.reshape(s.dim, -1)).reshape(6, -1, 4)
     bd = basis.conj().T
     projected = bd @ blocks
     leakage = linalg.op_norms(np.swapaxes(blocks.conj(), -1, -2) - projected @ bd).tolist()
 
-    psi_v = bd @ psi.amplitudes
+    psi_v = bd @ s.state.factor().reshape(-1)
     psi_v = psi_v / linalg.vec_norm(psi_v)
 
     result = align(projected)

@@ -27,7 +27,6 @@ from .scenario import (
     Observable,
     Scenario,
     atomic_write_text,
-    purify_scenario,
     random_hermitian,
 )
 from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXTS, TERMS, CorrelationSet, correlations
@@ -142,12 +141,12 @@ class BoundCheck:
 
 
 def _state_norm_checks(s: Scenario, eps: float):
-    """The norm-bound families over CONTEXTS and ANTICOMMUTING_PAIRS of a pure
-    scenario, ||(A_i - A_j A_k) psi|| <= 4 sqrt(eps) etc., each vector a sum or
-    difference of the images A_k psi and A_j A_k psi, the norms in one call."""
+    """The norm-bound families over CONTEXTS and ANTICOMMUTING_PAIRS on the unit-norm
+    state factor R (d x c), ||(A_i - A_j A_k) R||_F <= 4 sqrt(eps) etc., each block a
+    sum or difference of the images A_k R and A_j A_k R, the norms in one call."""
     single, double = seqcorr.state_images(np.array(s.matrices()), s.state.factor())
     root = np.sqrt(max(eps, 0.0))
-    checks = []  # (label, factor of sqrt(eps), vector)
+    checks = []  # (label, factor of sqrt(eps), block)
     # CONTEXTS lists the triple contexts first, so their family comes first
     for context, sign in CONTEXTS.items():
         if len(context) == 3:
@@ -161,7 +160,7 @@ def _state_norm_checks(s: Scenario, eps: float):
     for i, j in ANTICOMMUTING_PAIRS:
         checks.append((f"norm({{A{i},A{j}}})<=14sqrt(eps)", 14,
                        double[i - 1, j - 1] + double[j - 1, i - 1]))
-    lhs = linalg.vec_norms([vec[:, 0] for _, _, vec in checks])
+    lhs = linalg.vec_norms([block.reshape(-1) for _, _, block in checks])
     return [BoundCheck(label, v, factor * root, v <= factor * root + CHECK_GUARD)
             for (label, factor, _), v in zip(checks, lhs)]
 
@@ -169,17 +168,16 @@ def _state_norm_checks(s: Scenario, eps: float):
 def check_robustness_bounds(s: Scenario, *, corr: CorrelationSet | None = None):
     """Verify every robustness bound at the scenario's achieved deficit.
 
-    The scenario is purified if its state is mixed. Returns a list of
+    Mixed states take the pure path on their unit-norm factor. Returns a list of
     BoundCheck records: correlator floors sign(w) c >= 1 - eps/|w| for each
     term of weight w (triples >= 1 - 2 eps, pairs >= 1 - eps with the sign
     on the 3-6 pair), the state-norm families at 4 sqrt(eps) and
     2 sqrt(eps), and the anticommutator family at 14 sqrt(eps). Raises
     NotAViolation when eps > 2.
 
-    `corr`, when given, must be the analytic CorrelationSet of the purified
-    scenario; `sweep` passes the one it already computed for the row.
+    `corr`, when given, must be the analytic CorrelationSet of s; `sweep`
+    passes the one it already computed for the row.
     """
-    s = purify_scenario(s)
     if corr is None:
         corr = correlations(s, "analytic")
     eps = QUANTUM_BOUND - eval_IT(corr).value
@@ -221,11 +219,10 @@ def sweep(base: Scenario, family, grid) -> list:
     """Evaluate a one-parameter noise family over a grid.
 
     `family` maps a grid parameter to a NoiseModel. Each row applies the
-    noise, purifies the result once, computes the analytic correlators once,
-    recomputes the deficit from the achieved violation, and hands the
-    correlators to the full certification and the bound suite. Per-row
-    errors mark the row failed and the sweep continues. Rows come back sorted
-    by parameter.
+    noise, computes the analytic correlators once, recomputes the deficit from
+    the achieved violation, and hands the correlators to the full certification
+    and the bound suite, all on the state's unit-norm factor, never purified.
+    Per-row errors mark the row failed; rows come back sorted by parameter.
     """
     grid = sorted(grid)
     if not grid:
@@ -234,7 +231,7 @@ def sweep(base: Scenario, family, grid) -> list:
     for param in grid:
         row = SweepRow(param=float(param))
         try:
-            noisy = purify_scenario(apply_noise(base, family(param)))
+            noisy = apply_noise(base, family(param))
             corr = correlations(noisy, "analytic")
             row.value = eval_IT(corr).value
             row.epsilon = QUANTUM_BOUND - row.value

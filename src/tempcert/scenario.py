@@ -118,7 +118,7 @@ class PureState:
 
 class DensityMatrix:
     """Trace-one positive-semidefinite Hermitian matrix. Construction takes
-    one `eig_hermitian`, which serves the PSD check and the factor."""
+    one `eig_hermitian`, which serves the PSD check and the unit-norm factor."""
 
     __slots__ = ("matrix", "_factor")
 
@@ -134,7 +134,8 @@ class DensityMatrix:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1")
         m.setflags(write=False)
         self.matrix = m
-        self._factor = v * np.sqrt(np.clip(w, 0.0, None))
+        r = v * np.sqrt(np.clip(w, 0.0, None))
+        self._factor = r / linalg.vec_norm(r)
         self._factor.setflags(write=False)
 
     @property
@@ -145,7 +146,7 @@ class DensityMatrix:
         return np.array(self.matrix)
 
     def factor(self) -> np.ndarray:
-        """R = v sqrt(max(w, 0)), R R† = matrix, from `eig_hermitian`'s (w, v)."""
+        """R = v sqrt(max(w, 0)) of `eig_hermitian`'s (w, v), scaled to ||R||_F = 1."""
         return self._factor
 
     def __repr__(self):
@@ -259,11 +260,10 @@ def purify(rho: DensityMatrix) -> PureState:
     """Standard purification of rho on a doubled space (dimension d^2).
 
     The output's reduced state on the first factor equals rho; the purifying
-    factor is the second one, so observables lift as A (x) 1_d.
+    factor is the second one, so observables lift as A (x) 1_d. Psi is the
+    unit-norm factor R row-major, Psi[i*d + k] = R[i, k], so (A (x) 1) Psi = vec(A R).
     """
-    # rho's factor row-major, Psi[i*d + k] = sqrt(w_k) v_k[i]: system first
-    vec = rho.factor().reshape(-1)
-    return PureState(vec / linalg.vec_norm(vec))
+    return PureState(rho.factor().reshape(-1))
 
 
 def purify_scenario(s: Scenario) -> Scenario:

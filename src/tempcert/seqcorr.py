@@ -177,10 +177,11 @@ def triple_corr(rho, a, b, c) -> float:
 
 
 def newton_schulz_step(mats: np.ndarray) -> np.ndarray:
-    """hermitize(A(3 - A²)/2) of each A of a stack (..., d, d): one Newton–Schulz
+    """(B + B†)/2, B = A(3 - A²)/2, for each A of a stack (..., d, d): one Newton–Schulz
     step for the matrix sign function (Higham, Functions of Matrices, §5.3). It
     gives sign(A) to rounding error once ||A² - 1|| <= INVOLUTION_TOL, and A if A² = 1."""
-    return linalg.hermitize(mats @ (3 * np.eye(mats.shape[-1]) - mats @ mats) / 2)
+    b = mats @ (3 * np.eye(mats.shape[-1]) - mats @ mats) / 2
+    return (b + np.swapaxes(b.conj(), -1, -2)) / 2
 
 
 def _projectors(rho, seq):

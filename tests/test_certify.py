@@ -91,15 +91,22 @@ class TestAlgebraResiduals:
             norm = linalg.vec_norm(linalg.acomm(mats[i - 1], mats[j - 1]) @ psi)
             assert norm <= 14 * np.sqrt(eps)
 
-    def test_requires_pure_state(self, canonical):
-        from tempcert.errors import ShapeMismatch
-        from tempcert.scenario import DensityMatrix
-        mixed = Scenario(DensityMatrix(canonical.density()), canonical.observables)
-        basis, _, _ = build_subspace(
-            canonical.state, canonical.observable(1), canonical.observable(5)
-        )
-        with pytest.raises(ShapeMismatch):
-            algebra_residuals(mixed, basis)
+    @pytest.mark.parametrize("shape", [(4, 3), (16, 4), (4,)])
+    def test_basis_shape_checked(self, canonical, shape):
+        # the canonical factor is 4 x 1, so only a (4, 4) basis fits
+        with pytest.raises(ShapeMismatch, match=r"is not \(4, 4\)"):
+            algebra_residuals(canonical, np.zeros(shape, dtype=complex))
+
+    def test_mixed_equals_its_purification(self):
+        # each scenario with its own build_subspace basis: the mixed one on its
+        # factor, laid out as the purified vector, the purified one on the lift
+        mixed = apply_noise(canonical_scenario(), Depolarizing(0.05))
+        for s in (mixed, conjugate_scenario(mixed, random_unitary(4, rng_from(52)))):
+            pure = purify_scenario(s)
+            basis, _, _ = build_subspace(s.state, s.observable(1), s.observable(5))
+            lifted, _, _ = build_subspace(pure.state, pure.observable(1), pure.observable(5))
+            assert basis.shape == (16, 4)
+            assert algebra_residuals(s, basis) == algebra_residuals(pure, lifted)
 
 
 def reference_align(projected_observables, psi_v):

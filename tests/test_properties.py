@@ -12,10 +12,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tempcert import certify
+from tempcert.errors import TempcertError
 from tempcert.inequality import eval_INC
 from tempcert.linalg import acomm, eig_hermitian, hermitize, op_norm, op_norms
 from tempcert.optimize import DEGENERATE_EIGENVALUE, bell_operator, coefficient_operator
-from tempcert.robustness import ObservableTilt, UnitaryJitter, apply_noise
+from tempcert.robustness import (
+    Depolarizing,
+    ObservableTilt,
+    UnitaryJitter,
+    apply_noise,
+    check_robustness_bounds,
+)
 from tempcert.scenario import (
     INVOLUTION_TOL,
     DensityMatrix,
@@ -26,6 +33,7 @@ from tempcert.scenario import (
     conjugate_scenario,
     dumps_scenario,
     loads_scenario,
+    purify_scenario,
     random_density,
     random_hermitian,
     random_scenario,
@@ -116,6 +124,69 @@ def test_certify_survives_embedding(strength, seed, dim):
         assert a.keys() == b.keys()
         assert max(abs(a[k] - b[k]) for k in a) <= 1e-9
     assert max(big.leakage) <= 1e-9
+
+
+@st.composite
+def mixed_embeddings(draw):
+    """Conjugated embeddings (d = 4, 6 or 8) of the canonical scenario whose state
+    mixes the embedded PHI_PLUS with a random_density of rank 1..d at a drawn
+    weight (1: the random state alone), under depolarizing noise or jitter."""
+    d, weight = draw(st.sampled_from([4, 6, 8])), draw(st.sampled_from([1e-3, 0.05, 0.3, 1.0]))
+    rank = draw(st.integers(1, d))
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    s = conjugated_embedding(canonical_scenario(), d, rng)
+    rho = (1 - weight) * s.density() + weight * random_density(d, rng, rank=rank).matrix
+    noise = draw(st.one_of(st.builds(Depolarizing, st.floats(0, 0.5)),
+                           st.builds(UnitaryJitter, st.floats(0, 0.2), st.integers(0, 2**31))))
+    return apply_noise(s.with_state(DensityMatrix(hermitize(rho))), noise)
+
+
+def _outcome(f, s):
+    """f(s), or the text of the TempcertError it raises."""
+    try:
+        return f(s)
+    except TempcertError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _max_difference(a, b) -> float:
+    """The largest |a - b| over the numbers of two JSON-ready documents of one
+    structure; any other leaf must be equal."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        return max((_max_difference(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list):
+        assert len(a) == len(b)
+        return max((_max_difference(x, y) for x, y in zip(a, b)), default=0.0)
+    if isinstance(a, float):
+        return abs(a - b)
+    assert a == b
+    return 0.0
+
+
+@given(s=mixed_embeddings())
+def test_mixed_path_matches_its_purification(s):
+    """correlations, certify and the bound suite on a mixed state's factor give
+    what they give on purify_scenario(s): the correlators and every bound's name,
+    rhs and verdict bit for bit where d is a multiple of 4, each report field to
+    1e-13 with equal signs, and a refusal with the same text. At d = 6 the lifted
+    products of the purified path sum their nonzeros in another order, so the
+    correlators and rhs there agree to 1e-15."""
+    pure, tol = purify_scenario(s), 0.0 if s.dim % 4 == 0 else 1e-15
+    a, b = correlations(s, "analytic").as_dict(), correlations(pure, "analytic").as_dict()
+    assert all(abs(a[k] - b[k]) <= tol for k in a)
+    new, ref = _outcome(certify, s), _outcome(certify, pure)
+    if isinstance(new, str) or isinstance(ref, str):
+        assert new == ref
+    else:
+        assert (new.sign3, new.sign6) == (ref.sign3, ref.sign6)
+        assert _max_difference(new.to_dict(), ref.to_dict()) <= 1e-13
+    new, ref = _outcome(check_robustness_bounds, s), _outcome(check_robustness_bounds, pure)
+    if isinstance(new, str) or isinstance(ref, str):
+        assert new == ref
+    else:
+        assert [(c.name, c.holds) for c in new] == [(c.name, c.holds) for c in ref]
+        assert all(abs(c.rhs - r.rhs) <= tol for c, r in zip(new, ref))
 
 
 @given(s=scenarios())

@@ -205,13 +205,15 @@ class TestTypes:
 
     def test_density_eigendecomposes_once(self, eigh_calls):
         # the one eigensolve at construction serves the PSD check and the
-        # factor, which is v sqrt(max(w, 0)) of eig_hermitian bit for bit
+        # factor, which is v sqrt(max(w, 0)) of eig_hermitian scaled to unit
+        # Frobenius norm, bit for bit
         m = random_density(6, rng_from(14), rank=4).matrix
         w, v = linalg.eig_hermitian(m)
+        r = v * np.sqrt(np.clip(w, 0.0, None))
         eigh_calls.clear()
         rho = DensityMatrix(m)
         for _ in range(3):
-            assert np.array_equal(rho.factor(), v * np.sqrt(np.clip(w, 0.0, None)))
+            assert np.array_equal(rho.factor(), r / linalg.vec_norm(r))
         assert eigh_calls == [(6, 6)] and not rho.factor().flags.writeable
 
     @pytest.mark.parametrize("slot", [0, 7, -1])
@@ -338,9 +340,9 @@ class TestPurify:
         assert np.allclose(w, 0.25, atol=1e-12)
 
     def test_is_the_factor_reshaped(self):
+        # the factor has unit Frobenius norm, so purify divides by nothing
         rho = random_density(4, rng_from(12), rank=3)
-        vec = rho.factor().reshape(-1)
-        assert purify(rho).amplitudes.tobytes() == (vec / linalg.vec_norm(vec)).tobytes()
+        assert purify(rho).amplitudes.tobytes() == rho.factor().reshape(-1).tobytes()
 
     def test_partial_trace_oracle(self):
         rng = rng_from(13)

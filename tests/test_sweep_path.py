@@ -260,12 +260,15 @@ def test_sweep_matches_per_row_reference(row):
 
 @pytest.mark.parametrize("row", COMPARED_CERTIFIED, ids=[r[0] for r in COMPARED_CERTIFIED])
 def test_certify_report_matches_per_row_reference(row):
+    # the reference purifies a mixed row; certify takes it as it is, on its
+    # state factor, or purified, and both give the reference's bits
     _, base, family, param = row
-    noisy = purify_scenario(apply_noise(base, family(param)))
-    new = certify_module.certify(noisy)
+    noisy = apply_noise(base, family(param))
     ref = reference_certify(noisy)
-    for field in CertificationReport.__dataclass_fields__:
-        assert bits(getattr(new, field)) == bits(getattr(ref, field)), field
+    for s in (noisy, purify_scenario(noisy)):
+        new = certify_module.certify(s)
+        for field in CertificationReport.__dataclass_fields__:
+            assert bits(getattr(new, field)) == bits(getattr(ref, field)), field
 
 
 def test_golden_sweep_and_certify_outputs():
@@ -304,6 +307,37 @@ def test_one_analytic_pass_per_sweep_row(analytic_calls):
         assert len(analytic_calls) - before == 2
 
 
+@pytest.fixture
+def purification_calls(monkeypatch):
+    """Count calls of purify_scenario, purify and lift_observable made through
+    any tempcert module that holds them."""
+    calls = []
+    for module in ("tempcert", "tempcert.scenario", "tempcert.seqcorr", "tempcert.certify",
+                   "tempcert.robustness", "tempcert.inequality", "tempcert.optimize"):
+        module = importlib.import_module(module)
+        for name in ("purify_scenario", "purify", "lift_observable"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counting(*args, _name=name, _original=original, **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_mixed_rows_are_never_purified(purification_calls):
+    # a sweep row of each family, and certify and the bound suite on a mixed
+    # scenario, all work on the state factor: no lift, no purified vector
+    for _, base, family, param in ROWS:
+        sweep(base, family, [param])
+    mixed = apply_noise(canonical_scenario(), Depolarizing(2e-3))
+    certify_module.certify(mixed)
+    robustness.check_robustness_bounds(mixed)
+    assert purification_calls == []
+
+
 def test_one_argument_calls_compute_their_own_correlators(analytic_calls):
     noisy = apply_noise(canonical_scenario(), UnitaryJitter(0.02, rng_seed=7))
     certify_module.certify(noisy)
@@ -318,13 +352,18 @@ def test_certify_takes_few_singular_value_calls(svd_calls):
     assert 1 <= len(svd_calls) <= 8
 
 
-@pytest.mark.parametrize("row", [BIG_ROW, ("depolarizing-d16", canonical_scenario(),
-                                            Depolarizing, 2e-3)], ids=lambda r: r[0])
+@pytest.mark.parametrize("row", [
+    BIG_ROW,
+    ("depolarizing-d4", canonical_scenario(), Depolarizing, 2e-3),
+    ("depolarizing-embedded-d16", conjugated_embedding(canonical_scenario(), 16, rng_from(75)),
+     Depolarizing, 2e-3),
+], ids=lambda r: r[0])
 def test_no_sweep_row_svd_sees_a_matrix_larger_than_4(row, svd_calls):
     # jitter generators are normalized by their eigenvalues and leakage is
-    # taken on the 4 x d compression, so every SVD on the path has a side of
-    # at most 4: certify's five norm groups, and no residual SVD of the
-    # jittered or purified observables, as no one reads those norms
+    # taken on the 4 x (d c) compression, so every SVD on the path has a side
+    # of at most 4: certify's five norm groups, and no residual SVD of the
+    # jittered observables, as no one reads those norms; a depolarized row's
+    # factor R (d x d) is never lifted, so no observable is built for it
     _, base, family, param = row
     (result,) = sweep(base, family, [param])
     assert not result.failed and result.bounds_all_hold
