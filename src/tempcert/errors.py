@@ -57,10 +57,6 @@ class ParseError(TempcertError):
     """A scenario or config document failed to parse or validate."""
 
 
-class NumericalNoiseWarning(UserWarning):
-    """An imaginary residue survived where a real number was expected."""
-
-
 class DegenerateCoefficientWarning(UserWarning):
     """A seesaw coefficient operator has a near-zero eigenvalue; the
     corresponding sign was tie-broken to +1."""

@@ -5,19 +5,23 @@ exact outcome sums over the Lüders chain of each observable's exact
 involution (one Newton–Schulz step), and seeded Monte-Carlo sampling of it.
 The routes are oracles for one another: for exact involutions the first two
 agree to machine precision, and sampled estimates converge to both.
+
+Every route works on the unit-norm state factor R, rho = R R†, never on rho
+itself: a chain C of projectors takes R to the branch C R, and the outcome's
+probability tr(C rho C†) is ||C R||_F^2, real and >= 0 by construction. A raw
+rho enters once, through DensityMatrix's checks, at the edge (`_operands`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import NumericalNoiseWarning, ShapeMismatch
+from .errors import ShapeMismatch
 from .scenario import (
     INVOLUTION_TOL,
     DensityMatrix,
@@ -26,10 +30,6 @@ from .scenario import (
     Scenario,
     round_to_involutions,
 )
-
-#: Imaginary residue above this after taking a trace hints at non-Hermitian
-#: corruption and triggers a NumericalNoiseWarning.
-IMAG_RESIDUE_TOL = 1e-10
 
 #: The temporal expression I_T = sum of weight * correlator, one row
 #: (name, 1-based slots, first-measured first; weight) per term in written
@@ -64,18 +64,21 @@ ANTICOMMUTING_PAIRS = tuple(pair for pair in itertools.combinations(range(1, 7),
 
 
 def _operands(rho, seq):
-    """The density matrix of rho (a state or a raw matrix) and the matrices of
-    seq (Observables or raw matrices) stacked (n, d, d), checked to share one
-    dimension d. Only raw input is coerced, with `linalg.as_matrix`."""
-    r = rho.density() if isinstance(rho, (PureState, DensityMatrix)) else linalg.as_matrix(rho)
+    """The one edge for raw input: the unit-norm factor R (d, c) of rho (a
+    state, or a raw matrix coerced through DensityMatrix and its checks),
+    rho = R R†, and the matrices of seq (Observables, or raw matrices coerced
+    with `linalg.as_matrix` and checked Hermitian in one `require_hermitian`
+    call) stacked (n, d, d), checked to share one dimension d."""
+    state = rho if isinstance(rho, (PureState, DensityMatrix)) else DensityMatrix(rho)
     mats = [o.matrix if isinstance(o, Observable) else linalg.as_matrix(o) for o in seq]
-    d = r.shape[0]
-    if r.shape != (d, d):
-        raise ShapeMismatch(f"density matrix has shape {r.shape}")
     for m in mats:  # before stacking: mixed shapes raise ShapeMismatch
-        if m.shape != (d, d):
-            raise ShapeMismatch(f"observable shape {m.shape} does not match dimension {d}")
-    return r, np.array(mats)
+        if m.shape != (state.dim, state.dim):
+            raise ShapeMismatch(f"observable shape {m.shape} does not match dimension {state.dim}")
+    mats = np.array(mats)
+    raw = [k for k, o in enumerate(seq) if not isinstance(o, Observable)]
+    if raw:
+        linalg.require_hermitian(mats[raw] - np.swapaxes(mats[raw].conj(), -1, -2), "observable")
+    return state.factor(), mats
 
 
 def state_images(mats: np.ndarray, r: np.ndarray):
@@ -92,15 +95,6 @@ def _correlator(single: np.ndarray, double: np.ndarray, slots) -> float:
     x, y, *z = slots
     image = (double[y - 1, z[0] - 1] + double[z[0] - 1, y - 1]) / 2 if z else single[y - 1]
     return float(np.vdot(single[x - 1], image).real)
-
-
-def _real(z: np.ndarray, what: str) -> np.ndarray:
-    """The real part of traces z, with one NumericalNoiseWarning per entry
-    whose imaginary residue exceeds IMAG_RESIDUE_TOL, in C order."""
-    for residue in z.imag[np.abs(z.imag) > IMAG_RESIDUE_TOL]:
-        warnings.warn(f"{what}: imaginary residue {residue:.3e} after trace",
-                      NumericalNoiseWarning, stacklevel=3)
-    return z.real
 
 
 @dataclass
@@ -122,7 +116,7 @@ class CorrelationSet:
     def __post_init__(self):
         for name in CORRELATOR_FIELDS:
             v = getattr(self, name)
-            if abs(v) > 1.0 + 1e-12:
+            if not abs(v) <= 1.0 + 1e-12:
                 raise ValueError(f"{name} = {v!r} lies outside [-1, 1]")
 
     def as_dict(self) -> dict:
@@ -139,10 +133,10 @@ class OutcomeDistribution:
     def __post_init__(self):
         total = 0.0
         for outcome, p in self.probabilities.items():
-            if p < -1e-12:
-                raise ValueError(f"negative probability {p!r} for outcome {outcome}")
+            if not p >= -1e-12:
+                raise ValueError(f"probability {p!r} for outcome {outcome} is not >= 0")
             total += p
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
     def correlator(self) -> float:
@@ -151,12 +145,9 @@ class OutcomeDistribution:
 
 
 def _checked_correlator(rho, seq) -> float:
-    """`_correlator` of raw input checked at this edge: rho through
-    DensityMatrix, seq as Hermitian, for which alone the vector form is exact."""
-    state = rho if isinstance(rho, (PureState, DensityMatrix)) else DensityMatrix(rho)
-    _, mats = _operands(state, seq)
-    linalg.require_hermitian(mats - np.swapaxes(mats.conj(), -1, -2), "observable")
-    return _correlator(*state_images(mats, state.factor()), range(1, len(seq) + 1))
+    """`_correlator` of `_operands`, whose Hermiticity check makes the vector form exact."""
+    r, mats = _operands(rho, seq)
+    return _correlator(*state_images(mats, r), range(1, len(seq) + 1))
 
 
 def pair_corr(rho, a, b) -> float:
@@ -185,14 +176,13 @@ def newton_schulz_step(mats: np.ndarray) -> np.ndarray:
 
 
 def _projectors(rho, seq):
-    """`_operands`' density matrix and the projector pairs (n, 2, d, d), Pi_+ then Pi_-
+    """`_operands`' state factor and the projector pairs (n, 2, d, d), Pi_+ then Pi_-
     = (1 +- A)/2, of each observable's exact involution, one `newton_schulz_step` away.
-    Raw matrices get `Observable`'s checks; non-involutions are eigen-sign rounded first."""
+    Raw matrices that are no near-involution are eigen-sign rounded first."""
     r, mats = _operands(rho, seq)
     eye = np.eye(r.shape[0])
     raw = [k for k, obs in enumerate(seq) if not isinstance(obs, Observable)]
     if raw:
-        linalg.require_hermitian(mats[raw] - np.swapaxes(mats[raw].conj(), -1, -2), "observable")
         far = np.array(raw)[linalg.op_norm_exceeds(mats[raw] @ mats[raw] - eye, INVOLUTION_TOL)]
         if far.size:
             mats[far] = round_to_involutions(mats[far])[0]
@@ -209,50 +199,56 @@ def _sequence_of(rho, seq, labels):
     return (*_projectors(rho, seq), labels)
 
 
-def _chain_traces(r: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """tr(C rho C†) of every outcome chain C = Pi_{a_n} ... Pi_{a_1} of the
-    projector pairs proj (..., n, 2, d, d), in outcome order: (..., 2^n).
-    The chains grow one step at a time, all outcomes in one stacked product."""
-    lead, d = proj.shape[:-4], r.shape[0]
-    chains = np.eye(d)[None]
+def _branches(r: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """The branches C R (..., 2^n, d, c) of the state factor r (d, c) under every
+    outcome chain C = Pi_{a_n} ... Pi_{a_1} of the projector pairs proj
+    (..., n, 2, d, d), in outcome order, grown by one stacked product per step."""
+    branches = r[None]
     for j in range(proj.shape[-4]):
-        chains = (proj[..., j, None, :, :, :] @ chains[..., None, :, :]).reshape(*lead, -1, d, d)
-    return np.trace(chains @ r @ np.swapaxes(chains.conj(), -1, -2), axis1=-2, axis2=-1)
+        branches = proj[..., j, None, :, :, :] @ branches[..., None, :, :]
+        branches = branches.reshape(*proj.shape[:-4], -1, *r.shape)
+    return branches
 
 
-def _exact_distribution(traces: np.ndarray, labels: tuple) -> OutcomeDistribution:
-    """The distribution of a sequence with one label per step from its chain traces."""
-    probs = {outcomes: max(p, 0.0) if p > -1e-12 else p
-             for outcomes, p in zip(itertools.product((1, -1), repeat=len(labels)),
-                                    _real(traces, "exact_sequence_distribution").tolist())}
-    return OutcomeDistribution(labels, probs)
+def _weights(branches: np.ndarray) -> np.ndarray:
+    """||B||_F^2 of each branch B of a stack (..., d, c): tr(B B†), real and >= 0."""
+    return (branches.real ** 2 + branches.imag ** 2).sum(axis=(-2, -1))
+
+
+def _exact_distribution(probs: np.ndarray, labels: tuple) -> OutcomeDistribution:
+    """The distribution of a sequence with one label per step from its outcome probabilities."""
+    return OutcomeDistribution(labels, dict(zip(itertools.product((1, -1), repeat=len(labels)),
+                                                probs.tolist())))
 
 
 def exact_sequence_distribution(rho, seq, labels=None) -> OutcomeDistribution:
     """Exact Lüders outcome distribution for a sequence of 2 or 3 observables.
 
-    P(a_1, ..., a_n) = tr(Pi_{a_n} ... Pi_{a_1} rho Pi_{a_1} ... Pi_{a_n})
-    with projectors Pi_{+-} = (1 +- A)/2 of each observable's exact
-    involution (see `_projectors`). `labels`, one per step, default to 1..n.
+    P(a_1, ..., a_n) = ||Pi_{a_n} ... Pi_{a_1} R||_F^2, which is
+    tr(Pi_{a_n} ... Pi_{a_1} rho Pi_{a_1} ... Pi_{a_n}) for rho = R R†, with
+    projectors Pi_{+-} = (1 +- A)/2 of each observable's exact involution (see
+    `_projectors`). rho is a state or a raw density matrix, checked as
+    DensityMatrix checks it. `labels`, one per step, default to 1..n.
     """
     r, proj, labels = _sequence_of(rho, seq, labels)
-    return _exact_distribution(_chain_traces(r, proj), labels)
+    return _exact_distribution(_weights(_branches(r, proj)), labels)
 
 
 def _walk(r: np.ndarray, proj: np.ndarray):
-    """Lüders branch walk of the m sequences proj (m, n, 2, d, d) on r, a code
-    path independent of `_chain_traces`: each step grows every branch by both
-    outcomes in one product, normalized by its conditional probability q. A
-    branch with q <= 0 is not reached and carries a zero state, so its
-    children are not reached either. Returns the reached mask and the branch
-    weights, (m, 2^n) in outcome order."""
-    m, n, _, d, _ = proj.shape
-    sigmas, weights = r[None, None], np.ones((m, 1))
+    """Lüders branch walk of the m sequences proj (m, n, 2, d, d) on the state
+    factor r (d, c), a code path independent of `_branches`: each step grows
+    every branch state B by both outcomes in one product and carries Pi B / sqrt(q),
+    normalized by its conditional probability q = ||Pi B||_F^2. A branch with
+    q = 0 is not reached and carries a zero state, so its children are not
+    reached either. Returns the reached mask and the branch weights, products
+    of q, (m, 2^n) in outcome order."""
+    m, n = proj.shape[:2]
+    branches, weights = r[None, None], np.ones((m, 1))
     for j in range(n):
-        post = (proj[:, j, None] @ sigmas[:, :, None] @ proj[:, j, None]).reshape(m, -1, d, d)
-        q = _real(np.trace(post, axis1=-2, axis2=-1), "sample_sequences")
+        post = (proj[:, j, None] @ branches[:, :, None]).reshape(m, -1, *r.shape)
+        q = _weights(post)
         reached = q > 0.0  # dividing an unreached branch by inf gives its zero state
-        sigmas = post / np.where(reached, q, np.inf)[..., None, None]
+        branches = post / np.sqrt(np.where(reached, q, np.inf))[..., None, None]
         weights = np.repeat(weights, 2, axis=-1) * q
     return reached, weights
 
@@ -261,7 +257,7 @@ def _draw(n: int, reached: np.ndarray, weights: np.ndarray, shots: int, rng_seed
     """One multinomial draw of `shots` over an n-step sequence's reached branches: their
     outcome tuples and counts, the mean of the outcome products and its standard error."""
     outcomes = list(itertools.compress(itertools.product((1, -1), repeat=n), reached))
-    p = np.clip(weights[reached], 0.0, None)
+    p = weights[reached]
     p /= p.sum()
     counts = np.random.Generator(np.random.PCG64(rng_seed)).multinomial(shots, p)
     values = np.array([math.prod(o) for o in outcomes], dtype=float)
@@ -273,6 +269,8 @@ def _draw(n: int, reached: np.ndarray, weights: np.ndarray, shots: int, rng_seed
 def _sampled(r: np.ndarray, proj: np.ndarray, shots: int, seeds):
     """`_draw` of each of the m sequences proj (m, n, 2, d, d) from its own
     seed, after one `_walk` of all of them."""
+    if shots % 1:  # NaN % 1 is NaN, which is truthy
+        raise ValueError(f"shots must be a whole number, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > np.iinfo(np.int64).max:
@@ -284,13 +282,15 @@ def _sampled(r: np.ndarray, proj: np.ndarray, shots: int, seeds):
 def sample_sequences(rho, seq, shots: int, rng_seed, labels=None):
     """Seeded Monte-Carlo sampling of a measurement sequence.
 
-    Walks the Lüders chain branch by branch: each step draws the outcome from
-    the conditional probability tr(Pi sigma)/tr(sigma) and updates the branch
-    state sigma -> Pi sigma Pi. Shots are then distributed over the branch
-    tree with a single multinomial draw, which reproduces the per-shot
-    process exactly and is deterministic given `rng_seed`, an integer or a
-    numpy SeedSequence seeding numpy's PCG64. `labels` are as for
-    `exact_sequence_distribution`.
+    Walks the Lüders chain branch by branch on the state factor R of rho
+    (a state, or a raw density matrix checked as DensityMatrix checks it): each
+    step draws the outcome from the conditional probability q = ||Pi B||_F^2 of
+    the branch state B, ||B||_F = 1 (B B† is the post-measurement state), and
+    updates it to Pi B / sqrt(q). The shots, a whole number, are then
+    distributed over the branch tree with a single multinomial draw, which
+    reproduces the per-shot process exactly and is deterministic given
+    `rng_seed`, an integer or a numpy SeedSequence seeding numpy's PCG64.
+    `labels` are as for `exact_sequence_distribution`.
 
     Returns
     -------
@@ -321,7 +321,7 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
     elif mode in ("exact-sum", "sampled"):
         if mode == "sampled" and (shots is None or rng_seed is None):
             raise ValueError("sampled mode needs shots and rng_seed")
-        rho, proj = _projectors(s.state, s.observables)
+        r, proj = _projectors(s.state, s.observables)
         if mode == "sampled":
             stderr, seeds = {}, dict(zip(CORRELATOR_FIELDS,
                                          np.random.SeedSequence(rng_seed).spawn(len(TERMS))))
@@ -329,10 +329,10 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
             terms = [(name, slots) for name, slots, _ in TERMS if len(slots) == n]
             stack = proj[np.subtract([slots for _, slots in terms], 1)]
             if mode == "exact-sum":
-                for (name, slots), t in zip(terms, _chain_traces(rho, stack)):
-                    values[name] = _exact_distribution(t, slots).correlator()
+                for (name, slots), p in zip(terms, _weights(_branches(r, stack))):
+                    values[name] = _exact_distribution(p, slots).correlator()
             else:
-                draws = _sampled(rho, stack, shots, [seeds[name] for name, _ in terms])
+                draws = _sampled(r, stack, shots, [seeds[name] for name, _ in terms])
                 for (name, _), (*_, estimate, se) in zip(terms, draws):
                     values[name], stderr[name] = estimate, se
     else:

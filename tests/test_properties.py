@@ -41,7 +41,13 @@ from tempcert.scenario import (
     round_to_involutions,
     round_to_signs,
 )
-from tempcert.seqcorr import CONTEXTS, TERMS, correlations, newton_schulz_step
+from tempcert.seqcorr import (
+    CONTEXTS,
+    TERMS,
+    correlations,
+    exact_sequence_distribution,
+    newton_schulz_step,
+)
 
 from conftest import conjugated_embedding, rng_from
 from test_optimize import adjoint_coefficient, anticommutator_bell
@@ -107,6 +113,22 @@ def test_vector_path_matches_matrix_form(s):
     oracle = sum(sign * np.trace(rho @ functools.reduce(np.matmul, [a[k - 1] for k in c])).real
                  for c, sign in CONTEXTS.items())
     assert abs(eval_INC(s)[0] - oracle) <= 1e-13
+
+
+@given(s=st.one_of(scenarios(), tilted_canonicals()))
+def test_branch_norms_match_density_form(s):
+    """Each exact-sum outcome probability, ||C R||_F^2 of the state factor's
+    branch, matches the density form tr(C rho C†) of the same projector chain
+    C = Pi_{a_n} ... Pi_{a_1} to 1e-14."""
+    rho, eye = s.density(), np.eye(s.dim)
+    mats = newton_schulz_step(np.array(s.matrices()))
+    for _, slots, _ in TERMS:
+        dist = exact_sequence_distribution(s.state, [s.observable(k) for k in slots])
+        for outcomes, p in dist.probabilities.items():
+            chain = eye
+            for k, a in zip(slots, outcomes):
+                chain = (eye + a * mats[k - 1]) / 2 @ chain
+            assert abs(p - np.trace(chain @ rho @ chain.conj().T).real) <= 1e-14
 
 
 @given(strength=st.floats(1e-4, 0.05), seed=st.integers(0, 2**32 - 1), dim=st.integers(6, 8))

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from tempcert import linalg
 from tempcert.errors import (
     NonInvolution,
     NotHermitian,
-    NumericalNoiseWarning,
     ShapeMismatch,
     ZeroEigenvalue,
 )
@@ -19,6 +17,7 @@ from tempcert.scenario import (
     PAULI_Z,
     DensityMatrix,
     Observable,
+    PureState,
     Scenario,
     random_density,
     random_hermitian,
@@ -42,8 +41,11 @@ from conftest import rng_from
 # ---------------------------------------------------------------------------
 # Reference: the per-term, per-outcome loops that the stacked chains replaced,
 # each observable made an exact involution by one Newton–Schulz step taken on
-# its own. The stacked code must reproduce them bit for bit; the step itself is
-# held to project_involution's rounding in test_properties.py.
+# its own, each branch grown on the state factor R (rho = R R†, from the
+# scenario's state or, for a raw rho, from DensityMatrix(rho).factor()) with
+# probability ||C R||_F^2. The stacked code must reproduce them bit for bit;
+# the step itself is held to project_involution's rounding in
+# test_properties.py, and ||C R||_F^2 to tr(C rho C†) there too.
 # ---------------------------------------------------------------------------
 
 def reference_matrices(seq):
@@ -56,36 +58,39 @@ def reference_matrices(seq):
     return mats
 
 
-def reference_exact(rho, seq):
+def squared_norm(branch):
+    return float((branch.real ** 2 + branch.imag ** 2).sum())
+
+
+def reference_exact(r, seq):
     mats = reference_matrices(seq)
-    eye = np.eye(rho.shape[0])
+    eye = np.eye(r.shape[0])
     projectors = [((eye + m) / 2, (eye - m) / 2) for m in mats]
     probs = {}
     for outcomes in itertools.product((1, -1), repeat=len(seq)):
-        chain = eye
+        branch = r
         for (plus, minus), a in zip(projectors, outcomes):
-            chain = (plus if a == 1 else minus) @ chain
-        p = float(np.trace(chain @ rho @ chain.conj().T).real)
-        probs[outcomes] = max(p, 0.0) if p > -1e-12 else p
+            branch = (plus if a == 1 else minus) @ branch
+        probs[outcomes] = squared_norm(branch)
     return probs
 
 
-def reference_sampled(rho, seq, shots, rng_seed):
+def reference_sampled(r, seq, shots, rng_seed):
     mats = reference_matrices(seq)
-    eye = np.eye(rho.shape[0])
-    branches = [((), rho, 1.0)]
+    eye = np.eye(r.shape[0])
+    branches = [((), r, 1.0)]
     for m in mats:
         plus, minus = (eye + m) / 2, (eye - m) / 2
         grown = []
-        for outcomes, sigma, p in branches:
+        for outcomes, branch, p in branches:
             for a, proj in ((1, plus), (-1, minus)):
-                post = proj @ sigma @ proj
-                q = max(float(np.trace(post).real), 0.0)
+                post = proj @ branch
+                q = squared_norm(post)
                 if q <= 0.0:
                     continue
-                grown.append((outcomes + (a,), post / q, p * q))
+                grown.append((outcomes + (a,), post / np.sqrt(q), p * q))
         branches = grown
-    p = np.clip(np.array([b[2] for b in branches]), 0.0, None)
+    p = np.array([b[2] for b in branches])
     p /= p.sum()
     counts = np.random.Generator(np.random.PCG64(rng_seed)).multinomial(shots, p)
     values = np.array([np.prod(b[0]) for b in branches], dtype=float)
@@ -96,35 +101,21 @@ def reference_sampled(rho, seq, shots, rng_seed):
 
 
 def reference_correlations(s, mode, shots=None, rng_seed=None):
-    rho = s.density()
+    r = s.state.factor()
     values, stderr = {}, {}
     children = np.random.SeedSequence(rng_seed).spawn(len(TERMS))
     for child, (name, slots, _) in zip(children, TERMS):
         seq = [s.observable(k) for k in slots]
         if mode == "exact-sum":
-            probs = reference_exact(rho, seq)
+            probs = reference_exact(r, seq)
             values[name] = float(sum(np.prod(o) * p for o, p in probs.items()))
         else:
-            _, values[name], stderr[name] = reference_sampled(rho, seq, shots, child)
+            _, values[name], stderr[name] = reference_sampled(r, seq, shots, child)
     return values, stderr or None
 
 
 #: See TestStackedChains.test_golden_fingerprint.
-GOLDEN_MODES_SHA256 = "a67948c722359acc78ae65dfe437f713f0b2a52438d43bb6085ec76eb2cc4fb4"
-
-#: One warning per outcome with an imaginary residue, in outcome order.
-NON_HERMITIAN_STATE_WARNINGS = [
-    f"exact_sequence_distribution: imaginary residue {z} after trace"
-    for z in ("5.000e-02", "5.000e-02", "-5.000e-02", "-5.000e-02")
-]
-
-#: The branch walk's warnings on the same state: one per branch with an
-#: imaginary residue, step by step, in branch order within a step.
-NON_HERMITIAN_SAMPLE_WARNINGS = [
-    f"sample_sequences: imaginary residue {z} after trace"
-    for z in ("1.000e-01", "-1.000e-01",
-              "1.000e-01", "1.000e-01", "-1.000e-01", "-1.000e-01")
-]
+GOLDEN_MODES_SHA256 = "c50191886ded0b98d9f3297005384a72b6ee2a455b06eea7b8c13a1241805c13"
 
 
 def scenario_of(d, seed, pure):
@@ -216,6 +207,11 @@ class TestExactDistribution:
         dist = OutcomeDistribution((1, 2), {(1, 1): 0.75, (-1, 1): 0.25})
         assert dist.correlator() == 0.5
 
+    def test_nan_probability_rejected(self):
+        # NaN fails every comparison, so each check is written as `not ... <=`
+        with pytest.raises(ValueError, match="nan"):
+            OutcomeDistribution((1, 2), {(1, 1): 1.0, (-1, 1): float("nan")})
+
 
 class TestFormulaOperationalEquivalence:
     def test_pairs_and_triples_match_exact_sums(self):
@@ -288,9 +284,25 @@ class TestSampling:
         assert 0.5e-2 <= se <= 2e-2
 
     def test_shots_validation(self, canonical):
-        with pytest.raises(ValueError):
-            sample_sequences(canonical.density(),
-                             [canonical.observable(1), canonical.observable(4)], 0, 1)
+        # the multinomial draw would truncate a fractional count while the
+        # estimate divides by it, biasing every correlator; it is refused
+        seq = [canonical.observable(1), canonical.observable(4)]
+        for shots, match in ((0, ">= 1"), (2.9, "whole number"), (1000.5, "whole number"),
+                             (float("nan"), "whole number")):
+            with pytest.raises(ValueError, match=match):
+                sample_sequences(canonical.density(), seq, shots, 1)
+            with pytest.raises(ValueError, match=match):
+                correlations(canonical, "sampled", shots=shots, rng_seed=0)
+
+    def test_whole_shot_counts_of_any_type_agree(self):
+        s = scenario_of(4, 905, False)
+        seq = [s.observable(k) for k in (1, 2, 3)]
+        expect = correlations(s, "sampled", shots=10**6, rng_seed=4)
+        draw = sample_sequences(s.state, seq, 10**6, 4)
+        for shots in (1e6, np.int64(10**6)):
+            c = correlations(s, "sampled", shots=shots, rng_seed=4)
+            assert (c.as_dict(), c.stderr) == (expect.as_dict(), expect.stderr)
+            assert sample_sequences(s.state, seq, shots, 4)[1:] == draw[1:]
 
     @pytest.mark.parametrize("shots", [np.iinfo(np.int64).max + 1, 10**20])
     def test_shots_beyond_int64_are_rejected(self, canonical, shots):
@@ -334,8 +346,9 @@ class TestCorrelations:
             correlations(canonical, "guess")
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            CorrelationSet(1.1, 0, 0, 0, 0, 0, 0)
+        for v in (1.1, float("nan")):
+            with pytest.raises(ValueError):
+                CorrelationSet(v, 0, 0, 0, 0, 0, 0)
 
     def test_non_hermitian_operands_raise(self):
         # the vector form is exact for Hermitian operands only, so raw input
@@ -368,13 +381,15 @@ class TestStackedChains:
     @pytest.mark.parametrize("pure", [True, False])
     @pytest.mark.parametrize("d", range(2, 7))
     def test_distributions_match_reference_bit_for_bit(self, d, pure):
+        # a raw rho is taken through DensityMatrix: d columns even for a pure state
         s = scenario_of(d, 800 + d, pure)
         rho = s.density()
+        r = DensityMatrix(rho).factor()
         for _, slots, _ in TERMS:
             seq = [s.observable(k) for k in slots]
-            assert exact_sequence_distribution(rho, seq).probabilities == reference_exact(rho, seq)
+            assert exact_sequence_distribution(rho, seq).probabilities == reference_exact(r, seq)
             empirical, est, se = sample_sequences(rho, seq, 1000, 11)
-            assert (empirical.probabilities, est, se) == reference_sampled(rho, seq, 1000, 11)
+            assert (empirical.probabilities, est, se) == reference_sampled(r, seq, 1000, 11)
 
     def test_zero_probability_branches_are_pruned(self, canonical):
         # at the canonical point half of the outcome tuples of every term are
@@ -384,7 +399,8 @@ class TestStackedChains:
             seq = [canonical.observable(k) for k in slots]
             empirical, est, se = sample_sequences(rho, seq, 1000, 1)
             assert len(empirical.probabilities) == 2 ** (len(slots) - 1)
-            assert (empirical.probabilities, est, se) == reference_sampled(rho, seq, 1000, 1)
+            assert (empirical.probabilities, est, se) == reference_sampled(
+                DensityMatrix(rho).factor(), seq, 1000, 1)
 
     def test_raw_matrices_are_rounded_like_observables(self):
         s = scenario_of(4, 900, False)
@@ -398,9 +414,10 @@ class TestStackedChains:
     def test_golden_fingerprint(self):
         # sha256 of all three modes on fixed-seed random_scenario(4) inputs:
         # sampled as recorded from the per-term, per-outcome loops before the
-        # chains were stacked, exact-sum as recorded once the Newton–Schulz
-        # step replaced the eigen-sign rounding of Observables (it moved by at
-        # most 6.7e-16; sampled kept every bit), analytic as recorded from its
+        # chains were stacked, exact-sum as recorded once its outcome
+        # probabilities became ||C R||_F^2 on the state factor instead of
+        # tr(C rho C†) (34 of its 42 values moved, by at most 5.0e-16; the
+        # sampled and analytic bits did not move), analytic as recorded from its
         # vector form on the unit-norm state factor (12 of the mixed inputs'
         # values moved by at most 2.2e-16 when DensityMatrix began to scale
         # its factor; no exact-sum or sampled bit moved), numpy 2.4, OpenBLAS.
@@ -423,7 +440,8 @@ class TestStackedChains:
     def test_one_stacked_rounding_per_call(self, monkeypatch, mode):
         # Observables, near or exact involutions, are made exact by the
         # Newton–Schulz step without an eigensolve; only raw matrices that are
-        # not near-involutions are eigen-sign rounded, in one stacked call
+        # not near-involutions are eigen-sign rounded, in one stacked call. A
+        # state object takes no eigensolve; a raw rho takes DensityMatrix's one
         calls = []
         eig_hermitian = linalg.eig_hermitian
 
@@ -443,7 +461,23 @@ class TestStackedChains:
             exact_sequence_distribution(s.density(), raw)
         else:
             sample_sequences(s.density(), raw, 100, 0)
-        assert calls == [(2, 4, 4)]
+        assert calls == [(4, 4), (2, 4, 4)]
+
+    def test_correlations_never_form_a_density_matrix(self, monkeypatch, canonical):
+        # every mode works on the state factor R: rho = R R† is never formed
+        calls = []
+        for cls in (PureState, DensityMatrix):
+            def counting(state, _original=cls.density, _name=cls.__name__):
+                calls.append(_name)
+                return _original(state)
+
+            monkeypatch.setattr(cls, "density", counting)
+        for s in (scenario_of(4, 904, True), scenario_of(4, 904, False), canonical):
+            for mode in ("analytic", "exact-sum", "sampled"):
+                correlations(s, mode, shots=100, rng_seed=0)
+        assert calls == []
+        canonical.density()  # the counter itself works
+        assert calls == ["PureState"]
 
     @pytest.mark.parametrize("mode", ["exact-sum", "sampled"])
     def test_fresh_scenario_takes_no_svd(self, svd_calls, mode):
@@ -495,25 +529,19 @@ class TestErrorPaths:
 
     def test_raw_non_hermitian_matrix_raises(self, canonical):
         # checked as Observable checks it: an exact involution (A @ A == 1)
-        # that is not Hermitian, and twice it, which is no near-involution
+        # that is not Hermitian, and twice it, which is no near-involution;
+        # a raw rho is checked as DensityMatrix checks it: Hermitian, trace one
         skew = np.kron(PAULI_Z, np.eye(2)).astype(complex)
         skew[0, 2] = 1e-6
-        for m in (skew, 2 * skew):
-            with pytest.raises(NotHermitian):
-                exact_sequence_distribution(canonical.density(), [m, canonical.observable(4)])
-            with pytest.raises(NotHermitian):
-                sample_sequences(canonical.density(), [m, canonical.observable(4)], 100, 0)
-
-    def test_non_hermitian_state_warns_per_outcome(self):
-        rho = np.array([[0.5, 0.2j], [0.0, 0.5]])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            exact_sequence_distribution(rho, [Observable(PAULI_X), Observable(PAULI_Z)])
-        assert [w.category for w in caught] == [NumericalNoiseWarning] * 4
-        assert [str(w.message) for w in caught] == NON_HERMITIAN_STATE_WARNINGS
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sample_sequences(rho, [Observable(PAULI_X), Observable(PAULI_Z)], 1000, 0)
-        assert [w.category for w in caught] == [NumericalNoiseWarning] * 6
-        assert [str(w.message) for w in caught] == NON_HERMITIAN_SAMPLE_WARNINGS
-
+        rho = canonical.density()
+        cases = [(rho, [m, canonical.observable(4)], NotHermitian) for m in (skew, 2 * skew)]
+        cases += [
+            (np.array([[0.5, 0.2j], [0.0, 0.5]]), [Observable(PAULI_X), Observable(PAULI_Z)],
+             NotHermitian),
+            (2 * rho, [canonical.observable(1), canonical.observable(4)], ValueError),
+        ]
+        for state, seq, error in cases:
+            with pytest.raises(error):
+                exact_sequence_distribution(state, seq)
+            with pytest.raises(error):
+                sample_sequences(state, seq, 100, 0)

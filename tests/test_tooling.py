@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,22 @@ def test_observable_span_names_a_class():
     assert isinstance(getattr(importlib.import_module(f"tempcert.{module}"), attribute), type)
 
 
+def test_every_error_class_is_named_outside_errors():
+    """Each warning and error class of tempcert.errors, the base class aside, is
+    named in another tempcert module: a class that nothing raises, warns with
+    or catches fails here instead of lingering in the public hierarchy."""
+    from tempcert import errors
+
+    classes = [name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__
+               and obj is not errors.TempcertError]
+    sources = "\n".join(path.read_text(encoding="utf-8")
+                        for path in sorted((ROOT / "src" / "tempcert").glob("*.py"))
+                        if path.name != "errors.py")
+    assert len(classes) >= 10
+    assert [name for name in classes if not re.search(rf"\b{name}\b", sources)] == []
+
+
 WORKLOADS = TRACER.parent / "workloads.py"
 
 
@@ -47,7 +64,7 @@ WORKLOADS = TRACER.parent / "workloads.py"
 #: other golden hashes they hold the bits of the BLAS and LAPACK kernels
 #: (numpy 2.4, OpenBLAS, one thread), which may differ per CPU.
 WORKLOAD_FINGERPRINT_SHA256 = {
-    "correlators-d4": "cea17eae1c01230fc76263d6790150616a036c2eee6016ce3748f17343be9581",
+    "correlators-d4": "68043c33e476f88c4c998813fb8129c6a819b1f8fb88dc08703742a043cc9474",
     "certify-sweep": "dafdce790f53cd20b3570816d71694594d60438ffe85922704b9243524a039f5",
 }
 
