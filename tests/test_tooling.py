@@ -64,6 +64,7 @@ WORKLOADS = TRACER.parent / "workloads.py"
 #: other golden hashes they hold the bits of the BLAS and LAPACK kernels
 #: (numpy 2.4, OpenBLAS, one thread), which may differ per CPU.
 WORKLOAD_FINGERPRINT_SHA256 = {
+    "seesaw-d4": "86cf95de18087d9a10a5325d501a9e289946e1c0ec4b62605532fb0f6e2aac68",
     "correlators-d4": "68043c33e476f88c4c998813fb8129c6a819b1f8fb88dc08703742a043cc9474",
     "certify-sweep": "dafdce790f53cd20b3570816d71694594d60438ffe85922704b9243524a039f5",
 }
@@ -86,6 +87,11 @@ def run_smoke(name, tmp_path):
         runs.append([w.fingerprint(out) for out in outs])
     assert runs[0] == runs[1]
     assert hashlib.sha256(repr(runs[0]).encode()).hexdigest() == WORKLOAD_FINGERPRINT_SHA256[name]
+
+
+def test_seesaw_workload_smoke(tmp_path):
+    # each op runs `optimize` through cli.main and reads its two files back
+    run_smoke("seesaw-d4", tmp_path)
 
 
 def test_certify_sweep_workload_smoke(tmp_path):
