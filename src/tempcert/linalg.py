@@ -1,13 +1,17 @@
 """Dense complex matrix kernel for dimensions up to 64.
 
 Every function is pure and converts array_like input to a fresh complex128
-array, except `acomm`, `op_norm_exceeds` and the checks `require_square` and
-`require_hermitian`, which take arrays their caller has coerced. `hermitize`,
-`acomm`, `eig_hermitian`, `expi_eig`, `expi_hermitian` and `op_norms` also
-take stacks (..., d, d), and `vec_norms` stacks (..., n) of vectors, each
-matrix or vector as on its own, bit for bit. Hermitian means
-||m - m†|| <= STRUCTURAL_TOL = 1e-10 in operator norm, comfortable at these
-dimensions, wherever it is checked: `require_hermitian` is the one test.
+array, except `acomm`, `hermitian_part`, `eig_exact_hermitian`,
+`op_norm_exceeds` and the checks `require_square` and `require_hermitian`,
+which take arrays their caller has coerced. `hermitize`, `hermitian_part`,
+`acomm`, `eig_hermitian`, `eig_exact_hermitian`, `expi_eig`,
+`expi_hermitian` and `op_norms` also take stacks (..., d, d), and
+`vec_norms` stacks (..., n) of vectors, each matrix or vector as on its own,
+bit for bit. Hermitian means ||m - m†|| <= STRUCTURAL_TOL = 1e-10 in
+operator norm, comfortable at these dimensions, wherever it is checked:
+`require_hermitian` is the one test. The checked functions are the edge;
+`hermitian_part` and `eig_exact_hermitian` are their kernels, for internal
+operators that are square, finite and Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -68,6 +72,12 @@ def hermitize(m) -> np.ndarray:
     """(m + m†)/2, the Hermitian part of a square matrix or of each of a stack."""
     a = as_matrices(m)
     require_square(a)
+    return hermitian_part(a)
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """`hermitize`'s arithmetic, unchecked, on a square complex array or stack.
+    Its result is exactly Hermitian, and equals `a` when `a` is."""
     return (a + np.swapaxes(a.conj(), -1, -2)) / 2
 
 
@@ -171,7 +181,15 @@ def eig_hermitian(m):
     require_square(a)
     ah = np.swapaxes(a.conj(), -1, -2)
     require_hermitian(a - ah, "matrix")
-    w, v = np.linalg.eigh((a + ah) / 2)
+    return eig_exact_hermitian((a + ah) / 2)
+
+
+def eig_exact_hermitian(h: np.ndarray):
+    """`eig_hermitian`'s kernel, unchecked: the same (w, v), bit for bit, of
+    a complex stack (..., d, d) that is square, finite and exactly Hermitian,
+    such as a `hermitian_part`. eigh reads only the lower triangle, so an
+    input that is not exactly Hermitian is not caught here."""
+    w, v = np.linalg.eigh(h)
     if np.all(w[..., 1:] > w[..., :-1]):
         # strictly ascending everywhere: the stable sort below is a reversal
         w, v = w[..., ::-1], v[..., ::-1]

@@ -11,11 +11,18 @@ rho = R R†, pure or mixed. The algebra is written once, over arrays with
 leading batch axes: the per-scenario functions pass one scenario's (6, d, d)
 observables and (d, c) factor, and the multi-start seesaw passes all running
 seeds as (S, 6, d, d) and (S, d, 1).
+
+Input is checked at the edges: the public functions take Observables or
+check their raw matrices, and `seesaw` checks its final iterates once, as one
+(S, 6, d, d) stack. In between, both operators are Hermitian parts, exactly
+Hermitian by construction, and both half-steps hand them straight to
+`linalg.eig_exact_hermitian`, the unchecked kernel of `eig_hermitian`.
 """
 
 from __future__ import annotations
 
-import functools
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,10 +35,11 @@ from .scenario import (
     Observable,
     PureState,
     Scenario,
+    observables,
     random_hermitian,
     random_pure_state,
+    round_eig_to_signs,
     round_to_involutions,
-    round_to_signs,
 )
 from .seqcorr import TERMS
 
@@ -54,12 +62,16 @@ class SeesawConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("dim", "max_sweeps", "seeds", "rng_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.seeds < 1:
             raise ValueError(f"seeds must be >= 1, got {self.seeds}")
         if self.rng_seed < 0:
@@ -79,23 +91,35 @@ class SeesawTrace:
         return self.values[-1] if self.values else float("-inf")
 
 
+#: WORDS as 0-based index arrays: every word's first and second slot, the third slot of
+#: the triples, which TERMS and so WORDS list first, and the weights.
+WORD_SLOTS = tuple(np.array([word[i] - 1 for word, _ in WORDS if len(word) > i]) for i in range(3))
+WORD_WEIGHTS = np.array([w for _, w in WORDS])
+
+
 def _bell_from_matrices(mats) -> np.ndarray:
     """Bell operator of observables (..., 6, d, d): the Hermitian part of the
-    sum of w * A_w1 A_w2 ... over WORDS."""
-    a = np.asarray(mats)
-    return linalg.hermitize(sum(w * functools.reduce(np.matmul, [a[..., k - 1, :, :] for k in word])
-                                for word, w in WORDS))
+    sum of w * A_w1 A_w2 ... over WORDS, each product formed left to right
+    and the sum taken in WORDS order."""
+    a = np.asarray(mats, dtype=complex)
+    first, second, third = WORD_SLOTS
+    words = a[..., first, :, :] @ a[..., second, :, :]
+    words[..., :len(third), :, :] = words[..., :len(third), :, :] @ a[..., third, :, :]
+    return linalg.hermitian_part(
+        np.add.reduce(WORD_WEIGHTS[:, None, None] * words, axis=-3, initial=0))
 
 
 def _slot_images(slot: int):
-    """Each word L A_slot M as (w, key of L† R, key of M R), keyed (length, index) into the
-    images (R, A_k R, the slot's two A_j A_k R), and the index arrays (j, k) of those two."""
+    """Index arrays (j, k) of the slot's double images A_j A_k R, and for its
+    words L A_slot M the positions of M R and L† R in the stacked images
+    (R, A_1 R, ..., A_6 R, the slot's A_j A_k R) with each word's weight."""
     splits = [(w, word[:i][::-1], word[i + 1:])  # L reversed: L† for Hermitian A
               for word, w in WORDS for i, k in enumerate(word) if k == slot]
     doubles = list(dict.fromkeys(p for _, l, m in splits for p in (l, m) if len(p) == 2))
-    key = {(): (0, 0), **{(k,): (1, k - 1) for k in range(1, 7)},
-           **{p: (2, i) for i, p in enumerate(doubles)}}
-    return [(w, key[l], key[m]) for w, l, m in splits], np.subtract(doubles, 1).T
+    position = {(): 0, **{(k,): k for k in range(1, 7)},
+                **{p: 7 + i for i, p in enumerate(doubles)}}
+    right, left, weights = zip(*[(position[m], position[l], w) for w, l, m in splits])
+    return (*np.subtract(doubles, 1).T, np.array(right), np.array(left), np.array(weights))
 
 
 #: `_slot_images` of each slot 1..6, by slot - 1.
@@ -104,13 +128,16 @@ SLOT_IMAGES = tuple(_slot_images(slot) for slot in range(1, 7))
 
 def _coefficient(mats, r, slot: int) -> np.ndarray:
     """Coefficient operator of `slot` for observables (..., 6, d, d) and state
-    factors (..., d, c), as one product of the slot's images set side by side."""
-    splits, (j, k) = SLOT_IMAGES[slot - 1]
+    factors (..., d, c): the Hermitian part of sum_w w (M R)(L† R)†, as one
+    product of the gathered images set side by side."""
+    j, k, right, left, weights = SLOT_IMAGES[slot - 1]
     single = mats @ r[..., None, :, :]
-    images = (r[..., None, :, :], single, mats[..., j, :, :] @ single[..., k, :, :])
-    right = np.concatenate([images[n][..., i, :, :] for _, _, (n, i) in splits], axis=-1)
-    left = np.concatenate([w * images[n][..., i, :, :] for w, (n, i), _ in splits], axis=-1)
-    return linalg.hermitize(right @ np.swapaxes(left.conj(), -1, -2))
+    images = np.concatenate([r[..., None, :, :], single,
+                             mats[..., j, :, :] @ single[..., k, :, :]], axis=-3)
+    shape = (*r.shape[:-1], -1)  # (..., d, n c): the n gathered blocks side by side
+    m_r = np.swapaxes(images[..., right, :, :], -3, -2).reshape(shape)
+    l_r = np.swapaxes(weights[:, None, None] * images[..., left, :, :], -3, -2).reshape(shape)
+    return linalg.hermitian_part(m_r @ np.swapaxes(l_r.conj(), -1, -2))
 
 
 def _values(r, b) -> np.ndarray:
@@ -119,9 +146,18 @@ def _values(r, b) -> np.ndarray:
 
 
 def _top_factors(b) -> np.ndarray:
-    """Exact state half-step for a stack of operator forms, as factors (..., d, 1)."""
-    _, v = linalg.eig_hermitian(b)
+    """Exact state half-step for a stack of operator forms, each exactly
+    Hermitian, as factors (..., d, 1)."""
+    _, v = linalg.eig_exact_hermitian(b)
     return v[..., :, :1]
+
+
+def _sign_step(g):
+    """Exact observable half-step for a stack of coefficient operators, each
+    exactly Hermitian: their eigen-sign roundings, ties broken to +1, and
+    their eigenvalues, descending."""
+    w, v = linalg.eig_exact_hermitian(g)
+    return round_eig_to_signs(w, v, DEGENERATE_EIGENVALUE), w
 
 
 def bell_operator(s: Scenario) -> np.ndarray:
@@ -180,7 +216,7 @@ def optimal_observable(s: Scenario, slot: int) -> Observable:
     1e-12 get sign +1 (deterministic tie-break) and raise a
     DegenerateCoefficientWarning.
     """
-    a, w, _ = round_to_signs(coefficient_operator(s, slot), DEGENERATE_EIGENVALUE)
+    a, w = _sign_step(coefficient_operator(s, slot))
     degenerate = np.abs(w) <= DEGENERATE_EIGENVALUE
     if np.any(degenerate):
         warnings.warn(
@@ -201,10 +237,11 @@ def seesaw(config: SeesawConfig):
     over the running seeds, and a seed leaves the batch when its sweep gain
     falls below config.tol. Seeds never mix, so a seed's trace does not
     depend on the other seeds. The iterates are eigen-sign roundings and
-    eigenvectors, exact to rounding error, and are not checked in the loop:
-    each seed's final iterate is checked when its Observable and PureState
-    are built at the end, so a bad iterate raises there, not mid-loop. Best
-    is the highest final value, lowest seed on ties.
+    eigenvectors, exact to rounding error, and are not checked in the loop.
+    They are checked once, at the end: all seeds' final observables as one
+    (S, 6, d, d) stack through `scenario.observables`, and each final state
+    as its PureState is built, so a bad iterate raises there, not mid-loop.
+    Best is the highest final value, lowest seed on ties.
     """
     children = np.random.SeedSequence(config.rng_seed).spawn(config.seeds)
     states, draws = [], []
@@ -223,7 +260,7 @@ def seesaw(config: SeesawConfig):
         o = obs[active]
         p = _top_factors(b)
         for slot in range(1, 7):
-            a, w, _ = round_to_signs(_coefficient(o, p, slot), DEGENERATE_EIGENVALUE)
+            a, w = _sign_step(_coefficient(o, p, slot))
             o[:, slot - 1] = a
             for k in active[(np.abs(w) <= DEGENERATE_EIGENVALUE).any(axis=-1)]:
                 traces[k].degenerate_steps += 1
@@ -240,9 +277,8 @@ def seesaw(config: SeesawConfig):
         if not active.size:
             break
 
-    for t in traces:
-        k = t.seed_index
-        t.scenario = Scenario(PureState(r[k]), [Observable(m) for m in obs[k]])
+    for t, final in zip(traces, observables(obs)):
+        t.scenario = Scenario(PureState(r[t.seed_index]), final)
     best = max(traces, key=lambda t: (t.best_value, -t.seed_index))
     if best.best_value > QUANTUM_BOUND + 1e-9:
         raise AssertionError(

@@ -27,6 +27,7 @@ from .scenario import (
     Observable,
     Scenario,
     atomic_write_text,
+    observables,
     random_hermitian,
 )
 from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXTS, TERMS, CorrelationSet, correlations
@@ -122,8 +123,8 @@ def apply_noise(s: Scenario, n: NoiseModel) -> Scenario:
         w, v = linalg.eig_hermitian(h)
         norms = np.maximum(w[:, 0], -w[:, -1])
         u = linalg.expi_eig(w / norms[:, None], v, n.strength)
-        m = linalg.hermitize(u @ np.array(s.matrices()) @ np.swapaxes(u.conj(), -1, -2))
-        return Scenario(s.state, [Observable(x) for x in m])
+        m = u @ np.array(s.matrices()) @ np.swapaxes(u.conj(), -1, -2)
+        return Scenario(s.state, observables(linalg.hermitian_part(m)))
     raise TypeError(f"unknown noise model {n!r}")
 
 

@@ -53,25 +53,36 @@ SIGN_CUTOFF = 1e-8
 NORM_TOL = 1e-12
 
 
+def require_observables(m: np.ndarray) -> None:
+    """The one observable check, of a coerced matrix or stack (..., d, d):
+    squareness, Hermiticity and that the deviation of ``m @ m`` from the
+    identity (operator norm) does not exceed the fixed INVOLUTION_TOL, each
+    a single stacked call that a Frobenius bound settles without an SVD
+    whenever it can. A NonInvolution names the residual of the first
+    matrix of the stack that fails."""
+    linalg.require_square(m)
+    linalg.require_hermitian(m - np.swapaxes(m.conj(), -1, -2), "observable")
+    residual = m @ m - np.eye(m.shape[-1])
+    over = linalg.op_norm_exceeds(residual, INVOLUTION_TOL).reshape(-1)
+    if over.any():
+        first = residual.reshape(-1, *residual.shape[-2:])[over.argmax()]
+        raise NonInvolution(f"involution residual {linalg.op_norm(first):.3e} "
+                            f"exceeds {INVOLUTION_TOL:.1e}")
+
+
 class Observable:
     """Hermitian matrix intended as a +-1-outcome projective measurement.
 
-    Construction checks squareness, Hermiticity and that the deviation of
-    ``matrix @ matrix`` from the identity (operator norm) does not exceed the
-    fixed INVOLUTION_TOL; a Frobenius bound settles each check without an SVD
-    whenever it can. ``involution_residual`` takes one matmul and one SVD.
+    Construction runs `require_observables` on the matrix; `observables`
+    builds one Observable per matrix of a stack from a single run.
+    ``involution_residual`` takes one matmul and one SVD.
     """
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
         m = linalg.as_matrix(matrix)
-        linalg.require_square(m)
-        linalg.require_hermitian(m - m.conj().T, "observable")
-        residual = m @ m - np.eye(m.shape[0])
-        if linalg.op_norm_exceeds(residual, INVOLUTION_TOL):
-            raise NonInvolution(f"involution residual {linalg.op_norm(residual):.3e} "
-                                f"exceeds {INVOLUTION_TOL:.1e}")
+        require_observables(m)
         m.setflags(write=False)
         self.matrix = m
 
@@ -86,6 +97,25 @@ class Observable:
 
     def __repr__(self):
         return f"Observable(dim={self.dim}, involution_residual={self.involution_residual:.2e})"
+
+
+def observables(matrices) -> list:
+    """One Observable per matrix of a stack (..., d, d), nested in lists along
+    the leading axes: the matrices, checks and errors of building each on its
+    own, from one `require_observables` call on the whole stack. Each matrix
+    is a read-only view of one coerced copy of the stack."""
+    m = linalg.as_matrices(matrices)
+    require_observables(m)
+    m.setflags(write=False)
+
+    def build(x):
+        if x.ndim > 2:
+            return [build(y) for y in x]
+        o = Observable.__new__(Observable)
+        o.matrix = x
+        return o
+
+    return build(m)
 
 
 class PureState:
@@ -222,9 +252,15 @@ def round_to_signs(m, cutoff: float):
     |lambda_k| <= cutoff, and the eigenvalues lambda_k, descending, and the
     eigenvectors v_k it rounds with, as `eig_hermitian` returns them."""
     w, v = linalg.eig_hermitian(m)
+    return round_eig_to_signs(w, v, cutoff), w, v
+
+
+def round_eig_to_signs(w: np.ndarray, v: np.ndarray, cutoff: float) -> np.ndarray:
+    """`round_to_signs`'s rounding, unchecked, from the eigendecomposition
+    (w, v) of Hermitian matrices as `eig_hermitian` returns it: one matrix or
+    a stack, the result exactly Hermitian."""
     signs = np.where(w < -cutoff, -1.0, 1.0)  # +1 wherever |w| <= cutoff
-    a = (v * signs[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    return linalg.hermitize(a), w, v
+    return linalg.hermitian_part((v * signs[..., None, :]) @ np.swapaxes(v.conj(), -1, -2))
 
 
 def round_to_involutions(m):

@@ -112,7 +112,7 @@ class TestOptimize:
 
     @pytest.mark.parametrize("flag, value", [
         ("--dim", "1"), ("--seeds", "0"), ("--max-sweeps", "0"), ("--tol", "0"),
-        ("--seed", "-1"),
+        ("--tol", "inf"), ("--tol", "nan"), ("--seed", "-1"),
     ])
     def test_invalid_config_is_usage_error(self, flag, value, capsys):
         assert main(["optimize", flag, value]) == EXIT_PARSE

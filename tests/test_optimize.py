@@ -5,7 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from tempcert.errors import DegenerateCoefficientWarning, NonSquare, NotHermitian, ShapeMismatch
+from tempcert import optimize, scenario
+from tempcert.errors import (
+    DegenerateCoefficientWarning,
+    NonInvolution,
+    NonSquare,
+    NotHermitian,
+    ShapeMismatch,
+)
 from tempcert.inequality import eval_IT_scenario
 from tempcert.linalg import acomm, hermitize
 from tempcert.optimize import (
@@ -341,3 +348,38 @@ class TestSeesaw:
             SeesawConfig(dim=4, tol=0.0)
         with pytest.raises(ValueError, match="rng_seed must be >= 0"):
             SeesawConfig(dim=4, rng_seed=-1)
+        for tol in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                SeesawConfig(dim=4, tol=tol)
+        for field, value in (("dim", 4.5), ("seeds", 2.0), ("max_sweeps", "10"),
+                             ("rng_seed", 1.5), ("seeds", True)):
+            with pytest.raises(TypeError, match=f"{field} must be an integer"):
+                SeesawConfig(**{"dim": 4, field: value})
+        SeesawConfig(dim=np.int64(4), seeds=np.int32(2))
+
+    def test_final_iterates_checked_once_as_a_stack(self, monkeypatch):
+        """The loop checks nothing: however many sweeps run, the seesaw makes
+        one observable check, on all seeds' final observables at once."""
+        calls = []
+        check = scenario.require_observables
+        monkeypatch.setattr(scenario, "require_observables",
+                            lambda m: (calls.append(m.shape), check(m)))
+        counts = []
+        for sweeps in (2, 40):
+            calls.clear()
+            _, traces = seesaw(SeesawConfig(dim=4, seeds=5, rng_seed=3, max_sweeps=sweeps))
+            counts.append(list(calls))
+        assert max(len(t.values) for t in traces) > 2
+        assert counts == [[(5, 6, 4, 4)]] * 2
+
+    def test_bad_iterate_raises_at_the_final_check(self, monkeypatch):
+        sign_step = optimize._sign_step
+
+        def scaled(g):  # the first running seed's rounding is 1.5 times an involution
+            a, w = sign_step(g)
+            a[0] *= 1.5
+            return a, w
+
+        monkeypatch.setattr(optimize, "_sign_step", scaled)
+        with pytest.raises(NonInvolution, match="involution residual 1.250e"):
+            seesaw(SeesawConfig(dim=4, seeds=3, rng_seed=0, max_sweeps=3))

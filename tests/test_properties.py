@@ -2,6 +2,7 @@
 (hypothesis, with the derandomized profile registered in conftest.py)."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from tempcert import certify
 from tempcert.errors import TempcertError
 from tempcert.inequality import eval_INC
 from tempcert.linalg import acomm, eig_hermitian, hermitize, op_norm, op_norms
-from tempcert.optimize import DEGENERATE_EIGENVALUE, bell_operator, coefficient_operator
+from tempcert.optimize import (
+    DEGENERATE_EIGENVALUE,
+    _bell_from_matrices,
+    _coefficient,
+    bell_operator,
+    coefficient_operator,
+)
 from tempcert.robustness import (
     Depolarizing,
     ObservableTilt,
@@ -219,6 +226,40 @@ def test_operators_match_anticommutator_oracles(s):
     assert np.abs(bell_operator(s) - anticommutator_bell(a)).max() <= 1e-13
     for slot in range(1, 7):
         assert np.abs(coefficient_operator(s, slot) - adjoint_coefficient(a, rho, slot)).max() <= 1e-13
+
+
+@st.composite
+def operator_batches(draw):
+    """Observables (*batch, 6, d, d), d = 2-8, with one or two leading batch
+    axes, and unit-norm state factors (*batch, d, c), pure (c = 1) or mixed
+    (c = d)."""
+    d = draw(st.integers(2, 8))
+    batch = draw(st.sampled_from([(3,), (2, 2)]))
+    c = draw(st.sampled_from([1, d]))
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    draws = np.array([random_hermitian(d, rng) for _ in range(6 * math.prod(batch))])
+    mats = round_to_involutions(draws)[0].reshape(*batch, 6, d, d)
+    r = rng.standard_normal((*batch, d, c)) + 1j * rng.standard_normal((*batch, d, c))
+    return mats, r / np.linalg.norm(r, axis=(-2, -1), keepdims=True)
+
+
+@given(batch=operator_batches())
+def test_batched_operators_match_oracles_and_single_calls(batch):
+    """The stacked Bell operator and the gathered coefficient operators match
+    the anticommutator and adjoint-identity oracles to 1e-12 per entry, and
+    each entry of a batched call is that entry's single call, bit for bit."""
+    mats, r = batch
+    lead = list(np.ndindex(mats.shape[:-3]))
+    b = _bell_from_matrices(mats)
+    for i in lead:
+        assert np.array_equal(b[i], _bell_from_matrices(mats[i]))
+        assert np.abs(b[i] - anticommutator_bell(mats[i])).max() <= 1e-12
+    for slot in range(1, 7):
+        g = _coefficient(mats, r, slot)
+        for i in lead:
+            assert np.array_equal(g[i], _coefficient(mats[i], r[i], slot))
+            rho = r[i] @ r[i].conj().T
+            assert np.abs(g[i] - adjoint_coefficient(mats[i], rho, slot)).max() <= 1e-12
 
 
 @st.composite

@@ -28,6 +28,7 @@ from tempcert.scenario import (
     lift_observable,
     loads_scenario,
     load_scenario,
+    observables,
     project_involution,
     purify,
     purify_scenario,
@@ -185,8 +186,24 @@ class TestTypes:
         (np.array([[1, 0], [0, np.inf]], dtype=complex), ValueError),
     ])
     def test_stack_checks_agree_with_observable(self, bad, error):
-        with pytest.raises(error):
+        # in a stack, after a good matrix and before one that fails later
+        # checks, a bad matrix raises what it raises on its own, word for word
+        with pytest.raises(error) as single:
             Observable(bad)
+        with pytest.raises(error) as stacked:
+            observables([[PAULI_X, PAULI_Z], [bad, 3 * PAULI_Z]])
+        assert str(stacked.value) == str(single.value)
+
+    def test_observables_are_the_single_constructions(self):
+        rng = rng_from(12)
+        draws = np.array([[random_hermitian(3, rng) for _ in range(3)] for _ in range(2)])
+        stack = round_to_involutions(draws)[0]
+        built = observables(stack)
+        assert [len(row) for row in built] == [3, 3]
+        for i, j in np.ndindex(2, 3):
+            o = built[i][j]
+            assert isinstance(o, Observable) and not o.matrix.flags.writeable
+            assert np.array_equal(o.matrix, Observable(stack[i, j]).matrix)
 
     def test_pure_state_norm(self):
         with pytest.raises(ValueError):
