@@ -362,8 +362,12 @@ class TestSeesaw:
         one observable check, on all seeds' final observables at once."""
         calls = []
         check = scenario.require_observables
-        monkeypatch.setattr(scenario, "require_observables",
-                            lambda m: (calls.append(m.shape), check(m)))
+
+        def counting(m):
+            calls.append(m.shape)
+            check(m)
+
+        monkeypatch.setattr(scenario, "require_observables", counting)
         counts = []
         for sweeps in (2, 40):
             calls.clear()
