@@ -124,10 +124,11 @@ def op_norm_exceeds(m: np.ndarray, tol: float) -> np.ndarray:
     return over.reshape(m.shape[:-2])
 
 
-def require_hermitian(defect: np.ndarray, what: str) -> None:
-    """Raise NotHermitian unless each m - m† of a stack, given as `defect`
-    (..., d, d), has operator norm at most STRUCTURAL_TOL, as `op_norm_exceeds`
-    decides it; the SVD norm is taken only for the message."""
+def require_hermitian(m: np.ndarray, what: str) -> None:
+    """Raise NotHermitian unless m - m† has operator norm at most
+    STRUCTURAL_TOL, as `op_norm_exceeds` decides it, for each matrix of a
+    square stack m (..., d, d); the SVD norm is taken only for the message."""
+    defect = m - np.swapaxes(m.conj(), -1, -2)
     if op_norm_exceeds(defect, STRUCTURAL_TOL).any():
         raise NotHermitian(f"{what} deviates from Hermitian by {op_norms(defect).max():.3e}")
 
@@ -179,9 +180,8 @@ def eig_hermitian(m):
     """
     a = as_matrices(m)
     require_square(a)
-    ah = np.swapaxes(a.conj(), -1, -2)
-    require_hermitian(a - ah, "matrix")
-    return eig_exact_hermitian((a + ah) / 2)
+    require_hermitian(a, "matrix")
+    return eig_exact_hermitian(hermitian_part(a))
 
 
 def eig_exact_hermitian(h: np.ndarray):

@@ -22,7 +22,6 @@ Hermitian by construction, and both half-steps hand them straight to
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -38,6 +37,7 @@ from .scenario import (
     observables,
     random_hermitian,
     random_pure_state,
+    require_integer,
     round_eig_to_signs,
     round_to_involutions,
 )
@@ -63,9 +63,7 @@ class SeesawConfig:
 
     def __post_init__(self):
         for name in ("dim", "max_sweeps", "seeds", "rng_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            require_integer(name, getattr(self, name))
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.max_sweeps < 1:
@@ -183,6 +181,7 @@ def optimal_state(observables) -> PureState:
     eigenvalue. The operator form needs Hermitian observables: a raw matrix
     that is not raises NotHermitian.
     """
+    observables = list(observables)
     mats = [o.matrix if isinstance(o, Observable) else linalg.as_matrix(o)
             for o in observables]
     if len(mats) != 6:
@@ -190,8 +189,10 @@ def optimal_state(observables) -> PureState:
     if len({m.shape for m in mats}) > 1:  # before stacking, which would raise ValueError
         raise ShapeMismatch(f"observable shapes differ: {[m.shape for m in mats]}")
     mats = np.array(mats)
-    linalg.require_square(mats)
-    linalg.require_hermitian(mats - np.swapaxes(mats.conj(), -1, -2), "observable")
+    raw = [k for k, o in enumerate(observables) if not isinstance(o, Observable)]
+    if raw:  # an Observable was checked when it was built
+        linalg.require_square(mats[raw])
+        linalg.require_hermitian(mats[raw], "observable")
     return PureState(_top_factors(_bell_from_matrices(mats)))
 
 

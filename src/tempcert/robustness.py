@@ -29,6 +29,7 @@ from .scenario import (
     atomic_write_text,
     observables,
     random_hermitian,
+    require_integer,
 )
 from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXTS, TERMS, CorrelationSet, correlations
 from .certify import certify
@@ -72,6 +73,7 @@ class ObservableTilt:
     angle: float
 
     def __post_init__(self):
+        require_integer("slot", self.slot)
         if self.slot not in TILT_GENERATORS:
             raise ValueError(f"tilt slot must be in 1..6, got {self.slot}")
         if not math.isfinite(self.angle):
@@ -89,6 +91,7 @@ class UnitaryJitter:
     def __post_init__(self):
         if not math.isfinite(self.strength):
             raise ValueError(f"jitter strength must be finite, got {self.strength}")
+        require_integer("rng_seed", self.rng_seed)
         if self.rng_seed < 0:
             raise ValueError(f"jitter seed must be >= 0, got {self.rng_seed}")
 

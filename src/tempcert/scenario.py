@@ -8,6 +8,7 @@ file format, which stores matrices row-major in exactly this basis.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import tempfile
 
@@ -61,7 +62,7 @@ def require_observables(m: np.ndarray) -> None:
     whenever it can. A NonInvolution names the residual of the first
     matrix of the stack that fails."""
     linalg.require_square(m)
-    linalg.require_hermitian(m - np.swapaxes(m.conj(), -1, -2), "observable")
+    linalg.require_hermitian(m, "observable")
     residual = m @ m - np.eye(m.shape[-1])
     over = linalg.op_norm_exceeds(residual, INVOLUTION_TOL).reshape(-1)
     if over.any():
@@ -148,15 +149,16 @@ class PureState:
 
 class DensityMatrix:
     """Trace-one positive-semidefinite Hermitian matrix. Construction takes
-    one `eig_hermitian`, which serves the PSD check and the unit-norm factor."""
+    one Hermiticity check and one eigendecomposition of the Hermitian part, as
+    `eig_hermitian` gives it, which serves the PSD check and the unit-norm factor."""
 
     __slots__ = ("matrix", "_factor")
 
     def __init__(self, matrix):
         m = linalg.as_matrix(matrix)
         linalg.require_square(m)
-        linalg.require_hermitian(m - m.conj().T, "density matrix")
-        w, v = linalg.eig_hermitian(m)
+        linalg.require_hermitian(m, "density matrix")
+        w, v = linalg.eig_exact_hermitian(linalg.hermitian_part(m))
         if w[-1] < -linalg.STRUCTURAL_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {w[-1]:.3e}")
         tr = np.trace(m)
@@ -176,11 +178,18 @@ class DensityMatrix:
         return np.array(self.matrix)
 
     def factor(self) -> np.ndarray:
-        """R = v sqrt(max(w, 0)) of `eig_hermitian`'s (w, v), scaled to ||R||_F = 1."""
+        """R = v sqrt(max(w, 0)) of the eigendecomposition (w, v), scaled to ||R||_F = 1."""
         return self._factor
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
+
+
+def require_integer(name: str, value) -> None:
+    """Raise TypeError, naming the field, unless value is an integer (numpy's
+    included) and not a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_slot(slot: int) -> None:

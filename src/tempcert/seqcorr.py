@@ -1,10 +1,11 @@
-"""Sequential correlators, computed three independent ways.
+"""Sequential correlators: two independent oracles and seeded sampling.
 
-Closed-form anticommutator expressions on the images of a state factor,
-exact outcome sums over the Lüders chain of each observable's exact
-involution (one Newton–Schulz step), and seeded Monte-Carlo sampling of it.
-The routes are oracles for one another: for exact involutions the first two
-agree to machine precision, and sampled estimates converge to both.
+Closed-form anticommutator expressions on the images of a state factor
+(`analytic`) and exact outcome sums over the Lüders chain of each
+observable's exact involution, one Newton–Schulz step away (`exact-sum`),
+are oracles for one another: for exact involutions they agree to machine
+precision. `sampled` draws seeded multinomial counts from exact-sum's own
+outcome weights, so its estimates converge to both.
 
 Every route works on the unit-norm state factor R, rho = R R†, never on rho
 itself: a chain C of projectors takes R to the branch C R, and the outcome's
@@ -77,7 +78,7 @@ def _operands(rho, seq):
     mats = np.array(mats)
     raw = [k for k, o in enumerate(seq) if not isinstance(o, Observable)]
     if raw:
-        linalg.require_hermitian(mats[raw] - np.swapaxes(mats[raw].conj(), -1, -2), "observable")
+        linalg.require_hermitian(mats[raw], "observable")
     return state.factor(), mats
 
 
@@ -199,19 +200,15 @@ def _sequence_of(rho, seq, labels):
     return (*_projectors(rho, seq), labels)
 
 
-def _branches(r: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """The branches C R (..., 2^n, d, c) of the state factor r (d, c) under every
-    outcome chain C = Pi_{a_n} ... Pi_{a_1} of the projector pairs proj
-    (..., n, 2, d, d), in outcome order, grown by one stacked product per step."""
+def _weights(r: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """The outcome weights ||C R||_F^2 (..., 2^n), in outcome order, of the state
+    factor r (d, c) under every chain C = Pi_{a_n} ... Pi_{a_1} of the projector
+    pairs proj (..., n, 2, d, d): tr(C rho C†), real and >= 0. The branches C R
+    are grown by one stacked product per step."""
     branches = r[None]
     for j in range(proj.shape[-4]):
         branches = proj[..., j, None, :, :, :] @ branches[..., None, :, :]
         branches = branches.reshape(*proj.shape[:-4], -1, *r.shape)
-    return branches
-
-
-def _weights(branches: np.ndarray) -> np.ndarray:
-    """||B||_F^2 of each branch B of a stack (..., d, c): tr(B B†), real and >= 0."""
     return (branches.real ** 2 + branches.imag ** 2).sum(axis=(-2, -1))
 
 
@@ -231,66 +228,45 @@ def exact_sequence_distribution(rho, seq, labels=None) -> OutcomeDistribution:
     DensityMatrix checks it. `labels`, one per step, default to 1..n.
     """
     r, proj, labels = _sequence_of(rho, seq, labels)
-    return _exact_distribution(_weights(_branches(r, proj)), labels)
+    return _exact_distribution(_weights(r, proj), labels)
 
 
-def _walk(r: np.ndarray, proj: np.ndarray):
-    """Lüders branch walk of the m sequences proj (m, n, 2, d, d) on the state
-    factor r (d, c), a code path independent of `_branches`: each step grows
-    every branch state B by both outcomes in one product and carries Pi B / sqrt(q),
-    normalized by its conditional probability q = ||Pi B||_F^2. A branch with
-    q = 0 is not reached and carries a zero state, so its children are not
-    reached either. Returns the reached mask and the branch weights, products
-    of q, (m, 2^n) in outcome order."""
-    m, n = proj.shape[:2]
-    branches, weights = r[None, None], np.ones((m, 1))
-    for j in range(n):
-        post = (proj[:, j, None] @ branches[:, :, None]).reshape(m, -1, *r.shape)
-        q = _weights(post)
-        reached = q > 0.0  # dividing an unreached branch by inf gives its zero state
-        branches = post / np.sqrt(np.where(reached, q, np.inf))[..., None, None]
-        weights = np.repeat(weights, 2, axis=-1) * q
-    return reached, weights
-
-
-def _draw(n: int, reached: np.ndarray, weights: np.ndarray, shots: int, rng_seed):
-    """One multinomial draw of `shots` over an n-step sequence's reached branches: their
-    outcome tuples and counts, the mean of the outcome products and its standard error."""
-    outcomes = list(itertools.compress(itertools.product((1, -1), repeat=n), reached))
-    p = weights[reached]
-    p /= p.sum()
-    counts = np.random.Generator(np.random.PCG64(rng_seed)).multinomial(shots, p)
-    values = np.array([math.prod(o) for o in outcomes], dtype=float)
-    estimate = float(counts @ values) / shots
-    var = float(counts @ (values - estimate) ** 2) / (shots - 1) if shots > 1 else 0.0
-    return outcomes, counts, estimate, (var / shots) ** 0.5
-
-
-def _sampled(r: np.ndarray, proj: np.ndarray, shots: int, seeds):
-    """`_draw` of each of the m sequences proj (m, n, 2, d, d) from its own
-    seed, after one `_walk` of all of them."""
+def _sampled(weights: np.ndarray, shots: int, seeds):
+    """One multinomial draw of `shots`, from its own seed, per row of outcome
+    weights (m, 2^n) over the row's possible outcomes, those of weight > 0:
+    their outcome tuples and counts, the mean of the outcome products and its
+    standard error."""
     if shots % 1:  # NaN % 1 is NaN, which is truthy
         raise ValueError(f"shots must be a whole number, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > np.iinfo(np.int64).max:
         raise ValueError(f"shots must be at most {np.iinfo(np.int64).max}, got {shots}")
-    return [_draw(proj.shape[1], reached, weights, shots, seed)
-            for reached, weights, seed in zip(*_walk(r, proj), seeds)]
+    outcomes = list(itertools.product((1, -1), repeat=weights.shape[-1].bit_length() - 1))
+    products = np.array([math.prod(o) for o in outcomes], dtype=float)
+    draws = []
+    for w, seed in zip(weights, seeds):
+        possible = w > 0.0
+        p = w[possible] / w[possible].sum()
+        counts = np.random.Generator(np.random.PCG64(seed)).multinomial(shots, p)
+        values = products[possible]
+        estimate = float(counts @ values) / shots
+        var = float(counts @ (values - estimate) ** 2) / (shots - 1) if shots > 1 else 0.0
+        draws.append((list(itertools.compress(outcomes, possible)), counts, estimate,
+                      (var / shots) ** 0.5))
+    return draws
 
 
 def sample_sequences(rho, seq, shots: int, rng_seed, labels=None):
     """Seeded Monte-Carlo sampling of a measurement sequence.
 
-    Walks the Lüders chain branch by branch on the state factor R of rho
-    (a state, or a raw density matrix checked as DensityMatrix checks it): each
-    step draws the outcome from the conditional probability q = ||Pi B||_F^2 of
-    the branch state B, ||B||_F = 1 (B B† is the post-measurement state), and
-    updates it to Pi B / sqrt(q). The shots, a whole number, are then
-    distributed over the branch tree with a single multinomial draw, which
-    reproduces the per-shot process exactly and is deterministic given
-    `rng_seed`, an integer or a numpy SeedSequence seeding numpy's PCG64.
-    `labels` are as for `exact_sequence_distribution`.
+    Draws from the Lüders outcome distribution that `exact_sequence_distribution`
+    gives for the state factor R of rho (a state, or a raw density matrix
+    checked as DensityMatrix checks it): the shots, a whole number, are
+    distributed over the possible outcomes, those of probability > 0, with a
+    single multinomial draw, which reproduces the per-shot process exactly and
+    is deterministic given `rng_seed`, an integer or a numpy SeedSequence
+    seeding numpy's PCG64. `labels` are as for `exact_sequence_distribution`.
 
     Returns
     -------
@@ -299,7 +275,7 @@ def sample_sequences(rho, seq, shots: int, rng_seed, labels=None):
         its standard error (sample standard deviation / sqrt(shots)).
     """
     r, proj, labels = _sequence_of(rho, seq, labels)
-    ((outcomes, counts, estimate, stderr),) = _sampled(r, proj[None], shots, [rng_seed])
+    ((outcomes, counts, estimate, stderr),) = _sampled(_weights(r, proj)[None], shots, [rng_seed])
     return OutcomeDistribution(labels, dict(zip(outcomes, counts / shots))), estimate, stderr
 
 
@@ -327,12 +303,12 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
                                          np.random.SeedSequence(rng_seed).spawn(len(TERMS))))
         for n in (3, 2):  # the terms of one length as one stack
             terms = [(name, slots) for name, slots, _ in TERMS if len(slots) == n]
-            stack = proj[np.subtract([slots for _, slots in terms], 1)]
+            weights = _weights(r, proj[np.subtract([slots for _, slots in terms], 1)])
             if mode == "exact-sum":
-                for (name, slots), p in zip(terms, _weights(_branches(r, stack))):
+                for (name, slots), p in zip(terms, weights):
                     values[name] = _exact_distribution(p, slots).correlator()
             else:
-                draws = _sampled(r, stack, shots, [seeds[name] for name, _ in terms])
+                draws = _sampled(weights, shots, [seeds[name] for name, _ in terms])
                 for (name, _), (*_, estimate, se) in zip(terms, draws):
                     values[name], stderr[name] = estimate, se
     else:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tempcert import optimize, scenario
+from tempcert import linalg, optimize, scenario
 from tempcert.errors import (
     DegenerateCoefficientWarning,
     NonInvolution,
@@ -183,6 +183,32 @@ class TestOptimalState:
     def test_non_square_matrices_raise(self):
         with pytest.raises(NonSquare):
             optimal_state([np.ones((4, 3))] * 6)
+
+    def test_observables_are_not_checked_again(self, monkeypatch, canonical):
+        # an Observable was checked when it was built; only raw matrices are
+        # checked here, in one stacked call
+        calls = []
+        require_hermitian = linalg.require_hermitian
+
+        def counting(m, what):
+            calls.append(np.shape(m))
+            return require_hermitian(m, what)
+
+        monkeypatch.setattr(linalg, "require_hermitian", counting)
+        state = optimal_state(canonical.observables)
+        assert calls == []
+        raw = [canonical.observable(k) for k in range(1, 6)] + [canonical.observable(6).matrix]
+        assert np.array_equal(optimal_state(raw).amplitudes, state.amplitudes)
+        assert optimal_state(iter(canonical.observables)).dim == 4
+        assert calls == [(1, 4, 4)]
+
+    def test_raw_matrix_among_observables_is_checked(self, canonical):
+        rng = rng_from(49)
+        obs = list(canonical.observables)
+        with pytest.raises(NotHermitian):
+            optimal_state(obs[:5] + [rng.standard_normal((4, 4))])
+        with pytest.raises(ShapeMismatch):
+            optimal_state(obs[:5] + [np.eye(2)])
 
     def test_diagonal_case_gives_basis_state(self):
         rng = rng_from(43)

@@ -54,6 +54,7 @@ from tempcert.seqcorr import (
     correlations,
     exact_sequence_distribution,
     newton_schulz_step,
+    sample_sequences,
 )
 
 from conftest import conjugated_embedding, rng_from
@@ -86,21 +87,59 @@ def test_correlator_routes_agree(s, shot_seed):
 @st.composite
 def tilted_canonicals(draw):
     """The canonical scenario with one observable tilted by a drawn angle
-    (0 included): the tilt changes which branches of which terms are
-    impossible, so the terms stacked in one walk prune different branches."""
+    (0 included): the tilt changes which outcomes of which terms are
+    impossible, so the terms stacked in one draw leave out different outcomes."""
     slot, angle = draw(st.integers(1, 6)), draw(st.floats(-0.5, 0.5))
     return apply_noise(canonical_scenario(), ObservableTilt(slot, angle))
 
 
 @given(s=st.one_of(scenarios(), tilted_canonicals()), shot_seed=st.integers(0, 2**32 - 1))
 def test_stacked_walks_match_per_term_reference(s, shot_seed):
-    """exact-sum and sampled, each walking all terms of one length at once,
-    equal the per-term, per-outcome reference loops bit for bit."""
+    """exact-sum and sampled, each growing the branches of all terms of one
+    length at once, equal the per-term, per-outcome reference loops (for
+    sampled, the normalized branch walk) bit for bit."""
     exact = correlations(s, "exact-sum")
     assert (exact.as_dict(), exact.stderr) == reference_correlations(s, "exact-sum")
     sampled = correlations(s, "sampled", shots=10**5, rng_seed=shot_seed)
     assert (sampled.as_dict(), sampled.stderr) == reference_correlations(
         s, "sampled", 10**5, shot_seed)
+
+
+def recorded_multinomial_p(mp) -> list:
+    """Patch numpy's Generator, within the MonkeyPatch mp, so that each
+    multinomial draw records its p in the returned list."""
+    drawn, generator = [], np.random.Generator
+
+    class Recording:
+        def __init__(self, bit_generator):
+            self.rng = generator(bit_generator)
+
+        def multinomial(self, n, pvals):
+            drawn.append(np.array(pvals))
+            return self.rng.multinomial(n, pvals)
+
+    mp.setattr(np.random, "Generator", Recording)
+    return drawn
+
+
+@given(s=st.one_of(scenarios(), tilted_canonicals()), shot_seed=st.integers(0, 2**32 - 1))
+def test_sampled_draws_from_the_exact_distribution(s, shot_seed):
+    """The multinomial p of sampled, in correlations and in sample_sequences,
+    is exact_sequence_distribution's nonzero probabilities, normalized, bit for
+    bit: one set of outcome weights serves both modes."""
+    seqs = [[s.observable(k) for k in slots] for _, slots, _ in TERMS]
+    expected = []
+    for seq in seqs:
+        p = np.array(list(exact_sequence_distribution(s.state, seq).probabilities.values()))
+        expected.append(p[p > 0] / p[p > 0].sum())
+    with pytest.MonkeyPatch.context() as mp:
+        drawn = recorded_multinomial_p(mp)
+        correlations(s, "sampled", shots=1000, rng_seed=shot_seed)
+        for seq in seqs:
+            sample_sequences(s.state, seq, 1000, shot_seed)
+    assert len(drawn) == 2 * len(TERMS)  # correlations draws the terms in TERMS order
+    for got, want in zip(drawn, expected * 2):
+        assert np.array_equal(got, want)
 
 
 @given(s=scenarios())

@@ -66,6 +66,21 @@ class TestApplyNoise:
         with pytest.raises(ValueError, match="jitter strength must be finite"):
             UnitaryJitter(bad, rng_seed=3)
 
+    @pytest.mark.parametrize("bad", [1.0, 2.5, True, "1", None])
+    def test_non_integer_fields_rejected(self, bad):
+        # 1.0 passes the slot lookup (1.0 == 1) and True would tilt slot 1,
+        # so the type is checked when the model is built
+        with pytest.raises(TypeError, match="slot must be an integer"):
+            ObservableTilt(bad, 0.1)
+        with pytest.raises(TypeError, match="rng_seed must be an integer"):
+            UnitaryJitter(0.1, rng_seed=bad)
+
+    def test_numpy_integer_fields_accepted(self, canonical):
+        for noise, same in ((ObservableTilt(np.int64(2), 0.1), ObservableTilt(2, 0.1)),
+                            (UnitaryJitter(0.1, rng_seed=np.uint64(7)), UnitaryJitter(0.1, rng_seed=7))):
+            assert np.array_equal(apply_noise(canonical, noise).matrices(),
+                                  apply_noise(canonical, same).matrices())
+
     def test_negative_jitter_seed_rejected(self):
         with pytest.raises(ValueError, match="jitter seed must be >= 0"):
             UnitaryJitter(0.01, rng_seed=-1)

@@ -46,6 +46,11 @@ from conftest import rng_from
 # probability ||C R||_F^2. The stacked code must reproduce them bit for bit;
 # the step itself is held to project_involution's rounding in
 # test_properties.py, and ||C R||_F^2 to tr(C rho C†) there too.
+# reference_sampled is the independent form of sampling: it walks the chain,
+# renormalizing each branch by sqrt(q) and multiplying the conditional
+# probabilities q into a weight. Those products telescope to ||C R||_F^2, the
+# weights the stacked code draws from, so p agrees to ulps and the counts
+# below agree bit for bit.
 # ---------------------------------------------------------------------------
 
 def reference_matrices(seq):
@@ -393,7 +398,7 @@ class TestStackedChains:
 
     def test_zero_probability_branches_are_pruned(self, canonical):
         # at the canonical point half of the outcome tuples of every term are
-        # impossible; the branch walk drops them before the multinomial draw
+        # impossible, of weight exactly 0; the multinomial draw leaves them out
         rho = canonical.density()
         for _, slots, _ in TERMS:
             seq = [canonical.observable(k) for k in slots]
@@ -437,31 +442,24 @@ class TestStackedChains:
         assert digest == GOLDEN_MODES_SHA256
 
     @pytest.mark.parametrize("mode", ["exact-sum", "sampled"])
-    def test_one_stacked_rounding_per_call(self, monkeypatch, mode):
+    def test_one_stacked_rounding_per_call(self, eigh_calls, mode):
         # Observables, near or exact involutions, are made exact by the
         # Newton–Schulz step without an eigensolve; only raw matrices that are
         # not near-involutions are eigen-sign rounded, in one stacked call. A
         # state object takes no eigensolve; a raw rho takes DensityMatrix's one
-        calls = []
-        eig_hermitian = linalg.eig_hermitian
-
-        def counting(m):
-            calls.append(np.shape(m))
-            return eig_hermitian(m)
-
         s = scenario_of(4, 901, True)
         exact = Scenario(s.state, [Observable(m) for m in CANONICAL_MATRICES])
         rng = rng_from(903)
         raw = [random_hermitian(4, rng), s.observable(2).matrix, random_hermitian(4, rng)]
-        monkeypatch.setattr(linalg, "eig_hermitian", counting)
+        eigh_calls.clear()
         correlations(s, mode, shots=100, rng_seed=0)
         correlations(exact, mode, shots=100, rng_seed=0)
-        assert calls == []
+        assert eigh_calls == []
         if mode == "exact-sum":
             exact_sequence_distribution(s.density(), raw)
         else:
             sample_sequences(s.density(), raw, 100, 0)
-        assert calls == [(4, 4), (2, 4, 4)]
+        assert eigh_calls == [(4, 4), (2, 4, 4)]
 
     def test_correlations_never_form_a_density_matrix(self, monkeypatch, canonical):
         # every mode works on the state factor R: rho = R R† is never formed
