@@ -40,7 +40,9 @@ print(f"violation: {report.violation.value:.12f} "
       f"(deficit {report.violation.deficit:.2e})")
 print(f"Gram spectrum of the subspace generators: "
       f"{np.round(np.linalg.eigvalsh(report.gram), 12)}")
-print(f"projector rank: {np.trace(report.projector).real:.6f}")
+# the projector onto V is B B†, whose trace, its rank, is tr(B† B): no d x d matrix needed
+basis = report.subspace_basis
+print(f"projector rank: {np.trace(basis.conj().T @ basis).real:.6f}")
 print(f"max leakage out of the invariant subspace: {max(report.leakage):.2e}")
 print(f"max commutator residual on V:     {max(report.commutator_residuals.values()):.2e}")
 print(f"max anticommutator residual on V: {max(report.anticommutator_residuals.values()):.2e}")

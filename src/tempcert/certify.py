@@ -5,7 +5,8 @@ for a pure state) build the four-generator subspace V, orthonormalize it with
 the Gram-matrix inverse square root, project the six observables onto V,
 construct the alignment unitary from the projected operator algebra, and read
 off the extracted state and its overlap with the maximally entangled target.
-V's basis is laid out as `purify`'s vector, where A (x) 1 acts as A on R. So a
+V is kept as its orthonormal basis, (d c) x 4, laid out as `purify`'s vector,
+where A (x) 1 acts as A on R; the projection onto V is basis @ basis†. So a
 mixed state's V lies in system (x) purifier, and `fidelity`, that vector's
 overlap, reads 1 for the depolarized canonical scenario at every p: it does
 not bound what an isometry on the device alone extracts.
@@ -40,11 +41,11 @@ from .scenario import (
     CANONICAL_MATRICES,
     PHI_PLUS,
     DensityMatrix,
-    Observable,
     PureState,
     Scenario,
     atomic_write_text,
     complex_pairs,
+    observable_matrices,
     round_to_involutions,
 )
 from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXT_PAIRS, CONTEXTS, CorrelationSet, correlations
@@ -76,15 +77,13 @@ def build_subspace(state, a1, a5):
     at or below linalg.INV_SQRT_CUTOFF means the generators are linearly
     dependent and a 4-dimensional certification target cannot be extracted.
 
-    Returns (basis, gram, projector): basis columns are the phi_m, (d c) x 4;
-    projector is the (d c) x (d c) orthogonal projection onto V.
+    a1 and a5 are Observables or raw matrices, checked by `observable_matrices`
+    against the state's dimension. Returns (basis, gram): basis columns are
+    the phi_m, (d c) x 4, and gram is the generators' 4 x 4 Gram matrix.
     """
     raw = not isinstance(state, (PureState, DensityMatrix))
     r = linalg.as_vector(state)[:, None] if raw else state.factor()
-    m1 = a1.matrix if isinstance(a1, Observable) else linalg.as_matrix(a1)
-    m5 = a5.matrix if isinstance(a5, Observable) else linalg.as_matrix(a5)
-    if m1.shape[0] != r.shape[0] or m5.shape[0] != r.shape[0]:
-        raise ShapeMismatch("state and observables must share a dimension")
+    m1, m5 = observable_matrices((a1, a5), r.shape[0])
     if r.size < 4:
         raise ShapeMismatch(f"dimension {r.size} < 4 cannot hold the subspace")
     gens = np.column_stack([g.reshape(-1) for g in (r, m1 @ r, m5 @ r, m1 @ (m5 @ r))])
@@ -93,9 +92,7 @@ def build_subspace(state, a1, a5):
         inv_sqrt = linalg.inv_sqrt_psd(gram)
     except RankDeficient as exc:
         raise SubspaceDegenerate(f"subspace generators are linearly dependent: {exc}") from exc
-    basis = gens @ inv_sqrt
-    projector = basis @ basis.conj().T
-    return basis, gram, projector
+    return gens @ inv_sqrt, gram
 
 
 def algebra_residuals(s: Scenario, basis: np.ndarray):
@@ -234,7 +231,6 @@ class CertificationReport:
     violation: InequalityValue
     subspace_basis: np.ndarray
     gram: np.ndarray
-    projector: np.ndarray
     projected_observables: list
     leakage: list
     commutator_residuals: dict
@@ -303,7 +299,8 @@ def certify(s: Scenario, *, corr: CorrelationSet | None = None) -> Certification
     """Run the full extraction pipeline on a scenario.
 
     Pure and mixed states share one path on the unit-norm factor R (for what
-    `fidelity` means for a mixed state, see the module docstring). The extracted
+    `fidelity` means for a mixed state, see the module docstring). No array it
+    forms is larger than (d c) x 4: V enters only through its basis. The extracted
     state is the alignment image of vec(R) projected onto V and normalized, its
     global phase fixed so its overlap with the reference state is real nonnegative.
     `corr`, when given, must be s's analytic CorrelationSet, as `sweep` passes it.
@@ -312,11 +309,11 @@ def certify(s: Scenario, *, corr: CorrelationSet | None = None) -> Certification
         corr = correlations(s, "analytic")
     violation = eval_IT(corr)
 
-    basis, gram, projector = build_subspace(s.state, s.observable(1), s.observable(5))
+    basis, gram = build_subspace(s.state, s.observable(1), s.observable(5))
     comm, acomm, constraints = algebra_residuals(s, basis)
 
-    # ||P A_k (1 - P)|| = ||basis† A_k (1 - P)|| = ||(A_k basis)† - projected_k basis†||,
-    # as basis has orthonormal columns: all from the six (d c) x 4 blocks A_k basis
+    # ||P A_k (1 - P)|| = ||(A_k basis)† - projected_k basis†|| for P = basis basis†, as
+    # basis has orthonormal columns: all from the six (d c) x 4 blocks A_k basis
     blocks = (np.array(s.matrices()) @ basis.reshape(s.dim, -1)).reshape(6, -1, 4)
     bd = basis.conj().T
     projected = bd @ blocks
@@ -337,7 +334,6 @@ def certify(s: Scenario, *, corr: CorrelationSet | None = None) -> Certification
         violation=violation,
         subspace_basis=basis,
         gram=gram,
-        projector=projector,
         projected_observables=list(projected),
         leakage=leakage,
         commutator_residuals=comm,

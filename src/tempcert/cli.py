@@ -156,14 +156,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.shots < 1:
-        raise ParseError(f"--shots must be >= 1, got {args.shots}")
-    if args.shots > np.iinfo(np.int64).max:
-        raise ParseError(f"--shots must be at most {np.iinfo(np.int64).max}, got {args.shots}")
-    if args.seed < 0:
-        raise ParseError(f"--seed must be >= 0, got {args.seed}")
     s = load_scenario(args.scenario)
-    sampled = correlations(s, "sampled", shots=args.shots, rng_seed=args.seed)
+    try:
+        sampled = correlations(s, "sampled", shots=args.shots, rng_seed=args.seed)
+    except ValueError as exc:  # --shots or --seed out of range
+        raise ParseError(str(exc)) from exc
     exact = correlations(s, "analytic")
     for name in CORRELATOR_FIELDS:
         est = getattr(sampled, name)

@@ -34,6 +34,8 @@ from .scenario import (
     Observable,
     PureState,
     Scenario,
+    _require_slot,
+    observable_matrices,
     observables,
     random_hermitian,
     random_pure_state,
@@ -182,18 +184,9 @@ def optimal_state(observables) -> PureState:
     that is not raises NotHermitian.
     """
     observables = list(observables)
-    mats = [o.matrix if isinstance(o, Observable) else linalg.as_matrix(o)
-            for o in observables]
-    if len(mats) != 6:
-        raise ShapeMismatch(f"need 6 observables, got {len(mats)}")
-    if len({m.shape for m in mats}) > 1:  # before stacking, which would raise ValueError
-        raise ShapeMismatch(f"observable shapes differ: {[m.shape for m in mats]}")
-    mats = np.array(mats)
-    raw = [k for k, o in enumerate(observables) if not isinstance(o, Observable)]
-    if raw:  # an Observable was checked when it was built
-        linalg.require_square(mats[raw])
-        linalg.require_hermitian(mats[raw], "observable")
-    return PureState(_top_factors(_bell_from_matrices(mats)))
+    if len(observables) != 6:
+        raise ShapeMismatch(f"need 6 observables, got {len(observables)}")
+    return PureState(_top_factors(_bell_from_matrices(observable_matrices(observables))))
 
 
 def coefficient_operator(s: Scenario, slot: int) -> np.ndarray:
@@ -204,8 +197,7 @@ def coefficient_operator(s: Scenario, slot: int) -> np.ndarray:
     w * Re tr(A (M R)(L† R)†), where R is the state factor, pure or mixed,
     and M R and L† R are among its images R, A_k R and A_j A_k R.
     """
-    if not 1 <= slot <= 6:
-        raise ShapeMismatch(f"slot must be in 1..6, got {slot}")
+    _require_slot(slot)
     return _coefficient(np.array(s.matrices()), s.state.factor(), slot)
 
 

@@ -100,6 +100,24 @@ class Observable:
         return f"Observable(dim={self.dim}, involution_residual={self.involution_residual:.2e})"
 
 
+def observable_matrices(seq, dim: int | None = None) -> np.ndarray:
+    """The one check of operands that are Observables or raw matrices: their matrices
+    stacked (n, d, d), all square (NonSquare) and of one dimension, `dim` when given
+    (ShapeMismatch), the raw ones coerced with `as_matrix` and checked Hermitian in one
+    `require_hermitian` call. An Observable was checked when built, not again here."""
+    seq = list(seq)
+    mats = [o.matrix if isinstance(o, Observable) else linalg.as_matrix(o) for o in seq]
+    d = mats[0].shape[0] if dim is None else dim
+    for m in mats:  # before stacking, which would raise ValueError on mixed shapes
+        linalg.require_square(m)
+        if m.shape[0] != d:
+            raise ShapeMismatch(f"observable shape {m.shape} does not match dimension {d}")
+    mats, raw = np.array(mats), [k for k, o in enumerate(seq) if not isinstance(o, Observable)]
+    if raw:
+        linalg.require_hermitian(mats[raw], "observable")
+    return mats
+
+
 def observables(matrices) -> list:
     """One Observable per matrix of a stack (..., d, d), nested in lists along
     the leading axes: the matrices, checks and errors of building each on its
@@ -193,6 +211,7 @@ def require_integer(name: str, value) -> None:
 
 
 def _require_slot(slot: int) -> None:
+    require_integer("slot", slot)
     if not 1 <= slot <= 6:
         raise ShapeMismatch(f"slot must be in 1..6, got {slot}")
 

@@ -29,6 +29,8 @@ from .scenario import (
     Observable,
     PureState,
     Scenario,
+    observable_matrices,
+    require_integer,
     round_to_involutions,
 )
 
@@ -65,21 +67,10 @@ ANTICOMMUTING_PAIRS = tuple(pair for pair in itertools.combinations(range(1, 7),
 
 
 def _operands(rho, seq):
-    """The one edge for raw input: the unit-norm factor R (d, c) of rho (a
-    state, or a raw matrix coerced through DensityMatrix and its checks),
-    rho = R R†, and the matrices of seq (Observables, or raw matrices coerced
-    with `linalg.as_matrix` and checked Hermitian in one `require_hermitian`
-    call) stacked (n, d, d), checked to share one dimension d."""
+    """The one edge for raw input: the unit-norm factor R (d, c) of rho (a state, or a raw
+    matrix through DensityMatrix's checks) and seq's `observable_matrices` of dimension d."""
     state = rho if isinstance(rho, (PureState, DensityMatrix)) else DensityMatrix(rho)
-    mats = [o.matrix if isinstance(o, Observable) else linalg.as_matrix(o) for o in seq]
-    for m in mats:  # before stacking: mixed shapes raise ShapeMismatch
-        if m.shape != (state.dim, state.dim):
-            raise ShapeMismatch(f"observable shape {m.shape} does not match dimension {state.dim}")
-    mats = np.array(mats)
-    raw = [k for k, o in enumerate(seq) if not isinstance(o, Observable)]
-    if raw:
-        linalg.require_hermitian(mats[raw], "observable")
-    return state.factor(), mats
+    return state.factor(), observable_matrices(seq, state.dim)
 
 
 def state_images(mats: np.ndarray, r: np.ndarray):
@@ -236,7 +227,7 @@ def _sampled(weights: np.ndarray, shots: int, seeds):
     weights (m, 2^n) over the row's possible outcomes, those of weight > 0:
     their outcome tuples and counts, the mean of the outcome products and its
     standard error."""
-    if shots % 1:  # NaN % 1 is NaN, which is truthy
+    if isinstance(shots, (bool, np.bool_)) or shots % 1:  # NaN % 1 is NaN, which is truthy
         raise ValueError(f"shots must be a whole number, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -284,7 +275,8 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
     """All seven correlators of a scenario in the requested mode.
 
     mode is one of "analytic", "exact-sum", or "sampled"; the latter needs
-    `shots` and `rng_seed`. Per-term sampling seeds are derived from
+    `shots`, a whole number >= 1, and `rng_seed`, an integer >= 0 (a bool or
+    any other type raises TypeError). Per-term sampling seeds are derived from
     `rng_seed` with SeedSequence.spawn, so results are reproducible and
     independent of evaluation order.
     """
@@ -295,12 +287,15 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
         for name, slots, _ in TERMS:
             values[name] = _correlator(single, double, slots)
     elif mode in ("exact-sum", "sampled"):
-        if mode == "sampled" and (shots is None or rng_seed is None):
-            raise ValueError("sampled mode needs shots and rng_seed")
-        r, proj = _projectors(s.state, s.observables)
         if mode == "sampled":
+            if shots is None or rng_seed is None:
+                raise ValueError("sampled mode needs shots and rng_seed")
+            require_integer("rng_seed", rng_seed)
+            if rng_seed < 0:
+                raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
             stderr, seeds = {}, dict(zip(CORRELATOR_FIELDS,
                                          np.random.SeedSequence(rng_seed).spawn(len(TERMS))))
+        r, proj = _projectors(s.state, s.observables)
         for n in (3, 2):  # the terms of one length as one stack
             terms = [(name, slots) for name, slots, _ in TERMS if len(slots) == n]
             weights = _weights(r, proj[np.subtract([slots for _, slots in terms], 1)])

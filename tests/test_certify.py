@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,12 +18,14 @@ from tempcert.certify import (
 from tempcert.errors import (
     AnticommutatorTooLarge,
     FactorizationFailure,
+    NonSquare,
+    NotHermitian,
     ShapeMismatch,
     SubspaceDegenerate,
     TempcertError,
     ZeroEigenvalue,
 )
-from tempcert.robustness import Depolarizing, ObservableTilt, UnitaryJitter, apply_noise
+from tempcert.robustness import Depolarizing, ObservableTilt, UnitaryJitter, apply_noise, sweep
 from tempcert.scenario import (
     PAULI_I,
     PAULI_X,
@@ -42,17 +46,19 @@ from conftest import conjugated_embedding, rng_from
 
 class TestBuildSubspace:
     def test_canonical_gram_is_identity(self, canonical):
-        basis, gram, projector = build_subspace(
+        basis, gram = build_subspace(
             canonical.state, canonical.observable(1), canonical.observable(5)
         )
         assert linalg.op_norm(gram - np.eye(4)) <= 1e-14
-        assert linalg.op_norm(projector - np.eye(4)) <= 1e-12
+        assert linalg.op_norm(basis @ basis.conj().T - np.eye(4)) <= 1e-12
         assert linalg.op_norm(basis.conj().T @ basis - np.eye(4)) <= 1e-12
 
     def test_projector_property(self):
+        # the projector onto V is formed here from the basis; certify never forms it
         rng = rng_from(50)
         s = conjugated_embedding(canonical_scenario(), 8, rng)
-        basis, _, p = build_subspace(s.state, s.observable(1), s.observable(5))
+        basis, _ = build_subspace(s.state, s.observable(1), s.observable(5))
+        p = basis @ basis.conj().T
         assert linalg.op_norm(p @ p - p) <= 1e-10
         assert abs(np.trace(p).real - 4) <= 1e-10
 
@@ -62,10 +68,23 @@ class TestBuildSubspace:
         with pytest.raises(SubspaceDegenerate):
             build_subspace(s.state, s.observable(1), s.observable(5))
 
+    def test_raw_operands_are_checked(self, canonical):
+        # raw matrices get the checks of every other raw-operand edge: square,
+        # of the state's dimension, Hermitian; an Observable is taken as built
+        a1, a5 = canonical.observable(1), canonical.observable(5)
+        for bad, error in ((np.ones((4, 3)), NonSquare), (np.eye(2), ShapeMismatch),
+                           (np.triu(np.ones((4, 4))), NotHermitian)):
+            with pytest.raises(error):
+                build_subspace(canonical.state, bad, a5)
+            with pytest.raises(error):
+                build_subspace(canonical.state, a1, bad)
+        basis, _ = build_subspace(canonical.state, a1.matrix, a5.matrix)
+        assert np.array_equal(basis, build_subspace(canonical.state, a1, a5)[0])
+
 
 class TestAlgebraResiduals:
     def test_canonical_all_vanish(self, canonical):
-        basis, _, _ = build_subspace(
+        basis, _ = build_subspace(
             canonical.state, canonical.observable(1), canonical.observable(5)
         )
         comm, acomm, constraints = algebra_residuals(canonical, basis)
@@ -74,7 +93,7 @@ class TestAlgebraResiduals:
         assert len(constraints) == 18 and max(constraints.values()) <= 1e-14
 
     def test_a3a6_constraint_named_and_zero(self, canonical):
-        basis, _, _ = build_subspace(
+        basis, _ = build_subspace(
             canonical.state, canonical.observable(1), canonical.observable(5)
         )
         _, _, constraints = algebra_residuals(canonical, basis)
@@ -103,8 +122,8 @@ class TestAlgebraResiduals:
         mixed = apply_noise(canonical_scenario(), Depolarizing(0.05))
         for s in (mixed, conjugate_scenario(mixed, random_unitary(4, rng_from(52)))):
             pure = purify_scenario(s)
-            basis, _, _ = build_subspace(s.state, s.observable(1), s.observable(5))
-            lifted, _, _ = build_subspace(pure.state, pure.observable(1), pure.observable(5))
+            basis, _ = build_subspace(s.state, s.observable(1), s.observable(5))
+            lifted, _ = build_subspace(pure.state, pure.observable(1), pure.observable(5))
             assert basis.shape == (16, 4)
             assert algebra_residuals(s, basis) == algebra_residuals(pure, lifted)
 
@@ -160,7 +179,7 @@ def reference_align(projected_observables, psi_v):
 
 
 def _projected(s):
-    basis, _, _ = build_subspace(s.state, s.observable(1), s.observable(5))
+    basis, _ = build_subspace(s.state, s.observable(1), s.observable(5))
     projected = [basis.conj().T @ m @ basis for m in s.matrices()]
     psi_v = basis.conj().T @ s.state.amplitudes
     return projected, psi_v / linalg.vec_norm(psi_v)
@@ -370,19 +389,46 @@ class TestCertify:
         assert eigh_calls == [(4, 4), (6, 4, 4), (4, 4), (2, 2, 2)]
 
 
+class TestMemory:
+    """certify keeps V as its (d c) x 4 basis: on a depolarized conjugated d = 64
+    embedding, where a (d c) x (d c) complex matrix alone is 256 MiB, certify and
+    a one-row sweep each peak below 32 MiB of traced allocations."""
+
+    @staticmethod
+    def peak_mib(fn) -> float:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_depolarized_d64_embedding_certifies_in_megabytes(self):
+        base = conjugated_embedding(canonical_scenario(), 64, rng_from(64))
+        noisy = apply_noise(base, Depolarizing(0.01))
+        reports, rows = [], []
+        assert self.peak_mib(lambda: reports.append(certify(noisy))) < 32
+        assert self.peak_mib(lambda: rows.extend(sweep(base, Depolarizing, [0.01]))) < 32
+        assert reports[0].subspace_basis.shape == (64 * 64, 4)
+        (row,) = rows
+        assert not row.failed and row.bounds_all_hold
+        assert row.fidelity == reports[0].fidelity
+
+
 class TestReportSerialization:
     def test_json_round_trip(self, canonical, tmp_path):
         report = certify(canonical)
         doc = json.loads(report.to_json())
         expected_fields = {
-            "violation", "subspace_basis", "gram", "projector",
+            "violation", "subspace_basis", "gram",
             "projected_observables", "leakage", "commutator_residuals",
             "anticommutator_residuals", "constraint_residuals",
             "alignment_unitary", "aligned_observables", "sign3", "sign6",
             "extracted_state", "fidelity", "operator_distances",
             "fidelity_witness", "fidelity_lower_bound",
         }
-        assert expected_fields <= set(doc)
+        # equality, not containment: adding or removing a field is a visible decision
+        assert set(doc) == {f.name for f in dataclasses.fields(report)} == expected_fields
         assert abs(doc["fidelity"] - 1.0) <= 1e-10
         assert doc["violation"]["quantum_bound"] == 5.0
         # complex entries serialized as [re, im]

@@ -238,6 +238,15 @@ class TestCoefficientOperator:
                 v_0 = float(np.trace(rho @ _bell_from_matrices(mats)).real)
                 assert abs((v_m - v_0) - float(np.trace(m @ g).real)) <= 1e-10
 
+    @pytest.mark.parametrize("slot, error", [(2.0, TypeError), (True, TypeError),
+                                             (0, ShapeMismatch), (7, ShapeMismatch)])
+    def test_slot_is_checked_as_scenario_checks_it(self, canonical, slot, error):
+        # a bool would otherwise pass as slot 1
+        with pytest.raises(error, match="slot must be"):
+            coefficient_operator(canonical, slot)
+        assert np.array_equal(coefficient_operator(canonical, np.int64(2)),
+                              coefficient_operator(canonical, 2))
+
     def test_hermitian(self):
         s = random_scenario(4, rng_from(45))
         for slot in range(1, 7):

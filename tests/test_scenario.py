@@ -238,6 +238,20 @@ class TestTypes:
         with pytest.raises(ShapeMismatch):
             canonical.with_observable(slot, canonical.observable(1))
 
+    @pytest.mark.parametrize("slot", [2.0, 1.5, True, False, "1"])
+    def test_slot_must_be_an_integer(self, canonical, slot):
+        # indexing a tuple with a float fails with a bare TypeError, and a bool
+        # would pass as slot 1 or 0; both are refused naming the field
+        with pytest.raises(TypeError, match="slot must be an integer"):
+            canonical.observable(slot)
+        with pytest.raises(TypeError, match="slot must be an integer"):
+            canonical.with_observable(slot, canonical.observable(1))
+
+    def test_numpy_integer_slot_is_accepted(self, canonical):
+        assert canonical.observable(np.int64(2)) is canonical.observables[1]
+        s = canonical.with_observable(np.int32(3), canonical.observable(1))
+        assert s.observables[2] is canonical.observables[0]
+
     def test_scenario_needs_six(self):
         s = canonical_scenario()
         with pytest.raises(ShapeMismatch):

@@ -299,6 +299,27 @@ class TestSampling:
             with pytest.raises(ValueError, match=match):
                 correlations(canonical, "sampled", shots=shots, rng_seed=0)
 
+    def test_bool_shots_are_refused(self, canonical):
+        seq = [canonical.observable(1), canonical.observable(4)]
+        for shots in (True, np.bool_(True)):
+            with pytest.raises(ValueError, match="whole number"):
+                sample_sequences(canonical.density(), seq, shots, 1)
+            with pytest.raises(ValueError, match="whole number"):
+                correlations(canonical, "sampled", shots=shots, rng_seed=1)
+
+    @pytest.mark.parametrize("seed, error", [(True, TypeError), (1.5, TypeError),
+                                             (1.0, TypeError), (-1, ValueError)])
+    def test_sampled_seed_is_checked(self, canonical, seed, error):
+        # a bool passed as 0 or 1 and a float failed inside numpy; a negative
+        # seed is refused here, before SeedSequence sees it
+        with pytest.raises(error, match="rng_seed must be"):
+            correlations(canonical, "sampled", shots=100, rng_seed=seed)
+
+    def test_numpy_integer_seed_is_accepted(self, canonical):
+        a = correlations(canonical, "sampled", shots=100, rng_seed=np.int64(5))
+        b = correlations(canonical, "sampled", shots=100, rng_seed=5)
+        assert (a.as_dict(), a.stderr) == (b.as_dict(), b.stderr)
+
     def test_whole_shot_counts_of_any_type_agree(self):
         s = scenario_of(4, 905, False)
         seq = [s.observable(k) for k in (1, 2, 3)]

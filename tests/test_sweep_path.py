@@ -7,11 +7,12 @@ reference below is the per-row path written out: three analytic passes per
 row, each vector formed one matrix-vector product at a time, one `op_norm` or
 `vec_norm` call per matrix or vector. Both use the vector forms: inner
 products and norms of A_k R and A_j A_k R for a state factor R, compressions
-(A_i basis)† (A_j basis), and the leakage basis† A_k (1 - P) as
-(A_k basis)† - projected_k basis†. The arithmetic is the same, so outputs
-must be bit-equal. Oracle tests below hold the leakage to the d x d form
-P A_k (1 - P), and tests/test_properties.py holds the correlators to the
-matrix form tr(rho {A_x, {A_y, A_z}}) / 4.
+(A_i basis)† (A_j basis), and the leakage basis† A_k (1 - P), P = basis basis†
+the projection onto V, as (A_k basis)† - projected_k basis†. The arithmetic is
+the same, so outputs must be bit-equal. Oracle tests below form P from the
+report's basis and hold the leakage to the (d c) x (d c) form P A_k (1 - P),
+and tests/test_properties.py holds the correlators to the matrix form
+tr(rho {A_x, {A_y, A_z}}) / 4.
 """
 
 import hashlib
@@ -101,7 +102,7 @@ def reference_certify(s) -> CertificationReport:
     s = purify_scenario(s)
     violation = eval_IT(reference_correlations(s))
     psi = s.state
-    basis, gram, projector = build_subspace(psi, s.observable(1), s.observable(5))
+    basis, gram = build_subspace(psi, s.observable(1), s.observable(5))
     comm, acomm, constraints = reference_algebra_residuals(s, basis)
     bd = basis.conj().T
     blocks = [m @ basis for m in s.matrices()]
@@ -124,7 +125,7 @@ def reference_certify(s) -> CertificationReport:
     witness = float((1 + ev(np.kron(PAULI_X, PAULI_X)) + ev(np.kron(PAULI_Z, PAULI_Z))
                      - ev(np.kron(PAULI_Y, PAULI_Y))) / 4)
     return CertificationReport(
-        violation=violation, subspace_basis=basis, gram=gram, projector=projector,
+        violation=violation, subspace_basis=basis, gram=gram,
         projected_observables=projected, leakage=leakage, commutator_residuals=comm,
         anticommutator_residuals=acomm, constraint_residuals=constraints,
         alignment_unitary=u, aligned_observables=aligned, sign3=result.sign3,
@@ -220,10 +221,11 @@ COMPARED_CERTIFIED = CERTIFIED + [BIG_ROW]
 #: sha256 of the sweep CSV of every fixed row, then the certify JSON of every
 #: fixed row that certify accepts, recorded with jitter generators normalized
 #: by their eigenvalues, every per-scenario quantity in its vector form, the
-#: alignment unitary's global phase fixed, its bases read from the roundings
-#: and the witness summed over the pair contexts (the reference above gives
-#: the same bytes).
-GOLDEN_SWEEP_SHA256 = "78b011bf49d2422b1e6e2044163396b4379cc0b2b2356f66f96c542de1c2f2bb"
+#: alignment unitary's global phase fixed, its bases read from the roundings,
+#: the witness summed over the pair contexts and no projector field in the
+#: report, so the JSON is the earlier one with that key deleted (the reference
+#: above gives the same bytes).
+GOLDEN_SWEEP_SHA256 = "e41adaa255cf8c0ded8ddb430b9d1434530f89e3658d58c479f612cd49d8e956"
 
 
 def bits(v):
@@ -371,13 +373,18 @@ def test_no_sweep_row_svd_sees_a_matrix_larger_than_4(row, svd_calls):
     assert all(min(shape[-2:]) <= 4 for shape in svd_calls), svd_calls
 
 
-@pytest.mark.parametrize("dim", [4, 16, 64])
-def test_leakage_matches_full_projector_form(dim):
-    """Oracle for the 4 x d leakage: the operator norms of P m (1 - P),
-    each a d x d SVD, agree to 1e-13."""
+@pytest.mark.parametrize("dim, noise", [pytest.param(d, None, id=str(d)) for d in (4, 16, 64)]
+                         + [pytest.param(16, Depolarizing(0.01), id="depolarized-16")])
+def test_leakage_matches_full_projector_form(dim, noise):
+    """Oracle for the 4 x (d c) leakage: the operator norms of P (m (x) 1_c) (1 - P)
+    with P = basis basis† formed here, each a (d c) x (d c) SVD, agree to 1e-13.
+    The depolarized row has c = d, so P is 256 x 256."""
     base = conjugated_embedding(canonical_scenario(), dim, rng_from(dim + 2))
-    noisy = apply_noise(base, UnitaryJitter(0.02, rng_seed=dim))
+    noisy = apply_noise(base, noise or UnitaryJitter(0.02, rng_seed=dim))
     report = certify_module.certify(noisy)
-    p = report.projector
-    full = linalg.op_norms([p @ m @ (np.eye(dim) - p) for m in noisy.matrices()])
+    basis = report.subspace_basis
+    p = basis @ basis.conj().T
+    c = len(p) // dim
+    full = linalg.op_norms([p @ np.kron(m, np.eye(c)) @ (np.eye(len(p)) - p)
+                            for m in noisy.matrices()])
     assert np.max(np.abs(np.array(report.leakage) - full)) <= 1e-13
