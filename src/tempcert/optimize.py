@@ -1,26 +1,28 @@
 """Seesaw maximization of the temporal expression.
 
 The expression is linear in the state and in each observable separately, so
-both half-steps have exact maximizers: the state update takes the top
-eigenvector of the expression's operator form, and each observable update
-takes the eigen-sign of its Hermitian coefficient operator. Every half-step
-is an exact argmax, which makes the per-sweep values monotone.
+each step has an exact maximizer: the state step takes the top eigenvector of
+the expression's operator form, and an observable step the eigen-sign of the
+slot's Hermitian coefficient operator. Two slots that share no word are absent
+from each other's coefficient operators, so one joint argmax updates both: a
+sweep is a state step, then three pair steps, one per pair of SLOT_PAIRS.
+Every step is an exact argmax, which makes the per-sweep values monotone.
 
 Both operators come from one table, WORDS, and act on state factors R,
-rho = R R†, pure or mixed. The algebra is written once, over arrays with
-leading batch axes: the per-scenario functions pass one scenario's (6, d, d)
-observables and (d, c) factor, and the multi-start seesaw passes all running
-seeds as (S, 6, d, d) and (S, d, 1).
+rho = R R†, pure or mixed, over arrays with leading batch axes: one
+scenario's (6, d, d) observables and (d, c) factor, or all running seeds'
+(S, 6, d, d) and (S, d, 1). GATHER gathers a slot's or a pair's coefficient
+operators from one image stack.
 
 Input is checked at the edges: the public functions take Observables or
 check their raw matrices, and `seesaw` checks its final iterates once, as one
 (S, 6, d, d) stack. In between, both operators are Hermitian parts, exactly
-Hermitian by construction, and both half-steps hand them straight to
-`linalg.eig_exact_hermitian`, the unchecked kernel of `eig_hermitian`.
+Hermitian by construction, handed straight to `linalg.eig_exact_hermitian`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -64,18 +66,10 @@ class SeesawConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("dim", "max_sweeps", "seeds", "rng_seed"):
-            require_integer(name, getattr(self, name))
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+        for name, minimum in (("dim", 2), ("max_sweeps", 1), ("seeds", 1), ("rng_seed", 0)):
+            require_integer(name, getattr(self, name), minimum)
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.seeds < 1:
-            raise ValueError(f"seeds must be >= 1, got {self.seeds}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass
@@ -109,34 +103,43 @@ def _bell_from_matrices(mats) -> np.ndarray:
         np.add.reduce(WORD_WEIGHTS[:, None, None] * words, axis=-3, initial=0))
 
 
-def _slot_images(slot: int):
-    """Index arrays (j, k) of the slot's double images A_j A_k R, and for its
-    words L A_slot M the positions of M R and L† R in the stacked images
-    (R, A_1 R, ..., A_6 R, the slot's A_j A_k R) with each word's weight."""
-    splits = [(w, word[:i][::-1], word[i + 1:])  # L reversed: L† for Hermitian A
-              for word, w in WORDS for i, k in enumerate(word) if k == slot]
-    doubles = list(dict.fromkeys(p for _, l, m in splits for p in (l, m) if len(p) == 2))
-    position = {(): 0, **{(k,): k for k in range(1, 7)},
-                **{p: 7 + i for i, p in enumerate(doubles)}}
-    right, left, weights = zip(*[(position[m], position[l], w) for w, l, m in splits])
-    return (*np.subtract(doubles, 1).T, np.array(right), np.array(left), np.array(weights))
+#: The slot pairs that share no word, as the first perfect matching in slot order: the words
+#: join slots 1-2-3, 4-5-6, 1-4, 2-5 and 3-6, a prism whose complement is the 6-cycle
+#: 1-5-3-4-2-6, so this is ((1, 5), (2, 6), (3, 4)).
+SLOT_PAIRS = next(m for m in itertools.combinations(
+    [pair for pair in itertools.combinations(range(1, 7), 2)
+     if not any(set(pair) <= set(word) for word, _ in WORDS)], 3) if len(set(sum(m, ()))) == 6)
 
 
-#: `_slot_images` of each slot 1..6, by slot - 1.
-SLOT_IMAGES = tuple(_slot_images(slot) for slot in range(1, 7))
+def _gather(slots: tuple):
+    """Gather table of `slots`: (j, k) of the double images A_j A_k R their words
+    need, and for each slot's five words L A_slot M the positions (n, 5) of M R
+    and L† R in the images (R, A_1 R, ..., A_6 R, the doubles), and the weights."""
+    splits = [[(w, word[:i][::-1], word[i + 1:])  # L reversed: L† for Hermitian A
+               for word, w in WORDS for i, k in enumerate(word) if k == slot] for slot in slots]
+    doubles = list(dict.fromkeys(p for s in splits for _, l, m in s for p in (l, m) if len(p) == 2))
+    position = {(): 0, **{(k,): k for k in range(1, 7)}, **{p: i for i, p in enumerate(doubles, 7)}}
+    right, left = (np.array([[position[part[i]] for part in s] for s in splits]) for i in (2, 1))
+    weights = np.array([[w for w, _, _ in s] for s in splits])
+    return (*np.subtract(doubles, 1).T, right, left, weights)
 
 
-def _coefficient(mats, r, slot: int) -> np.ndarray:
-    """Coefficient operator of `slot` for observables (..., 6, d, d) and state
-    factors (..., d, c): the Hermitian part of sum_w w (M R)(L† R)†, as one
-    product of the gathered images set side by side."""
-    j, k, right, left, weights = SLOT_IMAGES[slot - 1]
+#: `_gather` of each single slot (k,) and of each pair of SLOT_PAIRS.
+GATHER = {slots: _gather(slots) for slots in (*((k,) for k in range(1, 7)), *SLOT_PAIRS)}
+
+
+def _coefficients(mats, r, slots: tuple) -> np.ndarray:
+    """Coefficient operators (..., n, d, d) of the n `slots`, a key of GATHER, for
+    observables (..., 6, d, d) and state factors (..., d, c): each the Hermitian
+    part of sum_w w (M R)(L† R)†, all from one image stack and one product."""
+    j, k, right, left, weights = GATHER[slots]
     single = mats @ r[..., None, :, :]
     images = np.concatenate([r[..., None, :, :], single,
                              mats[..., j, :, :] @ single[..., k, :, :]], axis=-3)
-    shape = (*r.shape[:-1], -1)  # (..., d, n c): the n gathered blocks side by side
+    # (..., n, d, 5 c): each slot's five gathered blocks side by side
+    shape = (*r.shape[:-2], len(slots), r.shape[-2], -1)
     m_r = np.swapaxes(images[..., right, :, :], -3, -2).reshape(shape)
-    l_r = np.swapaxes(weights[:, None, None] * images[..., left, :, :], -3, -2).reshape(shape)
+    l_r = np.swapaxes(weights[..., None, None] * images[..., left, :, :], -3, -2).reshape(shape)
     return linalg.hermitian_part(m_r @ np.swapaxes(l_r.conj(), -1, -2))
 
 
@@ -146,14 +149,14 @@ def _values(r, b) -> np.ndarray:
 
 
 def _top_factors(b) -> np.ndarray:
-    """Exact state half-step for a stack of operator forms, each exactly
+    """Exact state step for a stack of operator forms, each exactly
     Hermitian, as factors (..., d, 1)."""
     _, v = linalg.eig_exact_hermitian(b)
     return v[..., :, :1]
 
 
 def _sign_step(g):
-    """Exact observable half-step for a stack of coefficient operators, each
+    """Exact observable step for a stack of coefficient operators, each
     exactly Hermitian: their eigen-sign roundings, ties broken to +1, and
     their eigenvalues, descending."""
     w, v = linalg.eig_exact_hermitian(g)
@@ -176,7 +179,7 @@ def expression_value(s: Scenario) -> float:
 
 
 def optimal_state(observables) -> PureState:
-    """Exact state half-step: top eigenvector of the operator form.
+    """Exact state step: top eigenvector of the operator form.
 
     The expression is linear in rho, so the maximum over all states is
     attained at the top eigenvector; the achieved value is the top
@@ -198,11 +201,11 @@ def coefficient_operator(s: Scenario, slot: int) -> np.ndarray:
     and M R and L† R are among its images R, A_k R and A_j A_k R.
     """
     _require_slot(slot)
-    return _coefficient(np.array(s.matrices()), s.state.factor(), slot)
+    return _coefficients(np.array(s.matrices()), s.state.factor(), (int(slot),))[0]
 
 
 def optimal_observable(s: Scenario, slot: int) -> Observable:
-    """Exact observable half-step: eigen-sign of the coefficient operator.
+    """Exact observable step: eigen-sign of the coefficient operator.
 
     Over Hermitian involutions, Re tr(A G) is maximized by
     A = sum_k sign(lambda_k(G)) v_k v_k†. Eigenvalues of magnitude at most
@@ -210,14 +213,10 @@ def optimal_observable(s: Scenario, slot: int) -> Observable:
     DegenerateCoefficientWarning.
     """
     a, w = _sign_step(coefficient_operator(s, slot))
-    degenerate = np.abs(w) <= DEGENERATE_EIGENVALUE
-    if np.any(degenerate):
-        warnings.warn(
-            f"slot {slot}: {int(degenerate.sum())} coefficient eigenvalue(s) "
-            "below 1e-12, sign tie-broken to +1",
-            DegenerateCoefficientWarning,
-            stacklevel=2,
-        )
+    degenerate = int((np.abs(w) <= DEGENERATE_EIGENVALUE).sum())
+    if degenerate:
+        warnings.warn(f"slot {slot}: {degenerate} coefficient eigenvalue(s) below 1e-12, "
+                      "sign tie-broken to +1", DegenerateCoefficientWarning, stacklevel=2)
     return Observable(a)
 
 
@@ -226,25 +225,25 @@ def seesaw(config: SeesawConfig):
 
     Each seed draws its random start from its own PCG64 stream, spawned from
     config.rng_seed; all starts are sign-rounded in one stacked call. The
-    seeds then run as one batch: each half-step is one stacked eigensolve
-    over the running seeds, and a seed leaves the batch when its sweep gain
-    falls below config.tol. Seeds never mix, so a seed's trace does not
-    depend on the other seeds. The iterates are eigen-sign roundings and
-    eigenvectors, exact to rounding error, and are not checked in the loop.
-    They are checked once, at the end: all seeds' final observables as one
-    (S, 6, d, d) stack through `scenario.observables`, and each final state
-    as its PureState is built, so a bad iterate raises there, not mid-loop.
-    Best is the highest final value, lowest seed on ties.
+    seeds then run as one batch. A sweep is a state step, then one step per
+    pair of SLOT_PAIRS, in order: four stacked eigensolves over the running
+    seeds. A seed leaves the batch when its sweep gain falls below config.tol,
+    and its trace does not depend on the other seeds. `degenerate_steps`
+    counts a seed's slot steps, two per pair step, with a coefficient
+    eigenvalue of magnitude at most 1e-12. The iterates are checked once, at
+    the end: all final observables as one stack through `observables`, and
+    each final state as its PureState. Best is the highest final value,
+    lowest seed on ties.
     """
-    children = np.random.SeedSequence(config.rng_seed).spawn(config.seeds)
     states, draws = [], []
-    for child in children:
+    for child in np.random.SeedSequence(config.rng_seed).spawn(config.seeds):
         rng = np.random.Generator(np.random.PCG64(child))
         states.append(random_pure_state(config.dim, rng).amplitudes)
         draws.append([random_hermitian(config.dim, rng) for _ in range(6)])
     r = np.array(states)[..., None]                 # (S, d, 1) state factors
     obs = round_to_involutions(np.array(draws))[0]  # (S, 6, d, d)
     traces = [SeesawTrace(seed_index=k) for k in range(config.seeds)]
+    degenerate, converged = np.zeros(config.seeds, dtype=int), np.zeros(config.seeds, dtype=bool)
 
     b = _bell_from_matrices(obs)  # the running seeds' Bell operators
     previous = _values(r, b)
@@ -252,29 +251,26 @@ def seesaw(config: SeesawConfig):
     for _ in range(config.max_sweeps):
         o = obs[active]
         p = _top_factors(b)
-        for slot in range(1, 7):
-            a, w = _sign_step(_coefficient(o, p, slot))
-            o[:, slot - 1] = a
-            for k in active[(np.abs(w) <= DEGENERATE_EIGENVALUE).any(axis=-1)]:
-                traces[k].degenerate_steps += 1
+        for pair in SLOT_PAIRS:
+            a, w = _sign_step(_coefficients(o, p, pair))  # (S, 2, d, d), (S, 2, d)
+            o[:, np.subtract(pair, 1)] = a
+            degenerate[active] += (np.abs(w) <= DEGENERATE_EIGENVALUE).any(axis=-1).sum(axis=-1)
         b = _bell_from_matrices(o)  # gives this sweep's values and the next state step
         values = _values(p, b)
         obs[active], r[active] = o, p
         for k, value in zip(active, values):
             traces[k].values.append(float(value))
         done = values - previous[active] < config.tol
-        for k in active[done]:
-            traces[k].converged = True
+        converged[active[done]] = True
         previous[active] = values
         active, b = active[~done], b[~done]
         if not active.size:
             break
 
-    for t, final in zip(traces, observables(obs)):
-        t.scenario = Scenario(PureState(r[t.seed_index]), final)
+    for k, (t, final) in enumerate(zip(traces, observables(obs))):
+        t.scenario = Scenario(PureState(r[k]), final)
+        t.degenerate_steps, t.converged = int(degenerate[k]), bool(converged[k])
     best = max(traces, key=lambda t: (t.best_value, -t.seed_index))
     if best.best_value > QUANTUM_BOUND + 1e-9:
-        raise AssertionError(
-            f"seesaw exceeded the quantum bound: {best.best_value!r}"
-        )
+        raise AssertionError(f"seesaw exceeded the quantum bound: {best.best_value!r}")
     return best, traces

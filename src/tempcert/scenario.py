@@ -203,11 +203,13 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def require_integer(name: str, value) -> None:
+def require_integer(name: str, value, minimum: int | None = None) -> None:
     """Raise TypeError, naming the field, unless value is an integer (numpy's
-    included) and not a bool."""
+    included) and not a bool, and ValueError if it is below `minimum`."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _require_slot(slot: int) -> None:

@@ -256,8 +256,9 @@ def sample_sequences(rho, seq, shots: int, rng_seed, labels=None):
     checked as DensityMatrix checks it): the shots, a whole number, are
     distributed over the possible outcomes, those of probability > 0, with a
     single multinomial draw, which reproduces the per-shot process exactly and
-    is deterministic given `rng_seed`, an integer or a numpy SeedSequence
-    seeding numpy's PCG64. `labels` are as for `exact_sequence_distribution`.
+    is deterministic given `rng_seed`, an integer >= 0 (a bool or other type
+    raises TypeError) or a numpy SeedSequence, seeding numpy's PCG64: an
+    integer draws as its SeedSequence. `labels` are as for `exact_sequence_distribution`.
 
     Returns
     -------
@@ -265,6 +266,8 @@ def sample_sequences(rho, seq, shots: int, rng_seed, labels=None):
         Empirical OutcomeDistribution, the mean of the outcome products, and
         its standard error (sample standard deviation / sqrt(shots)).
     """
+    if not isinstance(rng_seed, np.random.SeedSequence):
+        require_integer("rng_seed", rng_seed, 0)
     r, proj, labels = _sequence_of(rho, seq, labels)
     ((outcomes, counts, estimate, stderr),) = _sampled(_weights(r, proj)[None], shots, [rng_seed])
     return OutcomeDistribution(labels, dict(zip(outcomes, counts / shots))), estimate, stderr
@@ -290,9 +293,7 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
         if mode == "sampled":
             if shots is None or rng_seed is None:
                 raise ValueError("sampled mode needs shots and rng_seed")
-            require_integer("rng_seed", rng_seed)
-            if rng_seed < 0:
-                raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
+            require_integer("rng_seed", rng_seed, 0)
             stderr, seeds = {}, dict(zip(CORRELATOR_FIELDS,
                                          np.random.SeedSequence(rng_seed).spawn(len(TERMS))))
         r, proj = _projectors(s.state, s.observables)

@@ -16,6 +16,8 @@ from tempcert.errors import (
 from tempcert.inequality import eval_IT_scenario
 from tempcert.linalg import acomm, hermitize
 from tempcert.optimize import (
+    SLOT_PAIRS,
+    WORDS,
     SeesawConfig,
     SeesawTrace,
     _bell_from_matrices,
@@ -53,11 +55,11 @@ D2_FIXTURE = 4.098076211353316
 # passing is a platform difference, not a change of semantics.
 GOLDEN = [
     (dict(dim=4, seeds=20, rng_seed=0),
-     "dbe405b186c00d38e6a350c7e8f1ddb5659fa9ebe299a7f1c4de37fb38a984cf",
-     "77b18ca6469babafd990d2950b619845a182589ecae9d0af22ca4f0121f1e236"),
+     "607d7e0af944b0f0072436a662dd658e8ca48c339b0a2c2252c1797e8c78ad14",
+     "1696e0d2c6fba0074f36c492dff3b35b7b6fb425a7943c182bb371640207a49b"),
     (dict(dim=2, seeds=20, rng_seed=1, max_sweeps=400),
-     "e77d798bfa76bd8bc45d46fffb080dc1bde04f93c4f2f4f614389d76c1faebee",
-     "5fcd17fb8dd2eba089d94e1a6e3515e01f970b922b15d9443be4d5ff1ef018f1"),
+     "a74ce5dac0ea07170e221bf06798fac9deee56612451a06b9adbff3d407a1705",
+     "e302c59dffd6035afa506e6c8e44c7f3230ea3df80b9a57d7de71a0e0fb02d15"),
 ]
 
 
@@ -100,7 +102,9 @@ def adjoint_coefficient(mats, rho, slot: int) -> np.ndarray:
 
 
 def per_seed_seesaw(config):
-    """The multi-start seesaw one seed at a time through the per-scenario API."""
+    """The multi-start seesaw one seed at a time through the per-scenario API:
+    a state step, then each pair of SLOT_PAIRS, both slots' steps taken on the
+    same scenario."""
     traces = []
     for k, child in enumerate(np.random.SeedSequence(config.rng_seed).spawn(config.seeds)):
         rng = np.random.Generator(np.random.PCG64(child))
@@ -110,10 +114,12 @@ def per_seed_seesaw(config):
         previous = expression_value(s)
         for _ in range(config.max_sweeps):
             s = s.with_state(optimal_state(s.observables))
-            for slot in range(1, 7):
+            for pair in SLOT_PAIRS:  # both slots' steps on one scenario, then both set
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always", DegenerateCoefficientWarning)
-                    s = s.with_observable(slot, optimal_observable(s, slot))
+                    steps = [(slot, optimal_observable(s, slot)) for slot in pair]
+                for slot, a in steps:
+                    s = s.with_observable(slot, a)
                 trace.degenerate_steps += len(caught)
             value = expression_value(s)
             trace.values.append(value)
@@ -253,6 +259,21 @@ class TestCoefficientOperator:
             g = coefficient_operator(s, slot)
             assert np.linalg.norm(g - g.conj().T, 2) <= 1e-14
 
+    def test_slot_pairs_share_no_word(self):
+        # the first perfect matching in slot order of the 6-cycle 1-5-3-4-2-6
+        assert SLOT_PAIRS == ((1, 5), (2, 6), (3, 4))
+        assert sorted(sum(SLOT_PAIRS, ())) == [1, 2, 3, 4, 5, 6]
+        assert not [(pair, word) for pair in SLOT_PAIRS for word, _ in WORDS
+                    if set(pair) <= set(word)]
+
+    def test_pair_slots_do_not_enter_each_others_operator(self):
+        # so the pair's joint argmax is its two single-slot argmaxes
+        rng = rng_from(50)
+        s = random_scenario(4, rng).with_state(random_density(4, rng))
+        for x, y in SLOT_PAIRS:
+            moved = s.with_observable(x, random_involution(4, rng))
+            assert np.array_equal(coefficient_operator(moved, y), coefficient_operator(s, y))
+
 
 class TestOptimalObservable:
     def test_canonical_fixed_point(self, canonical):
@@ -344,7 +365,8 @@ class TestSeesaw:
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_matches_per_seed_loop(self, dim):
-        config = SeesawConfig(dim=dim, seeds=6, rng_seed=2, max_sweeps=60)
+        # at d = 3, rng_seed 3 has tied eigenvalues under the pair iteration; 2 has none
+        config = SeesawConfig(dim=dim, seeds=6, rng_seed=3 if dim == 3 else 2, max_sweeps=60)
         best, traces = seesaw(config)
         ref_best, ref_traces = per_seed_seesaw(config)
         if dim == 3:  # odd dimensions exercise the degenerate tie-break
@@ -410,6 +432,23 @@ class TestSeesaw:
             counts.append(list(calls))
         assert max(len(t.values) for t in traces) > 2
         assert counts == [[(5, 6, 4, 4)]] * 2
+
+    def test_four_eigensolves_per_sweep(self, monkeypatch):
+        """After the start's one rounding, each batch sweep makes one stacked
+        eigensolve for the state step and one per pair of SLOT_PAIRS."""
+        calls = []
+        eig = linalg.eig_exact_hermitian
+
+        def counting(h):
+            calls.append(h.shape)
+            return eig(h)
+
+        monkeypatch.setattr(linalg, "eig_exact_hermitian", counting)
+        _, traces = seesaw(SeesawConfig(dim=4, seeds=5, rng_seed=3))
+        sweeps = max(len(t.values) for t in traces)
+        assert calls[0] == (5, 6, 4, 4)  # the random starts, rounded
+        assert len(calls) - 1 == 4 * sweeps
+        assert calls[1:5] == [(5, 4, 4)] + [(5, 2, 4, 4)] * 3  # the first sweep
 
     def test_bad_iterate_raises_at_the_final_check(self, monkeypatch):
         sign_step = optimize._sign_step

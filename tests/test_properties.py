@@ -18,8 +18,10 @@ from tempcert.inequality import eval_INC
 from tempcert.linalg import acomm, eig_hermitian, hermitize, op_norm, op_norms
 from tempcert.optimize import (
     DEGENERATE_EIGENVALUE,
+    GATHER,
+    SLOT_PAIRS,
     _bell_from_matrices,
-    _coefficient,
+    _coefficients,
     bell_operator,
     coefficient_operator,
 )
@@ -260,11 +262,16 @@ def test_mixed_path_matches_its_purification(s):
 @given(s=scenarios())
 def test_operators_match_anticommutator_oracles(s):
     """The Bell and coefficient operators from the word table match the
-    nested-anticommutator and adjoint-identity forms to 1e-13 per entry."""
+    nested-anticommutator and adjoint-identity forms to 1e-13 per entry. Each
+    pair of SLOT_PAIRS, gathered as one stack, gives its two slots'
+    single-slot operators bit for bit."""
     a, rho = s.matrices(), s.density()
     assert np.abs(bell_operator(s) - anticommutator_bell(a)).max() <= 1e-13
-    for slot in range(1, 7):
-        assert np.abs(coefficient_operator(s, slot) - adjoint_coefficient(a, rho, slot)).max() <= 1e-13
+    for pair in SLOT_PAIRS:
+        stacked = _coefficients(np.array(a), s.state.factor(), pair)
+        for slot, g in zip(pair, stacked, strict=True):
+            assert np.array_equal(g, coefficient_operator(s, slot))
+            assert np.abs(g - adjoint_coefficient(a, rho, slot)).max() <= 1e-13
 
 
 @st.composite
@@ -293,12 +300,13 @@ def test_batched_operators_match_oracles_and_single_calls(batch):
     for i in lead:
         assert np.array_equal(b[i], _bell_from_matrices(mats[i]))
         assert np.abs(b[i] - anticommutator_bell(mats[i])).max() <= 1e-12
-    for slot in range(1, 7):
-        g = _coefficient(mats, r, slot)
+    for slots in GATHER:  # each single slot and each pair
+        g = _coefficients(mats, r, slots)
         for i in lead:
-            assert np.array_equal(g[i], _coefficient(mats[i], r[i], slot))
+            assert np.array_equal(g[i], _coefficients(mats[i], r[i], slots))
             rho = r[i] @ r[i].conj().T
-            assert np.abs(g[i] - adjoint_coefficient(mats[i], rho, slot)).max() <= 1e-12
+            for slot, g_slot in zip(slots, g[i], strict=True):
+                assert np.abs(g_slot - adjoint_coefficient(mats[i], rho, slot)).max() <= 1e-12
 
 
 @st.composite

@@ -314,6 +314,16 @@ class TestSampling:
         # seed is refused here, before SeedSequence sees it
         with pytest.raises(error, match="rng_seed must be"):
             correlations(canonical, "sampled", shots=100, rng_seed=seed)
+        with pytest.raises(error, match="rng_seed must be"):
+            sample_sequences(canonical.state, canonical.observables[:2], 100, seed)
+
+    def test_seed_sequence_draws_as_its_entropy(self, canonical):
+        seq = [canonical.observable(1), canonical.observable(2), canonical.observable(3)]
+        draw = sample_sequences(canonical.state, seq, 1000, 5)
+        for seed in (np.random.SeedSequence(5), np.int64(5)):
+            again = sample_sequences(canonical.state, seq, 1000, seed)
+            assert again[1:] == draw[1:]
+            assert again[0].probabilities == draw[0].probabilities
 
     def test_numpy_integer_seed_is_accepted(self, canonical):
         a = correlations(canonical, "sampled", shots=100, rng_seed=np.int64(5))

@@ -64,7 +64,7 @@ WORKLOADS = TRACER.parent / "workloads.py"
 #: other golden hashes they hold the bits of the BLAS and LAPACK kernels
 #: (numpy 2.4, OpenBLAS, one thread), which may differ per CPU.
 WORKLOAD_FINGERPRINT_SHA256 = {
-    "seesaw-d4": "86cf95de18087d9a10a5325d501a9e289946e1c0ec4b62605532fb0f6e2aac68",
+    "seesaw-d4": "739ae22d74ff8a567f72b66f27644bfbff4c3596607f79339b2122e903423744",
     "correlators-d4": "68043c33e476f88c4c998813fb8129c6a819b1f8fb88dc08703742a043cc9474",
     "certify-sweep": "dafdce790f53cd20b3570816d71694594d60438ffe85922704b9243524a039f5",
 }
@@ -113,7 +113,7 @@ DEMO_STDOUT_SHA256 = {
     "02_sequential_measurements.py":
         "95fbcd528974da940c267056024fa2957ef64504ddb07cdefe0578716793c35c",
     "03_seesaw_optimization.py":
-        "1bda86b42a3be9b1d1ecf6b57d1e6a70b750a48f8c4d700abeb6ae41e2109660",
+        "31401ec3067a253598b63f830fd56dd06ef3369feed83e742ad23a2fc696fc31",
     "04_self_testing.py":
         "c75f7ff414abb51c3a86ce7ebc466ababd5cb7f535ef30c3e4a2c054621fbf15",
     "05_noise_robustness.py":
