@@ -5,7 +5,7 @@ Closed-form anticommutator expressions on the images of a state factor
 observable's exact involution, one Newton–Schulz step away (`exact-sum`),
 are oracles for one another: for exact involutions they agree to machine
 precision. `sampled` draws seeded multinomial counts from exact-sum's own
-outcome weights, so its estimates converge to both.
+outcome weights, snapped to a grid of 2^-40, so its estimates converge to both.
 
 Every route works on the unit-norm state factor R, rho = R R†, never on rho
 itself: a chain C of projectors takes R to the branch C R, and the outcome's
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,24 @@ class CorrelationSet:
         return {name: getattr(self, name) for name in CORRELATOR_FIELDS}
 
 
+#: The outcome tuples of 2 and 3 steps in outcome order, and the product of each.
+OUTCOMES = {n: tuple(itertools.product((1, -1), repeat=n)) for n in (2, 3)}
+SIGNS = {n: tuple(map(math.prod, outcomes)) for n, outcomes in OUTCOMES.items()}
+
+
+def _check_probabilities(rows, outcomes) -> None:
+    """Raise ValueError unless each row of outcome probabilities (outcomes[j] naming entry
+    j) has entries >= -1e-12 summing to 1 within 1e-12; NaN fails both `not` tests."""
+    for row in rows:
+        total = 0.0
+        for outcome, p in zip(outcomes, row):
+            if not p >= -1e-12:
+                raise ValueError(f"probability {p!r} for outcome {outcome} is not >= 0")
+            total += p
+        if not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
+
+
 @dataclass
 class OutcomeDistribution:
     """Joint distribution over +-1 outcome tuples of a measurement sequence."""
@@ -123,13 +142,7 @@ class OutcomeDistribution:
     probabilities: dict
 
     def __post_init__(self):
-        total = 0.0
-        for outcome, p in self.probabilities.items():
-            if not p >= -1e-12:
-                raise ValueError(f"probability {p!r} for outcome {outcome} is not >= 0")
-            total += p
-        if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        _check_probabilities([self.probabilities.values()], self.probabilities)
 
     def correlator(self) -> float:
         """Expectation of the product of outcomes."""
@@ -143,19 +156,12 @@ def _checked_correlator(rho, seq) -> float:
 
 
 def pair_corr(rho, a, b) -> float:
-    """Two-step sequential correlator: Re tr(rho {a, b}) / 2.
-
-    The first argument of the anticommutator is the first-measured
-    observable; the expression is symmetric, so order does not matter here.
-    """
+    """Two-step sequential correlator Re tr(rho {a, b}) / 2, symmetric in a and b."""
     return _checked_correlator(rho, (a, b))
 
 
 def triple_corr(rho, a, b, c) -> float:
-    """Three-step sequential correlator: Re tr(rho {a, {b, c}}) / 4.
-
-    Order-sensitive: `a` is the outermost, first-measured observable.
-    """
+    """Three-step sequential correlator Re tr(rho {a, {b, c}}) / 4; a is measured first."""
     return _checked_correlator(rho, (a, b, c))
 
 
@@ -203,12 +209,6 @@ def _weights(r: np.ndarray, proj: np.ndarray) -> np.ndarray:
     return (branches.real ** 2 + branches.imag ** 2).sum(axis=(-2, -1))
 
 
-def _exact_distribution(probs: np.ndarray, labels: tuple) -> OutcomeDistribution:
-    """The distribution of a sequence with one label per step from its outcome probabilities."""
-    return OutcomeDistribution(labels, dict(zip(itertools.product((1, -1), repeat=len(labels)),
-                                                probs.tolist())))
-
-
 def exact_sequence_distribution(rho, seq, labels=None) -> OutcomeDistribution:
     """Exact Lüders outcome distribution for a sequence of 2 or 3 observables.
 
@@ -219,27 +219,29 @@ def exact_sequence_distribution(rho, seq, labels=None) -> OutcomeDistribution:
     DensityMatrix checks it. `labels`, one per step, default to 1..n.
     """
     r, proj, labels = _sequence_of(rho, seq, labels)
-    return _exact_distribution(_weights(r, proj), labels)
+    probs = _weights(r, proj).tolist()
+    return OutcomeDistribution(labels, dict(zip(OUTCOMES[len(labels)], probs)))
 
 
-def _sampled(weights: np.ndarray, shots: int, seeds):
-    """One multinomial draw of `shots`, from its own seed, per row of outcome
-    weights (m, 2^n) over the row's possible outcomes, those of weight > 0:
-    their outcome tuples and counts, the mean of the outcome products and its
-    standard error."""
+def _sampled(weights: np.ndarray, shots: int, rng: np.random.Generator):
+    """One multinomial draw of `shots` per row of n-step outcome weights (m, 2^n), in row
+    order from the one generator rng, over the row snapped to a grid: q = rint(2^40 w / sum w),
+    p = q / sum q moves by at most 2^-41 (about 4.5e-13), so a weight's last bits move no
+    count, and the possible outcomes are those of q > 0. Per row: their outcome tuples and
+    counts, the mean outcome product and its standard error."""
     if isinstance(shots, (bool, np.bool_)) or shots % 1:  # NaN % 1 is NaN, which is truthy
         raise ValueError(f"shots must be a whole number, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > np.iinfo(np.int64).max:
         raise ValueError(f"shots must be at most {np.iinfo(np.int64).max}, got {shots}")
-    outcomes = list(itertools.product((1, -1), repeat=weights.shape[-1].bit_length() - 1))
-    products = np.array([math.prod(o) for o in outcomes], dtype=float)
+    n = weights.shape[-1].bit_length() - 1
+    outcomes, products = OUTCOMES[n], np.array(SIGNS[n], dtype=float)
+    q = np.rint(2.0 ** 40 * weights / weights.sum(axis=-1, keepdims=True))
     draws = []
-    for w, seed in zip(weights, seeds):
-        possible = w > 0.0
-        p = w[possible] / w[possible].sum()
-        counts = np.random.Generator(np.random.PCG64(seed)).multinomial(shots, p)
+    for q_row, p_row in zip(q, q / q.sum(axis=-1, keepdims=True)):
+        possible = q_row > 0
+        counts = rng.multinomial(shots, p_row[possible])
         values = products[possible]
         estimate = float(counts @ values) / shots
         var = float(counts @ (values - estimate) ** 2) / (shots - 1) if shots > 1 else 0.0
@@ -253,23 +255,20 @@ def sample_sequences(rho, seq, shots: int, rng_seed, labels=None):
 
     Draws from the Lüders outcome distribution that `exact_sequence_distribution`
     gives for the state factor R of rho (a state, or a raw density matrix
-    checked as DensityMatrix checks it): the shots, a whole number, are
-    distributed over the possible outcomes, those of probability > 0, with a
-    single multinomial draw, which reproduces the per-shot process exactly and
-    is deterministic given `rng_seed`, an integer >= 0 (a bool or other type
-    raises TypeError) or a numpy SeedSequence, seeding numpy's PCG64: an
-    integer draws as its SeedSequence. `labels` are as for `exact_sequence_distribution`.
-
-    Returns
-    -------
-    (empirical, estimate, stderr)
-        Empirical OutcomeDistribution, the mean of the outcome products, and
-        its standard error (sample standard deviation / sqrt(shots)).
+    checked as DensityMatrix checks it), snapped to a grid of 2^-40 (see `_sampled`):
+    each p moves by at most 2^-41, about 4.5e-13, and an outcome below that is
+    impossible. One multinomial draw of the shots, a whole number, reproduces the
+    per-shot process exactly and is deterministic given `rng_seed`, an integer >= 0
+    (a bool or other type raises TypeError) or a numpy SeedSequence, seeding numpy's
+    PCG64. `labels` are as for `exact_sequence_distribution`. Returns the empirical
+    OutcomeDistribution, the mean of the outcome products, and its standard error
+    (sample standard deviation / sqrt(shots)).
     """
     if not isinstance(rng_seed, np.random.SeedSequence):
         require_integer("rng_seed", rng_seed, 0)
     r, proj, labels = _sequence_of(rho, seq, labels)
-    ((outcomes, counts, estimate, stderr),) = _sampled(_weights(r, proj)[None], shots, [rng_seed])
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    ((outcomes, counts, estimate, stderr),) = _sampled(_weights(r, proj)[None], shots, rng)
     return OutcomeDistribution(labels, dict(zip(outcomes, counts / shots))), estimate, stderr
 
 
@@ -279,9 +278,10 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
 
     mode is one of "analytic", "exact-sum", or "sampled"; the latter needs
     `shots`, a whole number >= 1, and `rng_seed`, an integer >= 0 (a bool or
-    any other type raises TypeError). Per-term sampling seeds are derived from
-    `rng_seed` with SeedSequence.spawn, so results are reproducible and
-    independent of evaluation order.
+    any other type raises TypeError). The sampled terms draw in `TERMS` order from one
+    PCG64 stream seeded with `rng_seed`, each from its outcome distribution snapped to
+    a grid of 2^-40: p moves by at most 2^-41 (about 4.5e-13), and an outcome below
+    that is impossible. exact-sum runs OutcomeDistribution's checks and sum, same bits.
     """
     values, stderr = {}, None
     if mode == "analytic":
@@ -294,18 +294,18 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
             if shots is None or rng_seed is None:
                 raise ValueError("sampled mode needs shots and rng_seed")
             require_integer("rng_seed", rng_seed, 0)
-            stderr, seeds = {}, dict(zip(CORRELATOR_FIELDS,
-                                         np.random.SeedSequence(rng_seed).spawn(len(TERMS))))
+            stderr, rng = {}, np.random.Generator(np.random.PCG64(rng_seed))
         r, proj = _projectors(s.state, s.observables)
-        for n in (3, 2):  # the terms of one length as one stack
+        for n in (3, 2):  # the terms of one length as one stack, in TERMS order
             terms = [(name, slots) for name, slots, _ in TERMS if len(slots) == n]
             weights = _weights(r, proj[np.subtract([slots for _, slots in terms], 1)])
             if mode == "exact-sum":
-                for (name, slots), p in zip(terms, weights):
-                    values[name] = _exact_distribution(p, slots).correlator()
+                rows = weights.tolist()
+                _check_probabilities(rows, OUTCOMES[n])
+                for (name, _), row in zip(terms, rows):  # sign * p in outcome order
+                    values[name] = sum(map(operator.mul, SIGNS[n], row))
             else:
-                draws = _sampled(weights, shots, [seeds[name] for name, _ in terms])
-                for (name, _), (*_, estimate, se) in zip(terms, draws):
+                for (name, _), (*_, estimate, se) in zip(terms, _sampled(weights, shots, rng)):
                     values[name], stderr[name] = estimate, se
     else:
         raise ValueError(f"unknown mode {mode!r}")

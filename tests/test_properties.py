@@ -127,13 +127,15 @@ def recorded_multinomial_p(mp) -> list:
 @given(s=st.one_of(scenarios(), tilted_canonicals()), shot_seed=st.integers(0, 2**32 - 1))
 def test_sampled_draws_from_the_exact_distribution(s, shot_seed):
     """The multinomial p of sampled, in correlations and in sample_sequences,
-    is exact_sequence_distribution's nonzero probabilities, normalized, bit for
-    bit: one set of outcome weights serves both modes."""
+    is exact_sequence_distribution's probabilities snapped to the grid of
+    2^-40, q = rint(2^40 p / sum p), its nonzero q / sum q, bit for bit: one
+    set of outcome weights serves both modes."""
     seqs = [[s.observable(k) for k in slots] for _, slots, _ in TERMS]
     expected = []
     for seq in seqs:
         p = np.array(list(exact_sequence_distribution(s.state, seq).probabilities.values()))
-        expected.append(p[p > 0] / p[p > 0].sum())
+        q = np.rint(2.0 ** 40 * p / p.sum())
+        expected.append(q[q > 0] / q.sum())
     with pytest.MonkeyPatch.context() as mp:
         drawn = recorded_multinomial_p(mp)
         correlations(s, "sampled", shots=1000, rng_seed=shot_seed)

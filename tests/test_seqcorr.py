@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tempcert import linalg
+from tempcert import linalg, seqcorr
 from tempcert.errors import (
     NonInvolution,
     NotHermitian,
@@ -19,11 +19,15 @@ from tempcert.scenario import (
     Observable,
     PureState,
     Scenario,
+    canonical_scenario,
+    conjugate_scenario,
     random_density,
     random_hermitian,
     random_involution,
     random_scenario,
+    random_unitary,
 )
+from tempcert.robustness import Depolarizing, apply_noise
 from tempcert.seqcorr import (
     TERMS,
     CorrelationSet,
@@ -49,8 +53,10 @@ from conftest import rng_from
 # reference_sampled is the independent form of sampling: it walks the chain,
 # renormalizing each branch by sqrt(q) and multiplying the conditional
 # probabilities q into a weight. Those products telescope to ||C R||_F^2, the
-# weights the stacked code draws from, so p agrees to ulps and the counts
-# below agree bit for bit.
+# weights the stacked code draws from, so they agree to ulps; both snap them to
+# the grid of 2^-40 before the draw, which absorbs the ulps, and the counts
+# below agree bit for bit. reference_correlations draws the seven terms in
+# TERMS order from one generator.
 # ---------------------------------------------------------------------------
 
 def reference_matrices(seq):
@@ -80,7 +86,7 @@ def reference_exact(r, seq):
     return probs
 
 
-def reference_sampled(r, seq, shots, rng_seed):
+def reference_sampled(r, seq, shots, rng):
     mats = reference_matrices(seq)
     eye = np.eye(r.shape[0])
     branches = [((), r, 1.0)]
@@ -95,9 +101,10 @@ def reference_sampled(r, seq, shots, rng_seed):
                     continue
                 grown.append((outcomes + (a,), post / np.sqrt(q), p * q))
         branches = grown
-    p = np.array([b[2] for b in branches])
-    p /= p.sum()
-    counts = np.random.Generator(np.random.PCG64(rng_seed)).multinomial(shots, p)
+    weights = np.array([b[2] for b in branches])
+    grid = np.rint(2.0 ** 40 * weights / weights.sum())
+    branches = [b for b, g in zip(branches, grid) if g > 0]
+    counts = rng.multinomial(shots, grid[grid > 0] / grid.sum())
     values = np.array([np.prod(b[0]) for b in branches], dtype=float)
     estimate = float(counts @ values) / shots
     var = float(counts @ (values - estimate) ** 2) / (shots - 1)
@@ -108,19 +115,22 @@ def reference_sampled(r, seq, shots, rng_seed):
 def reference_correlations(s, mode, shots=None, rng_seed=None):
     r = s.state.factor()
     values, stderr = {}, {}
-    children = np.random.SeedSequence(rng_seed).spawn(len(TERMS))
-    for child, (name, slots, _) in zip(children, TERMS):
+    rng = np.random.default_rng(rng_seed) if mode == "sampled" else None
+    for name, slots, _ in TERMS:
         seq = [s.observable(k) for k in slots]
         if mode == "exact-sum":
             probs = reference_exact(r, seq)
             values[name] = float(sum(np.prod(o) * p for o, p in probs.items()))
         else:
-            _, values[name], stderr[name] = reference_sampled(r, seq, shots, child)
+            _, values[name], stderr[name] = reference_sampled(r, seq, shots, rng)
     return values, stderr or None
 
 
 #: See TestStackedChains.test_golden_fingerprint.
-GOLDEN_MODES_SHA256 = "c50191886ded0b98d9f3297005384a72b6ee2a455b06eea7b8c13a1241805c13"
+GOLDEN_MODES_SHA256 = "e0b54aa527c699bd83ec269dc4e22810446d93409feab582c39975573a20fd6d"
+
+#: See TestSnappedDraws.test_conjugated_canonical_golden.
+GOLDEN_CONJUGATED_SHA256 = "5fa8e9c4ca4e29a310416648486347ef6fa0acb30e5cd3f7e4d960a45a44b90f"
 
 
 def scenario_of(d, seed, pure):
@@ -425,7 +435,8 @@ class TestStackedChains:
             seq = [s.observable(k) for k in slots]
             assert exact_sequence_distribution(rho, seq).probabilities == reference_exact(r, seq)
             empirical, est, se = sample_sequences(rho, seq, 1000, 11)
-            assert (empirical.probabilities, est, se) == reference_sampled(r, seq, 1000, 11)
+            assert (empirical.probabilities, est, se) == reference_sampled(
+                r, seq, 1000, np.random.default_rng(11))
 
     def test_zero_probability_branches_are_pruned(self, canonical):
         # at the canonical point half of the outcome tuples of every term are
@@ -436,7 +447,7 @@ class TestStackedChains:
             empirical, est, se = sample_sequences(rho, seq, 1000, 1)
             assert len(empirical.probabilities) == 2 ** (len(slots) - 1)
             assert (empirical.probabilities, est, se) == reference_sampled(
-                DensityMatrix(rho).factor(), seq, 1000, 1)
+                DensityMatrix(rho).factor(), seq, 1000, np.random.default_rng(1))
 
     def test_raw_matrices_are_rounded_like_observables(self):
         s = scenario_of(4, 900, False)
@@ -456,7 +467,11 @@ class TestStackedChains:
         # sampled and analytic bits did not move), analytic as recorded from its
         # vector form on the unit-norm state factor (12 of the mixed inputs'
         # values moved by at most 2.2e-16 when DensityMatrix began to scale
-        # its factor; no exact-sum or sampled bit moved), numpy 2.4, OpenBLAS.
+        # its factor; no exact-sum or sampled bit moved), and sampled again
+        # once the seven terms drew from one PCG64 stream over snapped outcome
+        # probabilities (all 42 values moved, the estimates by at most 3.2e-3
+        # and the stderrs by at most 1.5e-6; no analytic or exact-sum bit
+        # moved), numpy 2.4, OpenBLAS.
         # Like the seesaw fingerprints it holds the bits of the BLAS and LAPACK
         # kernels, which may differ per CPU; the reference tests above check
         # the same property in-process.
@@ -516,6 +531,107 @@ class TestStackedChains:
         svd_calls.clear()
         correlations(s, mode, shots=100, rng_seed=0)
         assert svd_calls == []
+
+
+#: The seven terms' sequences and three more, two of them anticommuting pairs.
+SEQUENCES = [slots for _, slots, _ in TERMS] + [(5, 1), (2, 6), (3, 4, 5)]
+
+
+def conjugated_canonicals(n, seed):
+    """n canonical scenarios conjugated by Haar unitaries drawn from seed."""
+    rng = rng_from(seed)
+    return [conjugate_scenario(canonical_scenario(), random_unitary(4, rng)) for _ in range(n)]
+
+
+class TestSnappedDraws:
+    """Counts that BLAS rounding cannot move: each row of outcome weights is
+    snapped to the grid of 2^-40 before its multinomial draw."""
+
+    def test_counts_survive_one_ulp_in_the_weights(self, monkeypatch):
+        # at symmetric points two possible outcomes are equally likely, and
+        # numpy's multinomial switches between drawing with p and with 1 - p at
+        # p = 1/2 exactly, so an ulp across 1/2 swapped two counts; 40 scenarios
+        # x 10 sequences x 5 seeds, each weight moved by one ulp up or down
+        draws = [([s.observable(k) for k in slots], s.state, seed)
+                 for s in conjugated_canonicals(40, 50) for slots in SEQUENCES for seed in range(5)]
+
+        def sampled():
+            return [(d.probabilities, est, se) for d, est, se in
+                    (sample_sequences(state, seq, 10**6, seed) for seq, state, seed in draws)]
+
+        before = sampled()
+        weights, nudge = seqcorr._weights, np.random.default_rng(51)
+
+        def perturbed(r, proj):
+            w = weights(r, proj)
+            return np.nextafter(w, np.where(nudge.random(w.shape) < 0.5, -np.inf, np.inf))
+
+        monkeypatch.setattr(seqcorr, "_weights", perturbed)
+        after = sampled()
+        assert sum(a != b for a, b in zip(before, after)) == 0
+
+    def test_residue_outcomes_are_impossible(self, canonical):
+        # conjugated, the four impossible outcomes of [A1, A2, A3] keep weights
+        # of about 1e-33 from rounding; snapped they are 0, and the draw is the
+        # unconjugated scenario's
+        s = conjugate_scenario(canonical, random_unitary(4, np.random.default_rng(3)))
+        residues = sorted(exact_sequence_distribution(s.state, s.observables[:3])
+                          .probabilities.values())[:4]
+        assert max(residues) < 1e-30
+        plain = sample_sequences(canonical.state, canonical.observables[:3], 10**6, 8)
+        conjugated = sample_sequences(s.state, s.observables[:3], 10**6, 8)
+        assert len(conjugated[0].probabilities) == len(plain[0].probabilities) == 4
+        assert conjugated[0].probabilities == plain[0].probabilities
+        assert conjugated[1:] == plain[1:]
+
+    def test_conjugated_canonical_golden(self):
+        # sha256 of sampled correlators and of SEQUENCES' sample_sequences draws
+        # on canonical scenarios conjugated by Haar unitaries, every other one
+        # depolarized; symmetric points whose counts used to hang on the last
+        # bits of the BLAS kernels, now fixed by the snap
+        out = []
+        for k, s in enumerate(conjugated_canonicals(6, 52)):
+            if k % 2:
+                s = apply_noise(s, Depolarizing(0.2))
+            c = correlations(s, "sampled", shots=10**6, rng_seed=k)
+            out.append((c.as_dict(), c.stderr))
+            for slots in SEQUENCES:
+                d, est, se = sample_sequences(s.state, [s.observable(j) for j in slots], 10**6, k)
+                out.append(({o: float(p) for o, p in d.probabilities.items()}, est, se))
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == GOLDEN_CONJUGATED_SHA256
+
+    def test_one_generator_per_call_and_no_distribution_per_term(self, monkeypatch):
+        """A sampled call seeds one PCG64 and spawns no SeedSequence children,
+        and an exact-sum call builds no OutcomeDistribution."""
+        calls = []
+        pcg64 = np.random.PCG64
+
+        def counting_pcg64(seed):
+            calls.append("PCG64")
+            return pcg64(seed)
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                calls.append("spawn")
+                return super().spawn(n_children)
+
+        def counting_check(dist, _original=OutcomeDistribution.__post_init__):
+            calls.append("OutcomeDistribution")
+            _original(dist)
+
+        s = scenario_of(4, 906, False)
+        monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        monkeypatch.setattr(OutcomeDistribution, "__post_init__", counting_check)
+        correlations(s, "sampled", shots=100, rng_seed=7)
+        assert calls == ["PCG64"]
+        calls.clear()
+        correlations(s, "exact-sum")
+        assert calls == []
+        exact_sequence_distribution(s.state, s.observables[:2])  # the counters themselves work
+        np.random.SeedSequence(7).spawn(2)
+        assert calls == ["OutcomeDistribution", "spawn"]
 
 
 class TestErrorPaths:

@@ -65,7 +65,7 @@ WORKLOADS = TRACER.parent / "workloads.py"
 #: (numpy 2.4, OpenBLAS, one thread), which may differ per CPU.
 WORKLOAD_FINGERPRINT_SHA256 = {
     "seesaw-d4": "739ae22d74ff8a567f72b66f27644bfbff4c3596607f79339b2122e903423744",
-    "correlators-d4": "68043c33e476f88c4c998813fb8129c6a819b1f8fb88dc08703742a043cc9474",
+    "correlators-d4": "eb4468e213f060dbdf5d05443cf93f0bd81a62319c1d990e316243d9b16cb351",
     "certify-sweep": "dafdce790f53cd20b3570816d71694594d60438ffe85922704b9243524a039f5",
 }
 
