@@ -9,6 +9,7 @@ files. Exit codes: 0 success, 2 parse/usage errors, 3 numeric degeneracy,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -200,7 +201,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse_args call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="tempcert",
         description="Evaluate, optimize, and certify realizations of the "

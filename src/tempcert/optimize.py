@@ -8,8 +8,9 @@ from each other's coefficient operators, so one joint argmax updates both: a
 sweep is a state step, then three pair steps, one per pair of SLOT_PAIRS.
 Every step is an exact argmax, which makes the per-sweep values monotone.
 
-Both operators come from one table, WORDS, and act on state factors R,
-rho = R R†, pure or mixed, over arrays with leading batch axes: one
+The Bell operator comes from TERMS, the coefficient operators from WORDS,
+TERMS with each triple split into its two orders; both act on state factors
+R, rho = R R†, pure or mixed, over arrays with leading batch axes: one
 scenario's (6, d, d) observables and (d, c) factor, or all running seeds'
 (S, 6, d, d) and (S, d, 1). GATHER gathers a slot's or a pair's coefficient
 operators from one image stack.
@@ -17,7 +18,9 @@ operators from one image stack.
 Input is checked at the edges: the public functions take Observables or
 check their raw matrices, and `seesaw` checks its final iterates once, as one
 (S, 6, d, d) stack. In between, both operators are Hermitian parts, exactly
-Hermitian by construction, handed straight to `linalg.eig_exact_hermitian`.
+Hermitian by construction, handed straight to the eigensolver: a sign
+rounding depends on neither the order nor the phases of the eigenvectors, so
+only the state steps sort and phase-fix theirs, in `linalg.eig_exact_hermitian`.
 """
 
 from __future__ import annotations
@@ -85,22 +88,23 @@ class SeesawTrace:
         return self.values[-1] if self.values else float("-inf")
 
 
-#: WORDS as 0-based index arrays: every word's first and second slot, the third slot of
-#: the triples, which TERMS and so WORDS list first, and the weights.
-WORD_SLOTS = tuple(np.array([word[i] - 1 for word, _ in WORDS if len(word) > i]) for i in range(3))
-WORD_WEIGHTS = np.array([w for _, w in WORDS])
+#: TERMS as 0-based index arrays: every term's first and second slot, the third slot of
+#: the triples, which TERMS lists first, and the weights.
+TERM_SLOTS = tuple(np.array([s[i] - 1 for _, s, _ in TERMS if len(s) > i]) for i in range(3))
+TERM_WEIGHTS = np.array([w for _, _, w in TERMS])
 
 
 def _bell_from_matrices(mats) -> np.ndarray:
-    """Bell operator of observables (..., 6, d, d): the Hermitian part of the
-    sum of w * A_w1 A_w2 ... over WORDS, each product formed left to right
-    and the sum taken in WORDS order."""
+    """Bell operator of observables (..., 6, d, d) in 11 products: the Hermitian
+    part of the sum over TERMS of w * A_x Herm(A_y A_z) for a triple (x, y, z),
+    its two words of WORDS at w/2, and of w * A_x A_y for a pair."""
     a = np.asarray(mats, dtype=complex)
-    first, second, third = WORD_SLOTS
-    words = a[..., first, :, :] @ a[..., second, :, :]
-    words[..., :len(third), :, :] = words[..., :len(third), :, :] @ a[..., third, :, :]
-    return linalg.hermitian_part(
-        np.add.reduce(WORD_WEIGHTS[:, None, None] * words, axis=-3, initial=0))
+    first, second, third = TERM_SLOTS
+    right = a[..., second, :, :]
+    right[..., :len(third), :, :] = linalg.hermitian_part(
+        right[..., :len(third), :, :] @ a[..., third, :, :])
+    return linalg.hermitian_part(np.add.reduce(
+        TERM_WEIGHTS[:, None, None] * (a[..., first, :, :] @ right), axis=-3, initial=0))
 
 
 #: The slot pairs that share no word, as the first perfect matching in slot order: the words
@@ -156,10 +160,11 @@ def _top_factors(b) -> np.ndarray:
 
 
 def _sign_step(g):
-    """Exact observable step for a stack of coefficient operators, each
-    exactly Hermitian: their eigen-sign roundings, ties broken to +1, and
-    their eigenvalues, descending."""
-    w, v = linalg.eig_exact_hermitian(g)
+    """Exact observable step for a stack of exactly Hermitian coefficient
+    operators: their eigen-sign roundings, ties broken to +1, straight from
+    eigh's eigenvectors, whose order and phases the rounding does not see,
+    and their eigenvalues, ascending."""
+    w, v = np.linalg.eigh(g)
     return round_eig_to_signs(w, v, DEGENERATE_EIGENVALUE), w
 
 
@@ -239,7 +244,7 @@ def seesaw(config: SeesawConfig):
     for child in np.random.SeedSequence(config.rng_seed).spawn(config.seeds):
         rng = np.random.Generator(np.random.PCG64(child))
         states.append(random_pure_state(config.dim, rng).amplitudes)
-        draws.append([random_hermitian(config.dim, rng) for _ in range(6)])
+        draws.append(random_hermitian(config.dim, rng, 6))
     r = np.array(states)[..., None]                 # (S, d, 1) state factors
     obs = round_to_involutions(np.array(draws))[0]  # (S, 6, d, d)
     traces = [SeesawTrace(seed_index=k) for k in range(config.seeds)]

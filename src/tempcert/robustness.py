@@ -119,11 +119,11 @@ def apply_noise(s: Scenario, n: NoiseModel) -> Scenario:
         if n.strength == 0.0:
             return s
         rng = np.random.Generator(np.random.PCG64(n.rng_seed))
-        # slot by slot from one stream, then exponentiated as one stack; for
+        # one block from one stream, then exponentiated as one stack; for
         # Hermitian h the operator norm is the largest |eigenvalue|, so the
         # eigensolve that exponentiates h also normalizes it
-        h = np.array([random_hermitian(s.dim, rng) for _ in s.observables])
-        w, v = linalg.eig_hermitian(h)
+        h = random_hermitian(s.dim, rng, len(s.observables))
+        w, v = linalg.eig_exact_hermitian(h)
         norms = np.maximum(w[:, 0], -w[:, -1])
         u = linalg.expi_eig(w / norms[:, None], v, n.strength)
         m = u @ np.array(s.matrices()) @ np.swapaxes(u.conj(), -1, -2)

@@ -358,9 +358,11 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     return DensityMatrix(linalg.hermitize(m / np.trace(m).real))
 
 
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return linalg.hermitize(g)
+def random_hermitian(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    """Hermitian part of a complex Gaussian matrix, or n of them (n, d, d) from one
+    draw and one Hermitian part, bit for bit the n matrices of n calls in turn."""
+    g = rng.standard_normal((*(() if n is None else (n,)), 2, dim, dim))
+    return linalg.hermitian_part(g[..., 0, :, :] + 1j * g[..., 1, :, :])
 
 
 def random_involution(dim: int, rng: np.random.Generator) -> Observable:

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from tempcert.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, _fmt, main
+from tempcert.cli import (
+    EXIT_IO,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_PARSE,
+    _fmt,
+    build_parser,
+    cmd_evaluate,
+    main,
+)
 from tempcert.scenario import (
     PureState,
     canonical_scenario,
@@ -217,6 +226,25 @@ class TestParser:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not out.exists()
+
+    def test_parser_is_reused_with_a_fresh_namespace(self, canonical_file, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        out = tmp_path / "best.json"
+        assert main(["optimize", "--dim", "2", "--seeds", "2", "--out", str(out)]) == EXIT_OK
+        out.unlink()
+        capsys.readouterr()
+        assert main(["optimize", "--dim", "2", "--seeds", "2"]) == EXIT_OK
+        assert not out.exists() and "written" not in capsys.readouterr().out
+        assert main(["optimize", "--seeds", "0"]) == EXIT_PARSE  # usage error after good calls
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert main(["evaluate", "--scenario", canonical_file]) == EXIT_OK
+        assert not out.exists() and "I_T" in capsys.readouterr().out
+        args = build_parser().parse_args(["evaluate", "--scenario", canonical_file])
+        assert vars(args) == {"command": "evaluate", "scenario": canonical_file, "out": None,
+                              "func": cmd_evaluate}
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -15,13 +15,21 @@ from hypothesis import strategies as st
 from tempcert import certify
 from tempcert.errors import TempcertError
 from tempcert.inequality import eval_INC
-from tempcert.linalg import acomm, eig_hermitian, hermitize, op_norm, op_norms
+from tempcert.linalg import (
+    acomm,
+    eig_exact_hermitian,
+    eig_hermitian,
+    hermitize,
+    op_norm,
+    op_norms,
+)
 from tempcert.optimize import (
     DEGENERATE_EIGENVALUE,
     GATHER,
     SLOT_PAIRS,
     _bell_from_matrices,
     _coefficients,
+    _sign_step,
     bell_operator,
     coefficient_operator,
 )
@@ -45,8 +53,10 @@ from tempcert.scenario import (
     purify_scenario,
     random_density,
     random_hermitian,
+    random_pure_state,
     random_scenario,
     random_unitary,
+    round_eig_to_signs,
     round_to_involutions,
     round_to_signs,
 )
@@ -342,6 +352,32 @@ def test_rounding_and_top_eigenvector_pass_the_constructors(m):
         Observable(a)
     for v in eig_hermitian(m)[1][..., :, 0]:
         PureState(v)
+
+
+@st.composite
+def coefficient_stacks(draw):
+    """Exactly Hermitian stacks as the sign steps see them, d = 2-16: the six
+    coefficient operators of a random pure or mixed scenario; multiples c*1 of
+    the identity, c = 0 included; or those of the all-identity point on a pure
+    state, c*rho with c = 2, 2, 0, 2, 2, 0, whose zero eigenvalue is tied."""
+    d, kind = draw(st.integers(2, 16)), draw(st.sampled_from(["scenario", "identity", "ones"]))
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    if kind == "identity":
+        return np.array([c * np.eye(d, dtype=complex) for c in (0.0, 1.0, -2.5, 1e-13)])
+    s = draw(scenarios(dims=st.just(d))) if kind == "scenario" else Scenario(
+        random_pure_state(d, rng), [Observable(np.eye(d))] * 6)
+    return np.array([coefficient_operator(s, slot) for slot in range(1, 7)])
+
+
+@given(g=coefficient_stacks())
+def test_sign_step_on_raw_eigh_matches_the_canonical_rounding(g):
+    """The seesaw's sign step rounds straight from eigh's ascending, unphased
+    eigenvectors: within 1e-14 in operator norm of the rounding of the sorted,
+    phase-fixed ones, with the same eigenvalues and so the same ties."""
+    a, w = _sign_step(g)
+    ref_w, ref_v = eig_exact_hermitian(g)
+    assert op_norms(a - round_eig_to_signs(ref_w, ref_v, DEGENERATE_EIGENVALUE)).max() <= 1e-14
+    assert np.array_equal(w, ref_w[..., ::-1])
 
 
 @st.composite

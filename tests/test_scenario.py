@@ -409,6 +409,19 @@ class TestRandomConstructions:
         o = random_involution(4, rng)
         assert o.involution_residual <= 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_one_block_hermitian_draw_is_the_sequential_draws(self, dim):
+        # the seesaw's starts and the jitter generators draw six at once
+        block, one, ref = rng_from(dim), rng_from(dim), rng_from(dim)
+        stack = random_hermitian(dim, block, 6)
+        singles = [random_hermitian(dim, one) for _ in range(6)]
+        gaussians = [ref.standard_normal((dim, dim)) + 1j * ref.standard_normal((dim, dim))
+                     for _ in range(6)]
+        assert stack.shape == (6, dim, dim)
+        for m, single, g in zip(stack, singles, gaussians, strict=True):
+            assert np.array_equal(m, single) and np.array_equal(m, linalg.hermitize(g))
+        assert block.standard_normal() == one.standard_normal() == ref.standard_normal()
+
     def test_random_scenario_valid(self):
         rng = rng_from(16)
         s = random_scenario(4, rng)

@@ -64,7 +64,7 @@ WORKLOADS = TRACER.parent / "workloads.py"
 #: other golden hashes they hold the bits of the BLAS and LAPACK kernels
 #: (numpy 2.4, OpenBLAS, one thread), which may differ per CPU.
 WORKLOAD_FINGERPRINT_SHA256 = {
-    "seesaw-d4": "739ae22d74ff8a567f72b66f27644bfbff4c3596607f79339b2122e903423744",
+    "seesaw-d4": "22fd890aa022c5d962fc0c92bf120bcae7f169a4a18092f753081cd835ee3b02",
     "correlators-d4": "eb4468e213f060dbdf5d05443cf93f0bd81a62319c1d990e316243d9b16cb351",
     "certify-sweep": "dafdce790f53cd20b3570816d71694594d60438ffe85922704b9243524a039f5",
 }
@@ -113,7 +113,7 @@ DEMO_STDOUT_SHA256 = {
     "02_sequential_measurements.py":
         "95fbcd528974da940c267056024fa2957ef64504ddb07cdefe0578716793c35c",
     "03_seesaw_optimization.py":
-        "31401ec3067a253598b63f830fd56dd06ef3369feed83e742ad23a2fc696fc31",
+        "5aadb246506900c61d6819455e1f37bdb6aa9b2e477e2456187d30eba8230fe2",
     "04_self_testing.py":
         "c75f7ff414abb51c3a86ce7ebc466ababd5cb7f535ef30c3e4a2c054621fbf15",
     "05_noise_robustness.py":
