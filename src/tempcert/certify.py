@@ -87,7 +87,7 @@ def build_subspace(state, a1, a5):
     if r.size < 4:
         raise ShapeMismatch(f"dimension {r.size} < 4 cannot hold the subspace")
     gens = np.column_stack([g.reshape(-1) for g in (r, m1 @ r, m5 @ r, m1 @ (m5 @ r))])
-    gram = linalg.hermitize(gens.conj().T @ gens)
+    gram = linalg.hermitian_part(gens.conj().T @ gens)
     try:
         inv_sqrt = linalg.inv_sqrt_psd(gram)
     except RankDeficient as exc:
@@ -168,7 +168,7 @@ def align(projected_observables) -> AlignmentResult:
     raw = np.array(raw)
 
     try:
-        rounded, w6, v6 = round_to_involutions(linalg.hermitize(raw))
+        rounded, w6, v6 = round_to_involutions(linalg.hermitian_part(raw))
     except ZeroEigenvalue as exc:
         raise AnticommutatorTooLarge(
             f"projected observable cannot be rounded to an involution: {exc}"
@@ -190,13 +190,14 @@ def align(projected_observables) -> AlignmentResult:
     w0 = np.column_stack([e, f])
     # Loewdin correction: with finite anticommutator residue the columns are
     # only approximately orthonormal.
-    w = w0 @ linalg.inv_sqrt_psd(linalg.hermitize(w0.conj().T @ w0))
+    w = w0 @ linalg.inv_sqrt_psd(linalg.hermitian_part(w0.conj().T @ w0))
 
     # slots 2 and 4 in the frame w are close to 1 (x) M and 1 (x) O
     frames = w.conj().T @ rounded[[1, 3]] @ w
-    m_op, o_op = linalg.hermitize((frames[:, :2, :2] + frames[:, 2:, 2:]) / 2)
+    second = linalg.hermitian_part((frames[:, :2, :2] + frames[:, 2:, 2:]) / 2)
+    m_op, o_op = second
     try:
-        (m_r, o_r), _, (vm, _) = round_to_involutions([m_op, o_op])
+        (m_r, o_r), _, (vm, _) = round_to_involutions(second)
     except ZeroEigenvalue as exc:
         raise FactorizationFailure(
             f"second-factor operator has no involution rounding: {exc}"

@@ -1,17 +1,15 @@
 """Dense complex matrix kernel for dimensions up to 64.
 
-Every function is pure and converts array_like input to a fresh complex128
-array, except `acomm`, `hermitian_part`, `eig_exact_hermitian`,
-`op_norm_exceeds` and the checks `require_square` and `require_hermitian`,
-which take arrays their caller has coerced. `hermitize`, `hermitian_part`,
-`acomm`, `eig_hermitian`, `eig_exact_hermitian`, `expi_eig`,
-`expi_hermitian` and `op_norms` also take stacks (..., d, d), and
-`vec_norms` stacks (..., n) of vectors, each matrix or vector as on its own,
-bit for bit. Hermitian means ||m - m†|| <= STRUCTURAL_TOL = 1e-10 in
-operator norm, comfortable at these dimensions, wherever it is checked:
-`require_hermitian` is the one test. The checked functions are the edge;
-`hermitian_part` and `eig_exact_hermitian` are their kernels, for internal
-operators that are square, finite and Hermitian by construction.
+The checked functions are the edge: `as_matrices`, `as_matrix`, `as_vector`,
+`op_norm`, `op_norms`, `vec_norm`, `eig_hermitian` and `expi_hermitian` coerce
+array_like input to a fresh complex128 array and reject what they cannot take,
+and `require_square` and `require_hermitian` check arrays already coerced.
+Hermitian means ||m - m†|| <= STRUCTURAL_TOL = 1e-10 in operator norm, and
+`require_hermitian` is the one test. The rest are unchecked kernels for complex
+arrays that their caller built or checked, such as operators Hermitian by
+construction; the eigen-kernels want exactly Hermitian input, a `hermitian_part`.
+A function that takes a stack (..., d, d) of matrices, or `vec_norms` (..., n)
+of vectors, gives each member the result it gets on its own, bit for bit.
 """
 
 from __future__ import annotations
@@ -68,15 +66,8 @@ def require_square(a: np.ndarray) -> None:
         raise NonSquare(f"matrix is {a.shape[-2]}x{a.shape[-1]}")
 
 
-def hermitize(m) -> np.ndarray:
-    """(m + m†)/2, the Hermitian part of a square matrix or of each of a stack."""
-    a = as_matrices(m)
-    require_square(a)
-    return hermitian_part(a)
-
-
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """`hermitize`'s arithmetic, unchecked, on a square complex array or stack.
+    """(a + a†)/2 of a square complex array or of each of a stack, unchecked.
     Its result is exactly Hermitian, and equals `a` when `a` is."""
     return (a + np.swapaxes(a.conj(), -1, -2)) / 2
 
@@ -133,16 +124,13 @@ def require_hermitian(m: np.ndarray, what: str) -> None:
         raise NotHermitian(f"{what} deviates from Hermitian by {op_norms(defect).max():.3e}")
 
 
-def vec_norms(v) -> np.ndarray:
-    """2-norm of each vector of a stack (..., n), rejecting non-finite entries.
+def vec_norms(a: np.ndarray) -> np.ndarray:
+    """2-norm of each vector of a complex stack (..., n), unchecked.
 
     The squares are summed as ``np.linalg.norm`` sums a single complex vector,
     with one BLAS dot product for the real parts and one for the imaginary
     parts, so each value is the one ``np.linalg.norm`` gives on its own.
     """
-    a = np.array(v, dtype=complex)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("vector contains NaN or Inf entries")
     re, im = a.real[..., None, :], a.imag[..., None, :]
     squares = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
     return np.sqrt(squares[..., 0, 0])
@@ -205,14 +193,15 @@ def eig_exact_hermitian(h: np.ndarray):
     return w, v * (phase.conj() / np.hypot(phase.real, phase.imag))
 
 
-def inv_sqrt_psd(m) -> np.ndarray:
-    """Inverse square root sum_k lambda_k^{-1/2} v_k v_k† of a Hermitian
-    positive-definite matrix.
+def inv_sqrt_psd(h: np.ndarray) -> np.ndarray:
+    """Inverse square root sum_k lambda_k^{-1/2} v_k v_k† of an exactly
+    Hermitian positive-definite complex matrix, such as a `hermitian_part`,
+    from `eig_exact_hermitian`; unchecked otherwise.
 
     An eigenvalue below -STRUCTURAL_TOL raises ValueError; one at or below
     INV_SQRT_CUTOFF raises :class:`RankDeficient`.
     """
-    w, v = eig_hermitian(m)
+    w, v = eig_exact_hermitian(h)
     if w[-1] < -STRUCTURAL_TOL:
         raise ValueError(
             f"matrix is not positive semidefinite (min eigenvalue {w[-1]:.3e})"

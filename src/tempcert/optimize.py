@@ -194,7 +194,7 @@ def optimal_state(observables) -> PureState:
     observables = list(observables)
     if len(observables) != 6:
         raise ShapeMismatch(f"need 6 observables, got {len(observables)}")
-    return PureState(_top_factors(_bell_from_matrices(observable_matrices(observables))))
+    return PureState(_top_factors(_bell_from_matrices(observable_matrices(observables)))[..., 0])
 
 
 def coefficient_operator(s: Scenario, slot: int) -> np.ndarray:
@@ -273,7 +273,7 @@ def seesaw(config: SeesawConfig):
             break
 
     for k, (t, final) in enumerate(zip(traces, observables(obs))):
-        t.scenario = Scenario(PureState(r[k]), final)
+        t.scenario = Scenario(PureState(r[k, :, 0]), final)
         t.degenerate_steps, t.converged = int(degenerate[k]), bool(converged[k])
     best = max(traces, key=lambda t: (t.best_value, -t.seed_index))
     if best.best_value > QUANTUM_BOUND + 1e-9:

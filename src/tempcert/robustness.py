@@ -104,7 +104,7 @@ def apply_noise(s: Scenario, n: NoiseModel) -> Scenario:
         if n.p == 0.0:
             return s
         rho = (1 - n.p) * s.density() + n.p * np.eye(s.dim) / s.dim
-        return s.with_state(DensityMatrix(linalg.hermitize(rho)))
+        return s.with_state(DensityMatrix(linalg.hermitian_part(rho)))
     if isinstance(n, ObservableTilt):
         if n.angle == 0.0:
             return s
@@ -114,7 +114,7 @@ def apply_noise(s: Scenario, n: NoiseModel) -> Scenario:
             )
         u = linalg.expi_hermitian(TILT_GENERATORS[n.slot], n.angle)
         m = u @ s.observable(n.slot).matrix @ u.conj().T
-        return s.with_observable(n.slot, Observable(linalg.hermitize(m)))
+        return s.with_observable(n.slot, Observable(linalg.hermitian_part(m)))
     if isinstance(n, UnitaryJitter):
         if n.strength == 0.0:
             return s
@@ -164,7 +164,7 @@ def _state_norm_checks(s: Scenario, eps: float):
     for i, j in ANTICOMMUTING_PAIRS:
         checks.append((f"norm({{A{i},A{j}}})<=14sqrt(eps)", 14,
                        double[i - 1, j - 1] + double[j - 1, i - 1]))
-    lhs = linalg.vec_norms([block.reshape(-1) for _, _, block in checks])
+    lhs = linalg.vec_norms(np.array([block.reshape(-1) for _, _, block in checks]))
     return [BoundCheck(label, v, factor * root, v <= factor * root + CHECK_GUARD)
             for (label, factor, _), v in zip(checks, lhs)]
 
@@ -303,19 +303,20 @@ def fit_loglog_slope(xs, ys) -> float:
 
     Only the middle two decades of the x range enter the fit, which keeps
     machine-precision floors and large-parameter breakdown out of the
-    estimate. Pairs with a non-positive coordinate are dropped.
+    estimate. Pairs with a non-positive coordinate are dropped; fewer than two
+    distinct x among the rest raise ValueError.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     mask = (xs > 0) & (ys > 0)
-    if mask.sum() < 2:
-        raise ValueError("need at least two positive points for a slope fit")
+    if np.unique(xs[mask]).size < 2:
+        raise ValueError("need positive points at two or more distinct x for a slope fit")
     lx, ly = np.log10(xs[mask]), np.log10(ys[mask])
     lo, hi = lx.min(), lx.max()
     if hi - lo > 2.0:
         mid = (lo + hi) / 2
         window = (lx >= mid - 1.0) & (lx <= mid + 1.0)
-        if window.sum() >= 2:
+        if np.unique(lx[window]).size >= 2:
             lx, ly = lx[window], ly[window]
     slope, _ = np.polyfit(lx, ly, 1)
     return float(slope)

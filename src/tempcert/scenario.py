@@ -49,9 +49,13 @@ INVOLUTION_TOL = 1e-8
 #: Cutoff below which an eigenvalue has no well-defined sign.
 SIGN_CUTOFF = 1e-8
 
-#: Tolerance for deviation of a state vector's norm, or of a density
-#: matrix's trace, from 1.
+#: Tolerance for deviation of a state vector's norm from 1.
 NORM_TOL = 1e-12
+
+#: Tolerance for deviation from 1 of a total probability (a density matrix's trace, an
+#: outcome distribution's sum, a correlator's bound |c| <= 1): a PureState's squared norm
+#: lies within (1 + NORM_TOL)^2 - 1 of 1, and the sums round well inside a further NORM_TOL.
+PROBABILITY_TOL = (1 + NORM_TOL) ** 2 - 1 + NORM_TOL
 
 
 def require_observables(m: np.ndarray) -> None:
@@ -138,11 +142,14 @@ def observables(matrices) -> list:
 
 
 class PureState:
-    """Normalized state vector."""
+    """Normalized state vector: 1-d (else ShapeMismatch), finite, with norm
+    within NORM_TOL of 1 (else ValueError)."""
 
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes):
+        if np.ndim(amplitudes) != 1:
+            raise ShapeMismatch(f"state vector must be 1-d, got ndim {np.ndim(amplitudes)}")
         v = linalg.as_vector(amplitudes)
         deviation = np.abs(np.linalg.norm(v, axis=-1) - 1.0)
         if not deviation <= NORM_TOL:
@@ -180,7 +187,7 @@ class DensityMatrix:
         if w[-1] < -linalg.STRUCTURAL_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {w[-1]:.3e}")
         tr = np.trace(m)
-        if abs(tr - 1.0) > NORM_TOL:
+        if abs(tr - 1.0) > PROBABILITY_TOL:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1")
         m.setflags(write=False)
         self.matrix = m
@@ -276,45 +283,41 @@ def canonical_scenario() -> Scenario:
     return Scenario(PureState(PHI_PLUS), tuple(Observable(m) for m in CANONICAL_MATRICES))
 
 
-def round_to_signs(m, cutoff: float):
-    """Eigen-sign rounding of Hermitian m, one matrix or a stack (..., d, d):
-    returns sum_k s_k v_k v_k† with s_k = sign(lambda_k), or +1 where
-    |lambda_k| <= cutoff, and the eigenvalues lambda_k, descending, and the
-    eigenvectors v_k it rounds with, as `eig_hermitian` returns them."""
-    w, v = linalg.eig_hermitian(m)
-    return round_eig_to_signs(w, v, cutoff), w, v
-
-
 def round_eig_to_signs(w: np.ndarray, v: np.ndarray, cutoff: float) -> np.ndarray:
-    """`round_to_signs`'s rounding, unchecked, from the eigendecomposition
-    (w, v) of Hermitian matrices as `eig_hermitian` returns it: one matrix or
-    a stack, the result exactly Hermitian."""
+    """Eigen-sign rounding sum_k s_k v_k v_k†, s_k = sign(lambda_k) or +1 where
+    |lambda_k| <= cutoff, from eigenvalues w (..., d) and eigenvectors v
+    (..., d, d) of Hermitian matrices in any order and phases, unchecked: one
+    matrix or a stack, the result exactly Hermitian."""
     signs = np.where(w < -cutoff, -1.0, 1.0)  # +1 wherever |w| <= cutoff
     return linalg.hermitian_part((v * signs[..., None, :]) @ np.swapaxes(v.conj(), -1, -2))
 
 
-def round_to_involutions(m):
-    """project_involution's rounding, ZeroEigenvalue included, of one matrix
-    or a stack (..., d, d), returned with its eigenvalues and eigenvectors as
-    `round_to_signs` returns them: no Observable is built. The error names
-    the first matrix of the stack that has no rounding."""
-    a, w, v = round_to_signs(m, SIGN_CUTOFF)
+def round_to_involutions(h: np.ndarray):
+    """`project_involution`'s rounding, unchecked, of an exactly Hermitian complex
+    matrix or stack (..., d, d), such as a `hermitian_part`: the `round_eig_to_signs`
+    of its `eig_exact_hermitian` (w, v), returned with w and v; no Observable is
+    built. An eigenvalue of magnitude at most SIGN_CUTOFF raises ZeroEigenvalue,
+    naming the first matrix of the stack that has no rounding."""
+    w, v = linalg.eig_exact_hermitian(h)
     magnitudes = np.abs(w).reshape(-1, w.shape[-1])
     failing = (magnitudes <= SIGN_CUTOFF).any(axis=-1)
     if failing.any():
         raise ZeroEigenvalue(f"eigenvalue of magnitude {magnitudes[failing.argmax()].min():.3e} "
                              f"inside cutoff {SIGN_CUTOFF:.1e}")
-    return a, w, v
+    return round_eig_to_signs(w, v, SIGN_CUTOFF), w, v
 
 
 def project_involution(m) -> Observable:
-    """Round a Hermitian matrix to the nearest involution.
-
-    Returns sum_k sign(lambda_k) v_k v_k†, the closest involution in operator
-    norm among functions of m. Eigenvalues of magnitude at most SIGN_CUTOFF
-    have no well-defined sign and raise :class:`ZeroEigenvalue`.
+    """Round a Hermitian matrix to the nearest involution: `round_to_involutions`
+    of the Hermitian part of m, checked as a square (NonSquare), Hermitian
+    (NotHermitian) matrix first. Returns sum_k sign(lambda_k) v_k v_k†, the
+    closest involution in operator norm among functions of m. Eigenvalues of
+    magnitude at most SIGN_CUTOFF have no sign and raise :class:`ZeroEigenvalue`.
     """
-    return Observable(round_to_involutions(m)[0])
+    a = linalg.as_matrix(m)
+    linalg.require_square(a)
+    linalg.require_hermitian(a, "matrix")
+    return Observable(round_to_involutions(linalg.hermitian_part(a))[0])
 
 
 def lift_observable(obs: Observable, env_dim: int) -> Observable:
@@ -327,7 +330,8 @@ def purify(rho: DensityMatrix) -> PureState:
 
     The output's reduced state on the first factor equals rho; the purifying
     factor is the second one, so observables lift as A (x) 1_d. Psi is the
-    unit-norm factor R row-major, Psi[i*d + k] = R[i, k], so (A (x) 1) Psi = vec(A R).
+    unit-norm factor R row-major, Psi[i*d + k] = R[i, k], so (A (x) 1) Psi = vec(A R),
+    with no further division: s and its purification give the same correlators.
     """
     return PureState(rho.factor().reshape(-1))
 
@@ -355,7 +359,7 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     r = rank if rank is not None else dim
     g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
     m = g @ g.conj().T
-    return DensityMatrix(linalg.hermitize(m / np.trace(m).real))
+    return DensityMatrix(linalg.hermitian_part(m / np.trace(m).real))
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -367,7 +371,7 @@ def random_hermitian(dim: int, rng: np.random.Generator, n: int | None = None) -
 
 def random_involution(dim: int, rng: np.random.Generator) -> Observable:
     """Sign-rounded Gaussian Hermitian matrix: Haar-like eigenbasis coverage."""
-    return project_involution(random_hermitian(dim, rng))
+    return Observable(round_to_involutions(random_hermitian(dim, rng))[0])
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -386,12 +390,12 @@ def random_scenario(dim: int, rng: np.random.Generator) -> Scenario:
 
 def conjugate_scenario(s: Scenario, u: np.ndarray) -> Scenario:
     """Rotate the whole realization by a unitary: A -> U A U†, psi -> U psi."""
-    obs = tuple(Observable(linalg.hermitize(u @ o.matrix @ u.conj().T))
+    obs = tuple(Observable(linalg.hermitian_part(u @ o.matrix @ u.conj().T))
                 for o in s.observables)
     if s.is_pure():
         state = PureState(u @ s.state.amplitudes)
     else:
-        state = DensityMatrix(linalg.hermitize(u @ s.state.matrix @ u.conj().T))
+        state = DensityMatrix(linalg.hermitian_part(u @ s.state.matrix @ u.conj().T))
     return Scenario(state, obs)
 
 

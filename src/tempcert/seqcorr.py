@@ -26,6 +26,7 @@ from . import linalg
 from .errors import ShapeMismatch
 from .scenario import (
     INVOLUTION_TOL,
+    PROBABILITY_TOL,
     DensityMatrix,
     Observable,
     PureState,
@@ -109,7 +110,7 @@ class CorrelationSet:
     def __post_init__(self):
         for name in CORRELATOR_FIELDS:
             v = getattr(self, name)
-            if not abs(v) <= 1.0 + 1e-12:
+            if not abs(v) <= 1.0 + PROBABILITY_TOL:
                 raise ValueError(f"{name} = {v!r} lies outside [-1, 1]")
 
     def as_dict(self) -> dict:
@@ -123,14 +124,15 @@ SIGNS = {n: tuple(map(math.prod, outcomes)) for n, outcomes in OUTCOMES.items()}
 
 def _check_probabilities(rows, outcomes) -> None:
     """Raise ValueError unless each row of outcome probabilities (outcomes[j] naming entry
-    j) has entries >= -1e-12 summing to 1 within 1e-12; NaN fails both `not` tests."""
+    j) has entries >= -PROBABILITY_TOL summing to 1 within PROBABILITY_TOL; NaN fails both
+    `not` tests."""
     for row in rows:
         total = 0.0
         for outcome, p in zip(outcomes, row):
-            if not p >= -1e-12:
+            if not p >= -PROBABILITY_TOL:
                 raise ValueError(f"probability {p!r} for outcome {outcome} is not >= 0")
             total += p
-        if not abs(total - 1.0) <= 1e-12:
+        if not abs(total - 1.0) <= PROBABILITY_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
 
@@ -169,8 +171,7 @@ def newton_schulz_step(mats: np.ndarray) -> np.ndarray:
     """(B + B†)/2, B = A(3 - A²)/2, for each A of a stack (..., d, d): one Newton–Schulz
     step for the matrix sign function (Higham, Functions of Matrices, §5.3). It
     gives sign(A) to rounding error once ||A² - 1|| <= INVOLUTION_TOL, and A if A² = 1."""
-    b = mats @ (3 * np.eye(mats.shape[-1]) - mats @ mats) / 2
-    return (b + np.swapaxes(b.conj(), -1, -2)) / 2
+    return linalg.hermitian_part(mats @ (3 * np.eye(mats.shape[-1]) - mats @ mats) / 2)
 
 
 def _projectors(rho, seq):
@@ -183,7 +184,7 @@ def _projectors(rho, seq):
     if raw:
         far = np.array(raw)[linalg.op_norm_exceeds(mats[raw] @ mats[raw] - eye, INVOLUTION_TOL)]
         if far.size:
-            mats[far] = round_to_involutions(mats[far])[0]
+            mats[far] = round_to_involutions(linalg.hermitian_part(mats[far]))[0]
     mats = newton_schulz_step(mats)
     return r, np.stack([(eye + mats) / 2, (eye - mats) / 2], axis=1)
 

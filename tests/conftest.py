@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from tempcert import linalg
 from tempcert.scenario import (
     Observable,
     PureState,
@@ -54,6 +57,29 @@ def eigh_calls(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+#: The constructors that check their input: where a Hermiticity check belongs.
+CONSTRUCTORS = {"Observable.__init__", "observables", "DensityMatrix.__init__"}
+
+
+@pytest.fixture
+def hermitian_checks(monkeypatch):
+    """For each linalg.require_hermitian call made while the fixture is active,
+    the qualified name of the function that asked for it, looking through
+    `require_observables`, the check that Observable and `observables` share."""
+    calls = []
+    original = linalg.require_hermitian
+
+    def counting(m, what):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name == "require_observables":
+            frame = frame.f_back
+        calls.append(frame.f_code.co_qualname)
+        return original(m, what)
+
+    monkeypatch.setattr(linalg, "require_hermitian", counting)
     return calls
 
 

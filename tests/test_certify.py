@@ -41,7 +41,7 @@ from tempcert.scenario import (
     round_to_involutions,
 )
 
-from conftest import conjugated_embedding, rng_from
+from conftest import CONSTRUCTORS, conjugated_embedding, rng_from
 
 
 class TestBuildSubspace:
@@ -137,7 +137,7 @@ def reference_align(projected_observables, psi_v):
         raise ShapeMismatch("align expects six 4x4 projected observables")
     raw = np.array(raw)
     try:
-        rounded = round_to_involutions(linalg.hermitize(raw))[0]
+        rounded = round_to_involutions(linalg.hermitian_part(raw))[0]
     except ZeroEigenvalue as exc:
         raise AnticommutatorTooLarge(
             f"projected observable cannot be rounded to an involution: {exc}") from exc
@@ -152,12 +152,12 @@ def reference_align(projected_observables, psi_v):
             f"slot-5 +1 eigenspace has dimension {plus.shape[1]}, expected 2")
     e = plus[:, np.argsort(-np.abs(plus.conj().T @ psi_v), kind="stable")]
     w0 = np.column_stack([e, a1r @ e])
-    w = w0 @ linalg.inv_sqrt_psd(linalg.hermitize(w0.conj().T @ w0))
+    w = w0 @ linalg.inv_sqrt_psd(linalg.hermitian_part(w0.conj().T @ w0))
     frame2, frame4 = w.conj().T @ rounded[[1, 3]] @ w
-    m_op = linalg.hermitize((frame2[:2, :2] + frame2[2:, 2:]) / 2)
-    o_op = linalg.hermitize((frame4[:2, :2] + frame4[2:, 2:]) / 2)
+    m_op = linalg.hermitian_part((frame2[:2, :2] + frame2[2:, 2:]) / 2)
+    o_op = linalg.hermitian_part((frame4[:2, :2] + frame4[2:, 2:]) / 2)
     try:
-        m_r, o_r = round_to_involutions([m_op, o_op])[0]
+        m_r, o_r = round_to_involutions(np.array([m_op, o_op]))[0]
     except ZeroEigenvalue as exc:
         raise FactorizationFailure(
             f"second-factor operator has no involution rounding: {exc}") from exc
@@ -387,6 +387,15 @@ class TestCertify:
         eigh_calls.clear()
         certify(noisy)
         assert eigh_calls == [(4, 4), (6, 4, 4), (4, 4), (2, 2, 2)]
+
+    def test_checks_once_at_the_constructors(self, hermitian_checks):
+        # every operator certify forms is Hermitian by construction and goes to
+        # the unchecked kernels; only the scenario's constructors check
+        s = conjugate_scenario(canonical_scenario(), random_unitary(4, rng_from(21)))
+        assert hermitian_checks and set(hermitian_checks) <= CONSTRUCTORS
+        hermitian_checks.clear()
+        assert certify(s).max_operator_distance <= 1e-12
+        assert hermitian_checks == []
 
 
 class TestMemory:

@@ -14,8 +14,10 @@ from tempcert.cli import (
     main,
 )
 from tempcert.scenario import (
+    PHI_PLUS,
     PureState,
     canonical_scenario,
+    complex_pairs,
     load_scenario,
     save_scenario,
     scenario_to_dict,
@@ -28,6 +30,22 @@ def canonical_file(tmp_path):
     path = tmp_path / "canonical.json"
     save_scenario(canonical_scenario(), path)
     return str(path)
+
+
+@pytest.mark.parametrize("deviation", [0.99e-12, -0.99e-12])
+def test_state_at_the_norm_tolerance_runs_every_command(tmp_path, capsys, deviation):
+    # the loader accepts ||psi|| within NORM_TOL of 1; the correlators and outcome
+    # sums scale with ||psi||^2, so they must accept the same states
+    doc = scenario_to_dict(canonical_scenario())
+    doc["state"]["vector"] = complex_pairs(PHI_PLUS * (1 + deviation))
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    assert abs(np.linalg.norm(load_scenario(path).state.amplitudes) - 1) > 0.9e-12
+    for command in (["evaluate"], ["certify"], ["simulate", "--shots", "1000"],
+                    ["sweep", "--model", "depolarizing", "--grid", "0:0.1:2:lin",
+                     "--out", str(tmp_path / "sweep.csv")]):
+        assert main([command[0], "--scenario", str(path), *command[1:]]) == EXIT_OK
+    assert "error" not in capsys.readouterr().err
 
 
 def test_fmt_prints_a_rounded_zero_unsigned():

@@ -15,7 +15,7 @@ from tempcert.errors import (
     ShapeMismatch,
 )
 from tempcert.inequality import eval_IT_scenario
-from tempcert.linalg import acomm, hermitize
+from tempcert.linalg import acomm, hermitian_part
 from tempcert.optimize import (
     SLOT_PAIRS,
     WORDS,
@@ -83,7 +83,7 @@ def anticommutator_bell(mats) -> np.ndarray:
     b = 0
     for _, (x, y, *z), w in TERMS:
         b = b + w * acomm(a[x], acomm(a[y], a[z[0]]) if z else a[y]) / 2 ** (1 + len(z))
-    return hermitize(b)
+    return hermitian_part(b)
 
 
 def adjoint_coefficient(mats, rho, slot: int) -> np.ndarray:
@@ -99,7 +99,7 @@ def adjoint_coefficient(mats, rho, slot: int) -> np.ndarray:
             g = g + w * (acomm(a[z[0]], acomm(a[x], rho)) / 4 if z else acomm(a[x], rho) / 2)
         elif z and slot == z[0]:  # tr(rho {x, {y, A}}) = tr(A {y, {x, rho}})
             g = g + w * acomm(a[y], acomm(a[x], rho)) / 4
-    return hermitize(g)
+    return hermitian_part(g)
 
 
 def per_seed_seesaw(config):
@@ -140,7 +140,7 @@ def words_bell(mats) -> np.ndarray:
     b = 0
     for word, w in WORDS:
         b = b + w * functools.reduce(np.matmul, [a[k] for k in word])
-    return hermitize(b)
+    return hermitian_part(b)
 
 
 class TestBellOperator:
@@ -470,6 +470,12 @@ class TestSeesaw:
         assert len(calls) - 1 == 4 * sweeps
         assert calls[1:5] == [(5, 4, 4)] + [(5, 2, 4, 4)] * 3  # the first sweep
         assert canonical == [calls[0]] + calls[1::4]
+
+    def test_checks_once_at_the_constructors(self, hermitian_checks):
+        # the starts, steps and Bell operators are Hermitian by construction;
+        # the final iterates are checked once, as one stack, by `observables`
+        seesaw(SeesawConfig(dim=4, seeds=2))
+        assert hermitian_checks == ["observables"]
 
     def test_bad_iterate_raises_at_the_final_check(self, monkeypatch):
         sign_step = optimize._sign_step

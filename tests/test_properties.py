@@ -19,7 +19,7 @@ from tempcert.linalg import (
     acomm,
     eig_exact_hermitian,
     eig_hermitian,
-    hermitize,
+    hermitian_part,
     op_norm,
     op_norms,
 )
@@ -58,7 +58,6 @@ from tempcert.scenario import (
     random_unitary,
     round_eig_to_signs,
     round_to_involutions,
-    round_to_signs,
 )
 from tempcert.seqcorr import (
     CONTEXTS,
@@ -220,7 +219,7 @@ def mixed_embeddings(draw):
     rho = (1 - weight) * s.density() + weight * random_density(d, rng, rank=rank).matrix
     noise = draw(st.one_of(st.builds(Depolarizing, st.floats(0, 0.5)),
                            st.builds(UnitaryJitter, st.floats(0, 0.2), st.integers(0, 2**31))))
-    return apply_noise(s.with_state(DensityMatrix(hermitize(rho))), noise)
+    return apply_noise(s.with_state(DensityMatrix(hermitian_part(rho))), noise)
 
 
 def _outcome(f, s):
@@ -340,7 +339,7 @@ def hermitian_stacks(draw):
             w = signs * rng.uniform(0.1, 3.0, size=d)
         u = random_unitary(d, rng)
         stack.append((u * (scale * w)) @ u.conj().T)
-    return hermitize(np.array(stack))
+    return hermitian_part(np.array(stack))
 
 
 @given(m=hermitian_stacks())
@@ -348,7 +347,8 @@ def test_rounding_and_top_eigenvector_pass_the_constructors(m):
     """The seesaw, certify.align and the sequential correlators use eigen-sign
     roundings and top eigenvectors without checking them again: Observable
     accepts every rounding and PureState every top eigenvector."""
-    for a in (*round_to_involutions(m)[0], *round_to_signs(m, DEGENERATE_EIGENVALUE)[0]):
+    for a in (*round_to_involutions(m)[0],
+              *round_eig_to_signs(*eig_exact_hermitian(m), DEGENERATE_EIGENVALUE)):
         Observable(a)
     for v in eig_hermitian(m)[1][..., :, 0]:
         PureState(v)
@@ -401,10 +401,11 @@ def near_involution_stacks(draw):
 @given(m=near_involution_stacks())
 def test_newton_schulz_step_matches_eigen_sign_rounding(m):
     """One Newton–Schulz step, the sequential correlators' rounding of an
-    Observable, agrees with project_involution's eigen-sign rounding to 1e-14
-    per entry, and its involution residual is at most 1e-14."""
+    Observable, agrees with the eigen-sign rounding of its Hermitian part, as
+    project_involution takes it, to 1e-14 per entry, and its involution
+    residual is at most 1e-14."""
     step = newton_schulz_step(m)
-    assert np.abs(step - round_to_involutions(m)[0]).max() <= 1e-14
+    assert np.abs(step - round_to_involutions(hermitian_part(m))[0]).max() <= 1e-14
     assert op_norms(step @ step - np.eye(m.shape[-1])).max() <= 1e-14
 
 

@@ -97,7 +97,7 @@ class TestApplyNoise:
         for o in s.observables:
             w, v = linalg.eig_hermitian(random_hermitian(dim, rng))
             u = linalg.expi_eig(w / max(w[0], -w[-1]), v, 0.05)
-            expected.append(linalg.hermitize(u @ o.matrix @ u.conj().T))
+            expected.append(linalg.hermitian_part(u @ o.matrix @ u.conj().T))
         noisy = apply_noise(s, UnitaryJitter(0.05, rng_seed=9))
         for o, m in zip(noisy.observables, expected):
             assert np.array_equal(o.matrix, m)
@@ -115,7 +115,7 @@ class TestApplyNoise:
         for o, n in zip(s.observables, noisy.observables):
             h = random_hermitian(dim, rng)
             u = linalg.expi_hermitian(h / linalg.op_norm(h), strength)
-            expected = linalg.hermitize(u @ o.matrix @ u.conj().T)
+            expected = linalg.hermitian_part(u @ o.matrix @ u.conj().T)
             assert np.max(np.abs(n.matrix - expected)) <= 1e-13
 
 
@@ -217,6 +217,16 @@ class TestSlopeFits:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             fit_loglog_slope([1.0], [1.0])
+
+    def test_needs_two_distinct_x(self, capfd):
+        # least squares on one x has no slope; it is refused before LAPACK sees it
+        for xs in ([1.0, 1.0, 1.0], [1.0, 1.0, -2.0], [2.0, 2.0, 3.0]):
+            with pytest.raises(ValueError, match="distinct x"):
+                fit_loglog_slope(xs, [1.0, 2.0, 0.0])
+        # the middle two decades may hold a single x: then all points enter
+        xs, ys = [1.0, 100.0, 100.0, 1e4], [1.0, 10.0, 10.0, 100.0]
+        assert abs(fit_loglog_slope(xs, ys) - 0.5) <= 1e-12
+        assert capfd.readouterr().err == ""
 
     def test_tilt_distance_slope_slot5(self, canonical):
         thetas = np.geomspace(5e-4, 5e-2, 9)

@@ -18,6 +18,7 @@ from tempcert.scenario import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PHI_PLUS,
     SIGN_CUTOFF,
     DensityMatrix,
     Observable,
@@ -38,8 +39,8 @@ from tempcert.scenario import (
     random_pure_state,
     random_scenario,
     random_unitary,
+    round_eig_to_signs,
     round_to_involutions,
-    round_to_signs,
     save_scenario,
     scenario_to_dict,
 )
@@ -135,7 +136,7 @@ class TestTypes:
     @pytest.mark.parametrize("d", [2, 4, 16, 64])
     def test_involution_residual_is_the_svd_norm(self, d):
         rng = rng_from(30 + d)
-        m = linalg.hermitize(random_involution(d, rng).matrix + 1e-10 * random_hermitian(d, rng))
+        m = linalg.hermitian_part(random_involution(d, rng).matrix + 1e-10 * random_hermitian(d, rng))
         o = Observable(m)
         assert o.involution_residual > 0
         expected = linalg.op_norm(m @ m - np.eye(d))
@@ -208,6 +209,12 @@ class TestTypes:
     def test_pure_state_norm(self):
         with pytest.raises(ValueError):
             PureState([1.0, 1.0])
+
+    def test_pure_state_is_not_flattened(self):
+        # a unit-norm matrix is no state vector, not even a 4-dimensional one
+        for bad in (np.eye(2) / np.sqrt(2), PHI_PLUS[:, None], PHI_PLUS[None], 1.0):
+            with pytest.raises(ShapeMismatch, match="1-d"):
+                PureState(bad)
 
     @pytest.mark.parametrize("bad", [[1.0, 1.0], [np.nan, 0.0], [1.0, 1e-5]])
     def test_stack_norm_check_agrees_with_pure_state(self, bad):
@@ -310,7 +317,8 @@ class TestRoundToSigns:
     def test_stack_matches_project_involution(self, d):
         rng = rng_from(60 + d)
         draws = np.array([[random_hermitian(d, rng) for _ in range(6)] for _ in range(3)])
-        a, w, v = round_to_signs(draws, SIGN_CUTOFF)
+        w, v = linalg.eig_exact_hermitian(draws)
+        a = round_eig_to_signs(w, v, SIGN_CUTOFF)
         assert a.shape == v.shape == draws.shape and w.shape == (3, 6, d)
         for x, y in zip(round_to_involutions(draws), (a, w, v)):
             assert np.array_equal(x, y)
@@ -323,7 +331,8 @@ class TestRoundToSigns:
     def test_sign_is_plus_one_at_or_below_the_cutoff(self, cutoff):
         above = np.nextafter(cutoff, 1.0)
         eigenvalues = np.array([2.0, cutoff, cutoff / 2, 0.0, -cutoff / 2, -cutoff, -above, -3.0])
-        a, w, _ = round_to_signs(np.diag(eigenvalues), cutoff)
+        w, v = linalg.eig_exact_hermitian(np.diag(eigenvalues).astype(complex))
+        a = round_eig_to_signs(w, v, cutoff)
         assert np.array_equal(w, eigenvalues)
         assert np.array_equal(a, np.diag([1.0, 1, 1, 1, 1, 1, -1, -1]).astype(complex))
 
@@ -419,7 +428,7 @@ class TestRandomConstructions:
                      for _ in range(6)]
         assert stack.shape == (6, dim, dim)
         for m, single, g in zip(stack, singles, gaussians, strict=True):
-            assert np.array_equal(m, single) and np.array_equal(m, linalg.hermitize(g))
+            assert np.array_equal(m, single) and np.array_equal(m, linalg.hermitian_part(g))
         assert block.standard_normal() == one.standard_normal() == ref.standard_normal()
 
     def test_random_scenario_valid(self):

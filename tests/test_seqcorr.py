@@ -65,7 +65,7 @@ def reference_matrices(seq):
         if obs.involution_residual > 1e-8:
             raise NonInvolution("reference: involution residual too large")
         m = obs.matrix
-        mats.append(linalg.hermitize(m @ (3 * np.eye(len(m)) - m @ m) / 2))
+        mats.append(linalg.hermitian_part(m @ (3 * np.eye(len(m)) - m @ m) / 2))
     return mats
 
 
@@ -395,6 +395,20 @@ class TestCorrelations:
         for v in (1.1, float("nan")):
             with pytest.raises(ValueError):
                 CorrelationSet(v, 0, 0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("deviation", [0.99e-12, -0.99e-12])
+    def test_state_at_the_norm_tolerance_is_evaluated(self, canonical, deviation):
+        # PureState accepts ||psi|| within NORM_TOL of 1, which moves correlators
+        # and outcome sums by up to (1 + NORM_TOL)^2 - 1
+        s = canonical.with_state(PureState(canonical.state.amplitudes * (1 + deviation)))
+        for mode in ("analytic", "exact-sum"):
+            assert abs(abs(correlations(s, mode).triple_123) - 1) > 1.9e-12
+        dist = exact_sequence_distribution(s.state, s.observables[:3])
+        assert abs(sum(dist.probabilities.values()) - 1) > 1.9e-12
+        with pytest.raises(ValueError, match="outside"):
+            CorrelationSet(1.01, 0, 0, 0, 0, 0, 0)
+        with pytest.raises(ValueError, match="sum to"):
+            OutcomeDistribution((1, 2), {(1, 1): 1.01})
 
     def test_non_hermitian_operands_raise(self):
         # the vector form is exact for Hermitian operands only, so raw input

@@ -56,6 +56,54 @@ def test_every_error_class_is_named_outside_errors():
     assert [name for name in classes if not re.search(rf"\b{name}\b", sources)] == []
 
 
+#: numpy names README's Modules table may cite.
+NUMPY_NAMES = {"eigh"}
+
+
+def modules_table_names():
+    """The names in backticks in README's Modules table: dotted identifiers,
+    and the function of a call such as `certify(s, corr=...)`."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Modules\n", 1)[1].split("\n## ", 1)[0]
+    spans = re.findall(r"`([^`]+)`", table)
+    return [m[1] for m in (re.fullmatch(r"([A-Za-z_]\w*(?:\.\w+)*)(?:\(.*\))?", s) for s in spans)
+            if m]
+
+
+def test_every_name_in_the_modules_table_exists():
+    """Each name of `modules_table_names` is a tempcert module, an attribute of
+    one (a dotted name read on through attributes or, last, a dataclass
+    field), a builtin, or one of NUMPY_NAMES: a name deleted from the package
+    cannot stay in the docs."""
+    import builtins
+    import dataclasses
+    import pkgutil
+
+    import tempcert
+
+    modules = [tempcert] + [importlib.import_module(f"tempcert.{m.name}")
+                            for m in pkgutil.iter_modules(tempcert.__path__)]
+
+    def exists(name):
+        if name.startswith("tempcert."):
+            return importlib.util.find_spec(name) is not None
+        head, *rest = name.split(".")
+        owners = [m for m in (*modules, builtins) if hasattr(m, head)]
+        if not owners:
+            return head in NUMPY_NAMES and not rest
+        obj = getattr(owners[0], head)
+        for i, part in enumerate(rest):
+            if not hasattr(obj, part):
+                return (i == len(rest) - 1 and dataclasses.is_dataclass(obj)
+                        and part in {f.name for f in dataclasses.fields(obj)})
+            obj = getattr(obj, part)
+        return True
+
+    names = modules_table_names()
+    assert len(names) >= 80
+    assert [name for name in dict.fromkeys(names) if not exists(name)] == []
+
+
 WORKLOADS = TRACER.parent / "workloads.py"
 
 
