@@ -40,7 +40,6 @@ from .inequality import InequalityValue, eval_IT
 from .scenario import (
     CANONICAL_MATRICES,
     PHI_PLUS,
-    DensityMatrix,
     PureState,
     Scenario,
     atomic_write_text,
@@ -68,7 +67,7 @@ PAIR_CONTEXTS = tuple((*context, sign) for context, sign in CONTEXTS.items()
 
 def build_subspace(state, a1, a5):
     """Orthonormal basis for V = span{R, A1 R, A5 R, A1 A5 R}, R the unit-norm
-    factor (d x c) of a PureState or DensityMatrix, or a raw vector (c = 1).
+    factor (d x c) of a PureState or DensityMatrix.
 
     Each generator is a d x c block flattened row-major as `purify` lays out
     R, (A (x) 1) vec(R) = vec(A R). Their Gram matrix is inverted through its
@@ -81,8 +80,7 @@ def build_subspace(state, a1, a5):
     against the state's dimension. Returns (basis, gram): basis columns are
     the phi_m, (d c) x 4, and gram is the generators' 4 x 4 Gram matrix.
     """
-    raw = not isinstance(state, (PureState, DensityMatrix))
-    r = linalg.as_vector(state)[:, None] if raw else state.factor()
+    r = state.factor()
     m1, m5 = observable_matrices((a1, a5), r.shape[0])
     if r.size < 4:
         raise ShapeMismatch(f"dimension {r.size} < 4 cannot hold the subspace")
@@ -180,16 +178,13 @@ def align(projected_observables) -> AlignmentResult:
             f"||{{A1, A5}}|| = {ac15:.3f} after rounding exceeds 0.5"
         )
 
+    # two columns: A1 A5 A1 + A5 = A1 {A1, A5}, so by Weyl an unbalanced split needs norm >= 2
     e = v6[4][:, w6[4] > 0]
-    # ||{A1, A5}|| <= 0.5 forces a balanced 2-2 spectrum split.
-    if e.shape[1] != 2:
-        raise AnticommutatorTooLarge(
-            f"slot-5 +1 eigenspace has dimension {e.shape[1]}, expected 2"
-        )
     f = a1r @ e
     w0 = np.column_stack([e, f])
     # Loewdin correction: with finite anticommutator residue the columns are
-    # only approximately orthonormal.
+    # only approximately orthonormal. Their Gram is 1 off e† A1 e = e† {A1, A5} e / 2,
+    # of norm <= 1/4, so its lambda_min >= 3/4 and inv_sqrt_psd does not refuse it.
     w = w0 @ linalg.inv_sqrt_psd(linalg.hermitian_part(w0.conj().T @ w0))
 
     # slots 2 and 4 in the frame w are close to 1 (x) M and 1 (x) O
@@ -208,11 +203,8 @@ def align(projected_observables) -> AlignmentResult:
         )
     # M's eigenvectors, descending: the checks above leave M one +1 and one -1
     m_plus, m_minus = vm[:, 0], vm[:, 1]
+    # |c| >= sqrt(15)/4: in M's eigenbasis O = [[a, c], [c*, -a]], a^2 + |c|^2 = 1, 2|a| <= 0.5
     c = complex(m_plus.conj() @ (o_r @ m_minus))
-    if abs(c) < 0.5:
-        raise FactorizationFailure(
-            f"slot-4 second-factor off-diagonal element {abs(c):.3f} too small"
-        )
     u2 = np.column_stack([m_plus, m_minus * (c.conjugate() / abs(c))])
 
     unitary = np.kron(np.eye(2), u2).conj().T @ w.conj().T

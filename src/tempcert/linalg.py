@@ -198,14 +198,11 @@ def inv_sqrt_psd(h: np.ndarray) -> np.ndarray:
     Hermitian positive-definite complex matrix, such as a `hermitian_part`,
     from `eig_exact_hermitian`; unchecked otherwise.
 
-    An eigenvalue below -STRUCTURAL_TOL raises ValueError; one at or below
-    INV_SQRT_CUTOFF raises :class:`RankDeficient`.
+    An eigenvalue at or below INV_SQRT_CUTOFF, a negative one included, raises
+    :class:`RankDeficient`.
     """
     w, v = eig_exact_hermitian(h)
-    if w[-1] < -STRUCTURAL_TOL:
-        raise ValueError(
-            f"matrix is not positive semidefinite (min eigenvalue {w[-1]:.3e})"
-        )
+    # a negative eigenvalue lies below INV_SQRT_CUTOFF too: one test refuses both
     low = w[w <= INV_SQRT_CUTOFF]  # descending, so low[0] is the largest
     if low.size:
         raise RankDeficient(f"eigenvalue {low[0]:.3e} at or below cutoff {INV_SQRT_CUTOFF:.1e}")

@@ -67,6 +67,11 @@ CONTEXT_PAIRS = tuple(pair for context in CONTEXTS
 ANTICOMMUTING_PAIRS = tuple(pair for pair in itertools.combinations(range(1, 7), 2)
                             if pair not in CONTEXT_PAIRS)
 
+#: The bound |c| <= CORRELATOR_BOUND that CorrelationSet checks: a correlator pairs images of
+#: the state factor R, ||R||_F^2 <= 1 + PROBABILITY_TOL, through at most three Observables,
+#: each of norm at most sqrt(1 + INVOLUTION_TOL) since ||A^2 - 1|| <= INVOLUTION_TOL.
+CORRELATOR_BOUND = (1 + INVOLUTION_TOL) ** 1.5 * (1 + PROBABILITY_TOL)
+
 
 def _operands(rho, seq):
     """The one edge for raw input: the unit-norm factor R (d, c) of rho (a state, or a raw
@@ -110,7 +115,7 @@ class CorrelationSet:
     def __post_init__(self):
         for name in CORRELATOR_FIELDS:
             v = getattr(self, name)
-            if not abs(v) <= 1.0 + PROBABILITY_TOL:
+            if not abs(v) <= CORRELATOR_BOUND:
                 raise ValueError(f"{name} = {v!r} lies outside [-1, 1]")
 
     def as_dict(self) -> dict:
@@ -122,20 +127,6 @@ OUTCOMES = {n: tuple(itertools.product((1, -1), repeat=n)) for n in (2, 3)}
 SIGNS = {n: tuple(map(math.prod, outcomes)) for n, outcomes in OUTCOMES.items()}
 
 
-def _check_probabilities(rows, outcomes) -> None:
-    """Raise ValueError unless each row of outcome probabilities (outcomes[j] naming entry
-    j) has entries >= -PROBABILITY_TOL summing to 1 within PROBABILITY_TOL; NaN fails both
-    `not` tests."""
-    for row in rows:
-        total = 0.0
-        for outcome, p in zip(outcomes, row):
-            if not p >= -PROBABILITY_TOL:
-                raise ValueError(f"probability {p!r} for outcome {outcome} is not >= 0")
-            total += p
-        if not abs(total - 1.0) <= PROBABILITY_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-
-
 @dataclass
 class OutcomeDistribution:
     """Joint distribution over +-1 outcome tuples of a measurement sequence."""
@@ -144,7 +135,19 @@ class OutcomeDistribution:
     probabilities: dict
 
     def __post_init__(self):
-        _check_probabilities([self.probabilities.values()], self.probabilities)
+        """Raise ValueError unless each key is a tuple of len(sequence) outcomes +-1 and
+        the probabilities are >= -PROBABILITY_TOL and sum to 1 within PROBABILITY_TOL;
+        NaN fails both `not` tests."""
+        n, total = len(self.sequence), 0.0
+        for outcome, p in self.probabilities.items():
+            if not (isinstance(outcome, tuple) and len(outcome) == n
+                    and all(x in (1, -1) for x in outcome)):
+                raise ValueError(f"outcome {outcome!r} is not a tuple of {n} outcomes +-1")
+            if not p >= -PROBABILITY_TOL:
+                raise ValueError(f"probability {p!r} for outcome {outcome} is not >= 0")
+            total += p
+        if not abs(total - 1.0) <= PROBABILITY_TOL:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
 
     def correlator(self) -> float:
         """Expectation of the product of outcomes."""
@@ -282,7 +285,7 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
     any other type raises TypeError). The sampled terms draw in `TERMS` order from one
     PCG64 stream seeded with `rng_seed`, each from its outcome distribution snapped to
     a grid of 2^-40: p moves by at most 2^-41 (about 4.5e-13), and an outcome below
-    that is impossible. exact-sum runs OutcomeDistribution's checks and sum, same bits.
+    that is impossible. exact-sum sums as OutcomeDistribution.correlator does, same bits.
     """
     values, stderr = {}, None
     if mode == "analytic":
@@ -301,9 +304,8 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
             terms = [(name, slots) for name, slots, _ in TERMS if len(slots) == n]
             weights = _weights(r, proj[np.subtract([slots for _, slots in terms], 1)])
             if mode == "exact-sum":
-                rows = weights.tolist()
-                _check_probabilities(rows, OUTCOMES[n])
-                for (name, _), row in zip(terms, rows):  # sign * p in outcome order
+                # no probability check: weights are squared norms, each row sums to ||R||_F^2
+                for (name, _), row in zip(terms, weights.tolist()):  # sign * p in outcome order
                     values[name] = sum(map(operator.mul, SIGNS[n], row))
             else:
                 for (name, _), (*_, estimate, se) in zip(terms, _sampled(weights, shots, rng)):

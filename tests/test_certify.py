@@ -291,6 +291,22 @@ class TestAlign:
         with pytest.raises(AnticommutatorTooLarge):
             align(mats)
 
+    def test_unroundable_projected_observable_rejected(self):
+        # slot 3's zero eigenvalues leave it no rounding, though align reads
+        # only the roundings of slots 1, 2, 4 and 5
+        mats = list(TARGET_MATRICES)
+        mats[2] = np.diag([1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(AnticommutatorTooLarge, match="cannot be rounded to an involution"):
+            align(mats)
+
+    def test_unroundable_second_factor_rejected(self):
+        # slot 2 as Z (x) Z reads +Z on the first factor's +1 half and -Z on
+        # its -1 half: their mean M = 0 has no involution rounding
+        mats = list(TARGET_MATRICES)
+        mats[1] = np.kron(PAULI_Z, PAULI_Z)
+        with pytest.raises(FactorizationFailure, match="has no involution rounding"):
+            align(mats)
+
     def test_factorization_failure(self):
         # slots 2 and 4 share the second-factor operator Z: {M, O} = 2
         mats = [

@@ -14,15 +14,18 @@ from tempcert.cli import (
     main,
 )
 from tempcert.scenario import (
+    CANONICAL_MATRICES,
     PHI_PLUS,
     PureState,
     canonical_scenario,
     complex_pairs,
     load_scenario,
+    random_scenario,
     save_scenario,
     scenario_to_dict,
 )
 from tempcert.robustness import Depolarizing, apply_noise
+from tempcert.seqcorr import correlations
 
 
 @pytest.fixture
@@ -44,6 +47,23 @@ def test_state_at_the_norm_tolerance_runs_every_command(tmp_path, capsys, deviat
     for command in (["evaluate"], ["certify"], ["simulate", "--shots", "1000"],
                     ["sweep", "--model", "depolarizing", "--grid", "0:0.1:2:lin",
                      "--out", str(tmp_path / "sweep.csv")]):
+        assert main([command[0], "--scenario", str(path), *command[1:]]) == EXIT_OK
+    assert "error" not in capsys.readouterr().err
+
+
+def test_observables_at_the_involution_tolerance_run_every_command(tmp_path, capsys):
+    # Observable accepts ||A^2 - 1|| <= INVOLUTION_TOL, so ||A|| up to sqrt(1 + 1e-8):
+    # A1 and A4 scaled by 1 + 4e-9 (residual 8e-9) give triple_123 = 1 + 4e-9
+    doc = scenario_to_dict(canonical_scenario())
+    for slot in (1, 4):
+        doc["observables"][f"A{slot}"] = complex_pairs(
+            CANONICAL_MATRICES[slot - 1].reshape(-1) * (1 + 4e-9))
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    assert correlations(load_scenario(path)).triple_123 > 1 + 3.9e-9
+    sweep = ["sweep", "--grid", "0:0.1:2:lin", "--out", str(tmp_path / "sweep.csv")]
+    for command in (["evaluate"], ["certify"], ["simulate", "--shots", "1000"],
+                    [*sweep, "--model", "depolarizing"], [*sweep, "--model", "tilt"]):
         assert main([command[0], "--scenario", str(path), *command[1:]]) == EXIT_OK
     assert "error" not in capsys.readouterr().err
 
@@ -172,6 +192,14 @@ class TestCertify:
         save_scenario(s, path)
         assert main(["certify", "--scenario", str(path)]) == EXIT_NUMERIC
 
+    def test_dimension_below_four_exit_code(self, tmp_path, capsys):
+        # a d = 3 pure state's factor has 3 entries: no room for a 4-dimensional V
+        path = tmp_path / "d3.json"
+        save_scenario(random_scenario(3, np.random.Generator(np.random.PCG64(3))), path)
+        assert main(["certify", "--scenario", str(path)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "error: ShapeMismatch: dimension 3 < 4 cannot hold the subspace\n")
+
 
 class TestSimulate:
     def test_canonical_close_to_five(self, canonical_file, capsys):
@@ -239,10 +267,50 @@ class TestParser:
         extra = (["--scenario", canonical_file] if argv[0] == "simulate"
                  else ["--out", str(out)])
         assert main(argv + extra) == EXIT_PARSE
+        self.assert_one_error_line(capsys)
+        assert not out.exists()
+
+    @staticmethod
+    def assert_one_error_line(capsys, match=""):
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(lines) == 1 and lines[0].startswith("error: ") and match in lines[0]
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d: {**d, "observables": {**d["observables"], "A1": "x"}},
+         "observables.A1: expected a list"),
+        (lambda d: [d], "must be a JSON object"),
+        (lambda d: {**d, "dim": 1}, "must be >= 2, got 1"),
+        (lambda d: {k: v for k, v in d.items() if k != "state"}, "field 'state': missing"),
+        (lambda d: {**d, "state": {"vector": d["state"]["vector"][:3]}}, "length 3 != dim 4"),
+        (lambda d: {**d, "state": {"density": complex_pairs(np.eye(4).reshape(-1) / 4)[:15]}},
+         "state.density: length 15 != dim^2"),
+        (lambda d: {**d, "state": {}}, "needs 'vector' or 'density'"),
+        (lambda d: {k: v for k, v in d.items() if k != "observables"},
+         "field 'observables': missing"),
+        (lambda d: {**d, "observables": {**d["observables"], "A3": d["observables"]["A3"][:15]}},
+         "observables.A3: length 15 != dim^2"),
+    ])
+    def test_invalid_scenario_file_is_usage_error(self, edit, match, tmp_path, capsys):
+        # edit maps the canonical document to the one written
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(scenario_to_dict(canonical_scenario()))))
+        assert main(["evaluate", "--scenario", str(path)]) == EXIT_PARSE
+        self.assert_one_error_line(capsys, match)
+
+    @pytest.mark.parametrize("grid, match", [
+        ("1:2", "expected start:stop:count"),
+        ("1:2:x", "invalid literal"),
+        ("1:2:0", "count must be >= 1"),
+        ("0:1:3:log", "log scale needs positive endpoints"),
+        ("1:2:3:cubic", "unknown scale 'cubic'"),
+    ])
+    def test_invalid_grid_spec_is_usage_error(self, grid, match, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--model", "depolarizing", "--grid", grid,
+                     "--out", str(out)]) == EXIT_PARSE
+        self.assert_one_error_line(capsys, match)
         assert not out.exists()
 
     def test_parser_is_reused_with_a_fresh_namespace(self, canonical_file, tmp_path, capsys):

@@ -217,7 +217,8 @@ class TestInvSqrtPsd:
             linalg.inv_sqrt_psd(np.diag([1.0, 0.0]))
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        # a negative eigenvalue lies below the cutoff too: one refusal for both
+        with pytest.raises(RankDeficient, match="-1.000e"):
             linalg.inv_sqrt_psd(np.diag([1.0, -1.0]))
 
 

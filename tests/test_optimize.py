@@ -204,6 +204,10 @@ class TestOptimalState:
             optimal_state([np.eye(4)] * 5 + [np.eye(2)])
         assert not isinstance(caught.value, NonSquare)
 
+    def test_five_observables_raise(self, canonical):
+        with pytest.raises(ShapeMismatch, match="need 6 observables, got 5"):
+            optimal_state(canonical.observables[:5])
+
     def test_non_square_matrices_raise(self):
         with pytest.raises(NonSquare):
             optimal_state([np.ones((4, 3))] * 6)

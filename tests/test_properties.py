@@ -19,6 +19,7 @@ from tempcert.linalg import (
     acomm,
     eig_exact_hermitian,
     eig_hermitian,
+    expi_hermitian,
     hermitian_part,
     op_norm,
     op_norms,
@@ -42,6 +43,8 @@ from tempcert.robustness import (
 )
 from tempcert.scenario import (
     INVOLUTION_TOL,
+    NORM_TOL,
+    PROBABILITY_TOL,
     DensityMatrix,
     Observable,
     PureState,
@@ -50,6 +53,7 @@ from tempcert.scenario import (
     conjugate_scenario,
     dumps_scenario,
     loads_scenario,
+    observables,
     purify_scenario,
     random_density,
     random_hermitian,
@@ -62,6 +66,8 @@ from tempcert.scenario import (
 from tempcert.seqcorr import (
     CONTEXTS,
     TERMS,
+    _projectors,
+    _weights,
     correlations,
     exact_sequence_distribution,
     newton_schulz_step,
@@ -381,8 +387,8 @@ def test_sign_step_on_raw_eigh_matches_the_canonical_rounding(g):
 
 
 @st.composite
-def near_involution_stacks(draw):
-    """(4, d, d) stacks of Observables, d = 2-16: U diag(s_k sqrt(1 + eps u_k)) U†
+def near_involution_stacks(draw, n=4):
+    """(n, d, d) stacks of Observables, d = 2-16: U diag(s_k sqrt(1 + eps u_k)) U†
     with a Haar eigenbasis U, random signs s_k and u_k uniform in [-1, 1], so
     ||A² - 1|| <= eps for a drawn eps up to (nearly) INVOLUTION_TOL, each
     with or without a skew-Hermitian defect of norm 8e-11, which Observable
@@ -391,7 +397,7 @@ def near_involution_stacks(draw):
     skew = draw(st.sampled_from([0.0, 4e-11]))
     rng = rng_from(draw(st.integers(0, 2**32 - 1)))
     stack = []
-    for _ in range(4):
+    for _ in range(n):
         w = rng.choice([-1.0, 1.0], size=d) * np.sqrt(1 + eps * rng.uniform(-1, 1, size=d))
         u, k = random_unitary(d, rng), random_hermitian(d, rng)
         stack.append(Observable((u * w) @ u.conj().T + 1j * skew * k / op_norm(k)).matrix)
@@ -407,6 +413,95 @@ def test_newton_schulz_step_matches_eigen_sign_rounding(m):
     step = newton_schulz_step(m)
     assert np.abs(step - round_to_involutions(hermitian_part(m))[0]).max() <= 1e-14
     assert op_norms(step @ step - np.eye(m.shape[-1])).max() <= 1e-14
+
+
+@st.composite
+def edge_scenarios(draw):
+    """Scenarios at the edges of what the constructors accept: six observables of
+    `near_involution_stacks`, ||A² - 1|| up to (nearly) INVOLUTION_TOL, on a pure
+    state whose norm is 1 - 0.99 NORM_TOL, 1 or 1 + 0.99 NORM_TOL, or on a random
+    mixed state."""
+    stack = draw(near_involution_stacks(n=6))
+    d, rng = stack.shape[-1], rng_from(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1 - 0.99 * NORM_TOL, 1.0, 1 + 0.99 * NORM_TOL, None]))
+    state = (random_density(d, rng) if scale is None
+             else PureState(random_pure_state(d, rng).amplitudes * scale))
+    return Scenario(state, observables(stack))
+
+
+@given(s=edge_scenarios())
+def test_exact_sum_weights_are_probabilities_at_the_tolerance_edges(s):
+    """exact-sum takes its outcome weights unchecked: at the INVOLUTION_TOL and
+    NORM_TOL edges every weight row, stacked per term length as `correlations`
+    stacks it, is >= 0 and sums to 1 within PROBABILITY_TOL, and every mode's
+    correlators stay inside CorrelationSet's bound."""
+    r, proj = _projectors(s.state, s.observables)
+    for n in (3, 2):
+        slots = [slots for _, slots, _ in TERMS if len(slots) == n]
+        for row in _weights(r, proj[np.subtract(slots, 1)]).tolist():
+            assert min(row) >= 0
+            assert abs(sum(row) - 1) <= PROBABILITY_TOL
+    for mode in ("analytic", "exact-sum"):
+        correlations(s, mode)
+    correlations(s, "sampled", shots=100, rng_seed=0)
+
+
+#: align's threshold on ||{A1, A5}|| and on each of its three second-factor checks.
+ALIGN_THRESHOLD = 0.5
+
+
+@st.composite
+def rounding_pairs(draw, d):
+    """Pairs (A, B) of d x d Hermitian matrices, d even, as align rounds them: B is
+    U diag(s) U†, U Haar or 1, and A is, in that frame, one of an involution that
+    anticommutes with B, s balanced, tilted by exp(-i t H) for ||H|| = 1 and t up
+    to 0.4; an involution commuting with B, s any signature from all +1 to all -1;
+    or a random Hermitian matrix. Both are offset by a random Hermitian matrix of
+    norm 0, 1e-9 or 1e-3."""
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["partner", "commuting", "random"]))
+    plus = d // 2 if kind == "partner" else draw(st.integers(0, d))
+    u = random_unitary(d, rng) if draw(st.booleans()) else np.eye(d)
+    signs = np.where(np.arange(d) < plus, 1.0, -1.0)
+    b = (u * signs) @ u.conj().T
+    if kind == "partner":
+        half = random_unitary(d // 2, rng)
+        partner = np.block([[np.zeros_like(half), half], [half.conj().T, np.zeros_like(half)]])
+        h = random_hermitian(d, rng)
+        tilt = expi_hermitian(h / op_norm(h), draw(st.floats(0, 0.4)))
+        a = tilt @ u @ partner @ u.conj().T @ tilt.conj().T
+    elif kind == "random":
+        a = random_hermitian(d, rng)
+    else:
+        a = (u * rng.choice([-1.0, 1.0], size=d)) @ u.conj().T
+    offset = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    noise = random_hermitian(d, rng, 2)
+    return hermitian_part(np.array([a, b]) + offset * noise / op_norms(noise)[:, None, None])
+
+
+@given(pair=rounding_pairs(4))
+def test_align_anticommutator_check_forces_a_balanced_split(pair):
+    """align reads two columns off the rounded slot 5's +1 eigenspace without
+    counting them: where ||{A1r, A5r}|| <= ALIGN_THRESHOLD, the spectrum of A5r
+    splits 2-2, and the Loewdin Gram of [e, A1r e] has lambda_min >= 3/4."""
+    (a1r, a5r), w, v = round_to_involutions(pair)
+    if op_norm(acomm(a1r, a5r)) > ALIGN_THRESHOLD:
+        return
+    e = v[1][:, w[1] > 0]
+    assert e.shape[1] == 2
+    w0 = np.column_stack([e, a1r @ e])
+    assert eig_exact_hermitian(hermitian_part(w0.conj().T @ w0))[0][-1] >= 0.75 - 1e-12
+
+
+@given(pair=rounding_pairs(2))
+def test_second_factor_checks_bound_the_off_diagonal_element(pair):
+    """align divides by c = <m+, O m-> without testing it: where its three
+    second-factor checks pass at ALIGN_THRESHOLD, |c| >= sqrt(15)/4."""
+    (m_r, o_r), _, (vm, _) = round_to_involutions(pair)
+    if (op_norms([pair[0] - m_r, pair[1] - o_r, acomm(m_r, o_r)]) > ALIGN_THRESHOLD).any():
+        return
+    c = vm[:, 0].conj() @ o_r @ vm[:, 1]
+    assert abs(c) >= math.sqrt(15) / 4 - 1e-12
 
 
 @st.composite

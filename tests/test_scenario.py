@@ -124,6 +124,11 @@ class TestTypes:
         with pytest.raises(NotHermitian):
             Observable(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_observable_rejects_a_stack(self):
+        # as_matrix's ndim check: a stack of observables goes to `observables`
+        with pytest.raises(ShapeMismatch, match="ndim 3"):
+            Observable(np.array([PAULI_Z, PAULI_X]))
+
     def test_observable_rejects_non_involution(self):
         with pytest.raises(NonInvolution):
             Observable(np.diag([2.0, -1.0]))

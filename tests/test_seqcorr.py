@@ -222,6 +222,17 @@ class TestExactDistribution:
         dist = OutcomeDistribution((1, 2), {(1, 1): 0.75, (-1, 1): 0.25})
         assert dist.correlator() == 0.5
 
+    @pytest.mark.parametrize("sequence, probabilities", [
+        ((1, 2), {(1, 1): 0.5, (5, 5): 0.5}),        # not +-1: its correlator would read 13
+        ((1, 2), {(1, 1): 0.5, (1, 0): 0.5}),
+        ((1, 2), {(1, 1): 0.5, (1, -1, 1): 0.5}),
+        ((1, 2), {1: 1.0}),
+        ((1, 2, 3), {(1, 1): 1.0}),                  # one outcome short of each step
+    ])
+    def test_keys_must_be_outcome_tuples_of_the_sequence(self, sequence, probabilities):
+        with pytest.raises(ValueError, match=f"not a tuple of {len(sequence)} outcomes"):
+            OutcomeDistribution(sequence, probabilities)
+
     def test_nan_probability_rejected(self):
         # NaN fails every comparison, so each check is written as `not ... <=`
         with pytest.raises(ValueError, match="nan"):
@@ -668,6 +679,11 @@ class TestErrorPaths:
             exact_sequence_distribution(canonical.density(), seq)
         with pytest.raises(ShapeMismatch):
             sample_sequences(canonical.density(), seq, 100, 0)
+
+    @pytest.mark.parametrize("kwargs", [{"shots": 100}, {"rng_seed": 0}, {}])
+    def test_sampled_mode_needs_shots_and_seed(self, canonical, kwargs):
+        with pytest.raises(ValueError, match="needs shots and rng_seed"):
+            correlations(canonical, "sampled", **kwargs)
 
     def test_zero_eigenvalue_in_raw_matrix(self, canonical):
         seq = [np.diag([1.0, 0.0, -1.0, 1.0]), canonical.observable(4)]
