@@ -44,7 +44,7 @@ from .scenario import (
     Scenario,
     atomic_write_text,
     complex_pairs,
-    observable_matrices,
+    require_operands,
     round_to_involutions,
 )
 from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXT_PAIRS, CONTEXTS, CorrelationSet, correlations
@@ -76,12 +76,12 @@ def build_subspace(state, a1, a5):
     at or below linalg.INV_SQRT_CUTOFF means the generators are linearly
     dependent and a 4-dimensional certification target cannot be extracted.
 
-    a1 and a5 are Observables or raw matrices, checked by `observable_matrices`
-    against the state's dimension. Returns (basis, gram): basis columns are
-    the phi_m, (d c) x 4, and gram is the generators' 4 x 4 Gram matrix.
+    a1 and a5 are Observables of the state's dimension (`require_operands`, which
+    refuses a raw state or matrix with TypeError). Returns (basis, gram): basis columns
+    are the phi_m, (d c) x 4, and gram is the generators' 4 x 4 Gram matrix.
     """
+    m1, m5 = (o.matrix for o in require_operands(state, (a1, a5)))
     r = state.factor()
-    m1, m5 = observable_matrices((a1, a5), r.shape[0])
     if r.size < 4:
         raise ShapeMismatch(f"dimension {r.size} < 4 cannot hold the subspace")
     gens = np.column_stack([g.reshape(-1) for g in (r, m1 @ r, m5 @ r, m1 @ (m5 @ r))])

@@ -15,12 +15,12 @@ scenario's (6, d, d) observables and (d, c) factor, or all running seeds'
 (S, 6, d, d) and (S, d, 1). GATHER gathers a slot's or a pair's coefficient
 operators from one image stack.
 
-Input is checked at the edges: the public functions take Observables or
-check their raw matrices, and `seesaw` checks its final iterates once, as one
-(S, 6, d, d) stack. In between, both operators are Hermitian parts, exactly
-Hermitian by construction, handed straight to the eigensolver: a sign
-rounding depends on neither the order nor the phases of the eigenvectors, so
-only the state steps sort and phase-fix theirs, in `linalg.eig_exact_hermitian`.
+Input is checked at the edges: the public functions take Observables only, and
+`seesaw` checks its final iterates once, as one (S, 6, d, d) stack. In
+between, both operators are Hermitian parts, exactly Hermitian by
+construction, handed straight to the eigensolver: a sign rounding depends on
+neither the order nor the phases of the eigenvectors, so only the state steps
+sort and phase-fix theirs, in `linalg.eig_exact_hermitian`.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ from .scenario import (
     PureState,
     Scenario,
     _require_slot,
-    observable_matrices,
     observables,
     random_hermitian,
     random_pure_state,
     require_integer,
+    require_operands,
     round_eig_to_signs,
     round_to_involutions,
 )
@@ -188,13 +188,14 @@ def optimal_state(observables) -> PureState:
 
     The expression is linear in rho, so the maximum over all states is
     attained at the top eigenvector; the achieved value is the top
-    eigenvalue. The operator form needs Hermitian observables: a raw matrix
-    that is not raises NotHermitian.
+    eigenvalue. The six observables are Observables of one dimension
+    (`require_operands`); a raw matrix raises TypeError.
     """
     observables = list(observables)
     if len(observables) != 6:
         raise ShapeMismatch(f"need 6 observables, got {len(observables)}")
-    return PureState(_top_factors(_bell_from_matrices(observable_matrices(observables)))[..., 0])
+    mats = [o.matrix for o in require_operands(None, observables)]
+    return PureState(_top_factors(_bell_from_matrices(mats))[..., 0])
 
 
 def coefficient_operator(s: Scenario, slot: int) -> np.ndarray:
@@ -228,17 +229,17 @@ def optimal_observable(s: Scenario, slot: int) -> Observable:
 def seesaw(config: SeesawConfig):
     """Multi-start seesaw. Returns (best trace, all traces).
 
-    Each seed draws its random start from its own PCG64 stream, spawned from
+    Each seed draws its random start, a state and its six generators as one
+    `random_hermitian` block, from its own PCG64 stream, spawned from
     config.rng_seed; all starts are sign-rounded in one stacked call. The
-    seeds then run as one batch. A sweep is a state step, then one step per
-    pair of SLOT_PAIRS, in order: four stacked eigensolves over the running
-    seeds. A seed leaves the batch when its sweep gain falls below config.tol,
-    and its trace does not depend on the other seeds. `degenerate_steps`
-    counts a seed's slot steps, two per pair step, with a coefficient
-    eigenvalue of magnitude at most 1e-12. The iterates are checked once, at
-    the end: all final observables as one stack through `observables`, and
-    each final state as its PureState. Best is the highest final value,
-    lowest seed on ties.
+    seeds run as one batch. A sweep is a state step, then one step per pair of
+    SLOT_PAIRS, in order: four stacked eigensolves over the running seeds. A
+    seed leaves the batch when its sweep gain falls below config.tol, and its
+    trace does not depend on the other seeds. `degenerate_steps` counts a
+    seed's slot steps, two per pair step, with a coefficient eigenvalue of
+    magnitude at most 1e-12. The iterates are checked once, at the end: all
+    final observables as one stack through `observables`, and each final state
+    as its PureState. Best is the highest final value, lowest seed on ties.
     """
     states, draws = [], []
     for child in np.random.SeedSequence(config.rng_seed).spawn(config.seeds):

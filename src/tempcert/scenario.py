@@ -104,24 +104,6 @@ class Observable:
         return f"Observable(dim={self.dim}, involution_residual={self.involution_residual:.2e})"
 
 
-def observable_matrices(seq, dim: int | None = None) -> np.ndarray:
-    """The one check of operands that are Observables or raw matrices: their matrices
-    stacked (n, d, d), all square (NonSquare) and of one dimension, `dim` when given
-    (ShapeMismatch), the raw ones coerced with `as_matrix` and checked Hermitian in one
-    `require_hermitian` call. An Observable was checked when built, not again here."""
-    seq = list(seq)
-    mats = [o.matrix if isinstance(o, Observable) else linalg.as_matrix(o) for o in seq]
-    d = mats[0].shape[0] if dim is None else dim
-    for m in mats:  # before stacking, which would raise ValueError on mixed shapes
-        linalg.require_square(m)
-        if m.shape[0] != d:
-            raise ShapeMismatch(f"observable shape {m.shape} does not match dimension {d}")
-    mats, raw = np.array(mats), [k for k, o in enumerate(seq) if not isinstance(o, Observable)]
-    if raw:
-        linalg.require_hermitian(mats[raw], "observable")
-    return mats
-
-
 def observables(matrices) -> list:
     """One Observable per matrix of a stack (..., d, d), nested in lists along
     the leading axes: the matrices, checks and errors of building each on its
@@ -225,6 +207,24 @@ def _require_slot(slot: int) -> None:
         raise ShapeMismatch(f"slot must be in 1..6, got {slot}")
 
 
+def require_operands(state, observables) -> tuple:
+    """The one check of the engine's operands: a state that is a PureState or
+    DensityMatrix, or None, and observables that are Observables (else TypeError),
+    all of the state's dimension, or of the first observable's without a state
+    (else ShapeMismatch). Returns the observables as a tuple. Each operand's own
+    checks ran when it was built; a raw matrix goes through its constructor."""
+    if state is not None and not isinstance(state, (PureState, DensityMatrix)):
+        raise TypeError("state must be a PureState or DensityMatrix instance")
+    obs = tuple(observables)
+    if not all(isinstance(o, Observable) for o in obs):
+        raise TypeError("observables must be Observable instances")
+    d = obs[0].dim if state is None else state.dim
+    for k, o in enumerate(obs, start=1):
+        if o.dim != d:
+            raise ShapeMismatch(f"observable {k} has dimension {o.dim}, expected {d}")
+    return obs
+
+
 class Scenario:
     """One state (PureState or DensityMatrix) plus six observables A1..A6 on a
     common d-dimensional space. Nothing derived from them is kept: each
@@ -233,20 +233,12 @@ class Scenario:
     __slots__ = ("state", "observables", "dim")
 
     def __init__(self, state, observables):
-        if not isinstance(state, (PureState, DensityMatrix)):
-            raise TypeError("state must be a PureState or DensityMatrix instance")
-        obs = tuple(observables)
+        obs = require_operands(state, observables)
         if len(obs) != 6:
             raise ShapeMismatch(f"a scenario needs exactly 6 observables, got {len(obs)}")
-        if not all(isinstance(o, Observable) for o in obs):
-            raise TypeError("observables must be Observable instances")
-        d = state.dim
-        for k, o in enumerate(obs, start=1):
-            if o.dim != d:
-                raise ShapeMismatch(f"A{k} has dimension {o.dim}, state has {d}")
         self.state = state
         self.observables = obs
-        self.dim = d
+        self.dim = state.dim
 
     def observable(self, slot: int) -> Observable:
         """1-based access: slot in 1..6."""

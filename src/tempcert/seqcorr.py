@@ -28,12 +28,10 @@ from .scenario import (
     INVOLUTION_TOL,
     PROBABILITY_TOL,
     DensityMatrix,
-    Observable,
     PureState,
     Scenario,
-    observable_matrices,
     require_integer,
-    round_to_involutions,
+    require_operands,
 )
 
 #: The temporal expression I_T = sum of weight * correlator, one row
@@ -75,9 +73,10 @@ CORRELATOR_BOUND = (1 + INVOLUTION_TOL) ** 1.5 * (1 + PROBABILITY_TOL)
 
 def _operands(rho, seq):
     """The one edge for raw input: the unit-norm factor R (d, c) of rho (a state, or a raw
-    matrix through DensityMatrix's checks) and seq's `observable_matrices` of dimension d."""
+    matrix through DensityMatrix's checks) and the matrices (n, d, d) of the Observables seq,
+    checked by `require_operands`."""
     state = rho if isinstance(rho, (PureState, DensityMatrix)) else DensityMatrix(rho)
-    return state.factor(), observable_matrices(seq, state.dim)
+    return state.factor(), np.array([o.matrix for o in require_operands(state, seq)])
 
 
 def state_images(mats: np.ndarray, r: np.ndarray):
@@ -179,15 +178,9 @@ def newton_schulz_step(mats: np.ndarray) -> np.ndarray:
 
 def _projectors(rho, seq):
     """`_operands`' state factor and the projector pairs (n, 2, d, d), Pi_+ then Pi_-
-    = (1 +- A)/2, of each observable's exact involution, one `newton_schulz_step` away.
-    Raw matrices that are no near-involution are eigen-sign rounded first."""
+    = (1 +- A)/2, of each observable's exact involution, one `newton_schulz_step` away."""
     r, mats = _operands(rho, seq)
     eye = np.eye(r.shape[0])
-    raw = [k for k, obs in enumerate(seq) if not isinstance(obs, Observable)]
-    if raw:
-        far = np.array(raw)[linalg.op_norm_exceeds(mats[raw] @ mats[raw] - eye, INVOLUTION_TOL)]
-        if far.size:
-            mats[far] = round_to_involutions(linalg.hermitian_part(mats[far]))[0]
     mats = newton_schulz_step(mats)
     return r, np.stack([(eye + mats) / 2, (eye - mats) / 2], axis=1)
 
@@ -263,13 +256,12 @@ def sample_sequences(rho, seq, shots: int, rng_seed, labels=None):
     each p moves by at most 2^-41, about 4.5e-13, and an outcome below that is
     impossible. One multinomial draw of the shots, a whole number, reproduces the
     per-shot process exactly and is deterministic given `rng_seed`, an integer >= 0
-    (a bool or other type raises TypeError) or a numpy SeedSequence, seeding numpy's
-    PCG64. `labels` are as for `exact_sequence_distribution`. Returns the empirical
-    OutcomeDistribution, the mean of the outcome products, and its standard error
-    (sample standard deviation / sqrt(shots)).
+    (any other type, a bool or SeedSequence too, raises TypeError) seeding numpy's
+    PCG64, as for `correlations`. `labels` are as for `exact_sequence_distribution`.
+    Returns the empirical OutcomeDistribution, the mean of the outcome products,
+    and its standard error (sample standard deviation / sqrt(shots)).
     """
-    if not isinstance(rng_seed, np.random.SeedSequence):
-        require_integer("rng_seed", rng_seed, 0)
+    require_integer("rng_seed", rng_seed, 0)
     r, proj, labels = _sequence_of(rho, seq, labels)
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     ((outcomes, counts, estimate, stderr),) = _sampled(_weights(r, proj)[None], shots, rng)

@@ -18,8 +18,6 @@ from tempcert.certify import (
 from tempcert.errors import (
     AnticommutatorTooLarge,
     FactorizationFailure,
-    NonSquare,
-    NotHermitian,
     ShapeMismatch,
     SubspaceDegenerate,
     TempcertError,
@@ -69,17 +67,17 @@ class TestBuildSubspace:
             build_subspace(s.state, s.observable(1), s.observable(5))
 
     def test_raw_operands_are_checked(self, canonical):
-        # raw matrices get the checks of every other raw-operand edge: square,
-        # of the state's dimension, Hermitian; an Observable is taken as built
+        # a raw vector or density matrix is refused as Scenario refuses it, not
+        # left to fail on a missing attribute, and a raw matrix as every route
+        # refuses it (test_scenario.py); an Observable of another dimension is
+        # refused before any product is formed
         a1, a5 = canonical.observable(1), canonical.observable(5)
-        for bad, error in ((np.ones((4, 3)), NonSquare), (np.eye(2), ShapeMismatch),
-                           (np.triu(np.ones((4, 4))), NotHermitian)):
-            with pytest.raises(error):
-                build_subspace(canonical.state, bad, a5)
-            with pytest.raises(error):
-                build_subspace(canonical.state, a1, bad)
-        basis, _ = build_subspace(canonical.state, a1.matrix, a5.matrix)
-        assert np.array_equal(basis, build_subspace(canonical.state, a1, a5)[0])
+        for raw in (canonical.state.amplitudes, canonical.density()):
+            with pytest.raises(TypeError, match="PureState or DensityMatrix"):
+                build_subspace(raw, a1, a5)
+        for pair in ((Observable(np.eye(2)), a5), (a1, Observable(np.eye(2)))):
+            with pytest.raises(ShapeMismatch, match="has dimension 2, expected 4"):
+                build_subspace(canonical.state, *pair)
 
 
 class TestAlgebraResiduals:

@@ -11,7 +11,6 @@ from tempcert.errors import (
     DegenerateCoefficientWarning,
     NonInvolution,
     NonSquare,
-    NotHermitian,
     ShapeMismatch,
 )
 from tempcert.inequality import eval_IT_scenario
@@ -193,28 +192,25 @@ class TestOptimalState:
             rho = random_density(4, rng).matrix
             assert achieved >= float(np.trace(rho @ b).real) - 1e-10
 
-    def test_non_hermitian_raw_matrices_raise(self):
-        # the operator form holds only for Hermitian observables
-        rng = rng_from(48)
-        with pytest.raises(NotHermitian):
-            optimal_state([rng.standard_normal((4, 4)) for _ in range(6)])
-
     def test_mixed_dimensions_raise_shape_mismatch(self):
         with pytest.raises(ShapeMismatch) as caught:
-            optimal_state([np.eye(4)] * 5 + [np.eye(2)])
+            optimal_state([Observable(np.eye(4))] * 5 + [Observable(np.eye(2))])
         assert not isinstance(caught.value, NonSquare)
 
     def test_five_observables_raise(self, canonical):
         with pytest.raises(ShapeMismatch, match="need 6 observables, got 5"):
             optimal_state(canonical.observables[:5])
 
-    def test_non_square_matrices_raise(self):
-        with pytest.raises(NonSquare):
-            optimal_state([np.ones((4, 3))] * 6)
+    def test_raw_matrix_among_observables_is_checked(self, canonical):
+        # refused as no Observable, before its Hermiticity or dimension is read
+        rng = rng_from(49)
+        obs = list(canonical.observables)
+        for raw in (rng.standard_normal((4, 4)), np.eye(2)):
+            with pytest.raises(TypeError, match="Observable instances"):
+                optimal_state(obs[:5] + [raw])
 
     def test_observables_are_not_checked_again(self, monkeypatch, canonical):
-        # an Observable was checked when it was built; only raw matrices are
-        # checked here, in one stacked call
+        # an Observable was checked when it was built
         calls = []
         require_hermitian = linalg.require_hermitian
 
@@ -224,19 +220,9 @@ class TestOptimalState:
 
         monkeypatch.setattr(linalg, "require_hermitian", counting)
         state = optimal_state(canonical.observables)
+        assert np.array_equal(optimal_state(iter(canonical.observables)).amplitudes,
+                              state.amplitudes)
         assert calls == []
-        raw = [canonical.observable(k) for k in range(1, 6)] + [canonical.observable(6).matrix]
-        assert np.array_equal(optimal_state(raw).amplitudes, state.amplitudes)
-        assert optimal_state(iter(canonical.observables)).dim == 4
-        assert calls == [(1, 4, 4)]
-
-    def test_raw_matrix_among_observables_is_checked(self, canonical):
-        rng = rng_from(49)
-        obs = list(canonical.observables)
-        with pytest.raises(NotHermitian):
-            optimal_state(obs[:5] + [rng.standard_normal((4, 4))])
-        with pytest.raises(ShapeMismatch):
-            optimal_state(obs[:5] + [np.eye(2)])
 
     def test_diagonal_case_gives_basis_state(self):
         rng = rng_from(43)

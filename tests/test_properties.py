@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from tempcert import certify
 from tempcert.errors import TempcertError
-from tempcert.inequality import eval_INC
+from tempcert.inequality import (
+    CLASSICAL_BOUND,
+    QUANTUM_BOUND,
+    eval_INC,
+    eval_IT,
+    eval_IT_scenario,
+)
 from tempcert.linalg import (
     acomm,
     eig_exact_hermitian,
@@ -178,6 +184,40 @@ def test_vector_path_matches_matrix_form(s):
     oracle = sum(sign * np.trace(rho @ functools.reduce(np.matmul, [a[k - 1] for k in c])).real
                  for c, sign in CONTEXTS.items())
     assert abs(eval_INC(s)[0] - oracle) <= 1e-13
+
+
+@given(s=scenarios(), seed=st.integers(0, 2**32 - 1))
+def test_correlators_are_unitarily_invariant(s, seed):
+    """The analytic and exact-sum correlators of conjugate_scenario(s, u), u a
+    Haar unitary, equal those of s to 1e-13, and I_T <= 5 + 1e-12 on both."""
+    t = conjugate_scenario(s, random_unitary(s.dim, rng_from(seed)))
+    for mode in ("analytic", "exact-sum"):
+        before, after = correlations(s, mode), correlations(t, mode)
+        for name, value in before.as_dict().items():
+            assert abs(getattr(after, name) - value) <= 1e-13
+        assert max(eval_IT(before).value, eval_IT(after).value) <= QUANTUM_BOUND + 1e-12
+
+
+@st.composite
+def commuting_scenarios(draw, dims=st.integers(2, 8)):
+    """Six observables with drawn signs in one shared Haar eigenbasis, on a
+    random pure or full-rank mixed state."""
+    d, seed, pure = draw(dims), draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+    rng = rng_from(seed)
+    w = random_unitary(d, rng)
+    obs = [Observable((w * rng.choice([-1.0, 1.0], size=d)) @ w.conj().T) for _ in range(6)]
+    return Scenario(random_pure_state(d, rng) if pure else random_density(d, rng), obs)
+
+
+@given(s=commuting_scenarios())
+def test_commuting_observables_respect_the_classical_bound(s):
+    """Jointly diagonal observables are a mixture of deterministic assignments:
+    I_T <= CLASSICAL_BOUND + 1e-12, and eval_INC, whose report finds every
+    context compatible, equals I_T to 1e-10."""
+    it = eval_IT_scenario(s).value
+    value, report = eval_INC(s)
+    assert it <= CLASSICAL_BOUND + 1e-12
+    assert report.compatible and abs(value - it) <= 1e-10
 
 
 @given(s=st.one_of(scenarios(), tilted_canonicals()))

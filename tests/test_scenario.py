@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tempcert import linalg
+from tempcert.certify import build_subspace
 from tempcert.errors import (
     NonInvolution,
     NotHermitian,
@@ -12,7 +13,7 @@ from tempcert.errors import (
     SubspaceDegenerate,
     ZeroEigenvalue,
 )
-from tempcert.optimize import DEGENERATE_EIGENVALUE
+from tempcert.optimize import DEGENERATE_EIGENVALUE, optimal_state
 from tempcert.scenario import (
     CANONICAL_MATRICES,
     PAULI_X,
@@ -44,9 +45,29 @@ from tempcert.scenario import (
     save_scenario,
     scenario_to_dict,
 )
-from tempcert.seqcorr import newton_schulz_step, state_images
+from tempcert.seqcorr import (
+    exact_sequence_distribution,
+    newton_schulz_step,
+    pair_corr,
+    sample_sequences,
+    state_images,
+    triple_corr,
+)
 
 from conftest import rng_from
+
+#: Each engine route that takes observable operands, called on a scenario s
+#: with the raw matrix m in place of one of them.
+OBSERVABLE_ROUTES = {
+    "Scenario": lambda s, m: Scenario(s.state, [m, *s.observables[1:]]),
+    "pair_corr": lambda s, m: pair_corr(s.state, m, s.observable(4)),
+    "triple_corr": lambda s, m: triple_corr(s.state, s.observable(2), s.observable(3), m),
+    "exact_sequence_distribution":
+        lambda s, m: exact_sequence_distribution(s.state, [m, s.observable(4)]),
+    "sample_sequences": lambda s, m: sample_sequences(s.state, [m, s.observable(4)], 100, 0),
+    "build_subspace": lambda s, m: build_subspace(s.state, s.observable(1), m),
+    "optimal_state": lambda s, m: optimal_state([m, *s.observables[1:]]),
+}
 
 
 class TestCanonical:
@@ -277,6 +298,16 @@ class TestTypes:
             Scenario(Stub(), canonical.observables)
         with pytest.raises(TypeError):
             Scenario(canonical.density(), canonical.observables)
+
+    @pytest.mark.parametrize("route", OBSERVABLE_ROUTES)
+    def test_raw_observables_are_refused_on_every_route(self, canonical, route):
+        # a raw matrix skips Observable's checks: 2 A1 gave pair_corr 2 and the
+        # exact-sum distribution, which rounded it to A1, a correlator of 1; an
+        # exact involution passed raw is refused all the same
+        a1 = canonical.observable(1).matrix
+        for raw in (2 * a1, a1):
+            with pytest.raises(TypeError, match="Observable instances"):
+                OBSERVABLE_ROUTES[route](canonical, raw)
 
     def test_scenario_dim_match(self):
         s = canonical_scenario()

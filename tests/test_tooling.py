@@ -2,6 +2,7 @@
 A name that no longer resolves would leave its per-layer metric at zero
 without any error, so each one is checked here."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -54,6 +55,24 @@ def test_every_error_class_is_named_outside_errors():
                         if path.name != "errors.py")
     assert len(classes) >= 10
     assert [name for name in classes if not re.search(rf"\b{name}\b", sources)] == []
+
+
+def test_every_imported_name_is_used():
+    """Each name a tempcert module imports is read in that module: with no
+    linter installed, an import whose last use was deleted would stay. The
+    package's __init__.py imports to re-export, and `from __future__` imports
+    are directives, so neither counts."""
+    unused = []
+    for path in sorted((ROOT / "src" / "tempcert").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in read]
+    assert unused == []
 
 
 #: numpy names README's Modules table may cite.
