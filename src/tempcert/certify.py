@@ -47,7 +47,7 @@ from .scenario import (
     require_operands,
     round_to_involutions,
 )
-from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXT_PAIRS, CONTEXTS, CorrelationSet, correlations
+from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXT_PAIRS, CONTEXTS, correlations
 
 #: Reference observables on C^2 (x) C^2, slots 1..6: the canonical
 #: realization, whose state PHI_PLUS is the reference state.
@@ -172,7 +172,7 @@ def align(projected_observables) -> AlignmentResult:
             f"projected observable cannot be rounded to an involution: {exc}"
         ) from exc
     a1r, a5r = rounded[0], rounded[4]
-    ac15 = linalg.op_norm(linalg.acomm(a1r, a5r))
+    ac15 = linalg.op_norms(linalg.acomm(a1r, a5r))
     if ac15 > 0.5:
         raise AnticommutatorTooLarge(
             f"||{{A1, A5}}|| = {ac15:.3f} after rounding exceeds 0.5"
@@ -217,6 +217,48 @@ def align(projected_observables) -> AlignmentResult:
     sign6 = 1.0 if np.trace(aligned[5] @ TARGET_MATRICES[5]).real >= 0 else -1.0
     distances = linalg.op_norms(aligned - TARGET_MATRICES).tolist()
     return AlignmentResult(unitary, list(aligned), sign3, sign6, distances)
+
+
+@dataclass
+class Extraction:
+    """`extract`'s result: V's (d c) x 4 basis and the generators' Gram matrix, the
+    six blocks A_k basis (6, d c, 4), their compressions basis† A_k basis (6, 4, 4),
+    the alignment of the compressions, and the extracted state with its fidelity."""
+
+    basis: np.ndarray
+    gram: np.ndarray
+    blocks: np.ndarray
+    projected: np.ndarray
+    alignment: AlignmentResult
+    extracted_state: PureState
+    fidelity: float
+
+
+def extract(s: Scenario) -> Extraction:
+    """certify's extraction stage, what a `sweep` row reads: `build_subspace`, the
+    projected observables, `align` and the extracted state, with their refusals.
+
+    The extracted state is the alignment image of vec(R) projected onto V and
+    normalized, its global phase fixed so its overlap with the reference state is
+    real nonnegative; `fidelity` is that overlap squared.
+    """
+    basis, gram = build_subspace(s.state, s.observable(1), s.observable(5))
+    # as (d, 4 c) the basis is its four d x c blocks interleaved, and A_k (x) 1 acts as A_k
+    blocks = (np.array(s.matrices()) @ basis.reshape(s.dim, -1)).reshape(6, -1, 4)
+    bd = basis.conj().T
+    projected = bd @ blocks
+
+    psi_v = bd @ s.state.factor().reshape(-1)
+    psi_v = psi_v / linalg.vec_norms(psi_v)
+
+    alignment = align(projected)
+    extracted = alignment.unitary @ psi_v
+    overlap = complex(PHI_PLUS.conj() @ extracted)
+    if abs(overlap) > 1e-12:
+        extracted = extracted * (overlap.conjugate() / abs(overlap))
+    extracted = extracted / linalg.vec_norms(extracted)
+    fidelity = float(abs(PHI_PLUS.conj() @ extracted) ** 2)
+    return Extraction(basis, gram, blocks, projected, alignment, PureState(extracted), fidelity)
 
 
 @dataclass
@@ -283,51 +325,33 @@ def _witness_lower_bound(aligned, distances, psi4: np.ndarray) -> float:
     through the aligned observables bounds that norm by
     d_i + ||(A_i - s A_j) psi|| + d_j.
     """
-    chains = [distances[i - 1] + linalg.vec_norm((aligned[i - 1] - s * aligned[j - 1]) @ psi4)
-              + distances[j - 1] for i, j, s in PAIR_CONTEXTS]
+    spans = linalg.vec_norms(np.array([(aligned[i - 1] - s * aligned[j - 1]) @ psi4
+                                       for i, j, s in PAIR_CONTEXTS])).tolist()
+    chains = [distances[i - 1] + v + distances[j - 1] for (i, j, _), v in zip(PAIR_CONTEXTS, spans)]
     return float(max(sum((max(1 - t * t / 2, -1.0) for t in chains), 1) / 4, 0.0))
 
 
-def certify(s: Scenario, *, corr: CorrelationSet | None = None) -> CertificationReport:
-    """Run the full extraction pipeline on a scenario.
+def certify(s: Scenario) -> CertificationReport:
+    """Run the full extraction pipeline on a scenario: `extract`, then the algebra
+    residuals, the leakage and the two witnesses that only the report carries.
 
     Pure and mixed states share one path on the unit-norm factor R (for what
     `fidelity` means for a mixed state, see the module docstring). No array it
-    forms is larger than (d c) x 4: V enters only through its basis. The extracted
-    state is the alignment image of vec(R) projected onto V and normalized, its
-    global phase fixed so its overlap with the reference state is real nonnegative.
-    `corr`, when given, must be s's analytic CorrelationSet, as `sweep` passes it.
+    forms is larger than (d c) x 4: V enters only through its basis.
     """
-    if corr is None:
-        corr = correlations(s, "analytic")
-    violation = eval_IT(corr)
-
-    basis, gram = build_subspace(s.state, s.observable(1), s.observable(5))
-    comm, acomm, constraints = algebra_residuals(s, basis)
-
+    violation = eval_IT(correlations(s, "analytic"))
+    stage = extract(s)
+    comm, acomm, constraints = algebra_residuals(s, stage.basis)
     # ||P A_k (1 - P)|| = ||(A_k basis)† - projected_k basis†|| for P = basis basis†, as
     # basis has orthonormal columns: all from the six (d c) x 4 blocks A_k basis
-    blocks = (np.array(s.matrices()) @ basis.reshape(s.dim, -1)).reshape(6, -1, 4)
-    bd = basis.conj().T
-    projected = bd @ blocks
-    leakage = linalg.op_norms(np.swapaxes(blocks.conj(), -1, -2) - projected @ bd).tolist()
-
-    psi_v = bd @ s.state.factor().reshape(-1)
-    psi_v = psi_v / linalg.vec_norm(psi_v)
-
-    result = align(projected)
-    extracted = result.unitary @ psi_v
-    overlap = complex(PHI_PLUS.conj() @ extracted)
-    if abs(overlap) > 1e-12:
-        extracted = extracted * (overlap.conjugate() / abs(overlap))
-    extracted = extracted / linalg.vec_norm(extracted)
-    fidelity = float(abs(PHI_PLUS.conj() @ extracted) ** 2)
-
+    leakage = linalg.op_norms(np.swapaxes(stage.blocks.conj(), -1, -2)
+                              - stage.projected @ stage.basis.conj().T).tolist()
+    result, extracted = stage.alignment, stage.extracted_state
     return CertificationReport(
         violation=violation,
-        subspace_basis=basis,
-        gram=gram,
-        projected_observables=list(projected),
+        subspace_basis=stage.basis,
+        gram=stage.gram,
+        projected_observables=list(stage.projected),
         leakage=leakage,
         commutator_residuals=comm,
         anticommutator_residuals=acomm,
@@ -336,11 +360,11 @@ def certify(s: Scenario, *, corr: CorrelationSet | None = None) -> Certification
         aligned_observables=result.aligned_observables,
         sign3=result.sign3,
         sign6=result.sign6,
-        extracted_state=PureState(extracted),
-        fidelity=fidelity,
+        extracted_state=extracted,
+        fidelity=stage.fidelity,
         operator_distances=result.distances,
-        fidelity_witness=_witness_value(extracted),
+        fidelity_witness=_witness_value(extracted.amplitudes),
         fidelity_lower_bound=_witness_lower_bound(
-            result.aligned_observables, result.distances, extracted
+            result.aligned_observables, result.distances, extracted.amplitudes
         ),
     )

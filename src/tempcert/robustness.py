@@ -32,7 +32,7 @@ from .scenario import (
     require_integer,
 )
 from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXTS, TERMS, CorrelationSet, correlations
-from .certify import certify
+from .certify import extract
 
 #: Deficits beyond this make every bound vacuous; refuse to "check" them.
 EPSILON_CEILING = 2.0
@@ -224,9 +224,12 @@ def sweep(base: Scenario, family, grid) -> list:
 
     `family` maps a grid parameter to a NoiseModel. Each row applies the
     noise, computes the analytic correlators once, recomputes the deficit from
-    the achieved violation, and hands the correlators to the full certification
-    and the bound suite, all on the state's unit-norm factor, never purified.
-    Per-row errors mark the row failed; rows come back sorted by parameter.
+    the achieved violation and hands the correlators to the bound suite. For the
+    fidelity and the operator distance it runs certify's extraction stage
+    (`extract`), not the full certification: no row reports the residuals, the
+    leakage or the witnesses. All of it works on the state's unit-norm factor,
+    never purified. Per-row errors, a refusal of `extract` among them, mark the
+    row failed; rows come back sorted by parameter.
     """
     grid = sorted(grid)
     if not grid:
@@ -239,9 +242,9 @@ def sweep(base: Scenario, family, grid) -> list:
             corr = correlations(noisy, "analytic")
             row.value = eval_IT(corr).value
             row.epsilon = QUANTUM_BOUND - row.value
-            report = certify(noisy, corr=corr)
-            row.fidelity = report.fidelity
-            row.max_operator_distance = report.max_operator_distance
+            stage = extract(noisy)
+            row.fidelity = stage.fidelity
+            row.max_operator_distance = max(stage.alignment.distances)
             row.bound_checks = check_robustness_bounds(noisy, corr=corr)
         except TempcertError as exc:
             row.failed = True

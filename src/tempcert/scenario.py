@@ -375,9 +375,12 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_scenario(dim: int, rng: np.random.Generator) -> Scenario:
+    """A random pure state, then six `random_involution`s drawn as one
+    `random_hermitian` block, rounded and checked as one stack: the same
+    scenario, bit for bit, as six `random_involution` calls in turn."""
     state = random_pure_state(dim, rng)
-    obs = tuple(random_involution(dim, rng) for _ in range(6))
-    return Scenario(state, obs)
+    rounded, _, _ = round_to_involutions(random_hermitian(dim, rng, 6))
+    return Scenario(state, observables(rounded))
 
 
 def conjugate_scenario(s: Scenario, u: np.ndarray) -> Scenario:

@@ -176,22 +176,24 @@ def newton_schulz_step(mats: np.ndarray) -> np.ndarray:
     return linalg.hermitian_part(mats @ (3 * np.eye(mats.shape[-1]) - mats @ mats) / 2)
 
 
-def _projectors(rho, seq):
-    """`_operands`' state factor and the projector pairs (n, 2, d, d), Pi_+ then Pi_-
-    = (1 +- A)/2, of each observable's exact involution, one `newton_schulz_step` away."""
-    r, mats = _operands(rho, seq)
-    eye = np.eye(r.shape[0])
+def _projectors(mats: np.ndarray) -> np.ndarray:
+    """The projector pairs (n, 2, d, d), Pi_+ then Pi_- = (1 +- A)/2, of the exact
+    involution of each checked observable matrix of mats (n, d, d), one
+    `newton_schulz_step` away."""
+    eye = np.eye(mats.shape[-1])
     mats = newton_schulz_step(mats)
-    return r, np.stack([(eye + mats) / 2, (eye - mats) / 2], axis=1)
+    return np.stack([(eye + mats) / 2, (eye - mats) / 2], axis=1)
 
 
 def _sequence_of(rho, seq, labels):
-    """`_projectors` of 2 or 3 observables, and one label per step: 1..n unless given."""
+    """`_operands`' state factor and `_projectors` of 2 or 3 observables, and one
+    label per step: 1..n unless given."""
     seq = list(seq)
     labels = tuple(range(1, len(seq) + 1) if labels is None else labels)
     if len(seq) not in (2, 3) or len(labels) != len(seq):
         raise ShapeMismatch(f"need 2 or 3 steps, one label each; got {len(seq)}, {len(labels)} labels")
-    return (*_projectors(rho, seq), labels)
+    r, mats = _operands(rho, seq)
+    return r, _projectors(mats), labels
 
 
 def _weights(r: np.ndarray, proj: np.ndarray) -> np.ndarray:
@@ -220,6 +222,10 @@ def exact_sequence_distribution(rho, seq, labels=None) -> OutcomeDistribution:
     return OutcomeDistribution(labels, dict(zip(OUTCOMES[len(labels)], probs)))
 
 
+#: The most shots one multinomial draw takes: numpy counts in int64.
+MAX_SHOTS = np.iinfo(np.int64).max
+
+
 def _sampled(weights: np.ndarray, shots: int, rng: np.random.Generator):
     """One multinomial draw of `shots` per row of n-step outcome weights (m, 2^n), in row
     order from the one generator rng, over the row snapped to a grid: q = rint(2^40 w / sum w),
@@ -230,8 +236,8 @@ def _sampled(weights: np.ndarray, shots: int, rng: np.random.Generator):
         raise ValueError(f"shots must be a whole number, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if shots > np.iinfo(np.int64).max:
-        raise ValueError(f"shots must be at most {np.iinfo(np.int64).max}, got {shots}")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots}")
     n = weights.shape[-1].bit_length() - 1
     outcomes, products = OUTCOMES[n], np.array(SIGNS[n], dtype=float)
     q = np.rint(2.0 ** 40 * weights / weights.sum(axis=-1, keepdims=True))
@@ -291,7 +297,8 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
                 raise ValueError("sampled mode needs shots and rng_seed")
             require_integer("rng_seed", rng_seed, 0)
             stderr, rng = {}, np.random.Generator(np.random.PCG64(rng_seed))
-        r, proj = _projectors(s.state, s.observables)
+        # a Scenario's state and observables were checked when it was built
+        r, proj = s.state.factor(), _projectors(np.array(s.matrices()))
         for n in (3, 2):  # the terms of one length as one stack, in TERMS order
             terms = [(name, slots) for name, slots, _ in TERMS if len(slots) == n]
             weights = _weights(r, proj[np.subtract([slots for _, slots in terms], 1)])

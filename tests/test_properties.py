@@ -475,7 +475,7 @@ def test_exact_sum_weights_are_probabilities_at_the_tolerance_edges(s):
     NORM_TOL edges every weight row, stacked per term length as `correlations`
     stacks it, is >= 0 and sums to 1 within PROBABILITY_TOL, and every mode's
     correlators stay inside CorrelationSet's bound."""
-    r, proj = _projectors(s.state, s.observables)
+    r, proj = s.state.factor(), _projectors(np.array(s.matrices()))
     for n in (3, 2):
         slots = [slots for _, slots, _ in TERMS if len(slots) == n]
         for row in _weights(r, proj[np.subtract(slots, 1)]).tolist():

@@ -467,6 +467,23 @@ class TestRandomConstructions:
             assert np.array_equal(m, single) and np.array_equal(m, linalg.hermitian_part(g))
         assert block.standard_normal() == one.standard_normal() == ref.standard_normal()
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_random_scenario_is_six_random_involutions_in_turn(self, dim, eigh_calls):
+        # one block draw, one stacked rounding and one stacked check give the
+        # scenario that a random pure state and six random_involution calls give
+        for seed in range(5):
+            block, ref = rng_from(100 * dim + seed), rng_from(100 * dim + seed)
+            eigh_calls.clear()
+            s = random_scenario(dim, block)
+            assert eigh_calls == [(6, dim, dim)]
+            state = random_pure_state(dim, ref)
+            singles = [random_involution(dim, ref) for _ in range(6)]
+            assert np.array_equal(s.state.amplitudes, state.amplitudes)
+            for o, single in zip(s.observables, singles, strict=True):
+                assert isinstance(o, Observable) and not o.matrix.flags.writeable
+                assert np.array_equal(o.matrix, single.matrix)
+            assert block.standard_normal() == ref.standard_normal()
+
     def test_random_scenario_valid(self):
         rng = rng_from(16)
         s = random_scenario(4, rng)

@@ -454,6 +454,23 @@ class TestStackedChains:
             assert (empirical.probabilities, est, se) == reference_sampled(
                 r, seq, 1000, np.random.default_rng(11))
 
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_scenario_operands_are_not_checked_again(self, pure, monkeypatch):
+        # a Scenario checked its state and observables when it was built, so
+        # exact-sum and sampled hand its factor and matrices to the Lüders kernel
+        # directly; the raw-rho routes still take the one operand check
+        s = scenario_of(4, 900, pure)
+        checks = []
+        original = seqcorr.require_operands
+        monkeypatch.setattr(seqcorr, "require_operands",
+                            lambda *args: checks.append(args) or original(*args))
+        correlations(s, "exact-sum")
+        correlations(s, "sampled", shots=100, rng_seed=0)
+        assert checks == []
+        exact_sequence_distribution(s.state, s.observables[:2])
+        sample_sequences(s.density(), s.observables[:3], 100, 0)
+        assert len(checks) == 2
+
     def test_zero_probability_branches_are_pruned(self, canonical):
         # at the canonical point half of the outcome tuples of every term are
         # impossible, of weight exactly 0; the multinomial draw leaves them out

@@ -1,11 +1,12 @@
 """The sweep path against the per-row reference it replaced.
 
-`sweep` computes each row's analytic correlators once and hands them to
-`certify` and `check_robustness_bounds`, which form their vectors as stacked
-products and take their operator and vector norms as stacked calls. The
-reference below is the per-row path written out: three analytic passes per
-row, each vector formed one matrix-vector product at a time, one `op_norm` or
-`vec_norm` call per matrix or vector. Both use the vector forms: inner
+`sweep` computes each row's analytic correlators once, hands them to
+`check_robustness_bounds` and reads the fidelity and operator distance from
+certify's extraction stage, `extract`; these and `certify` form their vectors
+as stacked products and take their operator and vector norms as stacked calls.
+The reference below is the per-row path written out: three analytic passes per
+row, the full certification, each vector formed one matrix-vector product at a
+time, one `op_norm` or `vec_norm` call per matrix or vector. Both use the vector forms: inner
 products and norms of A_k R and A_j A_k R for a state factor R, compressions
 (A_i basis)† (A_j basis), and the leakage basis† A_k (1 - P), P = basis basis†
 the projection onto V, as (A_k basis)† - projected_k basis†. The arithmetic is
@@ -50,7 +51,9 @@ from tempcert.scenario import (
     PAULI_Y,
     PAULI_Z,
     PHI_PLUS,
+    Observable,
     PureState,
+    Scenario,
     canonical_scenario,
     purify_scenario,
 )
@@ -340,6 +343,62 @@ def test_mixed_rows_are_never_purified(purification_calls):
     assert purification_calls == []
 
 
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Names of the certify stages (`build_subspace`, `algebra_residuals`, `align`)
+    called while the fixture is active, in call order."""
+    calls = []
+    for name in ("build_subspace", "algebra_residuals", "align"):
+        original = getattr(certify_module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(certify_module, name, counting)
+    return calls
+
+
+#: A base whose subspace generators are dependent (A5 = A1): a sweep row on it
+#: is refused by `build_subspace` and never reaches `align`.
+DEGENERATE = canonical_scenario().with_observable(5, canonical_scenario().observable(1))
+
+
+def test_a_sweep_row_runs_only_the_extraction_stage(stage_calls):
+    # no row reports the residuals: each row builds its subspace once and aligns
+    # once if the subspace exists, with no algebra_residuals call
+    rows = [(base, family, param) for _, base, family, param in ROWS]
+    for base, family, param in rows + [(DEGENERATE, Depolarizing, 2e-3)]:
+        stage_calls.clear()
+        (row,) = sweep(base, family, [param])
+        degenerate = row.error is not None and row.error.startswith("SubspaceDegenerate")
+        assert stage_calls == ["build_subspace"] + ([] if degenerate else ["align"]), row.error
+    assert degenerate
+
+
+def test_certify_runs_each_stage_once(stage_calls):
+    noisy = apply_noise(canonical_scenario(), UnitaryJitter(0.02, rng_seed=7))
+    certify_module.certify(noisy)
+    assert sorted(stage_calls) == ["algebra_residuals", "align", "build_subspace"]
+
+
+@pytest.mark.parametrize("base, family, param", [
+    (canonical_scenario(), lambda x: UnitaryJitter(x, rng_seed=1), 0.3),
+    (DEGENERATE, Depolarizing, 2e-3),
+    (canonical_scenario().with_observable(2, Observable(np.kron(PAULI_Z, PAULI_Z))),
+     lambda x: UnitaryJitter(x, rng_seed=3), 1e-3),
+    (Scenario(PureState(np.array([1, 0, 0], dtype=complex)), [Observable(np.eye(3))] * 6),
+     Depolarizing, 0.0),
+], ids=["anticommutator", "degenerate", "factorization", "shape"])
+def test_a_refused_row_carries_certifys_refusal(base, family, param):
+    # the extraction stage holds every refusal of certify, type and message
+    noisy = apply_noise(base, family(param))
+    with pytest.raises(TempcertError) as refusal:
+        certify_module.certify(noisy)
+    (row,) = sweep(base, family, [param])
+    assert row.failed and row.error == f"{type(refusal.value).__name__}: {refusal.value}"
+
+
 def test_one_argument_calls_compute_their_own_correlators(analytic_calls):
     noisy = apply_noise(canonical_scenario(), UnitaryJitter(0.02, rng_seed=7))
     certify_module.certify(noisy)
@@ -363,13 +422,14 @@ def test_certify_takes_few_singular_value_calls(svd_calls):
 def test_no_sweep_row_svd_sees_a_matrix_larger_than_4(row, svd_calls):
     # jitter generators are normalized by their eigenvalues and leakage is
     # taken on the 4 x (d c) compression, so every SVD on the path has a side
-    # of at most 4: certify's five norm groups, and no residual SVD of the
-    # jittered observables, as no one reads those norms; a depolarized row's
-    # factor R (d x d) is never lifted, so no observable is built for it
+    # of at most 4: align's three norm groups, no residual or leakage SVD, as a
+    # row runs only the extraction stage, and no residual SVD of the jittered
+    # observables, as no one reads those norms; a depolarized row's factor R
+    # (d x d) is never lifted, so no observable is built for it
     _, base, family, param = row
     (result,) = sweep(base, family, [param])
     assert not result.failed and result.bounds_all_hold
-    assert 1 <= len(svd_calls) <= 5
+    assert len(svd_calls) == 3
     assert all(min(shape[-2:]) <= 4 for shape in svd_calls), svd_calls
 
 
