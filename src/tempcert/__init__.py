@@ -12,7 +12,6 @@ from .scenario import (
     canonical_scenario,
     load_scenario,
     project_involution,
-    purify,
     purify_scenario,
     random_scenario,
     save_scenario,
@@ -31,7 +30,6 @@ from .inequality import (
     QUANTUM_BOUND,
     SYMMETRIES,
     InequalityValue,
-    SymmetryTransform,
     apply_symmetry,
     classical_bound,
     eval_INC,

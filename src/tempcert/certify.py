@@ -5,9 +5,9 @@ for a pure state) build the four-generator subspace V, orthonormalize it with
 the Gram-matrix inverse square root, project the six observables onto V,
 construct the alignment unitary from the projected operator algebra, and read
 off the extracted state and its overlap with the maximally entangled target.
-V is kept as its orthonormal basis, (d c) x 4, laid out as `purify`'s vector,
-where A (x) 1 acts as A on R; the projection onto V is basis @ basis†. So a
-mixed state's V lies in system (x) purifier, and `fidelity`, that vector's
+V is kept as its orthonormal basis, (d c) x 4, laid out as `purify_scenario`'s
+vector, where A (x) 1 acts as A on R; the projection onto V is basis @ basis†.
+So a mixed state's V lies in system (x) purifier, and `fidelity`, that vector's
 overlap, reads 1 for the depolarized canonical scenario at every p: it does
 not bound what an isometry on the device alone extracts.
 
@@ -69,10 +69,10 @@ def build_subspace(state, a1, a5):
     """Orthonormal basis for V = span{R, A1 R, A5 R, A1 A5 R}, R the unit-norm
     factor (d x c) of a PureState or DensityMatrix.
 
-    Each generator is a d x c block flattened row-major as `purify` lays out
-    R, (A (x) 1) vec(R) = vec(A R). Their Gram matrix is inverted through its
-    square root, phi_m = sum_n [Gamma^{-1/2}]_{nm} g_n, so the basis depends
-    smoothly on the generators (symmetric orthogonalization). A Gram eigenvalue
+    Each generator is a d x c block flattened row-major as `purify_scenario`
+    lays out R, (A (x) 1) vec(R) = vec(A R). Their Gram matrix is inverted
+    through its square root, phi_m = sum_n [Gamma^{-1/2}]_{nm} g_n, so the basis
+    depends smoothly on the generators (symmetric orthogonalization). A Gram eigenvalue
     at or below linalg.INV_SQRT_CUTOFF means the generators are linearly
     dependent and a 4-dimensional certification target cannot be extracted.
 
@@ -207,7 +207,9 @@ def align(projected_observables) -> AlignmentResult:
     c = complex(m_plus.conj() @ (o_r @ m_minus))
     u2 = np.column_stack([m_plus, m_minus * (c.conjugate() / abs(c))])
 
-    unitary = np.kron(np.eye(2), u2).conj().T @ w.conj().T
+    one_u2 = np.zeros((4, 4), dtype=complex)  # 1 (x) u2
+    one_u2[:2, :2] = one_u2[2:, 2:] = u2
+    unitary = one_u2.conj().T @ w.conj().T
     # global phase: U's first entry above 1e-12 in magnitude, row-major, real positive
     pivot = complex(unitary.flat[np.argmax(np.abs(unitary) > 1e-12)])
     unitary = unitary * (pivot.conjugate() / abs(pivot))

@@ -113,61 +113,36 @@ def classical_bound():
     return best, argmax
 
 
-@dataclass(frozen=True)
-class SymmetryTransform:
-    """Relabeling of the six observable slots, possibly with sign flips.
-
-    relabeling maps slot -> (source slot, sign); slots not listed are left
-    alone. Each of the four built-ins is an involution on the slots.
-    """
-
-    id: int
-    relabeling: tuple  # tuple of (slot, source, sign)
-
-    def source(self, slot: int):
-        for sl, src, sign in self.relabeling:
-            if sl == slot:
-                return src, sign
-        return slot, 1
-
-
+#: Each relabeling symmetry's id -> the signed source slot of slots 1..6: slot k
+#: takes sign(x) * A_|x| for the k-th entry x. Each of the four is an involution.
 SYMMETRIES = {
-    1: SymmetryTransform(1, ((1, 2, 1), (2, 1, 1), (4, 5, 1), (5, 4, 1))),
-    2: SymmetryTransform(2, ((1, 3, 1), (3, 1, 1), (4, 6, -1), (6, 4, -1))),
-    3: SymmetryTransform(3, ((2, 3, -1), (3, 2, -1), (5, 6, 1), (6, 5, 1))),
-    4: SymmetryTransform(4, ((1, 4, 1), (4, 1, 1), (2, 5, 1), (5, 2, 1), (3, 6, 1), (6, 3, 1))),
+    1: (2, 1, 3, 5, 4, 6),
+    2: (3, 2, 1, -6, 5, -4),
+    3: (1, -3, -2, 4, 6, 5),
+    4: (4, 5, 6, 1, 2, 3),
 }
 
 
-def get_symmetry(tid: int) -> SymmetryTransform:
+def apply_symmetry(s: Scenario, tid: int) -> Scenario:
+    """Relabel and sign-flip the observables of a scenario by symmetry `tid`
+    (BadTransformId unless 1..4); state unchanged."""
     try:
-        return SYMMETRIES[tid]
+        sources = SYMMETRIES[tid]
     except KeyError:
         raise BadTransformId(f"transform id must be 1..4, got {tid!r}") from None
-
-
-def apply_symmetry(s: Scenario, t: SymmetryTransform) -> Scenario:
-    """Relabel and sign-flip the observables of a scenario; state unchanged."""
-    if t.id not in SYMMETRIES:
-        raise BadTransformId(f"transform id must be 1..4, got {t.id!r}")
     new = []
-    for slot in range(1, 7):
-        src, sign = t.source(slot)
-        m = s.observable(src).matrix
-        new.append(Observable(sign * m) if sign != 1 else s.observable(src))
+    for src in sources:
+        obs = s.observable(abs(src))
+        new.append(obs if src > 0 else Observable(-obs.matrix))
     return Scenario(s.state, new)
 
 
-def symmetry_residual(s: Scenario, t: SymmetryTransform) -> float:
-    """Change of the temporal value under transform 2 or 3.
+def symmetry_residual(s: Scenario, tid: int) -> float:
+    """Change of the temporal value under symmetry `tid` (BadTransformId unless 1..4).
 
-    Transforms 1 and 4 are exact operator identities of the expression;
-    2 and 3 shift it by double-commutator expectations that vanish when the
-    triple observables pairwise commute, so only those two have a residual
-    worth measuring.
+    Symmetries 1 and 4 are exact operator identities of the expression, so
+    their residual is rounding alone; 2 and 3 shift it by double-commutator
+    expectations that vanish when the triple observables pairwise commute.
     """
-    if t.id not in (2, 3):
-        raise BadTransformId(f"residual defined for transforms 2 and 3, got {t.id!r}")
-    before = eval_IT_scenario(s).value
-    after = eval_IT_scenario(apply_symmetry(s, t)).value
-    return after - before
+    after = eval_IT_scenario(apply_symmetry(s, tid)).value
+    return after - eval_IT_scenario(s).value

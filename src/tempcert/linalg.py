@@ -1,7 +1,7 @@
 """Dense complex matrix kernel for dimensions up to 64.
 
 The checked functions are the edge: `as_matrices`, `as_matrix`, `as_vector`,
-`op_norm`, `op_norms`, `vec_norm`, `eig_hermitian` and `expi_hermitian` coerce
+`op_norm`, `op_norms`, `eig_hermitian` and `expi_hermitian` coerce
 array_like input to a fresh complex128 array and reject what they cannot take,
 and `require_square` and `require_hermitian` check arrays already coerced.
 Hermitian means ||m - m†|| <= STRUCTURAL_TOL = 1e-10 in operator norm, and
@@ -134,10 +134,6 @@ def vec_norms(a: np.ndarray) -> np.ndarray:
     re, im = a.real[..., None, :], a.imag[..., None, :]
     squares = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
     return np.sqrt(squares[..., 0, 0])
-
-
-def vec_norm(v) -> float:
-    return float(vec_norms(as_vector(v)))
 
 
 def acomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

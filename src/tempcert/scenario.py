@@ -174,7 +174,7 @@ class DensityMatrix:
         m.setflags(write=False)
         self.matrix = m
         r = v * np.sqrt(np.clip(w, 0.0, None))
-        self._factor = r / linalg.vec_norm(r)
+        self._factor = r / linalg.vec_norms(r.reshape(-1))
         self._factor.setflags(write=False)
 
     @property
@@ -312,29 +312,20 @@ def project_involution(m) -> Observable:
     return Observable(round_to_involutions(linalg.hermitian_part(a))[0])
 
 
-def lift_observable(obs: Observable, env_dim: int) -> Observable:
-    """Extend an observable to act trivially on a purifying factor: A -> A(x)1."""
-    return Observable(np.kron(obs.matrix, np.eye(env_dim)))
-
-
-def purify(rho: DensityMatrix) -> PureState:
-    """Standard purification of rho on a doubled space (dimension d^2).
-
-    The output's reduced state on the first factor equals rho; the purifying
-    factor is the second one, so observables lift as A (x) 1_d. Psi is the
-    unit-norm factor R row-major, Psi[i*d + k] = R[i, k], so (A (x) 1) Psi = vec(A R),
-    with no further division: s and its purification give the same correlators.
-    """
-    return PureState(rho.factor().reshape(-1))
-
-
 def purify_scenario(s: Scenario) -> Scenario:
-    """Return an equivalent pure-state scenario, lifting observables if needed."""
+    """The equivalent pure-state scenario: s itself if pure, else the standard
+    purification on the doubled space (dimension d^2), the one purification and
+    the reference the mixed-state path is tested against.
+
+    The purifying factor is the second one, so each observable lifts to A (x) 1_d.
+    Psi is the unit-norm factor R row-major, Psi[i*d + k] = R[i, k], so
+    (A (x) 1) Psi = vec(A R), with no further division: s and its purification
+    give the same correlators.
+    """
     if s.is_pure():
         return s
-    psi = purify(s.state)
-    lifted = tuple(lift_observable(o, s.dim) for o in s.observables)
-    return Scenario(psi, lifted)
+    psi = PureState(s.state.factor().reshape(-1))
+    return Scenario(psi, [Observable(np.kron(o.matrix, np.eye(s.dim))) for o in s.observables])
 
 
 # ---------------------------------------------------------------------------

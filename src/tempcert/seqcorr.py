@@ -185,15 +185,14 @@ def _projectors(mats: np.ndarray) -> np.ndarray:
     return np.stack([(eye + mats) / 2, (eye - mats) / 2], axis=1)
 
 
-def _sequence_of(rho, seq, labels):
-    """`_operands`' state factor and `_projectors` of 2 or 3 observables, and one
-    label per step: 1..n unless given."""
+def _sequence_of(rho, seq):
+    """`_operands`' state factor and `_projectors` of 2 or 3 observables, and the
+    steps 1..n."""
     seq = list(seq)
-    labels = tuple(range(1, len(seq) + 1) if labels is None else labels)
-    if len(seq) not in (2, 3) or len(labels) != len(seq):
-        raise ShapeMismatch(f"need 2 or 3 steps, one label each; got {len(seq)}, {len(labels)} labels")
+    if len(seq) not in (2, 3):
+        raise ShapeMismatch(f"need 2 or 3 steps, got {len(seq)}")
     r, mats = _operands(rho, seq)
-    return r, _projectors(mats), labels
+    return r, _projectors(mats), tuple(range(1, len(seq) + 1))
 
 
 def _weights(r: np.ndarray, proj: np.ndarray) -> np.ndarray:
@@ -208,18 +207,18 @@ def _weights(r: np.ndarray, proj: np.ndarray) -> np.ndarray:
     return (branches.real ** 2 + branches.imag ** 2).sum(axis=(-2, -1))
 
 
-def exact_sequence_distribution(rho, seq, labels=None) -> OutcomeDistribution:
+def exact_sequence_distribution(rho, seq) -> OutcomeDistribution:
     """Exact Lüders outcome distribution for a sequence of 2 or 3 observables.
 
     P(a_1, ..., a_n) = ||Pi_{a_n} ... Pi_{a_1} R||_F^2, which is
     tr(Pi_{a_n} ... Pi_{a_1} rho Pi_{a_1} ... Pi_{a_n}) for rho = R R†, with
     projectors Pi_{+-} = (1 +- A)/2 of each observable's exact involution (see
     `_projectors`). rho is a state or a raw density matrix, checked as
-    DensityMatrix checks it. `labels`, one per step, default to 1..n.
+    DensityMatrix checks it. The distribution's sequence is the steps 1..n.
     """
-    r, proj, labels = _sequence_of(rho, seq, labels)
+    r, proj, steps = _sequence_of(rho, seq)
     probs = _weights(r, proj).tolist()
-    return OutcomeDistribution(labels, dict(zip(OUTCOMES[len(labels)], probs)))
+    return OutcomeDistribution(steps, dict(zip(OUTCOMES[len(steps)], probs)))
 
 
 #: The most shots one multinomial draw takes: numpy counts in int64.
@@ -253,7 +252,7 @@ def _sampled(weights: np.ndarray, shots: int, rng: np.random.Generator):
     return draws
 
 
-def sample_sequences(rho, seq, shots: int, rng_seed, labels=None):
+def sample_sequences(rho, seq, shots: int, rng_seed):
     """Seeded Monte-Carlo sampling of a measurement sequence.
 
     Draws from the Lüders outcome distribution that `exact_sequence_distribution`
@@ -263,15 +262,15 @@ def sample_sequences(rho, seq, shots: int, rng_seed, labels=None):
     impossible. One multinomial draw of the shots, a whole number, reproduces the
     per-shot process exactly and is deterministic given `rng_seed`, an integer >= 0
     (any other type, a bool or SeedSequence too, raises TypeError) seeding numpy's
-    PCG64, as for `correlations`. `labels` are as for `exact_sequence_distribution`.
+    PCG64, as for `correlations`. The distribution's sequence is the steps 1..n.
     Returns the empirical OutcomeDistribution, the mean of the outcome products,
     and its standard error (sample standard deviation / sqrt(shots)).
     """
     require_integer("rng_seed", rng_seed, 0)
-    r, proj, labels = _sequence_of(rho, seq, labels)
+    r, proj, steps = _sequence_of(rho, seq)
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     ((outcomes, counts, estimate, stderr),) = _sampled(_weights(r, proj)[None], shots, rng)
-    return OutcomeDistribution(labels, dict(zip(outcomes, counts / shots))), estimate, stderr
+    return OutcomeDistribution(steps, dict(zip(outcomes, counts / shots))), estimate, stderr
 
 
 def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,

@@ -15,7 +15,6 @@ import numpy as np
 from tempcert.certify import certify
 from tempcert.cli import main
 from tempcert.inequality import (
-    SYMMETRIES,
     apply_symmetry,
     classical_bound,
     eval_INC,
@@ -208,16 +207,16 @@ def test_criterion_10_symmetry_suite():
         s = random_scenario(4, rng)
         v0 = eval_IT_scenario(s).value
         for tid in (1, 4):
-            v1 = eval_IT_scenario(apply_symmetry(s, SYMMETRIES[tid])).value
+            v1 = eval_IT_scenario(apply_symmetry(s, tid)).value
             worst_14 = max(worst_14, abs(v1 - v0))
     worst_23 = 0.0
     for _ in range(200):
         s = commuting_triple_scenario(rng)
         for tid in (2, 3):
-            worst_23 = max(worst_23, abs(symmetry_residual(s, SYMMETRIES[tid])))
+            worst_23 = max(worst_23, abs(symmetry_residual(s, tid)))
     canon = canonical_scenario()
     worst_canon = max(
-        abs(eval_IT_scenario(apply_symmetry(canon, SYMMETRIES[tid])).value - 5.0)
+        abs(eval_IT_scenario(apply_symmetry(canon, tid)).value - 5.0)
         for tid in (1, 2, 3, 4)
     )
     elapsed = time.perf_counter() - t0

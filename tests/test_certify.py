@@ -105,7 +105,7 @@ class TestAlgebraResiduals:
         mats = noisy.matrices()
         eps = 0.03
         for i, j in ((1, 5), (1, 6), (2, 4), (2, 6), (3, 4), (3, 5)):
-            norm = linalg.vec_norm(linalg.acomm(mats[i - 1], mats[j - 1]) @ psi)
+            norm = float(np.linalg.norm(linalg.acomm(mats[i - 1], mats[j - 1]) @ psi))
             assert norm <= 14 * np.sqrt(eps)
 
     @pytest.mark.parametrize("shape", [(4, 3), (16, 4), (4,)])
@@ -180,7 +180,7 @@ def _projected(s):
     basis, _ = build_subspace(s.state, s.observable(1), s.observable(5))
     projected = [basis.conj().T @ m @ basis for m in s.matrices()]
     psi_v = basis.conj().T @ s.state.amplitudes
-    return projected, psi_v / linalg.vec_norm(psi_v)
+    return projected, psi_v / float(np.linalg.norm(psi_v))
 
 
 def _noise_rows():

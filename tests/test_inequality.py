@@ -7,7 +7,6 @@ from tempcert.errors import BadTransformId
 from tempcert.inequality import (
     CLASSICAL_BOUND,
     QUANTUM_BOUND,
-    SYMMETRIES,
     apply_symmetry,
     classical_bound,
     eval_INC,
@@ -127,7 +126,7 @@ class TestSymmetries:
             s = random_scenario(4, rng)
             v0 = eval_IT_scenario(s).value
             for tid in (1, 4):
-                v1 = eval_IT_scenario(apply_symmetry(s, SYMMETRIES[tid])).value
+                v1 = eval_IT_scenario(apply_symmetry(s, tid)).value
                 assert abs(v1 - v0) <= 1e-12
 
     def test_conditional_invariance_of_2_and_3(self):
@@ -135,7 +134,7 @@ class TestSymmetries:
         for _ in range(30):
             s = commuting_triple_scenario(rng)
             for tid in (2, 3):
-                assert abs(symmetry_residual(s, SYMMETRIES[tid])) <= 1e-10
+                assert abs(symmetry_residual(s, tid)) <= 1e-10
 
     def test_partial_commutation_suffices_for_2(self):
         # only [A1,A3] = 0 and [A4,A6] = 0 are needed for transform 2
@@ -148,38 +147,34 @@ class TestSymmetries:
             obs = [diag_in(w1), random_involution(4, rng), diag_in(w1),
                    diag_in(w2), random_involution(4, rng), diag_in(w2)]
             s = Scenario(random_pure_state(4, rng), obs)
-            assert abs(symmetry_residual(s, SYMMETRIES[2])) <= 1e-10
+            assert abs(symmetry_residual(s, 2)) <= 1e-10
 
     def test_generic_residual_regression(self):
         s = random_scenario(4, rng_from(2024))
-        assert abs(symmetry_residual(s, SYMMETRIES[2]) - 0.09833782551530446) <= 1e-10
-        assert abs(symmetry_residual(s, SYMMETRIES[3]) - 0.22661149010815862) <= 1e-10
+        assert abs(symmetry_residual(s, 2) - 0.09833782551530446) <= 1e-10
+        assert abs(symmetry_residual(s, 3) - 0.22661149010815862) <= 1e-10
 
     def test_canonical_preserved_by_all_four(self, canonical):
         for tid in (1, 2, 3, 4):
-            v = eval_IT_scenario(apply_symmetry(canonical, SYMMETRIES[tid])).value
+            v = eval_IT_scenario(apply_symmetry(canonical, tid)).value
             assert abs(v - 5.0) <= 1e-12
 
     def test_transforms_are_involutions(self):
         s = random_scenario(4, rng_from(36))
         for tid in (1, 2, 3, 4):
-            t = SYMMETRIES[tid]
-            s2 = apply_symmetry(apply_symmetry(s, t), t)
+            s2 = apply_symmetry(apply_symmetry(s, tid), tid)
             for a, b in zip(s.observables, s2.observables):
                 assert np.array_equal(a.matrix, b.matrix)
 
     def test_bad_transform_id(self, canonical):
-        from tempcert.inequality import SymmetryTransform, get_symmetry
         with pytest.raises(BadTransformId):
-            get_symmetry(5)
+            apply_symmetry(canonical, 5)
         with pytest.raises(BadTransformId):
-            apply_symmetry(canonical, SymmetryTransform(7, ()))
-        with pytest.raises(BadTransformId):
-            symmetry_residual(canonical, SYMMETRIES[1])
+            symmetry_residual(canonical, 0)
 
     def test_canonical_residual_zero(self, canonical):
-        assert abs(symmetry_residual(canonical, SYMMETRIES[2])) <= 1e-12
-        assert abs(symmetry_residual(canonical, SYMMETRIES[3])) <= 1e-12
+        assert abs(symmetry_residual(canonical, 2)) <= 1e-12
+        assert abs(symmetry_residual(canonical, 3)) <= 1e-12
 
 
 class TestTermTableGuards:

@@ -17,9 +17,12 @@ from tempcert.errors import TempcertError
 from tempcert.inequality import (
     CLASSICAL_BOUND,
     QUANTUM_BOUND,
+    SYMMETRIES,
+    apply_symmetry,
     eval_INC,
     eval_IT,
     eval_IT_scenario,
+    symmetry_residual,
 )
 from tempcert.linalg import (
     acomm,
@@ -218,6 +221,19 @@ def test_commuting_observables_respect_the_classical_bound(s):
     value, report = eval_INC(s)
     assert it <= CLASSICAL_BOUND + 1e-12
     assert report.compatible and abs(value - it) <= 1e-10
+
+
+@given(s=scenarios())
+def test_symmetries_1_and_4_are_exact_and_each_undoes_itself(s):
+    """Symmetries 1 and 4 are operator identities of the expression, so their
+    residual is rounding alone, within 1e-14. Applying any of the four twice
+    gives back every matrix bit for bit."""
+    for tid in (1, 4):
+        assert abs(symmetry_residual(s, tid)) <= 1e-14
+    for tid in SYMMETRIES:
+        twice = apply_symmetry(apply_symmetry(s, tid), tid)
+        assert twice.state is s.state
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(s.matrices(), twice.matrices()))
 
 
 @given(s=st.one_of(scenarios(), tilted_canonicals()))

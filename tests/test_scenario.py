@@ -27,12 +27,10 @@ from tempcert.scenario import (
     Scenario,
     canonical_scenario,
     dumps_scenario,
-    lift_observable,
     loads_scenario,
     load_scenario,
     observables,
     project_involution,
-    purify,
     purify_scenario,
     random_density,
     random_hermitian,
@@ -263,7 +261,7 @@ class TestTypes:
         eigh_calls.clear()
         rho = DensityMatrix(m)
         for _ in range(3):
-            assert np.array_equal(rho.factor(), r / linalg.vec_norm(r))
+            assert np.array_equal(rho.factor(), r / float(np.linalg.norm(r)))
         assert eigh_calls == [(6, 6)] and not rho.factor().flags.writeable
 
     @pytest.mark.parametrize("slot", [0, 7, -1])
@@ -400,15 +398,20 @@ def system_density(psi, dim_sys: int) -> np.ndarray:
     return m @ m.conj().T
 
 
+def purified_state(rho: DensityMatrix):
+    """The state of `purify_scenario` on the canonical observables and rho (d = 4)."""
+    return purify_scenario(canonical_scenario().with_state(rho)).state
+
+
 class TestPurify:
     def test_pure_input(self, canonical):
         rho = DensityMatrix(canonical.density())
-        psi = purify(rho)
+        psi = purified_state(rho)
         assert psi.dim == 16
         assert linalg.op_norm(system_density(psi, 4) - rho.matrix) <= 1e-12
 
     def test_maximally_mixed(self):
-        psi = purify(DensityMatrix(np.eye(4) / 4))
+        psi = purified_state(DensityMatrix(np.eye(4) / 4))
         red = system_density(psi, 4)
         assert linalg.op_norm(red - np.eye(4) / 4) <= 1e-12
         # maximally entangled across the 4 (x) 4 cut: all Schmidt weights 1/4
@@ -416,19 +419,20 @@ class TestPurify:
         assert np.allclose(w, 0.25, atol=1e-12)
 
     def test_is_the_factor_reshaped(self):
-        # the factor has unit Frobenius norm, so purify divides by nothing
+        # the factor has unit Frobenius norm, so the purification divides by nothing
         rho = random_density(4, rng_from(12), rank=3)
-        assert purify(rho).amplitudes.tobytes() == rho.factor().reshape(-1).tobytes()
+        assert purified_state(rho).amplitudes.tobytes() == rho.factor().reshape(-1).tobytes()
 
     def test_partial_trace_oracle(self):
         rng = rng_from(13)
         for _ in range(10):
             rho = random_density(4, rng, rank=3)
-            psi = purify(rho)
+            psi = purified_state(rho)
             assert linalg.op_norm(system_density(psi, 4) - rho.matrix) <= 1e-10
 
     def test_lifted_observables_act_trivially(self, canonical):
-        lifted = lift_observable(canonical.observable(1), 4)
+        mixed = canonical.with_state(DensityMatrix(canonical.density()))
+        lifted = purify_scenario(mixed).observable(1)
         assert lifted.dim == 16
         assert np.array_equal(lifted.matrix,
                               np.kron(canonical.observable(1).matrix, np.eye(4)))

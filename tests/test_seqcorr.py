@@ -681,16 +681,6 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="needs shots and rng_seed"):
             correlations(canonical, "sampled", **kwargs)
 
-    def test_label_count_must_match_sequence_length(self, canonical):
-        rho, seq = canonical.density(), [canonical.observable(1), canonical.observable(4)]
-        for labels in ((1, 2, 3, 4, 5), (1,)):
-            with pytest.raises(ShapeMismatch, match="got 2, [15] labels"):
-                exact_sequence_distribution(rho, seq, labels=labels)
-            with pytest.raises(ShapeMismatch, match="got 2, [15] labels"):
-                sample_sequences(rho, seq, 100, 0, labels=labels)
-        assert exact_sequence_distribution(rho, seq, labels=(1, 4)).sequence == (1, 4)
-        assert sample_sequences(rho, seq, 100, 0, labels=(1, 4))[0].sequence == (1, 4)
-
     def test_raw_non_hermitian_matrix_raises(self, canonical):
         # a raw rho is checked as DensityMatrix checks it: Hermitian, trace one
         rho = canonical.density()

@@ -123,6 +123,21 @@ def test_every_name_in_the_modules_table_exists():
     assert [name for name in dict.fromkeys(names) if not exists(name)] == []
 
 
+def test_every_exported_name_is_in_the_modules_table():
+    """Each name in `tempcert.__all__` that is not a module appears in README's
+    Modules table, the reverse of the test above: a public name cannot go
+    undocumented."""
+    import types
+
+    import tempcert
+
+    names = modules_table_names()
+    documented = set(names) | {name.split(".")[0] for name in names}
+    exported = [name for name in tempcert.__all__
+                if not isinstance(getattr(tempcert, name), types.ModuleType)]
+    assert [name for name in exported if name not in documented] == []
+
+
 WORKLOADS = TRACER.parent / "workloads.py"
 
 
