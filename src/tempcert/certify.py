@@ -50,8 +50,10 @@ from .scenario import (
 from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXT_PAIRS, CONTEXTS, correlations
 
 #: Reference observables on C^2 (x) C^2, slots 1..6: the canonical
-#: realization, whose state PHI_PLUS is the reference state.
-TARGET_MATRICES = CANONICAL_MATRICES
+#: realization, whose state PHI_PLUS is the reference state, stacked (6, 4, 4)
+#: once at import, read-only.
+TARGET_MATRICES = np.array(CANONICAL_MATRICES)
+TARGET_MATRICES.setflags(write=False)
 
 #: Stabilizer-style state constraints at maximal violation: for each entry
 #: (slots, sign), the product of the slots applied to psi equals sign * psi.
@@ -160,10 +162,11 @@ def align(projected_observables) -> AlignmentResult:
     G gives w -> w (1(x)G) and u2 -> G† u2 times a phase, so U -> phase * U,
     and the pivot convention below removes that phase.
     """
-    raw = [linalg.as_matrix(m) for m in projected_observables]
-    if len(raw) != 6 or any(m.shape != (4, 4) for m in raw):
+    raw = tuple(projected_observables)
+    if len(raw) != 6 or any(np.shape(m) != (4, 4) for m in raw):
+        list(map(linalg.as_matrix, raw))  # an entry that is no finite matrix raises its own error
         raise ShapeMismatch("align expects six 4x4 projected observables")
-    raw = np.array(raw)
+    raw = linalg.as_matrices(raw)
 
     try:
         rounded, w6, v6 = round_to_involutions(linalg.hermitian_part(raw))
@@ -260,7 +263,11 @@ def extract(s: Scenario) -> Extraction:
         extracted = extracted * (overlap.conjugate() / abs(overlap))
     extracted = extracted / linalg.vec_norms(extracted)
     fidelity = float(abs(PHI_PLUS.conj() @ extracted) ** 2)
-    return Extraction(basis, gram, blocks, projected, alignment, PureState(extracted), fidelity)
+    # extracted is finite with unit norm by construction: no PureState re-check
+    state = PureState.__new__(PureState)
+    extracted.setflags(write=False)
+    state.amplitudes = extracted
+    return Extraction(basis, gram, blocks, projected, alignment, state, fidelity)
 
 
 @dataclass

@@ -174,16 +174,18 @@ def eig_exact_hermitian(h: np.ndarray):
     such as a `hermitian_part`. eigh reads only the lower triangle, so an
     input that is not exactly Hermitian is not caught here."""
     w, v = np.linalg.eigh(h)
-    if np.all(w[..., 1:] > w[..., :-1]):
+    # index arrays of the leading axes, broadcast against a last axis of length d
+    *lead, cols = np.indices(w.shape, sparse=True)
+    if (w[..., 1:] > w[..., :-1]).all():
         # strictly ascending everywhere: the stable sort below is a reversal
         w, v = w[..., ::-1], v[..., ::-1]
     else:
         # A stable sort of -w, not a reversal: tied eigenvalues keep eigh's order.
         order = np.argsort(-w, axis=-1, kind="stable")
-        w = np.take_along_axis(w, order, axis=-1)
-        v = np.take_along_axis(v, order[..., None, :], axis=-1)
+        w = w[(*lead, order)]
+        v = np.swapaxes(np.swapaxes(v, -1, -2)[(*lead, order)], -1, -2)
     pivot = (np.abs(v) > 1e-12).argmax(axis=-2)
-    phase = np.take_along_axis(v, pivot[..., None, :], axis=-2)
+    phase = v[(*lead, pivot, cols)][..., None, :]
     # hypot rounds like the scalar abs() of a complex number; numpy's array
     # abs does not always.
     return w, v * (phase.conj() / np.hypot(phase.real, phase.imag))
@@ -198,9 +200,9 @@ def inv_sqrt_psd(h: np.ndarray) -> np.ndarray:
     :class:`RankDeficient`.
     """
     w, v = eig_exact_hermitian(h)
-    # a negative eigenvalue lies below INV_SQRT_CUTOFF too: one test refuses both
-    low = w[w <= INV_SQRT_CUTOFF]  # descending, so low[0] is the largest
-    if low.size:
+    # w descends, so one test of its last entry refuses a small or negative eigenvalue
+    if w[-1] <= INV_SQRT_CUTOFF:
+        low = w[w <= INV_SQRT_CUTOFF]  # low[0] is the largest
         raise RankDeficient(f"eigenvalue {low[0]:.3e} at or below cutoff {INV_SQRT_CUTOFF:.1e}")
     return (v / w ** 0.5) @ v.conj().T
 

@@ -32,7 +32,7 @@ from .scenario import (
     require_integer,
 )
 from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXTS, TERMS, CorrelationSet, correlations
-from .certify import extract
+from .certify import PAIR_CONTEXTS, extract
 
 #: Deficits beyond this make every bound vacuous; refuse to "check" them.
 EPSILON_CEILING = 2.0
@@ -51,6 +51,12 @@ TILT_GENERATORS = {
     5: np.kron(PAULI_Y, PAULI_I),
     6: np.kron(PAULI_I, PAULI_Y),
 }
+
+#: `eig_hermitian` (w, v) of the TILT_GENERATORS stack, slot k at index k - 1, taken
+#: once at import, read-only: a tilt row exponentiates with `expi_eig` on it.
+TILT_EIGENSYSTEM = linalg.eig_hermitian(np.array(list(TILT_GENERATORS.values())))
+TILT_EIGENSYSTEM[0].setflags(write=False)
+TILT_EIGENSYSTEM[1].setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,8 @@ def apply_noise(s: Scenario, n: NoiseModel) -> Scenario:
             raise ShapeMismatch(
                 f"tilt generators are two-qubit Pauli strings; scenario dim is {s.dim}"
             )
-        u = linalg.expi_hermitian(TILT_GENERATORS[n.slot], n.angle)
+        w, v = TILT_EIGENSYSTEM
+        u = linalg.expi_eig(w[n.slot - 1], v[n.slot - 1], n.angle)
         m = u @ s.observable(n.slot).matrix @ u.conj().T
         return s.with_observable(n.slot, Observable(linalg.hermitian_part(m)))
     if isinstance(n, UnitaryJitter):
@@ -144,29 +151,38 @@ class BoundCheck:
         self.holds = bool(self.holds)
 
 
+#: The correlator floors sign(w) c >= 1 - eps/|w|, one per term of TERMS:
+#: (label, name, sign(w), |w|).
+_FLOOR_CHECKS = tuple(
+    (f"{'-' if w < 0 else ''}{name}>=1-{'' if abs(w) == 1 else format(1 / abs(w), 'g')}eps",
+     name, 1 if w > 0 else -1, abs(w))
+    for name, _, w in TERMS)
+
+#: The state-norm families on the unit-norm state factor R, one (label, factor of
+#: sqrt(eps), a, b, sign) per check, triple contexts first: the block is images[a] -
+#: sign * images[b] over the stack of the images A_k R (index k - 1), then A_j A_k R
+#: (index 6 j + k - 1).
+_NORM_LABELS, _NORM_FACTORS, _NORM_A, _NORM_B, _NORM_SIGNS = zip(
+    *[(f"norm(A{i}-A{j}A{k})<=4sqrt(eps)", 4, i - 1, 6 * j + k - 1, 1) for context in CONTEXTS
+      if len(context) == 3 for i, j, k in itertools.permutations(context)],
+    *[(f"norm(A{i}{'-' if sign > 0 else '+'}A{j})<=2sqrt(eps)", 2, i - 1, j - 1, sign)
+      for i, j, sign in PAIR_CONTEXTS],
+    *[(f"norm({{A{i},A{j}}})<=14sqrt(eps)", 14, 6 * i + j - 1, 6 * j + i - 1, -1)
+      for i, j in ANTICOMMUTING_PAIRS])
+_NORM_A, _NORM_B = np.array(_NORM_A), np.array(_NORM_B)
+_NORM_SIGNS = np.array(_NORM_SIGNS, dtype=float)[:, None, None]
+
+
 def _state_norm_checks(s: Scenario, eps: float):
-    """The norm-bound families over CONTEXTS and ANTICOMMUTING_PAIRS on the unit-norm
-    state factor R (d x c), ||(A_i - A_j A_k) R||_F <= 4 sqrt(eps) etc., each block a
-    sum or difference of the images A_k R and A_j A_k R, the norms in one call."""
+    """The state-norm checks at deficit eps >= 0: one gather and one subtraction over
+    the stacked images, the norms in one call."""
     single, double = seqcorr.state_images(np.array(s.matrices()), s.state.factor())
-    root = np.sqrt(max(eps, 0.0))
-    checks = []  # (label, factor of sqrt(eps), block)
-    # CONTEXTS lists the triple contexts first, so their family comes first
-    for context, sign in CONTEXTS.items():
-        if len(context) == 3:
-            for i, j, k in itertools.permutations(context):
-                checks.append((f"norm(A{i}-A{j}A{k})<=4sqrt(eps)", 4,
-                               single[i - 1] - double[j - 1, k - 1]))
-        else:
-            i, j = context
-            checks.append((f"norm(A{i}{'-' if sign > 0 else '+'}A{j})<=2sqrt(eps)", 2,
-                           single[i - 1] - sign * single[j - 1]))
-    for i, j in ANTICOMMUTING_PAIRS:
-        checks.append((f"norm({{A{i},A{j}}})<=14sqrt(eps)", 14,
-                       double[i - 1, j - 1] + double[j - 1, i - 1]))
-    lhs = linalg.vec_norms(np.array([block.reshape(-1) for _, _, block in checks]))
+    images = np.concatenate([single, double.reshape(-1, *single.shape[1:])])
+    blocks = images[_NORM_A] - _NORM_SIGNS * images[_NORM_B]
+    lhs = linalg.vec_norms(blocks.reshape(len(blocks), -1))
+    root = np.sqrt(eps)
     return [BoundCheck(label, v, factor * root, v <= factor * root + CHECK_GUARD)
-            for (label, factor, _), v in zip(checks, lhs)]
+            for label, factor, v in zip(_NORM_LABELS, _NORM_FACTORS, lhs)]
 
 
 def check_robustness_bounds(s: Scenario, *, corr: CorrelationSet | None = None):
@@ -190,17 +206,11 @@ def check_robustness_bounds(s: Scenario, *, corr: CorrelationSet | None = None):
     eps = max(eps, 0.0)
 
     checks = []
-    for name, _, weight in TERMS:
+    for label, name, sign, weight in _FLOOR_CHECKS:
         # eps = sum |w| (1 - sign(w) c) over the terms, each summand >= 0
-        sign = 1 if weight > 0 else -1
-        v = sign * getattr(corr, name)
-        floor = 1 - eps / abs(weight)
-        factor = "" if abs(weight) == 1 else f"{1 / abs(weight):g}"
-        label = f"{'-' if sign < 0 else ''}{name}>=1-{factor}eps"
+        v, floor = sign * getattr(corr, name), 1 - eps / weight
         checks.append(BoundCheck(label, v, floor, v >= floor - CHECK_GUARD))
-
-    checks.extend(_state_norm_checks(s, eps))
-    return checks
+    return checks + _state_norm_checks(s, eps)
 
 
 @dataclass

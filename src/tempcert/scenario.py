@@ -291,9 +291,9 @@ def round_to_involutions(h: np.ndarray):
     built. An eigenvalue of magnitude at most SIGN_CUTOFF raises ZeroEigenvalue,
     naming the first matrix of the stack that has no rounding."""
     w, v = linalg.eig_exact_hermitian(h)
-    magnitudes = np.abs(w).reshape(-1, w.shape[-1])
-    failing = (magnitudes <= SIGN_CUTOFF).any(axis=-1)
-    if failing.any():
+    if np.abs(w).min() <= SIGN_CUTOFF:
+        magnitudes = np.abs(w).reshape(-1, w.shape[-1])
+        failing = (magnitudes <= SIGN_CUTOFF).any(axis=-1)
         raise ZeroEigenvalue(f"eigenvalue of magnitude {magnitudes[failing.argmax()].min():.3e} "
                              f"inside cutoff {SIGN_CUTOFF:.1e}")
     return round_eig_to_signs(w, v, SIGN_CUTOFF), w, v

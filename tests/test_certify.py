@@ -25,6 +25,7 @@ from tempcert.errors import (
 )
 from tempcert.robustness import Depolarizing, ObservableTilt, UnitaryJitter, apply_noise, sweep
 from tempcert.scenario import (
+    CANONICAL_MATRICES,
     PAULI_I,
     PAULI_X,
     PAULI_Z,
@@ -282,6 +283,40 @@ class TestAlign:
             assert np.max(np.abs(align(nudged).unitary - u)) <= 1e-12
             pivot = u.flat[np.argmax(np.abs(u) > 1e-12)]
             assert pivot.real > 0 and abs(pivot.imag) <= 1e-15
+
+    @pytest.mark.parametrize("mats", [
+        list(CANONICAL_MATRICES[:5]),
+        list(CANONICAL_MATRICES) + [CANONICAL_MATRICES[0]],
+        list(CANONICAL_MATRICES[:5]) + [np.eye(3)],
+    ], ids=["five", "seven", "a-3x3"])
+    def test_input_contract_count_and_shape(self, mats):
+        with pytest.raises(ShapeMismatch, match=r"^align expects six 4x4 projected observables$"):
+            align(mats)
+
+    def test_input_contract_refuses_a_vector_entry_as_such(self):
+        mats = list(CANONICAL_MATRICES)
+        mats[3] = np.ones(4)
+        with pytest.raises(ShapeMismatch,
+                           match=r"^expected a matrix or a stack of matrices, got ndim 1$"):
+            align(mats)
+
+    def test_input_contract_refuses_a_non_finite_entry(self):
+        mats = [np.array(m) for m in CANONICAL_MATRICES]
+        mats[4][2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^matrix contains NaN or Inf entries$"):
+            align(mats)
+
+    def test_input_contract_takes_any_iterable_of_six(self):
+        # a list, a generator and a (6, 4, 4) array give the same bits
+        ref = align(list(CANONICAL_MATRICES))
+        for mats in ((m for m in CANONICAL_MATRICES), np.array(CANONICAL_MATRICES)):
+            res = align(mats)
+            assert res.unitary.tobytes() == ref.unitary.tobytes()
+            assert res.distances == ref.distances
+
+    def test_target_stack_is_a_read_only_constant(self):
+        assert TARGET_MATRICES.shape == (6, 4, 4) and not TARGET_MATRICES.flags.writeable
+        assert all(t.tobytes() == c.tobytes() for t, c in zip(TARGET_MATRICES, CANONICAL_MATRICES))
 
     def test_commuting_pair_rejected(self):
         # slots 1 and 5 both Z (x) 1: anticommutator norm 2

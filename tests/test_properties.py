@@ -2,6 +2,7 @@
 (hypothesis, with the derandomized profile registered in conftest.py)."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tempcert import certify
+from tempcert.certify import extract
 from tempcert.errors import TempcertError
 from tempcert.inequality import (
     CLASSICAL_BOUND,
@@ -32,6 +34,7 @@ from tempcert.linalg import (
     hermitian_part,
     op_norm,
     op_norms,
+    vec_norms,
 )
 from tempcert.optimize import (
     DEGENERATE_EIGENVALUE,
@@ -44,9 +47,13 @@ from tempcert.optimize import (
     coefficient_operator,
 )
 from tempcert.robustness import (
+    CHECK_GUARD,
+    EPSILON_CEILING,
+    BoundCheck,
     Depolarizing,
     ObservableTilt,
     UnitaryJitter,
+    _state_norm_checks,
     apply_noise,
     check_robustness_bounds,
 )
@@ -73,6 +80,7 @@ from tempcert.scenario import (
     round_to_involutions,
 )
 from tempcert.seqcorr import (
+    ANTICOMMUTING_PAIRS,
     CONTEXTS,
     TERMS,
     _projectors,
@@ -81,6 +89,7 @@ from tempcert.seqcorr import (
     exact_sequence_distribution,
     newton_schulz_step,
     sample_sequences,
+    state_images,
 )
 
 from conftest import conjugated_embedding, rng_from
@@ -330,6 +339,83 @@ def test_mixed_path_matches_its_purification(s):
     else:
         assert [(c.name, c.holds) for c in new] == [(c.name, c.holds) for c in ref]
         assert all(abs(c.rhs - r.rhs) <= tol for c, r in zip(new, ref))
+
+
+def reference_bound_checks(s, eps):
+    """The bound checks of s at deficit eps >= 0 written out check by check: the
+    correlator floors, then each state-norm block a difference or sum of the
+    images A_k R and A_j A_k R, the blocks' norms in one vec_norms call."""
+    corr, checks = correlations(s, "analytic"), []
+    for name, _, weight in TERMS:
+        sign = 1 if weight > 0 else -1
+        v = sign * getattr(corr, name)
+        floor = 1 - eps / abs(weight)
+        factor = "" if abs(weight) == 1 else f"{1 / abs(weight):g}"
+        label = f"{'-' if sign < 0 else ''}{name}>=1-{factor}eps"
+        checks.append(BoundCheck(label, v, floor, v >= floor - CHECK_GUARD))
+    single, double = state_images(np.array(s.matrices()), s.state.factor())
+    blocks = []  # (label, factor of sqrt(eps), block)
+    for context, sign in CONTEXTS.items():
+        if len(context) == 3:
+            for i, j, k in itertools.permutations(context):
+                blocks.append((f"norm(A{i}-A{j}A{k})<=4sqrt(eps)", 4,
+                               single[i - 1] - double[j - 1, k - 1]))
+        else:
+            i, j = context
+            blocks.append((f"norm(A{i}{'-' if sign > 0 else '+'}A{j})<=2sqrt(eps)", 2,
+                           single[i - 1] - sign * single[j - 1]))
+    for i, j in ANTICOMMUTING_PAIRS:
+        blocks.append((f"norm({{A{i},A{j}}})<=14sqrt(eps)", 14,
+                       double[i - 1, j - 1] + double[j - 1, i - 1]))
+    lhs = vec_norms(np.array([block.reshape(-1) for _, _, block in blocks]))
+    root = np.sqrt(eps)
+    return checks + [BoundCheck(label, v, factor * root, v <= factor * root + CHECK_GUARD)
+                     for (label, factor, _), v in zip(blocks, lhs)]
+
+
+@given(s=st.one_of(scenarios(), mixed_embeddings(), tilted_canonicals()))
+def test_bound_check_table_matches_the_check_by_check_form(s):
+    """check_robustness_bounds reads its labels, factors, image indices and signs
+    from tables built at import and gathers every state-norm block at once: each
+    check's name, rhs and verdict equal the check-by-check form's, and its lhs
+    bit for bit. Past EPSILON_CEILING, where the suite refuses, the state-norm
+    checks are compared on their own."""
+    eps = max(QUANTUM_BOUND - eval_IT(correlations(s, "analytic")).value, 0.0)
+    new = check_robustness_bounds(s) if eps <= EPSILON_CEILING else _state_norm_checks(s, eps)
+    ref = reference_bound_checks(s, eps)[-len(new):]
+    assert [(c.name, c.rhs, c.holds) for c in new] == [(c.name, c.rhs, c.holds) for c in ref]
+    assert [c.lhs.hex() for c in new] == [c.lhs.hex() for c in ref]
+
+
+@st.composite
+def noisy_rows(draw):
+    """Sweep rows: the canonical scenario under a drawn one-slot tilt, unitary
+    jitter or depolarizing noise, the last two also on a Haar-conjugated
+    embedding into d = 6 or 8."""
+    kind = draw(st.sampled_from(["tilt", "jitter", "depolarizing"]))
+    s = canonical_scenario()
+    if kind != "tilt" and draw(st.booleans()):
+        s = conjugated_embedding(s, draw(st.sampled_from([6, 8])),
+                                 rng_from(draw(st.integers(0, 2**32 - 1))))
+    noise = {"tilt": st.builds(ObservableTilt, st.integers(1, 6), st.floats(-0.5, 0.5)),
+             "jitter": st.builds(UnitaryJitter, st.floats(0, 0.3), st.integers(0, 2**31)),
+             "depolarizing": st.builds(Depolarizing, st.floats(0, 0.9))}[kind]
+    return apply_noise(s, draw(noise))
+
+
+@given(s=noisy_rows())
+def test_extracted_state_passes_the_pure_state_check(s):
+    """extract builds its PureState without the constructor's checks, since it
+    has just normalized the vector: on every row it does not refuse, the
+    extracted vector is finite with norm within NORM_TOL of 1, as PureState
+    demands, and read-only, and PureState gives back its bits."""
+    try:
+        amplitudes = extract(s).extracted_state.amplitudes
+    except TempcertError:
+        return
+    assert np.isfinite(amplitudes).all() and not amplitudes.flags.writeable
+    assert abs(np.linalg.norm(amplitudes) - 1) <= NORM_TOL
+    assert PureState(amplitudes).amplitudes.tobytes() == amplitudes.tobytes()
 
 
 @given(s=scenarios())

@@ -5,6 +5,8 @@ from tempcert.errors import NotAViolation, ShapeMismatch
 from tempcert.inequality import eval_IT_scenario
 from tempcert.robustness import (
     SWEEP_CSV_HEADER,
+    TILT_EIGENSYSTEM,
+    TILT_GENERATORS,
     Depolarizing,
     ObservableTilt,
     UnitaryJitter,
@@ -44,6 +46,26 @@ class TestApplyNoise:
         b = apply_noise(canonical, UnitaryJitter(1e-2, rng_seed=3))
         for x, y in zip(a.observables, b.observables):
             assert np.array_equal(x.matrix, y.matrix)
+
+    @pytest.mark.parametrize("slot", range(1, 7))
+    def test_tilt_matches_exponentiating_its_generator(self, canonical, slot):
+        # the import-time eigensystem gives the bits of a per-row expi_hermitian
+        # of the slot's generator, conjugation and Observable alike
+        m = canonical.observable(slot).matrix
+        for angle in (-0.45, -1e-9, 1e-12, 1e-4, 0.3, 0.45, 3.0):
+            u = linalg.expi_hermitian(TILT_GENERATORS[slot], angle)
+            expected = Observable(linalg.hermitian_part(u @ m @ u.conj().T)).matrix
+            tilted = apply_noise(canonical, ObservableTilt(slot, angle)).observable(slot)
+            assert tilted.matrix.tobytes() == expected.tobytes(), angle
+
+    def test_tilt_eigensystem_is_a_read_only_table(self):
+        w, v = TILT_EIGENSYSTEM
+        assert w.shape == (6, 4) and v.shape == (6, 4, 4)
+        assert not w.flags.writeable and not v.flags.writeable
+        for slot, generator in TILT_GENERATORS.items():
+            w_ref, v_ref = linalg.eig_hermitian(generator)
+            assert w[slot - 1].tobytes() == w_ref.tobytes()
+            assert v[slot - 1].tobytes() == v_ref.tobytes()
 
     def test_tilt_requires_dim4(self, canonical):
         from conftest import conjugated_embedding

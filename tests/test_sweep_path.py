@@ -432,6 +432,24 @@ def test_no_sweep_row_svd_sees_a_matrix_larger_than_4(row, svd_calls):
     assert all(min(shape[-2:]) <= 4 for shape in svd_calls), svd_calls
 
 
+#: The eigensolves of the extraction stage on a d = 4 row: the Gram inverse square root,
+#: the six-observable rounding, the Loewdin correction and the second-factor rounding.
+EXTRACTION_EIGENSOLVES = [(4, 4), (6, 4, 4), (4, 4), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("family, param, noise_eigensolves", [
+    (lambda a: ObservableTilt(2, a), 0.05, []),
+    (Depolarizing, 2e-3, [(4, 4)]),
+    (lambda x: UnitaryJitter(x, rng_seed=7), 0.02, [(6, 4, 4)]),
+], ids=["tilt", "depolarizing", "jitter"])
+def test_eigensolves_per_sweep_row(family, param, noise_eigensolves, eigh_calls):
+    # a tilt row exponentiates the import-time eigensystem of its generator, so
+    # only the depolarized state's factor and the jitter generators take one
+    (row,) = sweep(canonical_scenario(), family, [param])
+    assert not row.failed
+    assert eigh_calls == noise_eigensolves + EXTRACTION_EIGENSOLVES
+
+
 @pytest.mark.parametrize("dim, noise", [pytest.param(d, None, id=str(d)) for d in (4, 16, 64)]
                          + [pytest.param(16, Depolarizing(0.01), id="depolarized-16")])
 def test_leakage_matches_full_projector_form(dim, noise):
