@@ -107,7 +107,7 @@ def algebra_residuals(s: Scenario, basis: np.ndarray):
     r = s.state.factor()
     if np.shape(basis) != (r.size, 4):
         raise ShapeMismatch(f"basis shape {np.shape(basis)} is not ({r.size}, 4)")
-    mats = np.array(s.matrices())
+    mats = s.matrices()
     # basis† A_i A_j basis = (A_i basis)† (A_j basis), the norms in one SVD call; as
     # (d, 4 c) the basis is its four d x c blocks interleaved, and A_i (x) 1 acts as A_i
     blocks = (mats @ basis.reshape(s.dim, -1)).reshape(6, -1, 4)
@@ -249,7 +249,7 @@ def extract(s: Scenario) -> Extraction:
     """
     basis, gram = build_subspace(s.state, s.observable(1), s.observable(5))
     # as (d, 4 c) the basis is its four d x c blocks interleaved, and A_k (x) 1 acts as A_k
-    blocks = (np.array(s.matrices()) @ basis.reshape(s.dim, -1)).reshape(6, -1, 4)
+    blocks = (s.matrices() @ basis.reshape(s.dim, -1)).reshape(6, -1, 4)
     bd = basis.conj().T
     projected = bd @ blocks
 

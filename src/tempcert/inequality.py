@@ -83,7 +83,7 @@ def eval_INC(s: Scenario):
     report flags when the result is not physically meaningful (some context
     commutator norm above 1e-8), and does not depend on the state.
     """
-    a = np.array(s.matrices())
+    a = s.matrices()
     single, double = seqcorr.state_images(a, s.state.factor())
     value = 0.0
     for context, sign in CONTEXTS.items():

@@ -67,9 +67,10 @@ def require_square(a: np.ndarray) -> None:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a†)/2 of a square complex array or of each of a stack, unchecked.
-    Its result is exactly Hermitian, and equals `a` when `a` is."""
-    return (a + np.swapaxes(a.conj(), -1, -2)) / 2
+    """(a + a†)/2 of a square complex array or of each of a stack, unchecked, as a
+    new C-ordered array. Its result is exactly Hermitian, and equals `a` when `a` is."""
+    h = np.conj(np.swapaxes(a, -1, -2), order="C")  # a† in one pass, then in place
+    return np.divide(np.add(a, h, out=h), 2, out=h)
 
 
 def _largest_singular_values(a: np.ndarray) -> np.ndarray:
@@ -119,7 +120,8 @@ def require_hermitian(m: np.ndarray, what: str) -> None:
     """Raise NotHermitian unless m - m† has operator norm at most
     STRUCTURAL_TOL, as `op_norm_exceeds` decides it, for each matrix of a
     square stack m (..., d, d); the SVD norm is taken only for the message."""
-    defect = m - np.swapaxes(m.conj(), -1, -2)
+    defect = np.conj(np.swapaxes(m, -1, -2), order="C")
+    np.subtract(m, defect, out=defect)
     if op_norm_exceeds(defect, STRUCTURAL_TOL).any():
         raise NotHermitian(f"{what} deviates from Hermitian by {op_norms(defect).max():.3e}")
 
@@ -210,7 +212,7 @@ def inv_sqrt_psd(h: np.ndarray) -> np.ndarray:
 def expi_eig(w: np.ndarray, v: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Unitary exp(-1j * scale * m) from the eigendecomposition (w, v) of
     Hermitian m, as `eig_hermitian` returns it, one matrix or a stack."""
-    return (v * np.exp(-1j * scale * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return (v * np.exp(-1j * scale * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2), order="C")
 
 
 def expi_hermitian(m, scale: float = 1.0) -> np.ndarray:

@@ -207,7 +207,7 @@ def coefficient_operator(s: Scenario, slot: int) -> np.ndarray:
     and M R and L† R are among its images R, A_k R and A_j A_k R.
     """
     _require_slot(slot)
-    return _coefficients(np.array(s.matrices()), s.state.factor(), (int(slot),))[0]
+    return _coefficients(s.matrices(), s.state.factor(), (int(slot),))[0]
 
 
 def optimal_observable(s: Scenario, slot: int) -> Observable:

@@ -110,7 +110,7 @@ def apply_noise(s: Scenario, n: NoiseModel) -> Scenario:
         if n.p == 0.0:
             return s
         rho = (1 - n.p) * s.density() + n.p * np.eye(s.dim) / s.dim
-        return s.with_state(DensityMatrix(linalg.hermitian_part(rho)))
+        return s.with_state(DensityMatrix.from_exact(linalg.hermitian_part(rho)))
     if isinstance(n, ObservableTilt):
         if n.angle == 0.0:
             return s
@@ -126,14 +126,14 @@ def apply_noise(s: Scenario, n: NoiseModel) -> Scenario:
         if n.strength == 0.0:
             return s
         rng = np.random.Generator(np.random.PCG64(n.rng_seed))
-        # one block from one stream, then exponentiated as one stack; for
-        # Hermitian h the operator norm is the largest |eigenvalue|, so the
-        # eigensolve that exponentiates h also normalizes it
-        h = random_hermitian(s.dim, rng, len(s.observables))
-        w, v = linalg.eig_exact_hermitian(h)
-        norms = np.maximum(w[:, 0], -w[:, -1])
-        u = linalg.expi_eig(w / norms[:, None], v, n.strength)
-        m = u @ np.array(s.matrices()) @ np.swapaxes(u.conj(), -1, -2)
+        # one block h from one stream, exponentiated as one stack; the eigensolve also
+        # normalizes h, whose operator norm is its largest |eigenvalue|. Each (6, d, d)
+        # temporary is released once used, so a d = 64 row takes fewer fresh pages.
+        w, v = linalg.eig_exact_hermitian(random_hermitian(s.dim, rng, len(s.observables)))
+        u = linalg.expi_eig(w / np.maximum(w[:, :1], -w[:, -1:]), v, n.strength)
+        del v
+        m = u @ s.matrices() @ np.swapaxes(u.conj(), -1, -2)
+        del u
         return Scenario(s.state, observables(linalg.hermitian_part(m)))
     raise TypeError(f"unknown noise model {n!r}")
 
@@ -176,7 +176,7 @@ _NORM_SIGNS = np.array(_NORM_SIGNS, dtype=float)[:, None, None]
 def _state_norm_checks(s: Scenario, eps: float):
     """The state-norm checks at deficit eps >= 0: one gather and one subtraction over
     the stacked images, the norms in one call."""
-    single, double = seqcorr.state_images(np.array(s.matrices()), s.state.factor())
+    single, double = seqcorr.state_images(s.matrices(), s.state.factor())
     images = np.concatenate([single, double.reshape(-1, *single.shape[1:])])
     blocks = images[_NORM_A] - _NORM_SIGNS * images[_NORM_B]
     lhs = linalg.vec_norms(blocks.reshape(len(blocks), -1))

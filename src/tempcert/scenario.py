@@ -67,7 +67,8 @@ def require_observables(m: np.ndarray) -> None:
     matrix of the stack that fails."""
     linalg.require_square(m)
     linalg.require_hermitian(m, "observable")
-    residual = m @ m - np.eye(m.shape[-1])
+    residual = m @ m
+    residual -= np.eye(m.shape[-1])  # in place: no second (..., d, d) temporary
     over = linalg.op_norm_exceeds(residual, INVOLUTION_TOL).reshape(-1)
     if over.any():
         first = residual.reshape(-1, *residual.shape[-2:])[over.argmax()]
@@ -165,17 +166,27 @@ class DensityMatrix:
         m = linalg.as_matrix(matrix)
         linalg.require_square(m)
         linalg.require_hermitian(m, "density matrix")
-        w, v = linalg.eig_exact_hermitian(linalg.hermitian_part(m))
-        if w[-1] < -linalg.STRUCTURAL_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {w[-1]:.3e}")
+        self._factor = DensityMatrix.from_exact(linalg.hermitian_part(m))._factor
         tr = np.trace(m)
         if abs(tr - 1.0) > PROBABILITY_TOL:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1")
         m.setflags(write=False)
         self.matrix = m
+
+    @classmethod
+    def from_exact(cls, h: np.ndarray) -> "DensityMatrix":
+        """The DensityMatrix of h, exactly Hermitian with unit trace by construction
+        (a `hermitian_part`): h itself, made read-only, after the PSD test alone."""
+        w, v = linalg.eig_exact_hermitian(h)
+        if w[-1] < -linalg.STRUCTURAL_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {w[-1]:.3e}")
+        new = cls.__new__(cls)
+        h.setflags(write=False)
+        new.matrix = h
         r = v * np.sqrt(np.clip(w, 0.0, None))
-        self._factor = r / linalg.vec_norms(r.reshape(-1))
-        self._factor.setflags(write=False)
+        new._factor = r / linalg.vec_norms(r.reshape(-1))
+        new._factor.setflags(write=False)
+        return new
 
     @property
     def dim(self) -> int:
@@ -227,10 +238,10 @@ def require_operands(state, observables) -> tuple:
 
 class Scenario:
     """One state (PureState or DensityMatrix) plus six observables A1..A6 on a
-    common d-dimensional space. Nothing derived from them is kept: each
-    consumer forms the images A_k R and A_j A_k R of the state's factor R."""
+    common d-dimensional space, their matrices stacked once, read-only, as
+    `matrices`; consumers form the images A_k R and A_j A_k R of the factor R."""
 
-    __slots__ = ("state", "observables", "dim")
+    __slots__ = ("state", "observables", "dim", "_matrices")
 
     def __init__(self, state, observables):
         obs = require_operands(state, observables)
@@ -239,14 +250,16 @@ class Scenario:
         self.state = state
         self.observables = obs
         self.dim = state.dim
+        self._matrices = np.stack([o.matrix for o in obs])
+        self._matrices.setflags(write=False)
 
     def observable(self, slot: int) -> Observable:
         """1-based access: slot in 1..6."""
         _require_slot(slot)
         return self.observables[slot - 1]
 
-    def matrices(self) -> tuple:
-        return tuple(o.matrix for o in self.observables)
+    def matrices(self) -> np.ndarray:
+        return self._matrices
 
     def density(self) -> np.ndarray:
         return self.state.density()
@@ -376,8 +389,7 @@ def random_scenario(dim: int, rng: np.random.Generator) -> Scenario:
 
 def conjugate_scenario(s: Scenario, u: np.ndarray) -> Scenario:
     """Rotate the whole realization by a unitary: A -> U A U†, psi -> U psi."""
-    obs = tuple(Observable(linalg.hermitian_part(u @ o.matrix @ u.conj().T))
-                for o in s.observables)
+    obs = observables(linalg.hermitian_part(u @ s.matrices() @ u.conj().T))
     if s.is_pure():
         state = PureState(u @ s.state.amplitudes)
     else:

@@ -287,7 +287,7 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
     values, stderr = {}, None
     if mode == "analytic":
         # the scenario's checked matrices share its state's dimension
-        single, double = state_images(np.array(s.matrices()), s.state.factor())
+        single, double = state_images(s.matrices(), s.state.factor())
         for name, slots, _ in TERMS:
             values[name] = _correlator(single, double, slots)
     elif mode in ("exact-sum", "sampled"):
@@ -297,7 +297,7 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
             require_integer("rng_seed", rng_seed, 0)
             stderr, rng = {}, np.random.Generator(np.random.PCG64(rng_seed))
         # a Scenario's state and observables were checked when it was built
-        r, proj = s.state.factor(), _projectors(np.array(s.matrices()))
+        r, proj = s.state.factor(), _projectors(s.matrices())
         for n in (3, 2):  # the terms of one length as one stack, in TERMS order
             terms = [(name, slots) for name, slots, _ in TERMS if len(slots) == n]
             weights = _weights(r, proj[np.subtract([slots for _, slots in terms], 1)])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tempcert import certify
 from tempcert.certify import extract
-from tempcert.errors import TempcertError
+from tempcert.errors import NotHermitian, TempcertError
 from tempcert.inequality import (
     CLASSICAL_BOUND,
     QUANTUM_BOUND,
@@ -27,13 +27,17 @@ from tempcert.inequality import (
     symmetry_residual,
 )
 from tempcert.linalg import (
+    STRUCTURAL_TOL,
     acomm,
     eig_exact_hermitian,
     eig_hermitian,
+    expi_eig,
     expi_hermitian,
     hermitian_part,
     op_norm,
+    op_norm_exceeds,
     op_norms,
+    require_hermitian,
     vec_norms,
 )
 from tempcert.optimize import (
@@ -680,3 +684,78 @@ def test_save_load_is_bit_exact(s):
     for a, b in zip(s.matrices(), t.matrices()):
         assert a.tobytes() == b.tobytes()
     assert dumps_scenario(t) == text
+
+
+def _as_layout(a: np.ndarray, layout: str) -> np.ndarray:
+    """a's values as a C-ordered array, a read-only one, a view of a transposed
+    copy, or a reversed-stride view such as eig_exact_hermitian's v[..., ::-1]."""
+    if layout == "transposed":
+        return np.swapaxes(np.ascontiguousarray(np.swapaxes(a, -1, -2)), -1, -2)
+    if layout == "reversed":
+        return np.ascontiguousarray(a[..., ::-1])[..., ::-1]
+    a = np.array(a)
+    a.setflags(write=layout != "read-only")
+    return a
+
+
+@st.composite
+def kernel_stacks(draw):
+    """Complex stacks (..., d, d), d = 1-64 with 0-2 leading axes: Hermitian,
+    Hermitian up to a defect of 1e-13 to 1e-8 in scale, or general, in one of
+    the `_as_layout` layouts."""
+    d = draw(st.sampled_from([1, 2, 4, 16, 64]) | st.integers(1, 64))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    g = rng_from(draw(st.integers(0, 2**32 - 1))).standard_normal((2, *lead, d, d))
+    a = g[0] + 1j * g[1]
+    kind = draw(st.sampled_from(["hermitian", "near", "general"]))
+    if kind != "general":
+        h = (a + np.swapaxes(a.conj(), -1, -2)) / 2
+        a = h if kind == "hermitian" else h + 10 ** draw(st.floats(-13, -8)) * a
+    return _as_layout(a, draw(st.sampled_from(["C", "read-only", "transposed", "reversed"])))
+
+
+@given(a=kernel_stacks(), scale=st.floats(-3, 3), layout=st.sampled_from(
+    ["C", "read-only", "transposed", "reversed"]))
+def test_adjoint_kernels_match_their_strided_forms(a, scale, layout):
+    """hermitian_part, require_hermitian and expi_eig form the adjoint C-ordered
+    and work in place; their results equal the strided forms they replace bit
+    for bit on every layout, and hermitian_part returns a C-ordered array."""
+    part = hermitian_part(a)
+    assert part.flags.c_contiguous and part.flags.writeable
+    assert part.tobytes() == ((a + np.swapaxes(a.conj(), -1, -2)) / 2).tobytes()
+
+    defect = a - np.swapaxes(a.conj(), -1, -2)
+    expected = (f"matrix deviates from Hermitian by {op_norms(defect).max():.3e}"
+                if op_norm_exceeds(defect, STRUCTURAL_TOL).any() else None)
+    try:
+        require_hermitian(a, "matrix")
+        message = None
+    except NotHermitian as exc:
+        message = str(exc)
+    assert message == expected
+
+    w, v = eig_exact_hermitian(part)
+    v = _as_layout(v, layout)
+    if layout == "reversed":  # eig_exact_hermitian hands out w[..., ::-1] with v[..., ::-1]
+        w = _as_layout(w, layout)
+    strided = (v * np.exp(-1j * scale * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    assert expi_eig(w, v, scale).tobytes() == strided.tobytes()
+
+
+@given(s=st.one_of(scenarios(), mixed_embeddings()), p=st.floats(0, 1))
+def test_depolarized_state_passes_the_density_matrix_check(s, p):
+    """apply_noise builds the depolarized DensityMatrix without a copy and
+    without the constructor's Hermiticity and trace checks, since its matrix
+    is a hermitian_part of trace (1 - p) tr(rho) + p: the matrix is read-only,
+    exactly Hermitian, its trace within PROBABILITY_TOL of 1, and DensityMatrix
+    gives back its matrix and factor bit for bit."""
+    state = apply_noise(s, Depolarizing(p)).state
+    if p == 0.0:
+        assert state is s.state
+        return
+    m = state.matrix
+    assert not m.flags.writeable and np.array_equal(m, m.conj().T)
+    assert abs(np.trace(m) - 1) <= PROBABILITY_TOL
+    checked = DensityMatrix(m)
+    assert checked.matrix.tobytes() == m.tobytes()
+    assert checked.factor().tobytes() == state.factor().tobytes()

@@ -19,6 +19,7 @@ tr(rho {A_x, {A_y, A_z}}) / 4.
 import hashlib
 import importlib
 import itertools
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -465,3 +466,37 @@ def test_leakage_matches_full_projector_form(dim, noise):
     full = linalg.op_norms([p @ np.kron(m, np.eye(c)) @ (np.eye(len(p)) - p)
                             for m in noisy.matrices()])
     assert np.max(np.abs(np.array(report.leakage) - full)) <= 1e-13
+
+
+#: Bound on the tracemalloc peak of one BIG_ROW sweep row above its inputs, in
+#: complex (6, d, d) stacks: the jitter unitaries, their product with the
+#: observables, the re-checked stack and the noisy scenario's own stack are
+#: freed or kept as they are needed, not all at once.
+BIG_ROW_PEAK_STACKS = 5
+
+
+def test_a_d64_jitter_row_stays_within_its_allocation_budget():
+    _, base, family, param = BIG_ROW
+    sweep(base, family, [param])  # first-call allocations do not count
+    stack = 6 * base.dim ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        (row,) = sweep(base, family, [param])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not row.failed
+    assert peak - start <= BIG_ROW_PEAK_STACKS * stack
+
+
+def test_matrices_is_one_read_only_stack_kept_by_the_scenario():
+    _, base, family, param = BIG_ROW
+    for s in (base, apply_noise(base, family(param)), canonical_scenario()):
+        mats = s.matrices()
+        assert mats is s.matrices()
+        assert not mats.flags.writeable and mats.flags.c_contiguous
+        assert mats.shape == (6, s.dim, s.dim)
+        assert all(m.tobytes() == o.matrix.tobytes() for m, o in zip(mats, s.observables))
+        with pytest.raises(ValueError):
+            mats[0, 0, 0] = 0
