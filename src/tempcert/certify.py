@@ -156,11 +156,11 @@ def align(projected_observables) -> AlignmentResult:
     of slots 3 and 6 against the +-X(x)Z and +-Z(x)X forms. Distances are
     always measured against the +1-sign targets, which is the sign choice the
     stabilizer constraints enforce at maximal violation. The bases of (i) and
-    (ii) are the eigenvectors the two roundings take.
+    (ii) are the eigenvectors the two roundings take, as eigh gives them.
 
-    No basis of the eigenspace is preferred: mixing e1, e2 by a 2x2 unitary
-    G gives w -> w (1(x)G) and u2 -> G† u2 times a phase, so U -> phase * U,
-    and the pivot convention below removes that phase.
+    No basis of an eigenspace is preferred: mixing e1, e2 by a 2x2 unitary G
+    gives w -> w (1(x)G) and u2 -> G† u2 times a phase, and phases on M's
+    eigenvectors give u2 a phase, so U -> phase * U; the pivot removes it.
     """
     raw = tuple(projected_observables)
     if len(raw) != 6 or any(np.shape(m) != (4, 4) for m in raw):
@@ -204,8 +204,8 @@ def align(projected_observables) -> AlignmentResult:
         raise FactorizationFailure(
             "second-factor operators are not close to anticommuting involutions"
         )
-    # M's eigenvectors, descending: the checks above leave M one +1 and one -1
-    m_plus, m_minus = vm[:, 0], vm[:, 1]
+    # M's eigenvectors, ascending: the checks above leave M one -1 and one +1
+    m_minus, m_plus = vm[:, 0], vm[:, 1]
     # |c| >= sqrt(15)/4: in M's eigenbasis O = [[a, c], [c*, -a]], a^2 + |c|^2 = 1, 2|a| <= 0.5
     c = complex(m_plus.conj() @ (o_r @ m_minus))
     u2 = np.column_stack([m_plus, m_minus * (c.conjugate() / abs(c))])

@@ -8,6 +8,9 @@ Hermitian means ||m - m†|| <= STRUCTURAL_TOL = 1e-10 in operator norm, and
 `require_hermitian` is the one test. The rest are unchecked kernels for complex
 arrays that their caller built or checked, such as operators Hermitian by
 construction; the eigen-kernels want exactly Hermitian input, a `hermitian_part`.
+A spectral function sum_k f(lambda_k) v_k v_k† sees neither the order nor the phases
+of its eigenvectors, so each one takes eigh's ascending, unphased (w, v) as it comes;
+only eigenvectors that leave the engine as data are sorted and phase-fixed.
 A function that takes a stack (..., d, d) of matrices, or `vec_norms` (..., n)
 of vectors, gives each member the result it gets on its own, bit for bit.
 """
@@ -174,7 +177,9 @@ def eig_exact_hermitian(h: np.ndarray):
     """`eig_hermitian`'s kernel, unchecked: the same (w, v), bit for bit, of
     a complex stack (..., d, d) that is square, finite and exactly Hermitian,
     such as a `hermitian_part`. eigh reads only the lower triangle, so an
-    input that is not exactly Hermitian is not caught here."""
+    input that is not exactly Hermitian is not caught here. Its two callers hand
+    eigenvectors out as data: `eig_hermitian` and `optimize._top_factors`, whose
+    top eigenvector becomes the seesaw's final PureState."""
     w, v = np.linalg.eigh(h)
     # index arrays of the leading axes, broadcast against a last axis of length d
     *lead, cols = np.indices(w.shape, sparse=True)
@@ -196,22 +201,21 @@ def eig_exact_hermitian(h: np.ndarray):
 def inv_sqrt_psd(h: np.ndarray) -> np.ndarray:
     """Inverse square root sum_k lambda_k^{-1/2} v_k v_k† of an exactly
     Hermitian positive-definite complex matrix, such as a `hermitian_part`,
-    from `eig_exact_hermitian`; unchecked otherwise.
+    from eigh's (w, v); unchecked otherwise.
 
     An eigenvalue at or below INV_SQRT_CUTOFF, a negative one included, raises
-    :class:`RankDeficient`.
+    :class:`RankDeficient` naming the largest such eigenvalue.
     """
-    w, v = eig_exact_hermitian(h)
-    # w descends, so one test of its last entry refuses a small or negative eigenvalue
-    if w[-1] <= INV_SQRT_CUTOFF:
-        low = w[w <= INV_SQRT_CUTOFF]  # low[0] is the largest
-        raise RankDeficient(f"eigenvalue {low[0]:.3e} at or below cutoff {INV_SQRT_CUTOFF:.1e}")
+    w, v = np.linalg.eigh(h)
+    if w[0] <= INV_SQRT_CUTOFF:  # w ascends: one test refuses, the last low one is named
+        low = w[w <= INV_SQRT_CUTOFF][-1]
+        raise RankDeficient(f"eigenvalue {low:.3e} at or below cutoff {INV_SQRT_CUTOFF:.1e}")
     return (v / w ** 0.5) @ v.conj().T
 
 
 def expi_eig(w: np.ndarray, v: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Unitary exp(-1j * scale * m) from the eigendecomposition (w, v) of
-    Hermitian m, as `eig_hermitian` returns it, one matrix or a stack."""
+    """Unitary exp(-1j * scale * m) from an eigendecomposition (w, v) of
+    Hermitian m, in any order and phases, one matrix or a stack."""
     return (v * np.exp(-1j * scale * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2), order="C")
 
 

@@ -18,9 +18,10 @@ operators from one image stack.
 Input is checked at the edges: the public functions take Observables only, and
 `seesaw` checks its final iterates once, as one (S, 6, d, d) stack. In
 between, both operators are Hermitian parts, exactly Hermitian by
-construction, handed straight to the eigensolver: a sign rounding depends on
-neither the order nor the phases of the eigenvectors, so only the state steps
-sort and phase-fix theirs, in `linalg.eig_exact_hermitian`.
+construction, handed straight to the eigensolver: a sign rounding, the starts'
+included, depends on neither the order nor the phases of the eigenvectors, so
+only the state steps, whose top eigenvector is the final PureState, sort and
+phase-fix theirs, in `linalg.eig_exact_hermitian`.
 """
 
 from __future__ import annotations

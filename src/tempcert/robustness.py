@@ -13,7 +13,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -129,8 +129,8 @@ def apply_noise(s: Scenario, n: NoiseModel) -> Scenario:
         # one block h from one stream, exponentiated as one stack; the eigensolve also
         # normalizes h, whose operator norm is its largest |eigenvalue|. Each (6, d, d)
         # temporary is released once used, so a d = 64 row takes fewer fresh pages.
-        w, v = linalg.eig_exact_hermitian(random_hermitian(s.dim, rng, len(s.observables)))
-        u = linalg.expi_eig(w / np.maximum(w[:, :1], -w[:, -1:]), v, n.strength)
+        w, v = np.linalg.eigh(random_hermitian(s.dim, rng, len(s.observables)))
+        u = linalg.expi_eig(w / np.maximum(w[:, -1:], -w[:, :1]), v, n.strength)
         del v
         m = u @ s.matrices() @ np.swapaxes(u.conj(), -1, -2)
         del u
@@ -272,11 +272,8 @@ def sweep_csv(rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_CSV_HEADER.split(","))
     for r in rows:
-        writer.writerow([
-            repr(float(r.param)), repr(float(r.epsilon)), repr(float(r.value)),
-            repr(float(r.fidelity)), repr(float(r.max_operator_distance)),
-            str(r.bounds_all_hold).lower(),
-        ])
+        numbers = (r.param, r.epsilon, r.value, r.fidelity, r.max_operator_distance)
+        writer.writerow([*(repr(float(x)) for x in numbers), str(r.bounds_all_hold).lower()])
     return buf.getvalue()
 
 
@@ -301,10 +298,7 @@ def sweep_report(rows) -> dict:
                 "max_op_distance": _json_number(r.max_operator_distance),
                 "failed": r.failed,
                 "error": r.error,
-                "bounds": [
-                    {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "holds": c.holds}
-                    for c in r.bound_checks
-                ],
+                "bounds": [asdict(c) for c in r.bound_checks],
             }
             for r in rows
         ]

@@ -157,8 +157,8 @@ class PureState:
 
 class DensityMatrix:
     """Trace-one positive-semidefinite Hermitian matrix. Construction takes
-    one Hermiticity check and one eigendecomposition of the Hermitian part, as
-    `eig_hermitian` gives it, which serves the PSD check and the unit-norm factor."""
+    one Hermiticity check and one eigh of the Hermitian part, which serves the
+    PSD check and the unit-norm factor."""
 
     __slots__ = ("matrix", "_factor")
 
@@ -177,9 +177,9 @@ class DensityMatrix:
     def from_exact(cls, h: np.ndarray) -> "DensityMatrix":
         """The DensityMatrix of h, exactly Hermitian with unit trace by construction
         (a `hermitian_part`): h itself, made read-only, after the PSD test alone."""
-        w, v = linalg.eig_exact_hermitian(h)
-        if w[-1] < -linalg.STRUCTURAL_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {w[-1]:.3e}")
+        w, v = np.linalg.eigh(h)  # ascending: w[0] is the most negative
+        if w[0] < -linalg.STRUCTURAL_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
         new = cls.__new__(cls)
         h.setflags(write=False)
         new.matrix = h
@@ -196,7 +196,7 @@ class DensityMatrix:
         return np.array(self.matrix)
 
     def factor(self) -> np.ndarray:
-        """R = v sqrt(max(w, 0)) of the eigendecomposition (w, v), scaled to ||R||_F = 1."""
+        """R = v sqrt(max(w, 0)) of eigh's (w, v), columns ascending, scaled to ||R||_F = 1."""
         return self._factor
 
     def __repr__(self):
@@ -300,14 +300,13 @@ def round_eig_to_signs(w: np.ndarray, v: np.ndarray, cutoff: float) -> np.ndarra
 def round_to_involutions(h: np.ndarray):
     """`project_involution`'s rounding, unchecked, of an exactly Hermitian complex
     matrix or stack (..., d, d), such as a `hermitian_part`: the `round_eig_to_signs`
-    of its `eig_exact_hermitian` (w, v), returned with w and v; no Observable is
-    built. An eigenvalue of magnitude at most SIGN_CUTOFF raises ZeroEigenvalue,
-    naming the first matrix of the stack that has no rounding."""
-    w, v = linalg.eig_exact_hermitian(h)
-    if np.abs(w).min() <= SIGN_CUTOFF:
-        magnitudes = np.abs(w).reshape(-1, w.shape[-1])
-        failing = (magnitudes <= SIGN_CUTOFF).any(axis=-1)
-        raise ZeroEigenvalue(f"eigenvalue of magnitude {magnitudes[failing.argmax()].min():.3e} "
+    of its eigh (w, v), returned with w and v as eigh gives them, columns ascending; no
+    Observable is built. An eigenvalue of magnitude at most SIGN_CUTOFF raises
+    ZeroEigenvalue, naming the first matrix of the stack that has no rounding."""
+    w, v = np.linalg.eigh(h)
+    smallest = np.abs(w).min(axis=-1).reshape(-1)  # per matrix, in stack order
+    if smallest.min() <= SIGN_CUTOFF:
+        raise ZeroEigenvalue(f"eigenvalue of magnitude {smallest[smallest <= SIGN_CUTOFF][0]:.3e} "
                              f"inside cutoff {SIGN_CUTOFF:.1e}")
     return round_eig_to_signs(w, v, SIGN_CUTOFF), w, v
 

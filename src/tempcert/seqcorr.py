@@ -246,7 +246,8 @@ def _sampled(weights: np.ndarray, shots: int, rng: np.random.Generator):
         counts = rng.multinomial(shots, p_row[possible])
         values = products[possible]
         estimate = float(counts @ values) / shots
-        var = float(counts @ (values - estimate) ** 2) / (shots - 1) if shots > 1 else 0.0
+        # +-1 products: shots (1 - estimate^2), clamped as past 2^53 shots |estimate| can be 1 + 2^-52
+        var = shots * max(1 - estimate ** 2, 0.0) / (shots - 1) if shots > 1 else 0.0
         draws.append((list(itertools.compress(outcomes, possible)), counts, estimate,
                       (var / shots) ** 0.5))
     return draws

@@ -60,6 +60,21 @@ def eigh_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def phase_fixing_calls(monkeypatch):
+    """Shapes of the linalg.eig_exact_hermitian calls, the sorted and phase-fixed
+    eigensolves, made while the fixture is active."""
+    calls = []
+    original = linalg.eig_exact_hermitian
+
+    def counting(h):
+        calls.append(np.shape(h))
+        return original(h)
+
+    monkeypatch.setattr(linalg, "eig_exact_hermitian", counting)
+    return calls
+
+
 #: The constructors that check their input: where a Hermiticity check belongs.
 CONSTRUCTORS = {"Observable.__init__", "observables", "DensityMatrix.__init__"}
 

@@ -428,14 +428,15 @@ class TestCertify:
         report = certify(canonical)
         assert report.sign3 == 1.0 and report.sign6 == 1.0
 
-    def test_four_eigensolves_on_a_pure_scenario(self, eigh_calls):
+    def test_four_eigensolves_on_a_pure_scenario(self, eigh_calls, phase_fixing_calls):
         # the Gram inverse square root, the six-observable rounding, the
         # Loewdin correction and the second-factor rounding; align reads its
-        # bases from the two roundings
+        # bases from the two roundings, as eigh gives them
         noisy = apply_noise(canonical_scenario(), UnitaryJitter(0.02, rng_seed=7))
         eigh_calls.clear()
         certify(noisy)
         assert eigh_calls == [(4, 4), (6, 4, 4), (4, 4), (2, 2, 2)]
+        assert phase_fixing_calls == []
 
     def test_checks_once_at_the_constructors(self, hermitian_checks):
         # every operator certify forms is Hermitian by construction and goes to

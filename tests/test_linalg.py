@@ -221,6 +221,19 @@ class TestInvSqrtPsd:
         with pytest.raises(RankDeficient, match="-1.000e"):
             linalg.inv_sqrt_psd(np.diag([1.0, -1.0]))
 
+    def test_cutoff_pinned_by_value(self):
+        # literal eigenvalues either side of INV_SQRT_CUTOFF = 1e-12: moving the
+        # cutoff by a decade either way flips one of them
+        r = linalg.inv_sqrt_psd(np.diag([1.0, 5e-12]).astype(complex))
+        assert np.allclose(r, np.diag([1.0, 5e-12 ** -0.5]), rtol=1e-14, atol=0)
+        with pytest.raises(RankDeficient, match="eigenvalue 5.000e-13 at or below cutoff 1.0e-12"):
+            linalg.inv_sqrt_psd(np.diag([1.0, 5e-13]).astype(complex))
+
+    def test_refusal_names_the_largest_low_eigenvalue(self):
+        for low in ([3e-13, -2.0], [-2.0, 3e-13]):
+            with pytest.raises(RankDeficient, match="eigenvalue 3.000e-13 at or below"):
+                linalg.inv_sqrt_psd(np.diag([1.0, *low, 0.5]).astype(complex))
+
 
 class TestNormsAndProducts:
     def test_op_norm_unitary(self):

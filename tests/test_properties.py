@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tempcert import certify
 from tempcert.certify import extract
-from tempcert.errors import NotHermitian, TempcertError
+from tempcert.errors import NotHermitian, TempcertError, ZeroEigenvalue
 from tempcert.inequality import (
     CLASSICAL_BOUND,
     QUANTUM_BOUND,
@@ -34,6 +34,7 @@ from tempcert.linalg import (
     expi_eig,
     expi_hermitian,
     hermitian_part,
+    inv_sqrt_psd,
     op_norm,
     op_norm_exceeds,
     op_norms,
@@ -65,6 +66,7 @@ from tempcert.scenario import (
     INVOLUTION_TOL,
     NORM_TOL,
     PROBABILITY_TOL,
+    SIGN_CUTOFF,
     DensityMatrix,
     Observable,
     PureState,
@@ -510,10 +512,14 @@ def test_rounding_and_top_eigenvector_pass_the_constructors(m):
 def coefficient_stacks(draw):
     """Exactly Hermitian stacks as the sign steps see them, d = 2-16: the six
     coefficient operators of a random pure or mixed scenario; multiples c*1 of
-    the identity, c = 0 included; or those of the all-identity point on a pure
-    state, c*rho with c = 2, 2, 0, 2, 2, 0, whose zero eigenvalue is tied."""
-    d, kind = draw(st.integers(2, 16)), draw(st.sampled_from(["scenario", "identity", "ones"]))
+    the identity, c = 0 included; those of the all-identity point on a pure
+    state, c*rho with c = 2, 2, 0, 2, 2, 0, whose zero eigenvalue is tied; or
+    the canonical observables, each eigenvalue +-1 twice."""
+    kinds = ["scenario", "identity", "ones", "canonical"]
+    d, kind = draw(st.integers(2, 16)), draw(st.sampled_from(kinds))
     rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    if kind == "canonical":
+        return canonical_scenario().matrices().copy()
     if kind == "identity":
         return np.array([c * np.eye(d, dtype=complex) for c in (0.0, 1.0, -2.5, 1e-13)])
     s = draw(scenarios(dims=st.just(d))) if kind == "scenario" else Scenario(
@@ -523,13 +529,40 @@ def coefficient_stacks(draw):
 
 @given(g=coefficient_stacks())
 def test_sign_step_on_raw_eigh_matches_the_canonical_rounding(g):
-    """The seesaw's sign step rounds straight from eigh's ascending, unphased
-    eigenvectors: within 1e-14 in operator norm of the rounding of the sorted,
-    phase-fixed ones, with the same eigenvalues and so the same ties."""
-    a, w = _sign_step(g)
+    """Every spectral function takes eigh's ascending, unphased eigenvectors: the
+    seesaw's sign step, `round_to_involutions`, `inv_sqrt_psd`, the jitter
+    exponential and RR† of the DensityMatrix factor are each within 1e-14 in
+    operator norm of the same function of the sorted, phase-fixed ones, with the
+    same eigenvalues and so the same ties and refusals."""
     ref_w, ref_v = eig_exact_hermitian(g)
+    a, w = _sign_step(g)
     assert op_norms(a - round_eig_to_signs(ref_w, ref_v, DEGENERATE_EIGENVALUE)).max() <= 1e-14
     assert np.array_equal(w, ref_w[..., ::-1])
+
+    if np.abs(ref_w).min() > SIGN_CUTOFF:
+        rounded, w, _ = round_to_involutions(g)
+        assert op_norms(rounded - round_eig_to_signs(ref_w, ref_v, SIGN_CUTOFF)).max() <= 1e-14
+        assert np.array_equal(w, ref_w[..., ::-1])
+    else:
+        with pytest.raises(ZeroEigenvalue):
+            round_to_involutions(g)
+
+    # the jitter normalization by the largest |eigenvalue|, 1 for a zero matrix
+    w, v = np.linalg.eigh(g)
+    scale = np.maximum(w[..., -1:], -w[..., :1])
+    assert np.array_equal(scale, np.maximum(ref_w[..., :1], -ref_w[..., -1:]))
+    scale[scale == 0] = 1.0
+    assert op_norms(expi_eig(w / scale, v, 0.7) - expi_eig(ref_w / scale, ref_v, 0.7)).max() <= 1e-14
+
+    # positive definite, and as a state: ties wherever g has them
+    psd = hermitian_part(g @ g + np.eye(g.shape[-1]))
+    for h in psd:
+        h_w, h_v = eig_exact_hermitian(h)
+        assert op_norm(inv_sqrt_psd(h) - (h_v / h_w ** 0.5) @ h_v.conj().T) <= 1e-14
+        r = DensityMatrix.from_exact(hermitian_part(h / np.trace(h).real)).factor()
+        ref = h_v * np.sqrt(h_w)
+        ref = ref / vec_norms(ref.reshape(-1))
+        assert op_norm(r @ r.conj().T - ref @ ref.conj().T) <= 1e-14
 
 
 @st.composite

@@ -251,12 +251,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.7, 0.7]))
 
+    def test_density_names_its_most_negative_eigenvalue(self):
+        with pytest.raises(ValueError, match="negative eigenvalue -1.500e-01"):
+            DensityMatrix(np.diag([0.5, -0.05, 0.7, -0.15]))
+
     def test_density_eigendecomposes_once(self, eigh_calls):
         # the one eigensolve at construction serves the PSD check and the
-        # factor, which is v sqrt(max(w, 0)) of eig_hermitian scaled to unit
-        # Frobenius norm, bit for bit
+        # factor, which is v sqrt(max(w, 0)) of eigh scaled to unit Frobenius
+        # norm, bit for bit
         m = random_density(6, rng_from(14), rank=4).matrix
-        w, v = linalg.eig_hermitian(m)
+        w, v = np.linalg.eigh(m)
         r = v * np.sqrt(np.clip(w, 0.0, None))
         eigh_calls.clear()
         rho = DensityMatrix(m)
@@ -351,14 +355,14 @@ class TestRoundToSigns:
     def test_stack_matches_project_involution(self, d):
         rng = rng_from(60 + d)
         draws = np.array([[random_hermitian(d, rng) for _ in range(6)] for _ in range(3)])
-        w, v = linalg.eig_exact_hermitian(draws)
+        w, v = np.linalg.eigh(draws)
         a = round_eig_to_signs(w, v, SIGN_CUTOFF)
         assert a.shape == v.shape == draws.shape and w.shape == (3, 6, d)
         for x, y in zip(round_to_involutions(draws), (a, w, v)):
             assert np.array_equal(x, y)
         for idx in np.ndindex(3, 6):
             assert np.array_equal(a[idx], project_involution(draws[idx]).matrix)
-            one_w, one_v = linalg.eig_hermitian(draws[idx])
+            one_w, one_v = np.linalg.eigh(draws[idx])
             assert np.array_equal(w[idx], one_w) and np.array_equal(v[idx], one_v)
 
     @pytest.mark.parametrize("cutoff", [SIGN_CUTOFF, DEGENERATE_EIGENVALUE])
@@ -376,6 +380,16 @@ class TestRoundToSigns:
         above = np.nextafter(SIGN_CUTOFF, 1.0)
         o = project_involution(np.diag([1.0, -above]))
         assert np.array_equal(o.matrix, np.diag([1.0, -1.0]).astype(complex))
+
+    def test_sign_cutoff_pinned_by_value(self):
+        # literal magnitudes either side of SIGN_CUTOFF = 1e-8: moving the cutoff
+        # by a decade either way flips one of them
+        for small in (5e-8, -5e-8):
+            o = project_involution(np.diag([1.0, small]))
+            assert np.array_equal(o.matrix, np.diag([1.0, np.sign(small)]).astype(complex))
+        for small in (5e-9, -5e-9):
+            with pytest.raises(ZeroEigenvalue, match="magnitude 5.000e-09 inside cutoff 1.0e-08"):
+                project_involution(np.diag([1.0, small]))
 
     def test_zero_eigenvalue_anywhere_in_a_stack(self):
         stack = np.array([np.diag([1.0, -1.0])] * 5 + [np.diag([1.0, 0.0])])

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tempcert.errors import (
 )
 from tempcert.scenario import (
     CANONICAL_MATRICES,
+    PAULI_I,
     PAULI_X,
     PAULI_Z,
     DensityMatrix,
@@ -22,11 +24,13 @@ from tempcert.scenario import (
     conjugate_scenario,
     random_density,
     random_involution,
+    random_pure_state,
     random_scenario,
     random_unitary,
 )
 from tempcert.robustness import Depolarizing, apply_noise
 from tempcert.seqcorr import (
+    MAX_SHOTS,
     TERMS,
     CorrelationSet,
     OutcomeDistribution,
@@ -53,8 +57,10 @@ from conftest import rng_from
 # probabilities q into a weight. Those products telescope to ||C R||_F^2, the
 # weights the stacked code draws from, so they agree to ulps; both snap them to
 # the grid of 2^-40 before the draw, which absorbs the ulps, and the counts
-# below agree bit for bit. reference_correlations draws the seven terms in
-# TERMS order from one generator.
+# below agree bit for bit. Its variance is the closed form shots (1 - est^2) /
+# (shots - 1) of the +-1 products, which TestSampling holds to the sum of
+# squared deviations. reference_correlations draws the seven terms in TERMS
+# order from one generator.
 # ---------------------------------------------------------------------------
 
 def reference_matrices(seq):
@@ -105,7 +111,7 @@ def reference_sampled(r, seq, shots, rng):
     counts = rng.multinomial(shots, grid[grid > 0] / grid.sum())
     values = np.array([np.prod(b[0]) for b in branches], dtype=float)
     estimate = float(counts @ values) / shots
-    var = float(counts @ (values - estimate) ** 2) / (shots - 1)
+    var = shots * max(1 - estimate ** 2, 0.0) / (shots - 1)
     probs = {b[0]: c / shots for b, c in zip(branches, counts)}
     return probs, estimate, (var / shots) ** 0.5
 
@@ -125,10 +131,10 @@ def reference_correlations(s, mode, shots=None, rng_seed=None):
 
 
 #: See TestStackedChains.test_golden_fingerprint.
-GOLDEN_MODES_SHA256 = "e0b54aa527c699bd83ec269dc4e22810446d93409feab582c39975573a20fd6d"
+GOLDEN_MODES_SHA256 = "76f865b2f272a911ab9e46f90cd2820117474bcce5a6443f455469a045567dbd"
 
 #: See TestSnappedDraws.test_conjugated_canonical_golden.
-GOLDEN_CONJUGATED_SHA256 = "5fa8e9c4ca4e29a310416648486347ef6fa0acb30e5cd3f7e4d960a45a44b90f"
+GOLDEN_CONJUGATED_SHA256 = "68c42db3cbae7e8be123fda4198e6f0d80345cbf3501eed1393724c517f23e61"
 
 
 def scenario_of(d, seed, pure):
@@ -367,6 +373,31 @@ class TestSampling:
         with pytest.raises(ValueError, match="shots must be at most"):
             correlations(canonical, "sampled", shots=shots, rng_seed=0)
 
+    def test_stderr_is_the_closed_form_of_the_sample_variance(self, canonical):
+        # the outcome products are +-1, so the squared deviations from the
+        # estimate sum to shots (1 - estimate^2): each form carries a few ulps
+        # of rounding on a value at most 1, the sum about one per outcome
+        cases = [(canonical, (1, 4)), (canonical, (1, 2)), (scenario_of(4, 905, False), (1, 2, 3)),
+                 (scenario_of(5, 906, True), (4, 5, 6)), (scenario_of(3, 907, True), (3, 6))]
+        for (s, slots), shots, seed in itertools.product(cases, (10, 1000, 10**6), (0, 1)):
+            dist, est, se = sample_sequences(s.state, [s.observable(k) for k in slots], shots, seed)
+            counts = np.rint(np.array(list(dist.probabilities.values())) * shots)
+            values = np.array([np.prod(o) for o in dist.probabilities], dtype=float)
+            spread = float(counts @ (values - est) ** 2) / shots
+            assert abs(se ** 2 * (shots - 1) - spread) <= 16 * np.finfo(float).eps
+
+    def test_stderr_at_max_shots_is_finite_and_non_negative(self, canonical):
+        # past 2^53 shots the float estimate can round to 1 + 2^-52, where the
+        # closed form's 1 - estimate^2 is negative; the variance is clamped at 0
+        for s in (canonical, scenario_of(4, 905, False)):
+            c = correlations(s, "sampled", shots=MAX_SHOTS, rng_seed=0)
+            assert all(math.isfinite(se) and se >= 0 for se in c.stderr.values())
+        a, b, ab = (Observable(np.kron(x, y)) for x, y in
+                    ((PAULI_Z, PAULI_I), (PAULI_I, PAULI_Z), (PAULI_Z, PAULI_Z)))
+        psi = random_pure_state(4, np.random.default_rng(3))
+        _, est, se = sample_sequences(psi, [a, b, ab], MAX_SHOTS, 44)
+        assert (est, se) == (1 + 2 ** -52, 0.0)
+
 
 class TestCorrelations:
     def test_canonical_analytic(self, canonical):
@@ -495,7 +526,10 @@ class TestStackedChains:
         # once the seven terms drew from one PCG64 stream over snapped outcome
         # probabilities (all 42 values moved, the estimates by at most 3.2e-3
         # and the stderrs by at most 1.5e-6; no analytic or exact-sum bit
-        # moved), numpy 2.4, OpenBLAS.
+        # moved), and all three once the roundings and density factors took
+        # eigh as it comes and the sampled variance its closed form (analytic
+        # and exact-sum values by at most 3.3e-16, sampled stderrs by at most
+        # 2.2e-19, no sampled estimate), numpy 2.4, OpenBLAS.
         # Like the seesaw fingerprints it holds the bits of the BLAS and LAPACK
         # kernels, which may differ per CPU; the reference tests above check
         # the same property in-process.
@@ -610,7 +644,8 @@ class TestSnappedDraws:
         # sha256 of sampled correlators and of SEQUENCES' sample_sequences draws
         # on canonical scenarios conjugated by Haar unitaries, every other one
         # depolarized; symmetric points whose counts used to hang on the last
-        # bits of the BLAS kernels, now fixed by the snap
+        # bits of the BLAS kernels, now fixed by the snap; re-recorded when the
+        # variance took its closed form (18 stderrs moved by at most 2.2e-19)
         out = []
         for k, s in enumerate(conjugated_canonicals(6, 52)):
             if k % 2:

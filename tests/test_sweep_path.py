@@ -228,8 +228,10 @@ COMPARED_CERTIFIED = CERTIFIED + [BIG_ROW]
 #: alignment unitary's global phase fixed, its bases read from the roundings,
 #: the witness summed over the pair contexts and no projector field in the
 #: report, so the JSON is the earlier one with that key deleted (the reference
-#: above gives the same bytes).
-GOLDEN_SWEEP_SHA256 = "e41adaa255cf8c0ded8ddb430b9d1434530f89e3658d58c479f612cd49d8e956"
+#: above gives the same bytes), and the spectral functions taking eigh as it
+#: comes (every number within 3.3e-15; the depolarized row's basis rows follow
+#: the new column order of its state factor).
+GOLDEN_SWEEP_SHA256 = "0868c718d942f77b0d37d1eb04edd6adedc2f950fb7c9f3d0c892e07681d0165"
 
 
 def bits(v):
@@ -443,12 +445,15 @@ EXTRACTION_EIGENSOLVES = [(4, 4), (6, 4, 4), (4, 4), (2, 2, 2)]
     (Depolarizing, 2e-3, [(4, 4)]),
     (lambda x: UnitaryJitter(x, rng_seed=7), 0.02, [(6, 4, 4)]),
 ], ids=["tilt", "depolarizing", "jitter"])
-def test_eigensolves_per_sweep_row(family, param, noise_eigensolves, eigh_calls):
+def test_eigensolves_per_sweep_row(family, param, noise_eigensolves, eigh_calls,
+                                  phase_fixing_calls):
     # a tilt row exponentiates the import-time eigensystem of its generator, so
-    # only the depolarized state's factor and the jitter generators take one
+    # only the depolarized state's factor and the jitter generators take one;
+    # every one is a spectral function, so none sorts or phase-fixes
     (row,) = sweep(canonical_scenario(), family, [param])
     assert not row.failed
     assert eigh_calls == noise_eigensolves + EXTRACTION_EIGENSOLVES
+    assert phase_fixing_calls == []
 
 
 @pytest.mark.parametrize("dim, noise", [pytest.param(d, None, id=str(d)) for d in (4, 16, 64)]

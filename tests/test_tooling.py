@@ -146,9 +146,9 @@ WORKLOADS = TRACER.parent / "workloads.py"
 #: other golden hashes they hold the bits of the BLAS and LAPACK kernels
 #: (numpy 2.4, OpenBLAS, one thread), which may differ per CPU.
 WORKLOAD_FINGERPRINT_SHA256 = {
-    "seesaw-d4": "22fd890aa022c5d962fc0c92bf120bcae7f169a4a18092f753081cd835ee3b02",
-    "correlators-d4": "eb4468e213f060dbdf5d05443cf93f0bd81a62319c1d990e316243d9b16cb351",
-    "certify-sweep": "dafdce790f53cd20b3570816d71694594d60438ffe85922704b9243524a039f5",
+    "seesaw-d4": "a081006369548bae5c8bb26d57d6d35a6fba05489c43a01b86b6df413bef3d66",
+    "correlators-d4": "75dfdda2dfdae0e4f5c9baff67032f656c1d0cfea4290127d9d7d0595de3a534",
+    "certify-sweep": "f77b8b1aebb62ea85f75f70ca70e7a2561dd9c4b7932f01bf1175f3b4f3e878f",
 }
 
 
@@ -195,11 +195,11 @@ DEMO_STDOUT_SHA256 = {
     "02_sequential_measurements.py":
         "95fbcd528974da940c267056024fa2957ef64504ddb07cdefe0578716793c35c",
     "03_seesaw_optimization.py":
-        "5aadb246506900c61d6819455e1f37bdb6aa9b2e477e2456187d30eba8230fe2",
+        "9469c9089a1e59f32030f62a9617a10b8ed43f578883d89741b03bdcacfbe46f",
     "04_self_testing.py":
-        "c75f7ff414abb51c3a86ce7ebc466ababd5cb7f535ef30c3e4a2c054621fbf15",
+        "bddb0a4621f3e77efcaeb1e706885c9faa8c88405f4308f528d276822d9c0e1a",
     "05_noise_robustness.py":
-        "7d41e4089bc2e738fce43a8726d4bb5e77d211ffeb6cfe4fbec222b2b67f98ab",
+        "7632ff05938aa885b5ff75500cbf59d91bfbd3165a9b859c65b6951a12510be2",
 }
 
 
