@@ -175,7 +175,7 @@ def align(projected_observables) -> AlignmentResult:
             f"projected observable cannot be rounded to an involution: {exc}"
         ) from exc
     a1r, a5r = rounded[0], rounded[4]
-    ac15 = linalg.op_norms(linalg.acomm(a1r, a5r))
+    ac15 = linalg.largest_singular_values(linalg.acomm(a1r, a5r))
     if ac15 > 0.5:
         raise AnticommutatorTooLarge(
             f"||{{A1, A5}}|| = {ac15:.3f} after rounding exceeds 0.5"
@@ -200,7 +200,8 @@ def align(projected_observables) -> AlignmentResult:
         raise FactorizationFailure(
             f"second-factor operator has no involution rounding: {exc}"
         ) from exc
-    if np.any(linalg.op_norms([m_op - m_r, o_op - o_r, linalg.acomm(m_r, o_r)]) > 0.5):
+    defects = np.array([m_op - m_r, o_op - o_r, linalg.acomm(m_r, o_r)])
+    if np.any(linalg.largest_singular_values(defects) > 0.5):
         raise FactorizationFailure(
             "second-factor operators are not close to anticommuting involutions"
         )
@@ -220,7 +221,7 @@ def align(projected_observables) -> AlignmentResult:
 
     sign3 = 1.0 if np.trace(aligned[2] @ TARGET_MATRICES[2]).real >= 0 else -1.0
     sign6 = 1.0 if np.trace(aligned[5] @ TARGET_MATRICES[5]).real >= 0 else -1.0
-    distances = linalg.op_norms(aligned - TARGET_MATRICES).tolist()
+    distances = linalg.largest_singular_values(aligned - TARGET_MATRICES).tolist()
     return AlignmentResult(unitary, list(aligned), sign3, sign6, distances)
 
 

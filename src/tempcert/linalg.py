@@ -76,21 +76,21 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return np.divide(np.add(a, h, out=h), 2, out=h)
 
 
-def _largest_singular_values(a: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a stack; the same numbers as
-    ``np.linalg.norm(a, 2, axis=(-2, -1))`` without its axis handling."""
+def largest_singular_values(a: np.ndarray) -> np.ndarray:
+    """`op_norms`' kernel, unchecked: the largest singular value of each matrix of a
+    complex stack, as ``np.linalg.norm(a, 2, axis=(-2, -1))`` gives it without its axis handling."""
     return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
 def op_norm(m) -> float:
     """Largest singular value."""
-    return float(_largest_singular_values(as_matrix(m)))
+    return float(largest_singular_values(as_matrix(m)))
 
 
 def op_norms(m) -> np.ndarray:
     """Largest singular value of each matrix of a stack (..., r, c): one SVD
     call for the stack, each value the one op_norm gives on its own."""
-    return _largest_singular_values(as_matrices(m))
+    return largest_singular_values(as_matrices(m))
 
 
 def op_norm_exceeds(m: np.ndarray, tol: float) -> np.ndarray:
@@ -114,7 +114,7 @@ def op_norm_exceeds(m: np.ndarray, tol: float) -> np.ndarray:
         undecided = a[over]
         norms = np.full(len(undecided), np.inf)
         finite = np.isfinite(undecided).all(axis=(-2, -1))
-        norms[finite] = _largest_singular_values(undecided[finite])
+        norms[finite] = largest_singular_values(undecided[finite])
         over[over] = norms > tol
     return over.reshape(m.shape[:-2])
 

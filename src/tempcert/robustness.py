@@ -132,7 +132,7 @@ def apply_noise(s: Scenario, n: NoiseModel) -> Scenario:
         w, v = np.linalg.eigh(random_hermitian(s.dim, rng, len(s.observables)))
         u = linalg.expi_eig(w / np.maximum(w[:, -1:], -w[:, :1]), v, n.strength)
         del v
-        m = u @ s.matrices() @ np.swapaxes(u.conj(), -1, -2)
+        m = u @ s.matrices() @ np.conj(np.swapaxes(u, -1, -2), order="C")
         del u
         return Scenario(s.state, observables(linalg.hermitian_part(m)))
     raise TypeError(f"unknown noise model {n!r}")

@@ -11,12 +11,14 @@ Every route works on the unit-norm state factor R, rho = R R†, never on rho
 itself: a chain C of projectors takes R to the branch C R, and the outcome's
 probability tr(C rho C†) is ||C R||_F^2, real and >= 0 by construction. A raw
 rho enters once, through DensityMatrix's checks, at the edge (`_operands`).
+What no scenario changes is built at import: `TERMS_BY_LENGTH` and `PRODUCTS`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -121,9 +123,15 @@ class CorrelationSet:
         return {name: getattr(self, name) for name in CORRELATOR_FIELDS}
 
 
-#: The outcome tuples of 2 and 3 steps in outcome order, and the product of each.
+#: The outcome tuples of 2 and 3 steps in outcome order, the product of each, and those as floats.
 OUTCOMES = {n: tuple(itertools.product((1, -1), repeat=n)) for n in (2, 3)}
 SIGNS = {n: tuple(map(math.prod, outcomes)) for n, outcomes in OUTCOMES.items()}
+PRODUCTS = {n: np.array(signs, dtype=float) for n, signs in SIGNS.items()}
+
+#: TERMS by length, triples first: each length's names and 0-based slots (m, n), in TERMS order.
+TERMS_BY_LENGTH = {n: (tuple(name for name, slots, _ in TERMS if len(slots) == n),
+                       np.array([slots for _, slots, _ in TERMS if len(slots) == n]) - 1)
+                   for n in (3, 2)}
 
 
 @dataclass
@@ -179,10 +187,12 @@ def newton_schulz_step(mats: np.ndarray) -> np.ndarray:
 def _projectors(mats: np.ndarray) -> np.ndarray:
     """The projector pairs (n, 2, d, d), Pi_+ then Pi_- = (1 +- A)/2, of the exact
     involution of each checked observable matrix of mats (n, d, d), one
-    `newton_schulz_step` away."""
-    eye = np.eye(mats.shape[-1])
-    mats = newton_schulz_step(mats)
-    return np.stack([(eye + mats) / 2, (eye - mats) / 2], axis=1)
+    `newton_schulz_step` away, written into one buffer and halved in place."""
+    eye, mats = np.eye(mats.shape[-1]), newton_schulz_step(mats)
+    proj = np.empty((len(mats), 2, *mats.shape[1:]), dtype=mats.dtype)
+    np.add(eye, mats, out=proj[:, 0])
+    np.subtract(eye, mats, out=proj[:, 1])
+    return np.divide(proj, 2, out=proj)
 
 
 def _sequence_of(rho, seq):
@@ -229,28 +239,27 @@ def _sampled(weights: np.ndarray, shots: int, rng: np.random.Generator):
     """One multinomial draw of `shots` per row of n-step outcome weights (m, 2^n), in row
     order from the one generator rng, over the row snapped to a grid: q = rint(2^40 w / sum w),
     p = q / sum q moves by at most 2^-41 (about 4.5e-13), so a weight's last bits move no
-    count, and the possible outcomes are those of q > 0. Per row: their outcome tuples and
-    counts, the mean outcome product and its standard error."""
+    count, and the possible outcomes are those of q > 0, a mask taken with q and p for all rows
+    at once. Returns the mask (m, 2^n) and per row the counts, mean product and its stderr."""
+    if not isinstance(shots, (numbers.Real, np.bool_)):
+        raise TypeError(f"shots must be a real number, got {shots!r}")
     if isinstance(shots, (bool, np.bool_)) or shots % 1:  # NaN % 1 is NaN, which is truthy
         raise ValueError(f"shots must be a whole number, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be at most {MAX_SHOTS}, got {shots}")
-    n = weights.shape[-1].bit_length() - 1
-    outcomes, products = OUTCOMES[n], np.array(SIGNS[n], dtype=float)
+    products = PRODUCTS[weights.shape[-1].bit_length() - 1]
     q = np.rint(2.0 ** 40 * weights / weights.sum(axis=-1, keepdims=True))
+    p, possible = q / q.sum(axis=-1, keepdims=True), q > 0
     draws = []
-    for q_row, p_row in zip(q, q / q.sum(axis=-1, keepdims=True)):
-        possible = q_row > 0
-        counts = rng.multinomial(shots, p_row[possible])
-        values = products[possible]
-        estimate = float(counts @ values) / shots
+    for p_row, mask in zip(p, possible):
+        counts = rng.multinomial(shots, p_row[mask])
+        estimate = float(counts @ products[mask]) / shots
         # +-1 products: shots (1 - estimate^2), clamped as past 2^53 shots |estimate| can be 1 + 2^-52
         var = shots * max(1 - estimate ** 2, 0.0) / (shots - 1) if shots > 1 else 0.0
-        draws.append((list(itertools.compress(outcomes, possible)), counts, estimate,
-                      (var / shots) ** 0.5))
-    return draws
+        draws.append((counts, estimate, (var / shots) ** 0.5))
+    return possible, draws
 
 
 def sample_sequences(rho, seq, shots: int, rng_seed):
@@ -264,13 +273,14 @@ def sample_sequences(rho, seq, shots: int, rng_seed):
     per-shot process exactly and is deterministic given `rng_seed`, an integer >= 0
     (any other type, a bool or SeedSequence too, raises TypeError) seeding numpy's
     PCG64, as for `correlations`. The distribution's sequence is the steps 1..n.
-    Returns the empirical OutcomeDistribution, the mean of the outcome products,
-    and its standard error (sample standard deviation / sqrt(shots)).
+    Returns the empirical OutcomeDistribution, its outcome tuples formed here alone from
+    `_sampled`'s mask, the mean outcome product and its standard error (sample sd / sqrt(shots)).
     """
     require_integer("rng_seed", rng_seed, 0)
     r, proj, steps = _sequence_of(rho, seq)
     rng = np.random.Generator(np.random.PCG64(rng_seed))
-    ((outcomes, counts, estimate, stderr),) = _sampled(_weights(r, proj)[None], shots, rng)
+    (possible,), ((counts, estimate, stderr),) = _sampled(_weights(r, proj)[None], shots, rng)
+    outcomes = itertools.compress(OUTCOMES[len(steps)], possible)
     return OutcomeDistribution(steps, dict(zip(outcomes, counts / shots))), estimate, stderr
 
 
@@ -299,15 +309,14 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
             stderr, rng = {}, np.random.Generator(np.random.PCG64(rng_seed))
         # a Scenario's state and observables were checked when it was built
         r, proj = s.state.factor(), _projectors(s.matrices())
-        for n in (3, 2):  # the terms of one length as one stack, in TERMS order
-            terms = [(name, slots) for name, slots, _ in TERMS if len(slots) == n]
-            weights = _weights(r, proj[np.subtract([slots for _, slots in terms], 1)])
+        for n, (names, slots) in TERMS_BY_LENGTH.items():  # one stack per length
+            weights = _weights(r, proj[slots])
             if mode == "exact-sum":
                 # no probability check: weights are squared norms, each row sums to ||R||_F^2
-                for (name, _), row in zip(terms, weights.tolist()):  # sign * p in outcome order
+                for name, row in zip(names, weights.tolist()):  # sign * p in outcome order
                     values[name] = sum(map(operator.mul, SIGNS[n], row))
             else:
-                for (name, _), (*_, estimate, se) in zip(terms, _sampled(weights, shots, rng)):
+                for name, (_, estimate, se) in zip(names, _sampled(weights, shots, rng)[1]):
                     values[name], stderr[name] = estimate, se
     else:
         raise ValueError(f"unknown mode {mode!r}")

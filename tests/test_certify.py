@@ -314,6 +314,17 @@ class TestAlign:
             assert res.unitary.tobytes() == ref.unitary.tobytes()
             assert res.distances == ref.distances
 
+    def test_input_is_coerced_once(self, monkeypatch):
+        # align's norm groups are of arrays it built from its coerced stack, so
+        # they go to the SVD kernel without another as_matrices copy and NaN test
+        calls = []
+        original = linalg.as_matrices
+        monkeypatch.setattr(linalg, "as_matrices", lambda m: calls.append(m) or original(m))
+        projected, _ = _projected(apply_noise(canonical_scenario(), UnitaryJitter(0.05, rng_seed=3)))
+        calls.clear()
+        align(projected)
+        assert len(calls) == 1
+
     def test_target_stack_is_a_read_only_constant(self):
         assert TARGET_MATRICES.shape == (6, 4, 4) and not TARGET_MATRICES.flags.writeable
         assert all(t.tobytes() == c.tobytes() for t, c in zip(TARGET_MATRICES, CANONICAL_MATRICES))

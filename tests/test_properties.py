@@ -772,7 +772,12 @@ def test_adjoint_kernels_match_their_strided_forms(a, scale, layout):
     if layout == "reversed":  # eig_exact_hermitian hands out w[..., ::-1] with v[..., ::-1]
         w = _as_layout(w, layout)
     strided = (v * np.exp(-1j * scale * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    assert expi_eig(w, v, scale).tobytes() == strided.tobytes()
+    u = expi_eig(w, v, scale)
+    assert u.tobytes() == strided.tobytes()
+
+    # apply_noise's jitter conjugation U A U† takes U† C-ordered too
+    conjugated = u @ part @ np.conj(np.swapaxes(u, -1, -2), order="C")
+    assert conjugated.tobytes() == (u @ part @ np.swapaxes(u.conj(), -1, -2)).tobytes()
 
 
 @given(s=st.one_of(scenarios(), mixed_embeddings()), p=st.floats(0, 1))

@@ -31,7 +31,10 @@ from tempcert.scenario import (
 from tempcert.robustness import Depolarizing, apply_noise
 from tempcert.seqcorr import (
     MAX_SHOTS,
+    PRODUCTS,
+    SIGNS,
     TERMS,
+    TERMS_BY_LENGTH,
     CorrelationSet,
     OutcomeDistribution,
     correlations,
@@ -323,6 +326,13 @@ class TestSampling:
                 sample_sequences(canonical.density(), seq, shots, 1)
             with pytest.raises(ValueError, match=match):
                 correlations(canonical, "sampled", shots=shots, rng_seed=0)
+        # a value that is no real number is refused by type, naming shots, before
+        # the % of the whole-number test can raise its own message
+        for shots in ("100", [100], 3 + 0j):
+            with pytest.raises(TypeError, match="^shots must be a real number, got "):
+                sample_sequences(canonical.density(), seq, shots, 1)
+            with pytest.raises(TypeError, match="^shots must be a real number, got "):
+                correlations(canonical, "sampled", shots=shots, rng_seed=1)
 
     def test_bool_shots_are_refused(self, canonical):
         seq = [canonical.observable(1), canonical.observable(4)]
@@ -460,22 +470,17 @@ class TestCorrelations:
 class TestStackedChains:
     """exact-sum and sampled against the per-outcome reference loops."""
 
-    @pytest.mark.parametrize("pure", [True, False])
-    @pytest.mark.parametrize("d", range(2, 7))
-    def test_correlations_match_reference_bit_for_bit(self, d, pure):
-        for k in range(3):
-            s = scenario_of(d, 700 + 10 * d + k, pure)
-            exact = correlations(s, "exact-sum")
-            assert (exact.as_dict(), exact.stderr) == reference_correlations(s, "exact-sum")
-            sampled = correlations(s, "sampled", shots=10**5, rng_seed=k)
-            assert (sampled.as_dict(), sampled.stderr) == reference_correlations(
-                s, "sampled", 10**5, k)
+    @staticmethod
+    def assert_correlations_match_reference(s, k):
+        exact = correlations(s, "exact-sum")
+        assert (exact.as_dict(), exact.stderr) == reference_correlations(s, "exact-sum")
+        sampled = correlations(s, "sampled", shots=10**5, rng_seed=k)
+        assert (sampled.as_dict(), sampled.stderr) == reference_correlations(
+            s, "sampled", 10**5, k)
 
-    @pytest.mark.parametrize("pure", [True, False])
-    @pytest.mark.parametrize("d", range(2, 7))
-    def test_distributions_match_reference_bit_for_bit(self, d, pure):
+    @staticmethod
+    def assert_distributions_match_reference(s):
         # a raw rho is taken through DensityMatrix: d columns even for a pure state
-        s = scenario_of(d, 800 + d, pure)
         rho = s.density()
         r = DensityMatrix(rho).factor()
         for _, slots, _ in TERMS:
@@ -484,6 +489,39 @@ class TestStackedChains:
             empirical, est, se = sample_sequences(rho, seq, 1000, 11)
             assert (empirical.probabilities, est, se) == reference_sampled(
                 r, seq, 1000, np.random.default_rng(11))
+
+    @pytest.mark.parametrize("pure", [True, False])
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_correlations_match_reference_bit_for_bit(self, d, pure):
+        for k in range(3):
+            self.assert_correlations_match_reference(scenario_of(d, 700 + 10 * d + k, pure), k)
+
+    @pytest.mark.parametrize("pure", [True, False])
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_distributions_match_reference_bit_for_bit(self, d, pure):
+        self.assert_distributions_match_reference(scenario_of(d, 800 + d, pure))
+
+    @pytest.mark.parametrize("noise", [None, Depolarizing(0.1)], ids=["canonical", "depolarized"])
+    def test_impossible_outcomes_match_reference_bit_for_bit(self, noise):
+        # random scenarios have no impossible outcome; here every triple's chain has
+        # outcomes of weight 0, the last in outcome order among them, so the q > 0
+        # mask that the draw loop carries is held to reference_sampled's pruning
+        s = canonical_scenario() if noise is None else apply_noise(canonical_scenario(), noise)
+        for slots in [slots for _, slots, _ in TERMS if len(slots) == 3]:
+            probs = exact_sequence_distribution(s.state, [s.observable(k) for k in slots])
+            assert probs.probabilities[(-1, -1, -1)] == 0.0
+            assert sum(p == 0.0 for p in probs.probabilities.values()) == 4
+        for k in range(3):
+            self.assert_correlations_match_reference(s, k)
+        self.assert_distributions_match_reference(s)
+
+    def test_length_tables_list_the_terms_in_order(self):
+        # built once at import: each length's names and 0-based slots, triples then pairs
+        rows = [(n, name, tuple(slots.tolist()))
+                for n, (names, index) in TERMS_BY_LENGTH.items()
+                for name, slots in zip(names, index + 1, strict=True)]
+        assert rows == [(len(slots), name, slots) for name, slots, _ in TERMS]
+        assert {n: p.tolist() for n, p in PRODUCTS.items()} == {n: list(s) for n, s in SIGNS.items()}
 
     @pytest.mark.parametrize("pure", [True, False])
     def test_scenario_operands_are_not_checked_again(self, pure, monkeypatch):
