@@ -112,10 +112,10 @@ def algebra_residuals(s: Scenario, basis: np.ndarray):
     # (d, 4 c) the basis is its four d x c blocks interleaved, and A_i (x) 1 acts as A_i
     blocks = (mats @ basis.reshape(s.dim, -1)).reshape(6, -1, 4)
     g = np.swapaxes(blocks.conj(), -1, -2)[:, None] @ blocks[None]
-    norms = linalg.op_norms(
+    norms = linalg.largest_singular_values(np.array(
         [g[i - 1, j - 1] - g[j - 1, i - 1] for i, j in CONTEXT_PAIRS]
         + [g[i - 1, j - 1] + g[j - 1, i - 1] for i, j in ANTICOMMUTING_PAIRS]
-    ).tolist()
+    )).tolist()
     n = len(CONTEXT_PAIRS)
     comm = {f"A{i}A{j}": v for (i, j), v in zip(CONTEXT_PAIRS, norms[:n])}
     acomm = {f"A{i}A{j}": v for (i, j), v in zip(ANTICOMMUTING_PAIRS, norms[n:])}
@@ -354,8 +354,8 @@ def certify(s: Scenario) -> CertificationReport:
     comm, acomm, constraints = algebra_residuals(s, stage.basis)
     # ||P A_k (1 - P)|| = ||(A_k basis)† - projected_k basis†|| for P = basis basis†, as
     # basis has orthonormal columns: all from the six (d c) x 4 blocks A_k basis
-    leakage = linalg.op_norms(np.swapaxes(stage.blocks.conj(), -1, -2)
-                              - stage.projected @ stage.basis.conj().T).tolist()
+    leakage = linalg.largest_singular_values(np.swapaxes(stage.blocks.conj(), -1, -2)
+                                             - stage.projected @ stage.basis.conj().T).tolist()
     result, extracted = stage.alignment, stage.extracted_state
     return CertificationReport(
         violation=violation,

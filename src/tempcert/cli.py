@@ -131,7 +131,7 @@ def cmd_optimize(args) -> int:
                 for t in traces
             ],
         }
-        atomic_write_text(args.trace, json.dumps(doc, indent=1) + "\n")
+        atomic_write_text(args.trace, json.dumps(doc) + "\n")
         print(f"trace written to {args.trace}")
     return EXIT_OK
 

@@ -89,7 +89,8 @@ def eval_INC(s: Scenario):
     for context, sign in CONTEXTS.items():
         i, j, *k = (x - 1 for x in context)  # Re tr(rho A_i A_j ...) = Re<A_i R, A_j ... R>
         value += sign * float(np.vdot(single[i], double[j, k[0]] if k else single[j]).real)
-    norms = linalg.op_norms([a[i - 1] @ a[j - 1] - a[j - 1] @ a[i - 1] for i, j in CONTEXT_PAIRS])
+    norms = linalg.largest_singular_values(np.array([a[i - 1] @ a[j - 1] - a[j - 1] @ a[i - 1]
+                                                     for i, j in CONTEXT_PAIRS]))
     return value, CompatibilityReport(dict(zip(CONTEXT_PAIRS, norms.tolist())))
 
 

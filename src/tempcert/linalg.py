@@ -72,7 +72,7 @@ def require_square(a: np.ndarray) -> None:
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(a + a†)/2 of a square complex array or of each of a stack, unchecked, as a
     new C-ordered array. Its result is exactly Hermitian, and equals `a` when `a` is."""
-    h = np.conj(np.swapaxes(a, -1, -2), order="C")  # a† in one pass, then in place
+    h = np.conj(a.swapaxes(-1, -2), order="C")  # a† in one pass, then in place
     return np.divide(np.add(a, h, out=h), 2, out=h)
 
 
@@ -177,25 +177,27 @@ def eig_exact_hermitian(h: np.ndarray):
     """`eig_hermitian`'s kernel, unchecked: the same (w, v), bit for bit, of
     a complex stack (..., d, d) that is square, finite and exactly Hermitian,
     such as a `hermitian_part`. eigh reads only the lower triangle, so an
-    input that is not exactly Hermitian is not caught here. Its two callers hand
-    eigenvectors out as data: `eig_hermitian` and `optimize._top_factors`, whose
-    top eigenvector becomes the seesaw's final PureState."""
+    input that is not exactly Hermitian is not caught here. `eig_hermitian` is its
+    one caller; the seesaw's state step phase-fixes only its top eigenvector."""
     w, v = np.linalg.eigh(h)
-    # index arrays of the leading axes, broadcast against a last axis of length d
-    *lead, cols = np.indices(w.shape, sparse=True)
     if (w[..., 1:] > w[..., :-1]).all():
         # strictly ascending everywhere: the stable sort below is a reversal
-        w, v = w[..., ::-1], v[..., ::-1]
-    else:
-        # A stable sort of -w, not a reversal: tied eigenvalues keep eigh's order.
-        order = np.argsort(-w, axis=-1, kind="stable")
-        w = w[(*lead, order)]
-        v = np.swapaxes(np.swapaxes(v, -1, -2)[(*lead, order)], -1, -2)
-    pivot = (np.abs(v) > 1e-12).argmax(axis=-2)
-    phase = v[(*lead, pivot, cols)][..., None, :]
+        return w[..., ::-1], phase_fixed(v[..., ::-1])
+    # A stable sort of -w, not a reversal: tied eigenvalues keep eigh's order.
+    *lead, _ = np.indices(w.shape, sparse=True)
+    order = np.argsort(-w, axis=-1, kind="stable")
+    return w[(*lead, order)], phase_fixed(v.swapaxes(-1, -2)[(*lead, order)].swapaxes(-1, -2))
+
+
+def phase_fixed(v: np.ndarray) -> np.ndarray:
+    """Columns of v (..., d, k), each rotated so that its first entry of magnitude
+    above 1e-12 is real positive; a unit column of length d has an entry of
+    magnitude at least 1/sqrt(d). Unchecked: `eig_hermitian`'s phase convention."""
+    *lead, cols = np.indices((*v.shape[:-2], v.shape[-1]), sparse=True)
+    phase = v[(*lead, (np.abs(v) > 1e-12).argmax(axis=-2), cols)][..., None, :]
     # hypot rounds like the scalar abs() of a complex number; numpy's array
     # abs does not always.
-    return w, v * (phase.conj() / np.hypot(phase.real, phase.imag))
+    return v * (phase.conj() / np.hypot(phase.real, phase.imag))
 
 
 def inv_sqrt_psd(h: np.ndarray) -> np.ndarray:

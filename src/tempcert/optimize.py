@@ -13,15 +13,17 @@ TERMS with each triple split into its two orders; both act on state factors
 R, rho = R R†, pure or mixed, over arrays with leading batch axes: one
 scenario's (6, d, d) observables and (d, c) factor, or all running seeds'
 (S, 6, d, d) and (S, d, 1). GATHER gathers a slot's or a pair's coefficient
-operators from one image stack.
+operators from one image stack. Products that share a right operand are
+row-stacked, [A; A'] @ B, which gives each block the bits of its own product; a
+matrix-vector product stays one, as a matrix-matrix product rounds differently.
 
 Input is checked at the edges: the public functions take Observables only, and
 `seesaw` checks its final iterates once, as one (S, 6, d, d) stack. In
 between, both operators are Hermitian parts, exactly Hermitian by
 construction, handed straight to the eigensolver: a sign rounding, the starts'
 included, depends on neither the order nor the phases of the eigenvectors, so
-only the state steps, whose top eigenvector is the final PureState, sort and
-phase-fix theirs, in `linalg.eig_exact_hermitian`.
+only the state steps, whose top eigenvector is the final PureState, phase-fix
+one column, with `linalg.phase_fixed`.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from .scenario import (
     Scenario,
     _require_slot,
     observables,
-    random_hermitian,
-    random_pure_state,
     require_integer,
     require_operands,
     round_eig_to_signs,
@@ -96,14 +96,15 @@ TERM_WEIGHTS = np.array([w for _, _, w in TERMS])
 
 
 def _bell_from_matrices(mats) -> np.ndarray:
-    """Bell operator of observables (..., 6, d, d) in 11 products: the Hermitian
-    part of the sum over TERMS of w * A_x Herm(A_y A_z) for a triple (x, y, z),
-    its two words of WORDS at w/2, and of w * A_x A_y for a pair."""
+    """Bell operator of observables (..., 6, d, d) in 9 products: the Hermitian part of the
+    sum over TERMS of w * A_x Herm(A_y A_z) for a triple (x, y, z), its two words of WORDS
+    at w/2, row-stacked as [A_y; A_y'] A_z for two triples that share z, and of w * A_x A_y."""
     a = np.asarray(mats, dtype=complex)
     first, second, third = TERM_SLOTS
-    right = a[..., second, :, :]
-    right[..., :len(third), :, :] = linalg.hermitian_part(
-        right[..., :len(third), :, :] @ a[..., third, :, :])
+    n, lead, d = len(third), a.shape[:-3], a.shape[-1]
+    triples = a[..., second[:n], :, :].reshape(*lead, n // 2, 2 * d, d) @ a[..., third[::2], :, :]
+    right = np.concatenate([linalg.hermitian_part(triples.reshape(*lead, n, d, d)),
+                            a[..., second[n:], :, :]], axis=-3)
     return linalg.hermitian_part(np.add.reduce(
         TERM_WEIGHTS[:, None, None] * (a[..., first, :, :] @ right), axis=-3, initial=0))
 
@@ -133,19 +134,24 @@ def _gather(slots: tuple):
 GATHER = {slots: _gather(slots) for slots in (*((k,) for k in range(1, 7)), *SLOT_PAIRS)}
 
 
-def _coefficients(mats, r, slots: tuple) -> np.ndarray:
+def _apply(mats, r) -> np.ndarray:
+    """Images A_k R (..., n, d, c) under matrices (..., n, d, d) of state factors
+    r (..., d, c), from one row-stacked product (..., n d, d) @ (..., d, c)."""
+    return (mats.reshape(*mats.shape[:-3], -1, mats.shape[-1]) @ r).reshape(*mats.shape[:-1], -1)
+
+
+def _coefficients(mats, r, single, slots: tuple) -> np.ndarray:
     """Coefficient operators (..., n, d, d) of the n `slots`, a key of GATHER, for
-    observables (..., 6, d, d) and state factors (..., d, c): each the Hermitian
-    part of sum_w w (M R)(L† R)†, all from one image stack and one product."""
+    observables (..., 6, d, d), state factors (..., d, c) and their `_apply`
+    images: each the Hermitian part of sum_w w (M R)(L† R)†, from one product."""
     j, k, right, left, weights = GATHER[slots]
-    single = mats @ r[..., None, :, :]
     images = np.concatenate([r[..., None, :, :], single,
                              mats[..., j, :, :] @ single[..., k, :, :]], axis=-3)
     # (..., n, d, 5 c): each slot's five gathered blocks side by side
     shape = (*r.shape[:-2], len(slots), r.shape[-2], -1)
-    m_r = np.swapaxes(images[..., right, :, :], -3, -2).reshape(shape)
-    l_r = np.swapaxes(weights[..., None, None] * images[..., left, :, :], -3, -2).reshape(shape)
-    return linalg.hermitian_part(m_r @ np.swapaxes(l_r.conj(), -1, -2))
+    m_r = images[..., right, :, :].swapaxes(-3, -2).reshape(shape)
+    l_r = (weights[..., None, None] * images[..., left, :, :]).swapaxes(-3, -2).reshape(shape)
+    return linalg.hermitian_part(m_r @ l_r.conj().swapaxes(-1, -2))
 
 
 def _values(r, b) -> np.ndarray:
@@ -154,10 +160,11 @@ def _values(r, b) -> np.ndarray:
 
 
 def _top_factors(b) -> np.ndarray:
-    """Exact state step for a stack of operator forms, each exactly
-    Hermitian, as factors (..., d, 1)."""
-    _, v = linalg.eig_exact_hermitian(b)
-    return v[..., :, :1]
+    """Exact state step for a stack of exactly Hermitian operator forms: factors
+    (..., d, 1), `linalg.eig_exact_hermitian`'s first column, bit for bit, as w's
+    first maximum is the stable descending sort's first; only it is phase-fixed."""
+    w, v = np.linalg.eigh(b)
+    return linalg.phase_fixed(np.take_along_axis(v, w.argmax(axis=-1)[..., None, None], -1))
 
 
 def _sign_step(g):
@@ -208,7 +215,8 @@ def coefficient_operator(s: Scenario, slot: int) -> np.ndarray:
     and M R and L† R are among its images R, A_k R and A_j A_k R.
     """
     _require_slot(slot)
-    return _coefficients(s.matrices(), s.state.factor(), (int(slot),))[0]
+    m, r = s.matrices(), s.state.factor()
+    return _coefficients(m, r, _apply(m, r), (int(slot),))[0]
 
 
 def optimal_observable(s: Scenario, slot: int) -> Observable:
@@ -230,53 +238,56 @@ def optimal_observable(s: Scenario, slot: int) -> Observable:
 def seesaw(config: SeesawConfig):
     """Multi-start seesaw. Returns (best trace, all traces).
 
-    Each seed draws its random start, a state and its six generators as one
-    `random_hermitian` block, from its own PCG64 stream, spawned from
-    config.rng_seed; all starts are sign-rounded in one stacked call. The
-    seeds run as one batch. A sweep is a state step, then one step per pair of
-    SLOT_PAIRS, in order: four stacked eigensolves over the running seeds. A
-    seed leaves the batch when its sweep gain falls below config.tol, and its
-    trace does not depend on the other seeds. `degenerate_steps` counts a
-    seed's slot steps, two per pair step, with a coefficient eigenvalue of
-    magnitude at most 1e-12. The iterates are checked once, at the end: all
-    final observables as one stack through `observables`, and each final state
-    as its PureState. Best is the highest final value, lowest seed on ties.
+    Each seed draws its random start, a state and its six generators, with one
+    call on its own PCG64 stream, spawned from config.rng_seed; the starts are
+    sign-rounded in one stacked call. The seeds run as one batch. A sweep is a
+    state step, then one step per pair of SLOT_PAIRS, in order: four stacked
+    eigensolves over the running seeds. A seed leaves the batch, with its
+    iterates, when its sweep gain falls below config.tol, and its trace does not
+    depend on the other seeds. `degenerate_steps` counts a seed's slot steps,
+    two per pair step, with a coefficient eigenvalue of magnitude at most 1e-12.
+    The iterates are checked once, at the end: all final observables as one
+    stack through `observables`, and each final state as its PureState. Best is
+    the highest final value, lowest seed on ties.
     """
-    states, draws = [], []
-    for child in np.random.SeedSequence(config.rng_seed).spawn(config.seeds):
-        rng = np.random.Generator(np.random.PCG64(child))
-        states.append(random_pure_state(config.dim, rng).amplitudes)
-        draws.append(random_hermitian(config.dim, rng, 6))
-    r = np.array(states)[..., None]                 # (S, d, 1) state factors
-    obs = round_to_involutions(np.array(draws))[0]  # (S, 6, d, d)
-    traces = [SeesawTrace(seed_index=k) for k in range(config.seeds)]
-    degenerate, converged = np.zeros(config.seeds, dtype=int), np.zeros(config.seeds, dtype=bool)
+    d, seeds = config.dim, config.seeds
+    # each seed's stream: the start state's 2 d normals, then its generators' 12 d^2
+    draws = np.array([np.random.Generator(np.random.PCG64(child)).standard_normal(2 * d * (1 + 6 * d))
+                      for child in np.random.SeedSequence(config.rng_seed).spawn(seeds)])
+    v, g = draws[:, :d] + 1j * draws[:, d:2 * d], draws[:, 2 * d:].reshape(seeds, 6, 2, d, d)
+    r = (v / linalg.vec_norms(v)[:, None])[..., None]  # (S, d, 1) state factors
+    obs = round_to_involutions(linalg.hermitian_part(g[..., 0, :, :] + 1j * g[..., 1, :, :]))[0]
+    degenerate, sweeps = np.zeros((2, seeds), dtype=int)  # sweeps: the one a seed leaves at, or 0
 
     b = _bell_from_matrices(obs)  # the running seeds' Bell operators
-    previous = _values(r, b)
-    active = np.arange(config.seeds)
-    for _ in range(config.max_sweeps):
-        o = obs[active]
+    last = _values(r, b)          # each seed's latest value
+    rows, active, o = [], np.arange(seeds), obs
+    for sweep in range(1, config.max_sweeps + 1):
         p = _top_factors(b)
+        single, w = _apply(o, p), []
         for pair in SLOT_PAIRS:
-            a, w = _sign_step(_coefficients(o, p, pair))  # (S, 2, d, d), (S, 2, d)
+            a, wp = _sign_step(_coefficients(o, p, single, pair))  # (n, 2, d, d), (n, 2, d)
             o[:, np.subtract(pair, 1)] = a
-            degenerate[active] += (np.abs(w) <= DEGENERATE_EIGENVALUE).any(axis=-1).sum(axis=-1)
+            if pair != SLOT_PAIRS[-1]:  # the next pair steps read the two new images
+                single[:, np.subtract(pair, 1)] = _apply(a, p)
+            w.append(wp)
+        degenerate[active] += (np.abs(np.concatenate(w, -2)) <= DEGENERATE_EIGENVALUE).any(-1).sum(-1)
         b = _bell_from_matrices(o)  # gives this sweep's values and the next state step
         values = _values(p, b)
-        obs[active], r[active] = o, p
-        for k, value in zip(active, values):
-            traces[k].values.append(float(value))
-        done = values - previous[active] < config.tol
-        converged[active[done]] = True
-        previous[active] = values
-        active, b = active[~done], b[~done]
-        if not active.size:
-            break
+        done = values - last[active] < config.tol
+        last[active] = values
+        rows.append(last.copy())
+        if done.any():  # the seeds that leave the batch take their iterates along
+            leaving, keep = active[done], ~done
+            obs[leaving], r[leaving], sweeps[leaving] = o[done], p[done], sweep
+            active, o, p, b = active[keep], o[keep], p[keep], b[keep]
+            if not active.size:
+                break
+    obs[active], r[active] = o, p
 
-    for k, (t, final) in enumerate(zip(traces, observables(obs))):
-        t.scenario = Scenario(PureState(r[k, :, 0]), final)
-        t.degenerate_steps, t.converged = int(degenerate[k]), bool(converged[k])
+    cols, counts = np.array(rows).T.tolist(), zip(sweeps.tolist(), degenerate.tolist())
+    traces = [SeesawTrace(cols[k][:n or len(rows)], Scenario(PureState(x), final), n > 0, k, m)
+              for k, ((n, m), x, final) in enumerate(zip(counts, r[..., 0], observables(obs)))]
     best = max(traces, key=lambda t: (t.best_value, -t.seed_index))
     if best.best_value > QUANTUM_BOUND + 1e-9:
         raise AssertionError(f"seesaw exceeded the quantum bound: {best.best_value!r}")

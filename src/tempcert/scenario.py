@@ -294,7 +294,7 @@ def round_eig_to_signs(w: np.ndarray, v: np.ndarray, cutoff: float) -> np.ndarra
     (..., d, d) of Hermitian matrices in any order and phases, unchecked: one
     matrix or a stack, the result exactly Hermitian."""
     signs = np.where(w < -cutoff, -1.0, 1.0)  # +1 wherever |w| <= cutoff
-    return linalg.hermitian_part((v * signs[..., None, :]) @ np.swapaxes(v.conj(), -1, -2))
+    return linalg.hermitian_part((v * signs[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def round_to_involutions(h: np.ndarray):

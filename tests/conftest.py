@@ -62,16 +62,17 @@ def eigh_calls(monkeypatch):
 
 @pytest.fixture
 def phase_fixing_calls(monkeypatch):
-    """Shapes of the linalg.eig_exact_hermitian calls, the sorted and phase-fixed
-    eigensolves, made while the fixture is active."""
+    """Shapes of the eigenvector stacks (..., d, k) that linalg.phase_fixed rotates
+    while the fixture is active: one call per sorted and phase-fixed eigensolve,
+    `eig_exact_hermitian`'s or the seesaw's state step's."""
     calls = []
-    original = linalg.eig_exact_hermitian
+    original = linalg.phase_fixed
 
-    def counting(h):
-        calls.append(np.shape(h))
-        return original(h)
+    def counting(v):
+        calls.append(np.shape(v))
+        return original(v)
 
-    monkeypatch.setattr(linalg, "eig_exact_hermitian", counting)
+    monkeypatch.setattr(linalg, "phase_fixed", counting)
     return calls
 
 

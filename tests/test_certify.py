@@ -14,6 +14,7 @@ from tempcert.certify import (
     align,
     build_subspace,
     certify,
+    extract,
 )
 from tempcert.errors import (
     AnticommutatorTooLarge,
@@ -23,11 +24,13 @@ from tempcert.errors import (
     TempcertError,
     ZeroEigenvalue,
 )
+from tempcert.inequality import eval_INC
 from tempcert.robustness import Depolarizing, ObservableTilt, UnitaryJitter, apply_noise, sweep
 from tempcert.scenario import (
     CANONICAL_MATRICES,
     PAULI_I,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     Observable,
     PureState,
@@ -351,6 +354,21 @@ class TestAlign:
         with pytest.raises(FactorizationFailure, match="has no involution rounding"):
             align(mats)
 
+    @pytest.mark.parametrize("defect", [0.45, 0.55])
+    def test_second_factor_defect_edge_at_one_half(self, defect):
+        # slot 2 reads Z on the first factor's +1 half and Z turned by 2t toward Y
+        # on its -1 half: M = cos(t) times an involution that anticommutes with
+        # O = X, so M's rounding defect is 1 - cos(t) and the other two are 0
+        t = np.arccos(1 - defect)
+        mats = list(TARGET_MATRICES)
+        mats[1] = np.kron(np.diag([1.0, 0.0]), PAULI_Z) + np.kron(
+            np.diag([0.0, 1.0]), np.cos(2 * t) * PAULI_Z + np.sin(2 * t) * PAULI_Y)
+        if defect < 0.5:
+            assert max(align(mats).distances) <= 1
+        else:
+            with pytest.raises(FactorizationFailure, match="not close to anticommuting involutions"):
+                align(mats)
+
     def test_factorization_failure(self):
         # slots 2 and 4 share the second-factor operator Z: {M, O} = 2
         mats = [
@@ -448,6 +466,25 @@ class TestCertify:
         certify(noisy)
         assert eigh_calls == [(4, 4), (6, 4, 4), (4, 4), (2, 2, 2)]
         assert phase_fixing_calls == []
+
+    def test_norms_of_built_arrays_skip_the_coercing_edge(self, monkeypatch):
+        # the residual, leakage and commutator norms are of arrays the engine built,
+        # so they go to the SVD kernel without an as_matrices copy and NaN test;
+        # certify's only coercion is align's, in the extraction stage
+        calls = []
+        original = linalg.as_matrices
+        monkeypatch.setattr(linalg, "as_matrices", lambda m: calls.append(m) or original(m))
+        s = apply_noise(canonical_scenario(), UnitaryJitter(0.02, rng_seed=7))
+        basis = extract(s).basis
+        calls.clear()
+        algebra_residuals(s, basis)
+        eval_INC(s)
+        assert calls == []
+        extract(s)
+        in_extract = len(calls)
+        calls.clear()
+        certify(s)
+        assert len(calls) == in_extract == 1
 
     def test_checks_once_at_the_constructors(self, hermitian_checks):
         # every operator certify forms is Hermitian by construction and goes to

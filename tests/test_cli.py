@@ -24,6 +24,7 @@ from tempcert.scenario import (
     save_scenario,
     scenario_to_dict,
 )
+from tempcert.optimize import SeesawConfig, seesaw
 from tempcert.robustness import Depolarizing, apply_noise
 from tempcert.seqcorr import correlations
 
@@ -154,8 +155,13 @@ class TestOptimize:
         text1 = out.read_text()
         save_scenario(s, out)
         assert out.read_text() == text1  # bit-identical re-serialization
-        doc = json.loads(trace.read_text())
-        assert len(doc["traces"]) == 3
+        # the trace is compact JSON, one line, and carries seesaw's traces as they are
+        text = trace.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        best, traces = seesaw(SeesawConfig(dim=4, seeds=3, rng_seed=0))
+        assert json.loads(text) == {"best_seed": best.seed_index, "traces": [
+            {"seed": t.seed_index, "values": t.values, "converged": t.converged,
+             "degenerate_steps": t.degenerate_steps} for t in traces]}
 
     @pytest.mark.parametrize("flag, value", [
         ("--dim", "1"), ("--seeds", "0"), ("--max-sweeps", "0"), ("--tol", "0"),

@@ -46,6 +46,7 @@ from tempcert.optimize import (
     GATHER,
     SLOT_PAIRS,
     _bell_from_matrices,
+    _apply,
     _coefficients,
     _sign_step,
     bell_operator,
@@ -433,10 +434,29 @@ def test_operators_match_anticommutator_oracles(s):
     a, rho = s.matrices(), s.density()
     assert np.abs(bell_operator(s) - anticommutator_bell(a)).max() <= 1e-13
     for pair in SLOT_PAIRS:
-        stacked = _coefficients(np.array(a), s.state.factor(), pair)
+        r = s.state.factor()
+        stacked = _coefficients(a, r, _apply(a, r), pair)
         for slot, g in zip(pair, stacked, strict=True):
             assert np.array_equal(g, coefficient_operator(s, slot))
             assert np.abs(g - adjoint_coefficient(a, rho, slot)).max() <= 1e-13
+
+
+@given(d=st.integers(2, 8), k=st.integers(2, 7), c=st.sampled_from(["vector", "matrix"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_stacked_products_match_per_matrix_products(d, k, c, seed):
+    """The BLAS fact the seesaw's products rest on: stacking k left operands row-wise,
+    (k d, d) @ (d, c), gives each (d, c) block the bits of its own product, for
+    matrix-vector (c = 1) and matrix-matrix (c = d) products alike. On a platform
+    where a seesaw golden fails and this does too, the kernel's premise is gone."""
+    rng = rng_from(seed)
+    shape = (2, d, 1 if c == "vector" else d)
+    a = rng.standard_normal((2, k, d, d)) + 1j * rng.standard_normal((2, k, d, d))
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stacked = _apply(a, b)
+    assert stacked.shape == (2, k, *b.shape[1:])
+    for s, i in itertools.product(range(2), range(k)):
+        assert stacked[s, i].tobytes() == (a[s, i] @ b[s]).tobytes()
+    assert (a.reshape(2, k * d, d) @ b).tobytes() == stacked.tobytes()
 
 
 @st.composite
@@ -466,9 +486,9 @@ def test_batched_operators_match_oracles_and_single_calls(batch):
         assert np.array_equal(b[i], _bell_from_matrices(mats[i]))
         assert np.abs(b[i] - anticommutator_bell(mats[i])).max() <= 1e-12
     for slots in GATHER:  # each single slot and each pair
-        g = _coefficients(mats, r, slots)
+        g = _coefficients(mats, r, _apply(mats, r), slots)
         for i in lead:
-            assert np.array_equal(g[i], _coefficients(mats[i], r[i], slots))
+            assert np.array_equal(g[i], _coefficients(mats[i], r[i], _apply(mats[i], r[i]), slots))
             rho = r[i] @ r[i].conj().T
             for slot, g_slot in zip(slots, g[i], strict=True):
                 assert np.abs(g_slot - adjoint_coefficient(mats[i], rho, slot)).max() <= 1e-12

@@ -10,6 +10,7 @@ from tempcert.robustness import (
     Depolarizing,
     ObservableTilt,
     UnitaryJitter,
+    _state_norm_checks,
     apply_noise,
     check_robustness_bounds,
     fit_loglog_slope,
@@ -159,6 +160,18 @@ class TestRobustnessBounds:
             eps = 5 - eval_IT_scenario(noisy).value
             assert eps <= 0.01
             assert all(c.holds for c in check_robustness_bounds(noisy))
+
+    @pytest.mark.parametrize("miss, holds", [(5e-10, True), (5e-8, False)])
+    def test_guard_forgives_rounding_not_a_miss(self, canonical, miss, holds):
+        # CHECK_GUARD = 1e-9 pinned from both sides: each state-norm bound, taken
+        # at the deficit that puts its rhs `miss` below its lhs, holds at a miss
+        # of 5e-10 and fails at one of 5e-8
+        noisy = apply_noise(canonical, UnitaryJitter(0.02, rng_seed=1))
+        for k, unit in enumerate(_state_norm_checks(noisy, 1.0)):  # rhs: the factor
+            assert unit.lhs > 1e-4
+            check = _state_norm_checks(noisy, ((unit.lhs - miss) / unit.rhs) ** 2)[k]
+            assert abs(check.lhs - check.rhs - miss) <= 1e-15
+            assert check.holds is holds, check
 
     def test_check_names_cover_families(self, canonical):
         names = {c.name for c in check_robustness_bounds(canonical)}
