@@ -23,8 +23,8 @@ from .robustness import (
     Depolarizing,
     ObservableTilt,
     UnitaryJitter,
-    save_sweep_csv,
     sweep,
+    sweep_csv,
     sweep_report,
 )
 from .scenario import atomic_write_text, canonical_scenario, load_scenario, save_scenario
@@ -188,7 +188,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     rows = sweep(base, models.__getitem__, grid)
-    save_sweep_csv(rows, args.out)
+    atomic_write_text(args.out, sweep_csv(rows))
     print(f"{len(rows)} rows written to {args.out}")
     failed = [r for r in rows if r.failed]
     if failed:

@@ -126,7 +126,8 @@ def require_hermitian(m: np.ndarray, what: str) -> None:
     defect = np.conj(np.swapaxes(m, -1, -2), order="C")
     np.subtract(m, defect, out=defect)
     if op_norm_exceeds(defect, STRUCTURAL_TOL).any():
-        raise NotHermitian(f"{what} deviates from Hermitian by {op_norms(defect).max():.3e}")
+        norm = largest_singular_values(defect).max()
+        raise NotHermitian(f"{what} deviates from Hermitian by {norm:.3e}")
 
 
 def vec_norms(a: np.ndarray) -> np.ndarray:
@@ -170,19 +171,7 @@ def eig_hermitian(m):
     a = as_matrices(m)
     require_square(a)
     require_hermitian(a, "matrix")
-    return eig_exact_hermitian(hermitian_part(a))
-
-
-def eig_exact_hermitian(h: np.ndarray):
-    """`eig_hermitian`'s kernel, unchecked: the same (w, v), bit for bit, of
-    a complex stack (..., d, d) that is square, finite and exactly Hermitian,
-    such as a `hermitian_part`. eigh reads only the lower triangle, so an
-    input that is not exactly Hermitian is not caught here. `eig_hermitian` is its
-    one caller; the seesaw's state step phase-fixes only its top eigenvector."""
-    w, v = np.linalg.eigh(h)
-    if (w[..., 1:] > w[..., :-1]).all():
-        # strictly ascending everywhere: the stable sort below is a reversal
-        return w[..., ::-1], phase_fixed(v[..., ::-1])
+    w, v = np.linalg.eigh(hermitian_part(a))
     # A stable sort of -w, not a reversal: tied eigenvalues keep eigh's order.
     *lead, _ = np.indices(w.shape, sparse=True)
     order = np.argsort(-w, axis=-1, kind="stable")

@@ -161,7 +161,7 @@ def _values(r, b) -> np.ndarray:
 
 def _top_factors(b) -> np.ndarray:
     """Exact state step for a stack of exactly Hermitian operator forms: factors
-    (..., d, 1), `linalg.eig_exact_hermitian`'s first column, bit for bit, as w's
+    (..., d, 1), `linalg.eig_hermitian`'s first column, bit for bit, as w's
     first maximum is the stable descending sort's first; only it is phase-fixed."""
     w, v = np.linalg.eigh(b)
     return linalg.phase_fixed(np.take_along_axis(v, w.argmax(axis=-1)[..., None, None], -1))

@@ -26,7 +26,6 @@ from .scenario import (
     DensityMatrix,
     Observable,
     Scenario,
-    atomic_write_text,
     observables,
     random_hermitian,
     require_integer,
@@ -275,10 +274,6 @@ def sweep_csv(rows) -> str:
         numbers = (r.param, r.epsilon, r.value, r.fidelity, r.max_operator_distance)
         writer.writerow([*(repr(float(x)) for x in numbers), str(r.bounds_all_hold).lower()])
     return buf.getvalue()
-
-
-def save_sweep_csv(rows, path) -> None:
-    atomic_write_text(path, sweep_csv(rows))
 
 
 def _json_number(x: float):

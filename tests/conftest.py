@@ -64,7 +64,7 @@ def eigh_calls(monkeypatch):
 def phase_fixing_calls(monkeypatch):
     """Shapes of the eigenvector stacks (..., d, k) that linalg.phase_fixed rotates
     while the fixture is active: one call per sorted and phase-fixed eigensolve,
-    `eig_exact_hermitian`'s or the seesaw's state step's."""
+    `eig_hermitian`'s or the seesaw's state step's."""
     calls = []
     original = linalg.phase_fixed
 

@@ -248,6 +248,15 @@ class TestSweep:
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_PARSE
 
+    def test_out_directory_is_io_error_and_leaves_no_temp_file(self, tmp_path, capsys):
+        # the rename onto a directory fails: the temporary file is removed
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert main(["sweep", "--model", "depolarizing", "--grid", "1e-3",
+                     "--out", str(out)]) == EXIT_IO
+        TestParser.assert_one_error_line(capsys)
+        assert list(tmp_path.glob("*.tmp")) == [] and list(out.iterdir()) == []
+
     def test_explicit_scenario(self, canonical_file, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--scenario", canonical_file, "--model", "jitter",
@@ -311,6 +320,7 @@ class TestParser:
         ("1:2:0", "count must be >= 1"),
         ("0:1:3:log", "log scale needs positive endpoints"),
         ("1:2:3:cubic", "unknown scale 'cubic'"),
+        ("1,abc", "could not convert string to float"),
     ])
     def test_invalid_grid_spec_is_usage_error(self, grid, match, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -231,7 +231,7 @@ class TestOptimalState:
         forms = [np.diag(w).astype(complex) for w in ([3, 3, 1, -1], [-1, 2, 0.5, 2], [1, 1, 1, 1])]
         forms += [bell_operator(random_scenario(4, rng)) for _ in range(3)]
         top = optimize._top_factors(np.array(forms))
-        assert top.tobytes() == linalg.eig_exact_hermitian(np.array(forms))[1][..., :1].tobytes()
+        assert top.tobytes() == linalg.eig_hermitian(np.array(forms))[1][..., :1].tobytes()
         for form, column in zip(forms, top):
             assert optimize._top_factors(form).tobytes() == column.tobytes()
 
@@ -470,6 +470,13 @@ class TestSeesaw:
         # the final iterates are checked once, as one stack, by `observables`
         seesaw(SeesawConfig(dim=4, seeds=2))
         assert hermitian_checks == ["observables"]
+
+    def test_value_above_the_quantum_bound_is_refused(self, monkeypatch):
+        # the guard compares with the module's QUANTUM_BOUND; lowered below the
+        # canonical 5, a converged run trips it
+        monkeypatch.setattr(optimize, "QUANTUM_BOUND", 4.0)
+        with pytest.raises(AssertionError, match="seesaw exceeded the quantum bound"):
+            seesaw(SeesawConfig(dim=4, seeds=5, rng_seed=3))
 
     def test_bad_iterate_raises_at_the_final_check(self, monkeypatch):
         sign_step = optimize._sign_step

@@ -29,7 +29,6 @@ from tempcert.inequality import (
 from tempcert.linalg import (
     STRUCTURAL_TOL,
     acomm,
-    eig_exact_hermitian,
     eig_hermitian,
     expi_eig,
     expi_hermitian,
@@ -522,7 +521,7 @@ def test_rounding_and_top_eigenvector_pass_the_constructors(m):
     roundings and top eigenvectors without checking them again: Observable
     accepts every rounding and PureState every top eigenvector."""
     for a in (*round_to_involutions(m)[0],
-              *round_eig_to_signs(*eig_exact_hermitian(m), DEGENERATE_EIGENVALUE)):
+              *round_eig_to_signs(*eig_hermitian(m), DEGENERATE_EIGENVALUE)):
         Observable(a)
     for v in eig_hermitian(m)[1][..., :, 0]:
         PureState(v)
@@ -554,7 +553,7 @@ def test_sign_step_on_raw_eigh_matches_the_canonical_rounding(g):
     exponential and RR† of the DensityMatrix factor are each within 1e-14 in
     operator norm of the same function of the sorted, phase-fixed ones, with the
     same eigenvalues and so the same ties and refusals."""
-    ref_w, ref_v = eig_exact_hermitian(g)
+    ref_w, ref_v = eig_hermitian(g)
     a, w = _sign_step(g)
     assert op_norms(a - round_eig_to_signs(ref_w, ref_v, DEGENERATE_EIGENVALUE)).max() <= 1e-14
     assert np.array_equal(w, ref_w[..., ::-1])
@@ -577,7 +576,7 @@ def test_sign_step_on_raw_eigh_matches_the_canonical_rounding(g):
     # positive definite, and as a state: ties wherever g has them
     psd = hermitian_part(g @ g + np.eye(g.shape[-1]))
     for h in psd:
-        h_w, h_v = eig_exact_hermitian(h)
+        h_w, h_v = eig_hermitian(h)
         assert op_norm(inv_sqrt_psd(h) - (h_v / h_w ** 0.5) @ h_v.conj().T) <= 1e-14
         r = DensityMatrix.from_exact(hermitian_part(h / np.trace(h).real)).factor()
         ref = h_v * np.sqrt(h_w)
@@ -689,7 +688,7 @@ def test_align_anticommutator_check_forces_a_balanced_split(pair):
     e = v[1][:, w[1] > 0]
     assert e.shape[1] == 2
     w0 = np.column_stack([e, a1r @ e])
-    assert eig_exact_hermitian(hermitian_part(w0.conj().T @ w0))[0][-1] >= 0.75 - 1e-12
+    assert eig_hermitian(hermitian_part(w0.conj().T @ w0))[0][-1] >= 0.75 - 1e-12
 
 
 @given(pair=rounding_pairs(2))
@@ -741,7 +740,7 @@ def test_save_load_is_bit_exact(s):
 
 def _as_layout(a: np.ndarray, layout: str) -> np.ndarray:
     """a's values as a C-ordered array, a read-only one, a view of a transposed
-    copy, or a reversed-stride view such as eig_exact_hermitian's v[..., ::-1]."""
+    copy, or a reversed-stride view such as a reversal v[..., ::-1] of eigh's columns."""
     if layout == "transposed":
         return np.swapaxes(np.ascontiguousarray(np.swapaxes(a, -1, -2)), -1, -2)
     if layout == "reversed":
@@ -787,9 +786,9 @@ def test_adjoint_kernels_match_their_strided_forms(a, scale, layout):
         message = str(exc)
     assert message == expected
 
-    w, v = eig_exact_hermitian(part)
+    w, v = eig_hermitian(part)
     v = _as_layout(v, layout)
-    if layout == "reversed":  # eig_exact_hermitian hands out w[..., ::-1] with v[..., ::-1]
+    if layout == "reversed":  # as a reversal of eigh's ascending (w, v) hands both out
         w = _as_layout(w, layout)
     strided = (v * np.exp(-1j * scale * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
     u = expi_eig(w, v, scale)

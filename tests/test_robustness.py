@@ -31,6 +31,13 @@ class TestApplyNoise:
     def test_zero_tilt_is_identity(self, canonical):
         assert apply_noise(canonical, ObservableTilt(5, 0.0)) is canonical
 
+    def test_zero_jitter_is_identity(self, canonical):
+        assert apply_noise(canonical, UnitaryJitter(0.0)) is canonical
+
+    def test_unknown_noise_model_rejected(self, canonical):
+        with pytest.raises(TypeError, match="unknown noise model 'bogus'"):
+            apply_noise(canonical, "bogus")
+
     def test_depolarizing_closed_form(self, canonical):
         for p in np.geomspace(1e-6, 1e-2, 9):
             noisy = apply_noise(canonical, Depolarizing(p))

@@ -152,6 +152,16 @@ class TestTypes:
         with pytest.raises(NonInvolution):
             Observable(np.diag([2.0, -1.0]))
 
+    def test_reprs_name_type_dimension_and_state_kind(self):
+        s = canonical_scenario()
+        rho = DensityMatrix(s.density())
+        assert repr(Observable(PAULI_Z + 1e-9 * np.diag([1.0, 0.0]))) == (
+            "Observable(dim=2, involution_residual=2.00e-09)")
+        assert repr(s.state) == "PureState(dim=4)"
+        assert repr(rho) == "DensityMatrix(dim=4)"
+        assert repr(s) == "Scenario(dim=4, state=pure)"
+        assert repr(s.with_state(rho)) == "Scenario(dim=4, state=mixed)"
+
     def test_observable_accepts_small_residual(self):
         m = PAULI_Z + 1e-9 * np.diag([1.0, 0.0])
         o = Observable(m)
@@ -369,7 +379,7 @@ class TestRoundToSigns:
     def test_sign_is_plus_one_at_or_below_the_cutoff(self, cutoff):
         above = np.nextafter(cutoff, 1.0)
         eigenvalues = np.array([2.0, cutoff, cutoff / 2, 0.0, -cutoff / 2, -cutoff, -above, -3.0])
-        w, v = linalg.eig_exact_hermitian(np.diag(eigenvalues).astype(complex))
+        w, v = linalg.eig_hermitian(np.diag(eigenvalues).astype(complex))
         a = round_eig_to_signs(w, v, cutoff)
         assert np.array_equal(w, eigenvalues)
         assert np.array_equal(a, np.diag([1.0, 1, 1, 1, 1, 1, -1, -1]).astype(complex))

@@ -81,7 +81,7 @@ NUMPY_NAMES = {"eigh"}
 
 def modules_table_names():
     """The names in backticks in README's Modules table: dotted identifiers,
-    and the function of a call such as `certify(s, corr=...)`."""
+    and the function of a call such as `correlations(s, mode, shots, rng_seed)`."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     table = readme.split("\n## Modules\n", 1)[1].split("\n## ", 1)[0]
     spans = re.findall(r"`([^`]+)`", table)
