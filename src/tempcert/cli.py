@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -187,6 +189,10 @@ def cmd_sweep(args) -> int:
         models = {param: family(param) for param in grid}
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    for path in filter(None, (args.out, args.report)):  # refuse before the first row, not the last
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path!r} is a directory")
+        tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
     rows = sweep(base, models.__getitem__, grid)
     atomic_write_text(args.out, sweep_csv(rows))
     print(f"{len(rows)} rows written to {args.out}")

@@ -38,10 +38,6 @@ class InequalityValue:
     quantum_bound: float = QUANTUM_BOUND
     deficit: float = 0.0
 
-    @classmethod
-    def from_value(cls, value: float) -> "InequalityValue":
-        return cls(value=value, deficit=QUANTUM_BOUND - value)
-
 
 @dataclass
 class CompatibilityReport:
@@ -67,7 +63,7 @@ def eval_IT(c: CorrelationSet) -> InequalityValue:
     value = 0.0
     for name, _, weight in TERMS:
         value += weight * getattr(c, name)
-    return InequalityValue.from_value(float(value))
+    return InequalityValue(value=float(value), deficit=QUANTUM_BOUND - float(value))
 
 
 def eval_IT_scenario(s: Scenario) -> InequalityValue:
@@ -101,17 +97,10 @@ def classical_bound():
     Returns the bound (an integer) and every maximizing assignment
     (a1, ..., a6).
     """
-    best = None
-    argmax = []
-    for a in itertools.product((1, -1), repeat=6):
-        v = sum(sign * math.prod(a[k - 1] for k in context)
-                for context, sign in CONTEXTS.items())
-        if best is None or v > best:
-            best = v
-            argmax = [a]
-        elif v == best:
-            argmax.append(a)
-    return best, argmax
+    values = {a: sum(sign * math.prod(a[k - 1] for k in ctx) for ctx, sign in CONTEXTS.items())
+              for a in itertools.product((1, -1), repeat=6)}
+    best = max(values.values())
+    return best, [a for a, v in values.items() if v == best]
 
 
 #: Each relabeling symmetry's id -> the signed source slot of slots 1..6: slot k
@@ -131,11 +120,8 @@ def apply_symmetry(s: Scenario, tid: int) -> Scenario:
         sources = SYMMETRIES[tid]
     except KeyError:
         raise BadTransformId(f"transform id must be 1..4, got {tid!r}") from None
-    new = []
-    for src in sources:
-        obs = s.observable(abs(src))
-        new.append(obs if src > 0 else Observable(-obs.matrix))
-    return Scenario(s.state, new)
+    return Scenario(s.state, [s.observable(x) if x > 0 else Observable(-s.observable(-x).matrix)
+                              for x in sources])
 
 
 def symmetry_residual(s: Scenario, tid: int) -> float:

@@ -69,10 +69,10 @@ def require_square(a: np.ndarray) -> None:
         raise NonSquare(f"matrix is {a.shape[-2]}x{a.shape[-1]}")
 
 
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a†)/2 of a square complex array or of each of a stack, unchecked, as a
-    new C-ordered array. Its result is exactly Hermitian, and equals `a` when `a` is."""
-    h = np.conj(a.swapaxes(-1, -2), order="C")  # a† in one pass, then in place
+def hermitian_part(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(a + a†)/2 of a square complex array or of each of a stack, unchecked, as a new C-ordered
+    array or into `out`, which must not overlap `a`. Exactly Hermitian; equals `a` when `a` is."""
+    h = np.conj(a.swapaxes(-1, -2), out=out, order="C")  # a† in one pass, then in place
     return np.divide(np.add(a, h, out=h), 2, out=h)
 
 

@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -42,14 +43,8 @@ CHECK_GUARD = 1e-9
 #: Tilt generators, one documented Pauli string per slot: first-factor slots
 #: (1, 3, 5) rotate under Y(x)1, second-factor slots (2, 4, 6) under 1(x)Y.
 #: Defined for dimension-4 scenarios.
-TILT_GENERATORS = {
-    1: np.kron(PAULI_Y, PAULI_I),
-    2: np.kron(PAULI_I, PAULI_Y),
-    3: np.kron(PAULI_Y, PAULI_I),
-    4: np.kron(PAULI_I, PAULI_Y),
-    5: np.kron(PAULI_Y, PAULI_I),
-    6: np.kron(PAULI_I, PAULI_Y),
-}
+TILT_GENERATORS = {k: np.kron(PAULI_Y, PAULI_I) if k % 2 else np.kron(PAULI_I, PAULI_Y)
+                   for k in range(1, 7)}
 
 #: `eig_hermitian` (w, v) of the TILT_GENERATORS stack, slot k at index k - 1, taken
 #: once at import, read-only: a tilt row exponentiates with `expi_eig` on it.
@@ -103,6 +98,24 @@ class UnitaryJitter:
 
 NoiseModel = Depolarizing | ObservableTilt | UnitaryJitter
 
+#: Smallest d at which `apply_noise` runs half of a jitter row's generators on a second thread.
+JITTER_SPLIT_DIM = 48
+
+
+def _jitter(h, mats, strength):
+    """Overwrite each H of h (n, d, d) with hermitian_part(U A U†), A its matrix of mats, U the
+    `expi_eig` of strength H / max|eig H| built in place: at most three (n, d, d) arrays live."""
+    w, v = np.linalg.eigh(h)
+    vh = np.conj(np.swapaxes(v, -1, -2), order="C")
+    v *= np.exp(-1j * strength * (w / np.maximum(w[:, -1:], -w[:, :1])))[..., None, :]
+    u = v @ vh
+    del v
+    uh = np.conj(np.swapaxes(u, -1, -2), out=vh)
+    m = u @ mats
+    np.matmul(m, uh, out=u)
+    del m, vh, uh
+    linalg.hermitian_part(u, h)
+
 
 def apply_noise(s: Scenario, n: NoiseModel) -> Scenario:
     if isinstance(n, Depolarizing):
@@ -125,15 +138,24 @@ def apply_noise(s: Scenario, n: NoiseModel) -> Scenario:
         if n.strength == 0.0:
             return s
         rng = np.random.Generator(np.random.PCG64(n.rng_seed))
-        # one block h from one stream, exponentiated as one stack; the eigensolve also
-        # normalizes h, whose operator norm is its largest |eigenvalue|. Each (6, d, d)
-        # temporary is released once used, so a d = 64 row takes fewer fresh pages.
-        w, v = np.linalg.eigh(random_hermitian(s.dim, rng, len(s.observables)))
-        u = linalg.expi_eig(w / np.maximum(w[:, -1:], -w[:, :1]), v, n.strength)
-        del v
-        m = u @ s.matrices() @ np.conj(np.swapaxes(u, -1, -2), order="C")
-        del u
-        return Scenario(s.state, observables(linalg.hermitian_part(m)))
+        mats = s.matrices()
+        if (s.dim < JITTER_SPLIT_DIM or not hasattr(os, "sched_getaffinity")
+                or len(os.sched_getaffinity(0)) < 2):
+            _jitter(out := random_hermitian(s.dim, rng, len(mats)), mats, n.strength)
+            return Scenario(s.state, observables(out))
+        # two draws of 3 are the stream's one draw of 6, and each matrix of a stack gets the
+        # bits of its own call: the first half on a second thread gives the same bits
+        from concurrent.futures import ThreadPoolExecutor  # imports logging: only this branch pays
+        out = np.empty_like(mats)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            out[:3] = random_hermitian(s.dim, rng, 3)
+            first = pool.submit(_jitter, out[:3], mats[:3], n.strength)
+            try:
+                out[3:] = random_hermitian(s.dim, rng, 3)
+                _jitter(out[3:], mats[3:], n.strength)
+            finally:
+                first.result()  # raises the first half's error, as the serial order would
+        return Scenario(s.state, observables(out))
     raise TypeError(f"unknown noise model {n!r}")
 
 
@@ -172,10 +194,10 @@ _NORM_A, _NORM_B = np.array(_NORM_A), np.array(_NORM_B)
 _NORM_SIGNS = np.array(_NORM_SIGNS, dtype=float)[:, None, None]
 
 
-def _state_norm_checks(s: Scenario, eps: float):
+def _state_norm_checks(s: Scenario, eps: float, images=None):
     """The state-norm checks at deficit eps >= 0: one gather and one subtraction over
-    the stacked images, the norms in one call."""
-    single, double = seqcorr.state_images(s.matrices(), s.state.factor())
+    the stacked images (s's `state_images` unless given), the norms in one call."""
+    single, double = images or seqcorr.state_images(s.matrices(), s.state.factor())
     images = np.concatenate([single, double.reshape(-1, *single.shape[1:])])
     blocks = images[_NORM_A] - _NORM_SIGNS * images[_NORM_B]
     lhs = linalg.vec_norms(blocks.reshape(len(blocks), -1))
@@ -184,7 +206,7 @@ def _state_norm_checks(s: Scenario, eps: float):
             for label, factor, v in zip(_NORM_LABELS, _NORM_FACTORS, lhs)]
 
 
-def check_robustness_bounds(s: Scenario, *, corr: CorrelationSet | None = None):
+def check_robustness_bounds(s: Scenario, *, corr: CorrelationSet | None = None, images=None):
     """Verify every robustness bound at the scenario's achieved deficit.
 
     Mixed states take the pure path on their unit-norm factor. Returns a list of
@@ -194,8 +216,8 @@ def check_robustness_bounds(s: Scenario, *, corr: CorrelationSet | None = None):
     2 sqrt(eps), and the anticommutator family at 14 sqrt(eps). Raises
     NotAViolation when eps > 2.
 
-    `corr`, when given, must be the analytic CorrelationSet of s; `sweep`
-    passes the one it already computed for the row.
+    `corr` and `images`, when given, must be the analytic CorrelationSet and the
+    `state_images` of s; `sweep` passes the ones it formed once for the row.
     """
     if corr is None:
         corr = correlations(s, "analytic")
@@ -209,7 +231,7 @@ def check_robustness_bounds(s: Scenario, *, corr: CorrelationSet | None = None):
         # eps = sum |w| (1 - sign(w) c) over the terms, each summand >= 0
         v, floor = sign * getattr(corr, name), 1 - eps / weight
         checks.append(BoundCheck(label, v, floor, v >= floor - CHECK_GUARD))
-    return checks + _state_norm_checks(s, eps)
+    return checks + _state_norm_checks(s, eps, images)
 
 
 @dataclass
@@ -248,13 +270,14 @@ def sweep(base: Scenario, family, grid) -> list:
         row = SweepRow(param=float(param))
         try:
             noisy = apply_noise(base, family(param))
-            corr = correlations(noisy, "analytic")
+            images = seqcorr.state_images(noisy.matrices(), noisy.state.factor())
+            corr = seqcorr.analytic_correlations(*images)
             row.value = eval_IT(corr).value
             row.epsilon = QUANTUM_BOUND - row.value
             stage = extract(noisy)
             row.fidelity = stage.fidelity
             row.max_operator_distance = max(stage.alignment.distances)
-            row.bound_checks = check_robustness_bounds(noisy, corr=corr)
+            row.bound_checks = check_robustness_bounds(noisy, corr=corr, images=images)
         except TempcertError as exc:
             row.failed = True
             row.error = f"{type(exc).__name__}: {exc}"

@@ -284,6 +284,11 @@ def sample_sequences(rho, seq, shots: int, rng_seed):
     return OutcomeDistribution(steps, dict(zip(outcomes, counts / shots))), estimate, stderr
 
 
+def analytic_correlations(single: np.ndarray, double: np.ndarray) -> CorrelationSet:
+    """The analytic correlators from `state_images`, for a caller that reads the images again."""
+    return CorrelationSet(**{name: _correlator(single, double, slots) for name, slots, _ in TERMS})
+
+
 def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
                  rng_seed=None) -> CorrelationSet:
     """All seven correlators of a scenario in the requested mode.
@@ -298,10 +303,8 @@ def correlations(s: Scenario, mode: str = "analytic", shots: int | None = None,
     values, stderr = {}, None
     if mode == "analytic":
         # the scenario's checked matrices share its state's dimension
-        single, double = state_images(s.matrices(), s.state.factor())
-        for name, slots, _ in TERMS:
-            values[name] = _correlator(single, double, slots)
-    elif mode in ("exact-sum", "sampled"):
+        return analytic_correlations(*state_images(s.matrices(), s.state.factor()))
+    if mode in ("exact-sum", "sampled"):
         if mode == "sampled":
             if shots is None or rng_seed is None:
                 raise ValueError("sampled mode needs shots and rng_seed")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tempcert import cli
 from tempcert.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
@@ -256,6 +257,22 @@ class TestSweep:
                      "--out", str(out)]) == EXIT_IO
         TestParser.assert_one_error_line(capsys)
         assert list(tmp_path.glob("*.tmp")) == [] and list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, path", [("--out", "taken"), ("--report", "taken"),
+                                            ("--out", "missing/s.csv")])
+    def test_unwritable_path_fails_before_the_first_row(self, flag, path, tmp_path, capsys,
+                                                         monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("sweep ran before its output paths were checked")
+
+        monkeypatch.setattr(cli, "sweep", unreachable)
+        (tmp_path / "taken").mkdir()
+        paths = {"--out": "s.csv", "--report": "r.json", flag: path}
+        argv = ["sweep", "--model", "jitter", "--grid", "1e-3"]
+        assert main(argv + [x for k, v in paths.items() for x in (k, str(tmp_path / v))]) == EXIT_IO
+        TestParser.assert_one_error_line(capsys)
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list((tmp_path / "taken").iterdir()) == []
 
     def test_explicit_scenario(self, canonical_file, tmp_path):
         out = tmp_path / "s.csv"

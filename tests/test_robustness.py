@@ -1,9 +1,15 @@
+import concurrent.futures
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from tempcert import robustness
 from tempcert.errors import NotAViolation, ShapeMismatch
 from tempcert.inequality import eval_IT_scenario
 from tempcert.robustness import (
+    JITTER_SPLIT_DIM,
     SWEEP_CSV_HEADER,
     TILT_EIGENSYSTEM,
     TILT_GENERATORS,
@@ -21,7 +27,7 @@ from tempcert.robustness import (
 from tempcert import linalg
 from tempcert.scenario import Observable, canonical_scenario, random_hermitian
 
-from conftest import rng_from
+from conftest import conjugated_embedding, rng_from
 
 
 class TestApplyNoise:
@@ -147,6 +153,88 @@ class TestApplyNoise:
             u = linalg.expi_hermitian(h / linalg.op_norm(h), strength)
             expected = linalg.hermitian_part(u @ o.matrix @ u.conj().T)
             assert np.max(np.abs(n.matrix - expected)) <= 1e-13
+
+
+def serial_jitter(s, noise):
+    """The reference for a jitter row: one draw of six generators from the stream, one
+    stacked eigensolve, `expi_eig`, the conjugation and one `hermitian_part`."""
+    rng = np.random.Generator(np.random.PCG64(noise.rng_seed))
+    w, v = np.linalg.eigh(random_hermitian(s.dim, rng, 6))
+    u = linalg.expi_eig(w / np.maximum(w[:, -1:], -w[:, :1]), v, noise.strength)
+    return linalg.hermitian_part(u @ s.matrices() @ np.conj(np.swapaxes(u, -1, -2), order="C"))
+
+
+class TestJitterSplit:
+    """A jitter row of d >= JITTER_SPLIT_DIM with two or more usable CPUs runs its first
+    three generators on a second thread; the CPU count is monkeypatched, so both
+    branches run on any host."""
+
+    @pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(robustness.os, "sched_getaffinity",
+                            lambda pid: set(range(request.param)))
+        return request.param
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The thread pools apply_noise opens."""
+        opened, pool_type = [], concurrent.futures.ThreadPoolExecutor
+
+        def opening(*args, **kwargs):
+            opened.append(pool_type(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", opening)
+        return opened
+
+    @pytest.mark.parametrize("dim", sorted({31, 32, JITTER_SPLIT_DIM - 1, JITTER_SPLIT_DIM, 64}))
+    def test_both_branches_give_the_serial_chains_bits(self, canonical, dim, cpus, pools):
+        s = conjugated_embedding(canonical, dim, rng_from(dim))
+        baseline = threading.active_count()
+        for strength, seed in [(0.02, 0), (0.3, 11)]:
+            noise = UnitaryJitter(strength, rng_seed=seed)
+            assert apply_noise(s, noise).matrices().tobytes() == serial_jitter(s, noise).tobytes()
+        split = dim >= JITTER_SPLIT_DIM and cpus >= 2
+        assert len(pools) == (2 if split else 0)
+        assert threading.active_count() == baseline
+
+    def test_halves_keep_their_bits_under_a_short_switch_interval(self, canonical, pools,
+                                                                    monkeypatch):
+        """The halves share only disjoint slices of one result and the read-only matrices:
+        forced thread switches every microsecond change no bit."""
+        monkeypatch.setattr(robustness.os, "sched_getaffinity", lambda pid: {0, 1})
+        s = conjugated_embedding(canonical, JITTER_SPLIT_DIM, rng_from(5))
+        noise = UnitaryJitter(0.1, rng_seed=4)
+        expected, interval = serial_jitter(s, noise).tobytes(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = [apply_noise(s, noise).matrices().tobytes() for _ in range(8)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 8 and len(pools) == 8
+
+    @pytest.mark.parametrize("failing", [{"worker", "main"}, {"worker"}, {"main"}])
+    def test_an_eigensolver_error_propagates_as_it_does_serially(self, canonical, pools,
+                                                                 monkeypatch, failing):
+        """A LinAlgError of either half leaves apply_noise as the serial chain's one
+        eigensolve's does; with both halves failing, the first half's is raised. No
+        thread outlives apply_noise."""
+        monkeypatch.setattr(robustness.os, "sched_getaffinity", lambda pid: {0, 1})
+        s = conjugated_embedding(canonical, JITTER_SPLIT_DIM, rng_from(3))
+        eigh = np.linalg.eigh
+
+        def failing_eigh(h):
+            half = "main" if threading.current_thread() is threading.main_thread() else "worker"
+            if half in failing:
+                raise np.linalg.LinAlgError(half)
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        baseline = threading.active_count()
+        raised = "worker" if "worker" in failing else "main"
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{raised}$"):
+            apply_noise(s, UnitaryJitter(0.05, rng_seed=2))
+        assert len(pools) == 1 and threading.active_count() == baseline
 
 
 class TestRobustnessBounds:

@@ -543,6 +543,14 @@ class TestFileFormat:
         assert not t.is_pure()
         assert np.array_equal(s.state.matrix, t.state.matrix)
 
+    def test_failed_rename_removes_its_temporary_file(self, tmp_path, canonical):
+        # the rename onto a directory fails: the error surfaces, no *.tmp stays
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(IsADirectoryError):
+            save_scenario(canonical, tmp_path / "taken")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list((tmp_path / "taken").iterdir()) == []
+
     def test_zero_state_rejected(self, canonical):
         doc = scenario_to_dict(canonical)
         doc["state"]["vector"] = [[0.0, 0.0]] * 4

@@ -308,11 +308,27 @@ def analytic_calls(monkeypatch):
     return calls
 
 
-def test_one_analytic_pass_per_sweep_row(analytic_calls):
+@pytest.fixture
+def image_calls(monkeypatch):
+    """Count `seqcorr.state_images` calls, made through the module that holds it."""
+    calls = []
+    original = seqcorr.state_images
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(seqcorr, "state_images", counting)
+    return calls
+
+
+def test_one_analytic_pass_per_sweep_row(image_calls):
+    # a row forms the images A_k R and A_j A_k R once, for its analytic correlators
+    # and for its state-norm checks alike
     for _, base, family, param in ROWS:
-        before = len(analytic_calls)
+        before = len(image_calls)
         sweep(base, family, [param, 2 * param])
-        assert len(analytic_calls) - before == 2
+        assert len(image_calls) - before == 2
 
 
 @pytest.fixture
