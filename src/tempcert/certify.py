@@ -67,7 +67,7 @@ PAIR_CONTEXTS = tuple((*context, sign) for context, sign in CONTEXTS.items()
                       if len(context) == 2)
 
 
-def build_subspace(state, a1, a5):
+def build_subspace(state, a1=None, a5=None):
     """Orthonormal basis for V = span{R, A1 R, A5 R, A1 A5 R}, R the unit-norm
     factor (d x c) of a PureState or DensityMatrix.
 
@@ -79,10 +79,15 @@ def build_subspace(state, a1, a5):
     dependent and a 4-dimensional certification target cannot be extracted.
 
     a1 and a5 are Observables of the state's dimension (`require_operands`, which
-    refuses a raw state or matrix with TypeError). Returns (basis, gram): basis columns
-    are the phi_m, (d c) x 4, and gram is the generators' 4 x 4 Gram matrix.
+    refuses a raw state or matrix with TypeError). A Scenario in place of the state brings
+    its own state, A1 and A5, checked when it was built: they skip `require_operands`.
+    Returns (basis, gram): basis columns are the phi_m, (d c) x 4, and gram is the
+    generators' 4 x 4 Gram matrix.
     """
-    m1, m5 = (o.matrix for o in require_operands(state, (a1, a5)))
+    if isinstance(state, Scenario):
+        m1, m5, state = state.matrices()[0], state.matrices()[4], state.state
+    else:
+        m1, m5 = (o.matrix for o in require_operands(state, (a1, a5)))
     r = state.factor()
     if r.size < 4:
         raise ShapeMismatch(f"dimension {r.size} < 4 cannot hold the subspace")
@@ -147,7 +152,9 @@ def align(projected_observables) -> AlignmentResult:
 
     The six 4x4 inputs are rounded to exact involutions, which are then used
     for the exact basis algebra; the reported aligned observables and
-    distances use the raw inputs, so all approximation stays visible.
+    distances use the raw inputs, so all approximation stays visible. A
+    (6, 4, 4) complex array, such as `extract`'s, is read as it is after one
+    finiteness test; any other input is coerced as one stack.
 
     Steps: (i) split the space along the +1 eigenspace {e1, e2} of the
     rounded slot-5 operator and its slot-1 images f_i = A1 e_i, giving
@@ -162,11 +169,15 @@ def align(projected_observables) -> AlignmentResult:
     gives w -> w (1(x)G) and u2 -> G† u2 times a phase, and phases on M's
     eigenvectors give u2 a phase, so U -> phase * U; the pivot removes it.
     """
-    raw = tuple(projected_observables)
-    if len(raw) != 6 or any(np.shape(m) != (4, 4) for m in raw):
-        list(map(linalg.as_matrix, raw))  # an entry that is no finite matrix raises its own error
-        raise ShapeMismatch("align expects six 4x4 projected observables")
-    raw = linalg.as_matrices(raw)
+    raw = projected_observables
+    if isinstance(raw, np.ndarray) and raw.dtype == complex and raw.shape == (6, 4, 4):
+        linalg.require_finite(raw)
+    else:
+        raw = tuple(raw)
+        if len(raw) != 6 or any(np.shape(m) != (4, 4) for m in raw):
+            list(map(linalg.as_matrix, raw))  # an entry that is no finite matrix raises its own
+            raise ShapeMismatch("align expects six 4x4 projected observables")
+        raw = linalg.as_matrices(raw)
 
     try:
         rounded, w6, v6 = round_to_involutions(linalg.hermitian_part(raw))
@@ -175,11 +186,10 @@ def align(projected_observables) -> AlignmentResult:
             f"projected observable cannot be rounded to an involution: {exc}"
         ) from exc
     a1r, a5r = rounded[0], rounded[4]
-    ac15 = linalg.largest_singular_values(linalg.acomm(a1r, a5r))
-    if ac15 > 0.5:
-        raise AnticommutatorTooLarge(
-            f"||{{A1, A5}}|| = {ac15:.3f} after rounding exceeds 0.5"
-        )
+    ac15 = linalg.acomm(a1r, a5r)
+    if linalg.op_norm_exceeds(ac15, 0.5):  # the SVD norm is taken for the message alone
+        norm = linalg.largest_singular_values(ac15)
+        raise AnticommutatorTooLarge(f"||{{A1, A5}}|| = {norm:.3f} after rounding exceeds 0.5")
 
     # two columns: A1 A5 A1 + A5 = A1 {A1, A5}, so by Weyl an unbalanced split needs norm >= 2
     e = v6[4][:, w6[4] > 0]
@@ -201,7 +211,7 @@ def align(projected_observables) -> AlignmentResult:
             f"second-factor operator has no involution rounding: {exc}"
         ) from exc
     defects = np.array([m_op - m_r, o_op - o_r, linalg.acomm(m_r, o_r)])
-    if np.any(linalg.largest_singular_values(defects) > 0.5):
+    if linalg.op_norm_exceeds(defects, 0.5).any():
         raise FactorizationFailure(
             "second-factor operators are not close to anticommuting involutions"
         )
@@ -248,7 +258,7 @@ def extract(s: Scenario) -> Extraction:
     normalized, its global phase fixed so its overlap with the reference state is
     real nonnegative; `fidelity` is that overlap squared.
     """
-    basis, gram = build_subspace(s.state, s.observable(1), s.observable(5))
+    basis, gram = build_subspace(s)
     # as (d, 4 c) the basis is its four d x c blocks interleaved, and A_k (x) 1 acts as A_k
     blocks = (s.matrices() @ basis.reshape(s.dim, -1)).reshape(6, -1, 4)
     bd = basis.conj().T
@@ -265,10 +275,7 @@ def extract(s: Scenario) -> Extraction:
     extracted = extracted / linalg.vec_norms(extracted)
     fidelity = float(abs(PHI_PLUS.conj() @ extracted) ** 2)
     # extracted is finite with unit norm by construction: no PureState re-check
-    state = PureState.__new__(PureState)
-    extracted.setflags(write=False)
-    state.amplitudes = extracted
-    return Extraction(basis, gram, blocks, projected, alignment, state, fidelity)
+    return Extraction(basis, gram, blocks, projected, alignment, PureState._of(extracted), fidelity)
 
 
 @dataclass

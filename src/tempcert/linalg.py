@@ -3,7 +3,7 @@
 The checked functions are the edge: `as_matrices`, `as_matrix`, `as_vector`,
 `op_norm`, `op_norms`, `eig_hermitian` and `expi_hermitian` coerce
 array_like input to a fresh complex128 array and reject what they cannot take,
-and `require_square` and `require_hermitian` check arrays already coerced.
+and `require_finite`, `require_square` and `require_hermitian` check arrays already built.
 Hermitian means ||m - m†|| <= STRUCTURAL_TOL = 1e-10 in operator norm, and
 `require_hermitian` is the one test. The rest are unchecked kernels for complex
 arrays that their caller built or checked, such as operators Hermitian by
@@ -42,7 +42,12 @@ def as_matrices(m) -> np.ndarray:
     a = np.array(m, dtype=complex)
     if a.ndim < 2:
         raise ShapeMismatch(f"expected a matrix or a stack of matrices, got ndim {a.ndim}")
-    if not np.all(np.isfinite(a)):
+    return require_finite(a)
+
+
+def require_finite(a: np.ndarray) -> np.ndarray:
+    """a, a complex matrix or stack already built, unless an entry is NaN or Inf (ValueError)."""
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return a
 
@@ -107,7 +112,7 @@ def op_norm_exceeds(m: np.ndarray, tol: float) -> np.ndarray:
     """
     a = np.ascontiguousarray(m, dtype=complex).reshape(-1, *m.shape[-2:])
     parts = a.view(np.float64).reshape(len(a), -1)
-    frobenius = np.sqrt(np.einsum("ki,ki->k", parts, parts))
+    frobenius = np.sqrt(np.vecdot(parts, parts))
     # NaN fails every comparison, so non-finite matrices are undecided too
     over = ~(frobenius <= tol / (1 + FROBENIUS_SLACK))
     if over.any():

@@ -18,12 +18,12 @@ row-stacked, [A; A'] @ B, which gives each block the bits of its own product; a
 matrix-vector product stays one, as a matrix-matrix product rounds differently.
 
 Input is checked at the edges: the public functions take Observables only, and
-`seesaw` checks its final iterates once, as one (S, 6, d, d) stack. In
-between, both operators are Hermitian parts, exactly Hermitian by
-construction, handed straight to the eigensolver: a sign rounding, the starts'
-included, depends on neither the order nor the phases of the eigenvectors, so
-only the state steps, whose top eigenvector is the final PureState, phase-fix
-one column, with `linalg.phase_fixed`.
+`seesaw` checks its final iterates once, as one (S, 6, d, d) stack of observables
+and one (S, d) stack of states. In between, both operators are Hermitian parts,
+exactly Hermitian by construction, handed straight to the eigensolver: a sign
+rounding, the starts' included, depends on neither the order nor the phases of the
+eigenvectors, so only the state steps, whose top eigenvector is the final PureState,
+phase-fix one column, with `linalg.phase_fixed`.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from .scenario import (
     PureState,
     Scenario,
     _require_slot,
-    observables,
     require_integer,
+    require_observables,
     require_operands,
     round_eig_to_signs,
     round_to_involutions,
@@ -247,8 +247,9 @@ def seesaw(config: SeesawConfig):
     depend on the other seeds. `degenerate_steps` counts a seed's slot steps,
     two per pair step, with a coefficient eigenvalue of magnitude at most 1e-12.
     The iterates are checked once, at the end: all final observables as one
-    stack through `observables`, and each final state as its PureState. Best is
-    the highest final value, lowest seed on ties.
+    stack, as `observables` checks it, then all final states' norms, as PureState
+    checks one; each seed's scenario holds views of the two, with no copy. Best
+    is the highest final value, lowest seed on ties.
     """
     d, seeds = config.dim, config.seeds
     # each seed's stream: the start state's 2 d normals, then its generators' 12 d^2
@@ -284,10 +285,13 @@ def seesaw(config: SeesawConfig):
             if not active.size:
                 break
     obs[active], r[active] = o, p
+    require_observables(obs)  # the final iterates once, as stacks: observables, then states
+    PureState._require_unit_norms(r[..., 0])
 
     cols, counts = np.array(rows).T.tolist(), zip(sweeps.tolist(), degenerate.tolist())
-    traces = [SeesawTrace(cols[k][:n or len(rows)], Scenario(PureState(x), final), n > 0, k, m)
-              for k, ((n, m), x, final) in enumerate(zip(counts, r[..., 0], observables(obs)))]
+    traces = [SeesawTrace(cols[k][:n or len(rows)], Scenario._of(PureState._of(x), final),
+                          n > 0, k, m)
+              for k, ((n, m), x, final) in enumerate(zip(counts, r[..., 0], obs))]
     best = max(traces, key=lambda t: (t.best_value, -t.seed_index))
     if best.best_value > QUANTUM_BOUND + 1e-9:
         raise AssertionError(f"seesaw exceeded the quantum bound: {best.best_value!r}")

@@ -4,7 +4,9 @@ The deficit epsilon is always computed from the achieved violation, never
 from the noise parameter: the bounds are statements about the observed
 value. Bound checks carry a small absolute guard (1e-9) against floating
 noise at the ideal point; the inequalities themselves have generous
-constants.
+constants. A noisy scenario checks only what its noise made: a depolarized
+state shares its base's observables, a tilt checks its one new matrix, a jitter
+its new stack, each once, in place.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ from .scenario import (
     PAULI_I,
     PAULI_Y,
     DensityMatrix,
-    Observable,
     Scenario,
-    observables,
     random_hermitian,
     require_integer,
+    require_observables,
 )
 from .seqcorr import ANTICOMMUTING_PAIRS, CONTEXTS, TERMS, CorrelationSet, correlations
 from .certify import PAIR_CONTEXTS, extract
@@ -132,8 +133,9 @@ def apply_noise(s: Scenario, n: NoiseModel) -> Scenario:
             )
         w, v = TILT_EIGENSYSTEM
         u = linalg.expi_eig(w[n.slot - 1], v[n.slot - 1], n.angle)
-        m = u @ s.observable(n.slot).matrix @ u.conj().T
-        return s.with_observable(n.slot, Observable(linalg.hermitian_part(m)))
+        stack, k = s.matrices().copy(), n.slot - 1  # the other five slices stay as checked
+        require_observables(linalg.hermitian_part(u @ stack[k] @ u.conj().T, stack[k]))
+        return Scenario._of(s.state, stack)
     if isinstance(n, UnitaryJitter):
         if n.strength == 0.0:
             return s
@@ -142,20 +144,21 @@ def apply_noise(s: Scenario, n: NoiseModel) -> Scenario:
         if (s.dim < JITTER_SPLIT_DIM or not hasattr(os, "sched_getaffinity")
                 or len(os.sched_getaffinity(0)) < 2):
             _jitter(out := random_hermitian(s.dim, rng, len(mats)), mats, n.strength)
-            return Scenario(s.state, observables(out))
-        # two draws of 3 are the stream's one draw of 6, and each matrix of a stack gets the
-        # bits of its own call: the first half on a second thread gives the same bits
-        from concurrent.futures import ThreadPoolExecutor  # imports logging: only this branch pays
-        out = np.empty_like(mats)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            out[:3] = random_hermitian(s.dim, rng, 3)
-            first = pool.submit(_jitter, out[:3], mats[:3], n.strength)
-            try:
-                out[3:] = random_hermitian(s.dim, rng, 3)
-                _jitter(out[3:], mats[3:], n.strength)
-            finally:
-                first.result()  # raises the first half's error, as the serial order would
-        return Scenario(s.state, observables(out))
+        else:
+            # two draws of 3 are the stream's one draw of 6, and each matrix of a stack gets
+            # the bits of its own call: the first half on a second thread gives the same bits
+            from concurrent.futures import ThreadPoolExecutor  # imports logging: only here
+            out = np.empty_like(mats)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                out[:3] = random_hermitian(s.dim, rng, 3)
+                first = pool.submit(_jitter, out[:3], mats[:3], n.strength)
+                try:
+                    out[3:] = random_hermitian(s.dim, rng, 3)
+                    _jitter(out[3:], mats[3:], n.strength)
+                finally:
+                    first.result()  # raises the first half's error, as the serial order would
+        require_observables(out)  # the one check of the new stack
+        return Scenario._of(s.state, out)
     raise TypeError(f"unknown noise model {n!r}")
 
 
@@ -190,7 +193,7 @@ _NORM_LABELS, _NORM_FACTORS, _NORM_A, _NORM_B, _NORM_SIGNS = zip(
       for i, j, sign in PAIR_CONTEXTS],
     *[(f"norm({{A{i},A{j}}})<=14sqrt(eps)", 14, 6 * i + j - 1, 6 * j + i - 1, -1)
       for i, j in ANTICOMMUTING_PAIRS])
-_NORM_A, _NORM_B = np.array(_NORM_A), np.array(_NORM_B)
+_NORM_A, _NORM_B, _NORM_FACTORS = np.array(_NORM_A), np.array(_NORM_B), np.array(_NORM_FACTORS)
 _NORM_SIGNS = np.array(_NORM_SIGNS, dtype=float)[:, None, None]
 
 
@@ -201,9 +204,9 @@ def _state_norm_checks(s: Scenario, eps: float, images=None):
     images = np.concatenate([single, double.reshape(-1, *single.shape[1:])])
     blocks = images[_NORM_A] - _NORM_SIGNS * images[_NORM_B]
     lhs = linalg.vec_norms(blocks.reshape(len(blocks), -1))
-    root = np.sqrt(eps)
-    return [BoundCheck(label, v, factor * root, v <= factor * root + CHECK_GUARD)
-            for label, factor, v in zip(_NORM_LABELS, _NORM_FACTORS, lhs)]
+    rhs = _NORM_FACTORS * np.sqrt(eps)
+    return [BoundCheck(*check) for check in zip(
+        _NORM_LABELS, lhs.tolist(), rhs.tolist(), (lhs <= rhs + CHECK_GUARD).tolist())]
 
 
 def check_robustness_bounds(s: Scenario, *, corr: CorrelationSet | None = None, images=None):

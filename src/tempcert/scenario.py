@@ -3,6 +3,9 @@
 Basis convention: qubit ordering |00>, |01>, |10>, |11>, first factor leftmost
 in every Kronecker product. This convention is load-bearing for the scenario
 file format, which stores matrices row-major in exactly this basis.
+
+Constructors check their input. A stack the engine builds is checked once, in place,
+by `require_observables`, and `Scenario._of` keeps it as its Scenario's stack, no copy.
 """
 
 from __future__ import annotations
@@ -59,13 +62,13 @@ PROBABILITY_TOL = (1 + NORM_TOL) ** 2 - 1 + NORM_TOL
 
 
 def require_observables(m: np.ndarray) -> None:
-    """The one observable check, of a coerced matrix or stack (..., d, d):
-    squareness, Hermiticity and that the deviation of ``m @ m`` from the
-    identity (operator norm) does not exceed the fixed INVOLUTION_TOL, each
-    a single stacked call that a Frobenius bound settles without an SVD
-    whenever it can. A NonInvolution names the residual of the first
-    matrix of the stack that fails."""
-    linalg.require_square(m)
+    """The one observable check, of a complex matrix or stack (..., d, d), a coerced
+    one or one the engine built: finite entries (`linalg.require_finite`), squareness,
+    Hermiticity and that the deviation of ``m @ m`` from the identity (operator
+    norm) does not exceed the fixed INVOLUTION_TOL, each a single stacked call that a
+    Frobenius bound settles without an SVD whenever it can. A NonInvolution names
+    the residual of the first matrix of the stack that fails."""
+    linalg.require_square(linalg.require_finite(m))
     linalg.require_hermitian(m, "observable")
     residual = m @ m
     residual -= np.eye(m.shape[-1])  # in place: no second (..., d, d) temporary
@@ -92,6 +95,13 @@ class Observable:
         m.setflags(write=False)
         self.matrix = m
 
+    @classmethod
+    def _of(cls, m: np.ndarray) -> "Observable":
+        """The Observable of a read-only matrix that `require_observables` passed, unchecked."""
+        new = cls.__new__(cls)
+        new.matrix = m
+        return new
+
     @property
     def involution_residual(self) -> float:
         """||matrix @ matrix - 1||, operator norm, taken on each read."""
@@ -115,11 +125,7 @@ def observables(matrices) -> list:
     m.setflags(write=False)
 
     def build(x):
-        if x.ndim > 2:
-            return [build(y) for y in x]
-        o = Observable.__new__(Observable)
-        o.matrix = x
-        return o
+        return [build(y) for y in x] if x.ndim > 2 else Observable._of(x)
 
     return build(m)
 
@@ -134,12 +140,26 @@ class PureState:
         if np.ndim(amplitudes) != 1:
             raise ShapeMismatch(f"state vector must be 1-d, got ndim {np.ndim(amplitudes)}")
         v = linalg.as_vector(amplitudes)
-        deviation = np.abs(np.linalg.norm(v, axis=-1) - 1.0)
-        if not deviation <= NORM_TOL:
-            raise ValueError(f"state norm deviates from 1 by {deviation!r}, "
-                             f"more than {NORM_TOL:.1e}")
+        PureState._require_unit_norms(v)
         v.setflags(write=False)
         self.amplitudes = v
+
+    @staticmethod
+    def _require_unit_norms(v: np.ndarray) -> None:
+        """The norm test on a vector or each of a stack (..., d), naming the first failure."""
+        deviation = np.abs(np.linalg.norm(v, axis=-1) - 1.0).reshape(-1)
+        bad = ~(deviation <= NORM_TOL)  # NaN fails the test too
+        if bad.any():
+            raise ValueError(f"state norm deviates from 1 by {deviation[bad][0]!r}, "
+                             f"more than {NORM_TOL:.1e}")
+
+    @classmethod
+    def _of(cls, v: np.ndarray) -> "PureState":
+        """The PureState of v, a finite unit vector by construction, made read-only, unchecked."""
+        new = cls.__new__(cls)
+        v.setflags(write=False)
+        new.amplitudes = v
+        return new
 
     @property
     def dim(self) -> int:
@@ -247,11 +267,20 @@ class Scenario:
         obs = require_operands(state, observables)
         if len(obs) != 6:
             raise ShapeMismatch(f"a scenario needs exactly 6 observables, got {len(obs)}")
-        self.state = state
-        self.observables = obs
-        self.dim = state.dim
+        self.state, self.observables, self.dim = state, obs, state.dim
         self._matrices = np.stack([o.matrix for o in obs])
         self._matrices.setflags(write=False)
+
+    @classmethod
+    def _of(cls, state, stack: np.ndarray, obs=None) -> "Scenario":
+        """The Scenario of `state` and a (6, d, d) stack of its dimension that `require_observables`
+        passed, kept read-only as the scenario's stack, with no require_operands and no restack;
+        its Observables are `obs` when given, else views of the stack."""
+        new = cls.__new__(cls)
+        stack.setflags(write=False)
+        new.state, new.dim, new._matrices = state, state.dim, stack
+        new.observables = obs or tuple(map(Observable._of, stack))
+        return new
 
     def observable(self, slot: int) -> Observable:
         """1-based access: slot in 1..6."""
@@ -268,7 +297,10 @@ class Scenario:
         return isinstance(self.state, PureState)
 
     def with_state(self, state) -> "Scenario":
-        return Scenario(state, self.observables)
+        """A copy with `state`, its type and its dimension (against observable 1's) checked
+        by `require_operands` as `Scenario` checks them, sharing the observables and stack."""
+        require_operands(state, self.observables[:1])
+        return Scenario._of(state, self._matrices, self.observables)
 
     def with_observable(self, slot: int, obs: Observable) -> "Scenario":
         """A copy with the observable in `slot` (1..6) replaced."""
@@ -358,10 +390,15 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Hermitian part of a complex Gaussian matrix, or n of them (n, d, d) from one
-    draw and one Hermitian part, bit for bit the n matrices of n calls in turn."""
+    """Hermitian part of a complex Gaussian matrix G0 + 1j G1, or n of them (n, d, d) from
+    one draw, bit for bit the n matrices of n calls in turn: (G0 + G0^T)/2 and (G1 - G1^T)/2
+    written straight into the real and imaginary parts of one complex stack."""
     g = rng.standard_normal((*(() if n is None else (n,)), 2, dim, dim))
-    return linalg.hermitian_part(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    h = np.empty(g.shape[:-3] + (dim, dim), dtype=complex)
+    np.add(g[..., 0, :, :], g[..., 0, :, :].swapaxes(-1, -2), out=h.real)
+    np.subtract(g[..., 1, :, :], g[..., 1, :, :].swapaxes(-1, -2), out=h.imag)
+    np.divide(h.view(float), 2, out=h.view(float))  # complex division's bits here, faster
+    return h
 
 
 def random_involution(dim: int, rng: np.random.Generator) -> Observable:
@@ -383,17 +420,18 @@ def random_scenario(dim: int, rng: np.random.Generator) -> Scenario:
     scenario, bit for bit, as six `random_involution` calls in turn."""
     state = random_pure_state(dim, rng)
     rounded, _, _ = round_to_involutions(random_hermitian(dim, rng, 6))
-    return Scenario(state, observables(rounded))
+    require_observables(rounded)
+    return Scenario._of(state, rounded)
 
 
 def conjugate_scenario(s: Scenario, u: np.ndarray) -> Scenario:
     """Rotate the whole realization by a unitary: A -> U A U†, psi -> U psi."""
-    obs = observables(linalg.hermitian_part(u @ s.matrices() @ u.conj().T))
+    require_observables(stack := linalg.hermitian_part(u @ s.matrices() @ u.conj().T))
     if s.is_pure():
         state = PureState(u @ s.state.amplitudes)
     else:
         state = DensityMatrix(linalg.hermitian_part(u @ s.state.matrix @ u.conj().T))
-    return Scenario(state, obs)
+    return Scenario._of(state, stack)
 
 
 # ---------------------------------------------------------------------------

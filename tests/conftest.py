@@ -77,7 +77,9 @@ def phase_fixing_calls(monkeypatch):
 
 
 #: The constructors that check their input: where a Hermiticity check belongs.
-CONSTRUCTORS = {"Observable.__init__", "observables", "DensityMatrix.__init__"}
+#: `conjugate_scenario` checks the stack it builds in place, without a copy.
+CONSTRUCTORS = {"Observable.__init__", "observables", "conjugate_scenario",
+                "DensityMatrix.__init__"}
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 import json
 import tracemalloc
@@ -45,6 +46,8 @@ from tempcert.scenario import (
 
 from conftest import CONSTRUCTORS, conjugated_embedding, rng_from
 
+certify_module = importlib.import_module("tempcert.certify")
+
 
 class TestBuildSubspace:
     def test_canonical_gram_is_identity(self, canonical):
@@ -69,6 +72,18 @@ class TestBuildSubspace:
         s = canonical.with_state(PureState([1, 0, 0, 0]))
         with pytest.raises(SubspaceDegenerate):
             build_subspace(s.state, s.observable(1), s.observable(5))
+
+    def test_a_scenario_brings_its_own_checked_operands(self, canonical, monkeypatch):
+        # build_subspace(s) reads the scenario's state and stack, checked when it was
+        # built, with no require_operands, and gives the bits of the checked call
+        for s in (canonical, apply_noise(conjugated_embedding(canonical, 8, rng_from(51)),
+                                         Depolarizing(0.01))):
+            ref = build_subspace(s.state, s.observable(1), s.observable(5))
+            calls = []
+            monkeypatch.setattr(certify_module, "require_operands", lambda *a: calls.append(a))
+            got = build_subspace(s)
+            monkeypatch.undo()
+            assert calls == [] and [x.tobytes() for x in got] == [x.tobytes() for x in ref]
 
     def test_raw_operands_are_checked(self, canonical):
         # a raw vector or density matrix is refused as Scenario refuses it, not
@@ -309,6 +324,29 @@ class TestAlign:
         with pytest.raises(ValueError, match=r"^matrix contains NaN or Inf entries$"):
             align(mats)
 
+    def test_an_array_input_is_read_without_a_copy_after_one_finiteness_test(self, monkeypatch):
+        # extract's (6, 4, 4) complex stack skips the coercion; a NaN in such an
+        # array still raises the coercing edge's ValueError, before any rounding
+        calls = []
+        original = linalg.as_matrices
+        monkeypatch.setattr(linalg, "as_matrices", lambda m: calls.append(m) or original(m))
+        mats = np.array(CANONICAL_MATRICES)
+        assert align(mats).distances == align(list(CANONICAL_MATRICES)).distances
+        assert len(calls) == 1  # the list's coercion alone
+        mats[4, 2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^matrix contains NaN or Inf entries$"):
+            align(mats)
+
+    def test_verdict_norms_take_an_svd_only_to_name_a_refusal(self, svd_calls):
+        # the Frobenius bound settles both 0.5 verdicts on the canonical input, so
+        # the distances take the one SVD; a refusal takes the norm for its message
+        align(np.array(CANONICAL_MATRICES))
+        assert svd_calls == [(6, 4, 4)]
+        svd_calls.clear()
+        with pytest.raises(AnticommutatorTooLarge, match=r"^\|\|\{A1, A5\}\|\| = 2\.000 after"):
+            align([np.kron(PAULI_Z, PAULI_I)] * 6)
+        assert svd_calls == [(1, 4, 4), (4, 4)]
+
     def test_input_contract_takes_any_iterable_of_six(self):
         # a list, a generator and a (6, 4, 4) array give the same bits
         ref = align(list(CANONICAL_MATRICES))
@@ -469,8 +507,8 @@ class TestCertify:
 
     def test_norms_of_built_arrays_skip_the_coercing_edge(self, monkeypatch):
         # the residual, leakage and commutator norms are of arrays the engine built,
-        # so they go to the SVD kernel without an as_matrices copy and NaN test;
-        # certify's only coercion is align's, in the extraction stage
+        # so they go to the SVD kernel without an as_matrices copy and NaN test, and
+        # align reads extract's (6, 4, 4) stack after a finiteness test alone
         calls = []
         original = linalg.as_matrices
         monkeypatch.setattr(linalg, "as_matrices", lambda m: calls.append(m) or original(m))
@@ -484,7 +522,7 @@ class TestCertify:
         in_extract = len(calls)
         calls.clear()
         certify(s)
-        assert len(calls) == in_extract == 1
+        assert len(calls) == in_extract == 0
 
     def test_checks_once_at_the_constructors(self, hermitian_checks):
         # every operator certify forms is Hermitian by construction and goes to

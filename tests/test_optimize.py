@@ -444,7 +444,7 @@ class TestSeesaw:
             calls.append(m.shape)
             check(m)
 
-        monkeypatch.setattr(scenario, "require_observables", counting)
+        monkeypatch.setattr(optimize, "require_observables", counting)
         counts = []
         for sweeps in (2, 40):
             calls.clear()
@@ -467,9 +467,9 @@ class TestSeesaw:
 
     def test_checks_once_at_the_constructors(self, hermitian_checks):
         # the starts, steps and Bell operators are Hermitian by construction;
-        # the final iterates are checked once, as one stack, by `observables`
+        # the final iterates are checked once, as one stack, in place
         seesaw(SeesawConfig(dim=4, seeds=2))
-        assert hermitian_checks == ["observables"]
+        assert hermitian_checks == ["seesaw"]
 
     def test_value_above_the_quantum_bound_is_refused(self, monkeypatch):
         # the guard compares with the module's QUANTUM_BOUND; lowered below the
@@ -477,6 +477,27 @@ class TestSeesaw:
         monkeypatch.setattr(optimize, "QUANTUM_BOUND", 4.0)
         with pytest.raises(AssertionError, match="seesaw exceeded the quantum bound"):
             seesaw(SeesawConfig(dim=4, seeds=5, rng_seed=3))
+
+    def test_final_scenarios_are_views_of_the_two_checked_stacks(self):
+        # each seed's observables and state are read-only views of the one checked
+        # observable stack and the one checked state stack: no per-seed copy
+        _, traces = seesaw(SeesawConfig(dim=4, seeds=4, rng_seed=2, max_sweeps=5))
+        stacks = [t.scenario.matrices() for t in traces]
+        states = [t.scenario.state.amplitudes for t in traces]
+        for group in (stacks, states):
+            assert len({id(x.base) for x in group}) == 1 and group[0].base is not None
+            assert not any(x.flags.writeable for x in group)
+        for t in traces:
+            assert all(o.matrix.base is stacks[0].base for o in t.scenario.observables)
+            assert isinstance(t.scenario.state, PureState) and t.scenario.dim == 4
+
+    def test_bad_final_state_raises_the_pure_state_message(self, monkeypatch):
+        # the final states' one stacked norm test raises what PureState raises
+        top = optimize._top_factors
+        monkeypatch.setattr(optimize, "_top_factors", lambda b: top(b) * (1 + 1e-9))
+        with pytest.raises(ValueError, match=r"^state norm deviates from 1 by np\.float64\("
+                                             r"[0-9.e-]+\), more than 1\.0e-12$"):
+            seesaw(SeesawConfig(dim=4, seeds=3, rng_seed=0, max_sweeps=3))
 
     def test_bad_iterate_raises_at_the_final_check(self, monkeypatch):
         sign_step = optimize._sign_step

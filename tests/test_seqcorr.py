@@ -28,6 +28,7 @@ from tempcert.scenario import (
     random_scenario,
     random_unitary,
 )
+from tempcert.inequality import eval_IT
 from tempcert.robustness import Depolarizing, apply_noise
 from tempcert.seqcorr import (
     MAX_SHOTS,
@@ -767,3 +768,55 @@ class TestErrorPaths:
                 exact_sequence_distribution(state, seq)
             with pytest.raises(error):
                 sample_sequences(state, seq, 100, 0)
+
+
+class TestQubitOracle:
+    """Qubit closed form: each slot is a 1 + b.sigma, a trivial slot +-1 (b = 0) or
+    a = 0 with a unit Bloch vector b, and {P, Q}/2 = (a1 a2 + b1.b2) 1 + (a1 b2 + a2 b1).sigma.
+    A pair correlator is tr(rho {A_x, A_y}/2), a triple tr(rho {A_x, {A_y, A_z}/2}/2),
+    and tr(rho (c 1 + v.sigma)) = c + v.r for the state's Bloch vector r. The oracle
+    forms no matrix product, so it shares no rounding with the image route."""
+
+    PAULIS = np.array([PAULI_X, [[0, -1j], [1j, 0]], PAULI_Z])
+
+    @staticmethod
+    def half_anticommutator(p, q):
+        (a1, b1), (a2, b2) = p, q
+        return a1 * a2 + b1 @ b2, a1 * b2 + a2 * b1
+
+    def draw(self, rng):
+        """Six random slots as (a, b) with a trivial slot a third of the time, and a
+        scenario of them on a random pure or mixed qubit state."""
+        slots = []
+        for _ in range(6):
+            if rng.random() < 1 / 3:
+                slots.append((float(rng.choice([-1.0, 1.0])), np.zeros(3)))
+            else:
+                b = rng.standard_normal(3)
+                slots.append((0.0, b / np.linalg.norm(b)))
+        obs = [Observable(a * PAULI_I + np.tensordot(b, self.PAULIS, 1)) for a, b in slots]
+        state = random_pure_state(2, rng) if rng.random() < 0.5 else random_density(2, rng)
+        return slots, Scenario(state, obs)
+
+    def oracle(self, slots, rho):
+        r = np.array([np.trace(rho @ p).real for p in self.PAULIS])
+        values = {}
+        for name, (x, *rest), _ in TERMS:
+            inner = (slots[rest[0] - 1] if len(rest) == 1
+                     else self.half_anticommutator(slots[rest[0] - 1], slots[rest[1] - 1]))
+            c, v = self.half_anticommutator(slots[x - 1], inner)
+            values[name] = c + v @ r
+        return values
+
+    def test_closed_form_matches_the_analytic_correlators(self):
+        rng, trivial, kinds, worst = rng_from(2023), 0, set(), 0.0
+        for _ in range(1000):
+            slots, s = self.draw(rng)
+            trivial += sum(not b.any() for _, b in slots)
+            kinds.add(s.is_pure())
+            corr, expected = correlations(s, "analytic"), self.oracle(slots, s.density())
+            for name, _, _ in TERMS:
+                worst = max(worst, abs(getattr(corr, name) - expected[name]))
+            value = sum(w * expected[name] for name, _, w in TERMS)
+            worst = max(worst, abs(eval_IT(corr).value - value))
+        assert worst <= 1e-14 and trivial >= 500 and kinds == {True, False}
