@@ -79,8 +79,7 @@ def build_subspace(state, a1=None, a5=None):
     dependent and a 4-dimensional certification target cannot be extracted.
 
     a1 and a5 are Observables of the state's dimension (`require_operands`, which
-    refuses a raw state or matrix with TypeError). A Scenario in place of the state brings
-    its own state, A1 and A5, checked when it was built: they skip `require_operands`.
+    refuses a raw state or matrix with TypeError); a Scenario brings its own, checked.
     Returns (basis, gram): basis columns are the phi_m, (d c) x 4, and gram is the
     generators' 4 x 4 Gram matrix.
     """
@@ -152,9 +151,8 @@ def align(projected_observables) -> AlignmentResult:
 
     The six 4x4 inputs are rounded to exact involutions, which are then used
     for the exact basis algebra; the reported aligned observables and
-    distances use the raw inputs, so all approximation stays visible. A
-    (6, 4, 4) complex array, such as `extract`'s, is read as it is after one
-    finiteness test; any other input is coerced as one stack.
+    distances use the raw inputs, so all approximation stays visible. A (6, 4, 4)
+    complex array, such as `extract`'s, is read without a copy; other input is copied.
 
     Steps: (i) split the space along the +1 eigenspace {e1, e2} of the
     rounded slot-5 operator and its slot-1 images f_i = A1 e_i, giving

@@ -112,7 +112,7 @@ def op_norm_exceeds(m: np.ndarray, tol: float) -> np.ndarray:
     """
     a = np.ascontiguousarray(m, dtype=complex).reshape(-1, *m.shape[-2:])
     parts = a.view(np.float64).reshape(len(a), -1)
-    frobenius = np.sqrt(np.vecdot(parts, parts))
+    frobenius = np.sqrt(np.einsum("ki,ki->k", parts, parts))
     # NaN fails every comparison, so non-finite matrices are undecided too
     over = ~(frobenius <= tol / (1 + FROBENIUS_SLACK))
     if over.any():

@@ -246,10 +246,9 @@ def seesaw(config: SeesawConfig):
     iterates, when its sweep gain falls below config.tol, and its trace does not
     depend on the other seeds. `degenerate_steps` counts a seed's slot steps,
     two per pair step, with a coefficient eigenvalue of magnitude at most 1e-12.
-    The iterates are checked once, at the end: all final observables as one
-    stack, as `observables` checks it, then all final states' norms, as PureState
-    checks one; each seed's scenario holds views of the two, with no copy. Best
-    is the highest final value, lowest seed on ties.
+    The final iterates are checked once, as two stacks (observables, then state norms),
+    and each seed's scenario holds views of both. Best is the highest final value,
+    lowest seed on ties.
     """
     d, seeds = config.dim, config.seeds
     # each seed's stream: the start state's 2 d normals, then its generators' 12 d^2

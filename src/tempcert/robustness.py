@@ -4,9 +4,7 @@ The deficit epsilon is always computed from the achieved violation, never
 from the noise parameter: the bounds are statements about the observed
 value. Bound checks carry a small absolute guard (1e-9) against floating
 noise at the ideal point; the inequalities themselves have generous
-constants. A noisy scenario checks only what its noise made: a depolarized
-state shares its base's observables, a tilt checks its one new matrix, a jitter
-its new stack, each once, in place.
+constants. A noisy scenario checks only what its noise made, once, in place.
 """
 
 from __future__ import annotations

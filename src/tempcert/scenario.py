@@ -4,8 +4,7 @@ Basis convention: qubit ordering |00>, |01>, |10>, |11>, first factor leftmost
 in every Kronecker product. This convention is load-bearing for the scenario
 file format, which stores matrices row-major in exactly this basis.
 
-Constructors check their input. A stack the engine builds is checked once, in place,
-by `require_observables`, and `Scenario._of` keeps it as its Scenario's stack, no copy.
+Constructors check their input; `Scenario._of` keeps a stack checked in place as it is.
 """
 
 from __future__ import annotations
@@ -62,12 +61,11 @@ PROBABILITY_TOL = (1 + NORM_TOL) ** 2 - 1 + NORM_TOL
 
 
 def require_observables(m: np.ndarray) -> None:
-    """The one observable check, of a complex matrix or stack (..., d, d), a coerced
-    one or one the engine built: finite entries (`linalg.require_finite`), squareness,
-    Hermiticity and that the deviation of ``m @ m`` from the identity (operator
-    norm) does not exceed the fixed INVOLUTION_TOL, each a single stacked call that a
-    Frobenius bound settles without an SVD whenever it can. A NonInvolution names
-    the residual of the first matrix of the stack that fails."""
+    """The one observable check, of a complex matrix or stack (..., d, d), coerced or
+    built by the engine: finite entries, squareness, Hermiticity and ||m @ m - 1|| <=
+    INVOLUTION_TOL in operator norm, each a single stacked call that a Frobenius bound
+    settles without an SVD whenever it can. A NonInvolution names the residual of the
+    first matrix of the stack that fails."""
     linalg.require_square(linalg.require_finite(m))
     linalg.require_hermitian(m, "observable")
     residual = m @ m
@@ -97,7 +95,7 @@ class Observable:
 
     @classmethod
     def _of(cls, m: np.ndarray) -> "Observable":
-        """The Observable of a read-only matrix that `require_observables` passed, unchecked."""
+        """Unchecked: m is read-only and passed `require_observables`."""
         new = cls.__new__(cls)
         new.matrix = m
         return new
@@ -146,16 +144,15 @@ class PureState:
 
     @staticmethod
     def _require_unit_norms(v: np.ndarray) -> None:
-        """The norm test on a vector or each of a stack (..., d), naming the first failure."""
+        """The norm test of a vector or of each of a stack (..., d), naming the first failure."""
         deviation = np.abs(np.linalg.norm(v, axis=-1) - 1.0).reshape(-1)
-        bad = ~(deviation <= NORM_TOL)  # NaN fails the test too
-        if bad.any():
-            raise ValueError(f"state norm deviates from 1 by {deviation[bad][0]!r}, "
-                             f"more than {NORM_TOL:.1e}")
+        bad = deviation[~(deviation <= NORM_TOL)]  # NaN fails the test too
+        if bad.size:
+            raise ValueError(f"state norm deviates from 1 by {bad[0]!r}, more than {NORM_TOL:.1e}")
 
     @classmethod
     def _of(cls, v: np.ndarray) -> "PureState":
-        """The PureState of v, a finite unit vector by construction, made read-only, unchecked."""
+        """Unchecked: v is a finite unit vector by construction; it is made read-only."""
         new = cls.__new__(cls)
         v.setflags(write=False)
         new.amplitudes = v
@@ -273,9 +270,7 @@ class Scenario:
 
     @classmethod
     def _of(cls, state, stack: np.ndarray, obs=None) -> "Scenario":
-        """The Scenario of `state` and a (6, d, d) stack of its dimension that `require_observables`
-        passed, kept read-only as the scenario's stack, with no require_operands and no restack;
-        its Observables are `obs` when given, else views of the stack."""
+        """Unchecked: `stack` (6, d, d), of the state's dimension, passed `require_observables`."""
         new = cls.__new__(cls)
         stack.setflags(write=False)
         new.state, new.dim, new._matrices = state, state.dim, stack
@@ -297,8 +292,7 @@ class Scenario:
         return isinstance(self.state, PureState)
 
     def with_state(self, state) -> "Scenario":
-        """A copy with `state`, its type and its dimension (against observable 1's) checked
-        by `require_operands` as `Scenario` checks them, sharing the observables and stack."""
+        """A copy with `state`, checked as `Scenario` checks it, sharing observables and stack."""
         require_operands(state, self.observables[:1])
         return Scenario._of(state, self._matrices, self.observables)
 

@@ -495,8 +495,8 @@ class TestSeesaw:
         # the final states' one stacked norm test raises what PureState raises
         top = optimize._top_factors
         monkeypatch.setattr(optimize, "_top_factors", lambda b: top(b) * (1 + 1e-9))
-        with pytest.raises(ValueError, match=r"^state norm deviates from 1 by np\.float64\("
-                                             r"[0-9.e-]+\), more than 1\.0e-12$"):
+        message = r"^state norm deviates from 1 by .*, more than 1\.0e-12$"
+        with pytest.raises(ValueError, match=message):
             seesaw(SeesawConfig(dim=4, seeds=3, rng_seed=0, max_sweeps=3))
 
     def test_bad_iterate_raises_at_the_final_check(self, monkeypatch):
