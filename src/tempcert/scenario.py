@@ -264,7 +264,9 @@ class Scenario:
         obs = require_operands(state, observables)
         if len(obs) != 6:
             raise ShapeMismatch(f"a scenario needs exactly 6 observables, got {len(obs)}")
-        self.state, self.observables, self.dim = state, obs, state.dim
+        self.state = state
+        self.observables = obs
+        self.dim = state.dim
         self._matrices = np.stack([o.matrix for o in obs])
         self._matrices.setflags(write=False)
 
